@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -24,6 +23,8 @@ from .polygon2d import (
     _build_polygon,
     _canonical_cycle,
     _hull_cycle,
+    _pick_counts,
+    project,
     projection_coordinates,
 )
 from .quadruples import Quadruple, enumerate_g_good
@@ -37,7 +38,6 @@ class ClassEntry:
     canonical: LatticePolygon
     n: int
     members: tuple[Quadruple, ...]
-    witness_triples: tuple[Triple3, ...]
 
 
 @dataclass(frozen=True)
@@ -72,42 +72,24 @@ class ClassAtlas:
         return "\n".join(lines) + "\n"
 
 
-def _classify_one(
-    q: Quadruple, include_mirror: bool = True
-) -> tuple[Quadruple, tuple[Point2, ...], int, Triple3]:
-    from .polygon2d import project
-
-    p = build(q)
-    triple = find_unimodular_triple(p)
-    poly = project(p, triple)
-    cycle, _ = _canonical_cycle(poly.vertices, include_mirror)
-    return (q, cycle, poly.n, triple)
-
-
-def group_by_class(
-    g: int, d_max: int, jobs: int = 1, include_mirror: bool = True
-) -> ClassAtlas:
+def group_by_class(g: int, d_max: int, jobs: int = 1) -> ClassAtlas:
     """Atlas of genus-g quadruples up to d_max, grouped by polygon class.
 
     Classes are sorted by (point count, canonical vertices); members stay
-    in enumeration order.  Parallel runs produce identical atlases.
+    in enumeration order.  jobs parallelizes the quadruple scan only, so
+    parallel runs produce identical atlases.
     """
-    quads = enumerate_g_good(g, d_max, jobs=jobs)
-    worker = functools.partial(_classify_one, include_mirror=include_mirror)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(worker, quads))
-    else:
-        rows = [worker(q) for q in quads]
     grouped: dict[tuple[Point2, ...], dict] = {}
-    for q, cycle, n, triple in rows:
-        slot = grouped.setdefault(cycle, {"n": n, "members": [], "triples": []})
-        if slot["n"] != n:
+    for q in enumerate_g_good(g, d_max, jobs=jobs):
+        p = build(q)
+        poly = project(p, find_unimodular_triple(p))
+        cycle, _ = _canonical_cycle(poly.vertices)
+        slot = grouped.setdefault(cycle, {"n": poly.n, "members": []})
+        if slot["n"] != poly.n:
             raise InvariantViolation(
-                f"class {cycle}: members disagree on point count ({slot['n']} vs {n})"
+                f"class {cycle}: members disagree on point count ({slot['n']} vs {poly.n})"
             )
         slot["members"].append(q)
-        slot["triples"].append(triple)
     entries = []
     for cycle in sorted(grouped, key=lambda c: (grouped[c]["n"], c)):
         slot = grouped[cycle]
@@ -116,14 +98,7 @@ def group_by_class(
             raise InvariantViolation(
                 f"class {cycle}: canonical polygon has {poly.n} points, members have {slot['n']}"
             )
-        entries.append(
-            ClassEntry(
-                canonical=poly,
-                n=slot["n"],
-                members=tuple(slot["members"]),
-                witness_triples=tuple(slot["triples"]),
-            )
-        )
+        entries.append(ClassEntry(canonical=poly, n=slot["n"], members=tuple(slot["members"])))
     return ClassAtlas(g=g, d_max=d_max, classes=tuple(entries))
 
 
@@ -131,24 +106,7 @@ def group_by_class(
 # enumeration of polygon classes with a fixed interior count
 
 
-def _pick_counts(cycle: tuple[Point2, ...]) -> tuple[int, int]:
-    """(interior, total) lattice counts from vertices only."""
-    k = len(cycle)
-    area2 = sum(
-        cycle[j][0] * cycle[(j + 1) % k][1] - cycle[(j + 1) % k][0] * cycle[j][1]
-        for j in range(k)
-    )
-    b = sum(
-        gcd(abs(cycle[(j + 1) % k][0] - cycle[j][0]), abs(cycle[(j + 1) % k][1] - cycle[j][1]))
-        for j in range(k)
-    )
-    interior = (area2 - b + 2) // 2
-    return interior, interior + b
-
-
-def _inductive_cycles(
-    g: int, n_max: int, include_mirror: bool
-) -> set[tuple[Point2, ...]]:
+def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
     """Grow classes point by point from the unit triangle.
 
     A class with n+1 lattice points is reachable from one with n points
@@ -158,7 +116,7 @@ def _inductive_cycles(
     """
     margin = 2
     unit = ((0, 0), (1, 0), (0, 1))
-    start, _ = _canonical_cycle(unit, include_mirror)
+    start, _ = _canonical_cycle(unit)
     current: set[tuple[Point2, ...]] = {start}
     found: set[tuple[Point2, ...]] = set()
     if g == 0:
@@ -174,11 +132,11 @@ def _inductive_cycles(
                     grown = _grow_cycle(cycle, (qx, qy), level_n, g)
                     if grown is None:
                         continue
-                    can, _ = _canonical_cycle(grown, include_mirror)
+                    can, _ = _canonical_cycle(grown)
                     next_level.add(can)
         level_n += 1
         for cycle in next_level:
-            if _pick_counts(cycle)[0] == g:
+            if _pick_counts(cycle)[1] == g:
                 found.add(cycle)
         current = next_level
     return found
@@ -194,8 +152,8 @@ def _grow_cycle(
         return None
     if q not in grown:
         return None
-    interior, total = _pick_counts(grown)
-    if total != n + 1 or interior > g:
+    _, interior, b = _pick_counts(grown)
+    if interior + b != n + 1 or interior > g:
         return None
     return grown
 
@@ -223,7 +181,7 @@ def _angular_directions(bound: int) -> list[Point2]:
     return sorted(dirs, key=functools.cmp_to_key(cmp))
 
 
-def _box_cycles(g: int, bound: int, include_mirror: bool) -> set[tuple[Point2, ...]]:
+def _box_cycles(g: int, bound: int) -> set[tuple[Point2, ...]]:
     """All classes with g interior points realizable inside a bound x bound
     grid (up to translation), by direct enumeration of convex vertex cycles.
 
@@ -255,7 +213,7 @@ def _box_cycles(g: int, bound: int, include_mirror: bool) -> set[tuple[Point2, .
             raise InvariantViolation(f"parity failure closing chain {chain}")
         if interior != g:
             return
-        can, _ = _canonical_cycle(tuple(chain), include_mirror)
+        can, _ = _canonical_cycle(tuple(chain))
         found.add(can)
 
     def extend(chain: list[Point2], first_dir: Point2, last_idx: int, area2: int, blen: int) -> None:
@@ -299,7 +257,6 @@ def enumerate_classes(
     *,
     box_bound: int | None = None,
     n_max: int | None = None,
-    include_mirror: bool = True,
 ) -> tuple[LatticePolygon, ...]:
     """All polygon classes with exactly g interior points.
 
@@ -315,17 +272,17 @@ def enumerate_classes(
         cap = (3 * g + 7) if n_max is None else n_max
         if cap < 3:
             raise PreconditionError(f"n_max must be >= 3, got {cap}")
-        cycles = _inductive_cycles(g, cap, include_mirror)
+        cycles = _inductive_cycles(g, cap)
     elif method == "box":
         bound = (max(3, 2 * g + 2)) if box_bound is None else box_bound
         if bound < 1:
             raise PreconditionError(f"box bound must be >= 1, got {bound}")
-        cycles = _box_cycles(g, bound, include_mirror)
-        if n_max is not None:
-            cycles = {c for c in cycles if _pick_counts(c)[1] <= n_max}
+        cycles = _box_cycles(g, bound)
     else:
         raise ValueError(f"unknown method {method!r}")
-    polys = [_build_polygon(c) for c in sorted(cycles, key=lambda c: (_pick_counts(c)[1], c))]
+    polys = sorted((_build_polygon(c) for c in cycles), key=lambda p: (p.n, p.vertices))
+    if n_max is not None:
+        polys = [p for p in polys if p.n <= n_max]
     return tuple(polys)
 
 
@@ -538,16 +495,19 @@ class StabilizationReport:
 
 
 def stabilization_report(g: int, d_steps, jobs: int = 1) -> StabilizationReport:
-    """Class counts along increasing degree bounds, flagging growth at the end."""
+    """Class counts along increasing degree bounds, flagging growth at the end.
+
+    One atlas is built at the largest bound; a class counts at a step when
+    one of its members has degree at most that step.
+    """
     steps = list(d_steps)
     if not steps or any(
         steps[i] >= steps[i + 1] for i in range(len(steps) - 1)
     ):
         raise PreconditionError(f"d_steps must be strictly increasing, got {steps}")
-    counts = []
-    for d_max in steps:
-        atlas = group_by_class(g, d_max, jobs=jobs)
-        counts.append(len(atlas.classes))
+    atlas = group_by_class(g, steps[-1], jobs=jobs)
+    first_d = [min(q.d for q in entry.members) for entry in atlas.classes]
+    counts = [sum(d <= step for d in first_d) for step in steps]
     growing = len(counts) >= 2 and counts[-1] > counts[-2]
     return StabilizationReport(
         g=g, steps=tuple(zip(steps, counts)), growing=growing

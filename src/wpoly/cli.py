@@ -9,7 +9,7 @@ polygons enum              enumerate polygon classes for a genus
 map curve <8 ints>         transport a curve between equivalent quadruples
 
 Configuration is read from wpoly.json in the working directory (keys
-d_max_cap, jobs, atlas_dir, format, seed); the WPOLY_ATLAS_DIR
+d_max_cap, jobs, atlas_dir, format); the WPOLY_ATLAS_DIR
 environment variable overrides the atlas directory, and flags override
 both.
 
@@ -54,7 +54,6 @@ class Config:
     jobs: int = 1
     atlas_dir: str = "atlas"
     format: str = "text"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (1 <= self.d_max_cap <= D_MAX_CAP):
@@ -77,7 +76,7 @@ def load_config(cwd: str | None = None) -> Config:
             raise PreconditionError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise PreconditionError(f"{path}: top level must be an object")
-        unknown = set(data) - {"d_max_cap", "jobs", "atlas_dir", "format", "seed"}
+        unknown = set(data) - {"d_max_cap", "jobs", "atlas_dir", "format"}
         if unknown:
             raise PreconditionError(f"{path}: unknown keys {sorted(unknown)}")
     env_dir = os.environ.get(ATLAS_ENV)
@@ -87,10 +86,6 @@ def load_config(cwd: str | None = None) -> Config:
         return Config(**data)
     except TypeError as exc:
         raise PreconditionError(f"{path}: bad config ({exc})") from exc
-
-
-def _fmt_fraction(x: Fraction) -> str:
-    return str(x)
 
 
 @click.group()
@@ -312,10 +307,10 @@ def map_curve_cmd(cfg: Config, w0: int, w1: int, w2: int, d: int,
     payload = {
         "source": [*q_from.weights, q_from.d],
         "target": [*q_to.weights, q_to.d],
-        "matrix": [[_fmt_fraction(x) for x in row] for row in bc.matrix],
+        "matrix": [[str(x) for x in row] for row in bc.matrix],
         "row_map": list(bc.row_map),
         "terms": [
-            {"coef": _fmt_fraction(c), "exponents": list(v)} for c, v in mapped.terms
+            {"coef": str(c), "exponents": list(v)} for c, v in mapped.terms
         ],
         "warnings": list(warnings),
     }

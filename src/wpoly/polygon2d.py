@@ -1,18 +1,16 @@
 """Exact lattice polygon geometry in the plane.
 
-Everything here runs on integers (plus Fractions for edge intersections):
-convex hulls by monotone chain, lattice point counts double-checked
-against the area/boundary identity 2*area = 2i + b - 2, triangulation
+Everything here runs on integers: convex hulls by monotone chain,
+lattice point counts double-checked against the area/boundary identity
+2*area = 2i + b - 2 (Pick's formula), triangulation
 into primitive triangles, and a canonical form under affine unimodular
 equivalence obtained by anchoring each directed hull edge and taking the
 lexicographically least vertex listing.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
@@ -24,6 +22,25 @@ Triangle = tuple[Point2, Point2, Point2]
 
 def _cross(o: Point2, a: Point2, b: Point2) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _pick_counts(cycle: tuple[Point2, ...]) -> tuple[int, int, int]:
+    """(twice the area, interior count, boundary count) of a vertex cycle.
+
+    Twice the area comes from the shoelace sum, the boundary count from
+    the edge gcds, and the interior count from Pick's formula
+    2*area = 2i + b - 2, which needs 2*area and b to have equal parity.
+    """
+    k = len(cycle)
+    area2 = 0
+    b = 0
+    for j in range(k):
+        (px, py), (qx, qy) = cycle[j], cycle[(j + 1) % k]
+        area2 += px * qy - qx * py
+        b += gcd(abs(qx - px), abs(qy - py))
+    if (area2 - b) % 2 != 0:
+        raise InvariantViolation(f"area/boundary parity fails for {cycle}")
+    return area2, (area2 - b + 2) // 2, b
 
 
 @dataclass(frozen=True)
@@ -45,11 +62,7 @@ class LatticePolygon:
     @property
     def area2(self) -> int:
         """Twice the enclosed area."""
-        vs = self.vertices
-        return sum(
-            vs[k][0] * vs[(k + 1) % len(vs)][1] - vs[(k + 1) % len(vs)][0] * vs[k][1]
-            for k in range(len(vs))
-        )
+        return _pick_counts(self.vertices)[0]
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         xs = [p[0] for p in self.vertices]
@@ -137,27 +150,26 @@ def _edges(cycle: tuple[Point2, ...]) -> list[tuple[Point2, Point2]]:
 def _hull_lattice_points(cycle: tuple[Point2, ...]) -> tuple[Point2, ...]:
     """All lattice points of the closed polygon, row by row.
 
-    Per row the slice is an interval whose ends come from exact rational
-    edge intersections, so this stays correct for thin slanted shapes.
+    Per row the slice runs from the least ceiling to the greatest floor of
+    the exact crossings x = num / den of the non-horizontal edges (every
+    vertex of a strictly convex cycle ends one), so this stays correct for
+    thin slanted shapes.
     """
     ys = [p[1] for p in cycle]
     edges = _edges(cycle)
     out: list[Point2] = []
     for y in range(min(ys), max(ys) + 1):
-        xs: list[Fraction] = []
+        ceils: list[int] = []
+        floors: list[int] = []
         for (px, py), (qx, qy) in edges:
-            if py == qy:
-                if py == y:
-                    xs.append(Fraction(px))
-                    xs.append(Fraction(qx))
-            elif min(py, qy) <= y <= max(py, qy):
-                t = Fraction(y - py, qy - py)
-                xs.append(px + t * (qx - px))
-        if not xs:
-            continue
-        lo = math.ceil(min(xs))
-        hi = math.floor(max(xs))
-        out.extend((x, y) for x in range(lo, hi + 1))
+            if py != qy and min(py, qy) <= y <= max(py, qy):
+                num = px * (qy - py) + (y - py) * (qx - px)
+                den = qy - py
+                if den < 0:
+                    num, den = -num, -den
+                ceils.append(-(-num // den))
+                floors.append(num // den)
+        out.extend((x, y) for x in range(min(ceils), max(floors) + 1))
     return tuple(out)
 
 
@@ -184,15 +196,8 @@ def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
             raise DegenerateInputError(
                 f"vertex cycle is not strictly convex counterclockwise at {cycle[(idx + 1) % k]}"
             )
-    area2 = sum(
-        cycle[j][0] * cycle[(j + 1) % k][1] - cycle[(j + 1) % k][0] * cycle[j][1]
-        for j in range(k)
-    )
+    _, i_pick, b_gcd = _pick_counts(cycle)
     edges = _edges(cycle)
-    b_gcd = sum(gcd(abs(qx - px), abs(qy - py)) for (px, py), (qx, qy) in edges)
-    if (area2 - b_gcd) % 2 != 0:
-        raise InvariantViolation(f"area/boundary parity fails for {cycle}")
-    i_pick = (area2 - b_gcd + 2) // 2
     points = _hull_lattice_points(cycle)
     b_direct = sum(1 for p in points if _on_boundary(p, edges))
     i_direct = len(points) - b_direct
@@ -394,19 +399,13 @@ def _canonical_cycle(
     return best, best_map
 
 
-def _canonical(
-    poly: LatticePolygon, include_mirror: bool = True
-) -> tuple[tuple[Point2, ...], UnimodularAffineMap]:
-    return _canonical_cycle(poly.vertices, include_mirror)
-
-
 def canonical_form(poly: LatticePolygon, include_mirror: bool = True) -> LatticePolygon:
     """Canonical representative of the polygon's equivalence class.
 
     With include_mirror=False equivalence is restricted to orientation
     preserving maps (determinant +1).
     """
-    cycle, _ = _canonical(poly, include_mirror)
+    cycle, _ = _canonical_cycle(poly.vertices, include_mirror)
     return _build_polygon(cycle)
 
 
@@ -414,8 +413,8 @@ def equivalent(
     p1: LatticePolygon, p2: LatticePolygon, include_mirror: bool = True
 ) -> tuple[bool, UnimodularAffineMap | None]:
     """Equivalence test with a verified witness map sending p1 onto p2."""
-    c1, m1 = _canonical(p1, include_mirror)
-    c2, m2 = _canonical(p2, include_mirror)
+    c1, m1 = _canonical_cycle(p1.vertices, include_mirror)
+    c2, m2 = _canonical_cycle(p2.vertices, include_mirror)
     if c1 != c2:
         return (False, None)
     witness = m2.inverse().compose(m1)

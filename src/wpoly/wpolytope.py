@@ -21,7 +21,11 @@ Point3 = tuple[int, int, int]
 CASE_TAGS = ("a.i", "a.ii", "b.i", "b.ii", "b.iii", "c", "d")
 
 # Hard bound on the point count: n <= 3g + 7, where only one shape per
-# genus class may reach 3g + 7 (the soft bound is 3g + 6).
+# genus class may reach 3g + 7 (the soft bound is 3g + 6).  The bound
+# (Scott 1976) holds only for g >= 1: polygons without interior points,
+# such as conv{(0,0),(k,0),(0,1)}, have any number of points, and genus-0
+# polytopes follow suit ((1,1,4;5) has n = 8).  build() and the
+# exceptional flag therefore apply it to g >= 1 only.
 def _soft_bound(g: int) -> int:
     return 3 * g + 6
 
@@ -93,9 +97,9 @@ def minor_det(v1: Point3, v2: Point3, v3: Point3) -> int:
 def build(q: Quadruple) -> WeightedPolytope:
     """Enumerate the polytope of a good quadruple.
 
-    Points come out in ascending lex order by construction.  The point
-    count is checked against the hard bound n <= 3g + 7; hitting
-    3g + 7 itself is legal but flagged as exceptional.
+    Points come out in ascending lex order by construction.  For g >= 1
+    the point count is checked against the hard bound n <= 3g + 7;
+    hitting 3g + 7 itself is legal but flagged as exceptional.
     """
     report = validate(q)
     if not report.is_good:
@@ -113,7 +117,7 @@ def build(q: Quadruple) -> WeightedPolytope:
     interior = tuple(p for p in points if p[0] >= 1 and p[1] >= 1 and p[2] >= 1)
     n = len(points)
     g = report.genus
-    if n > _soft_bound(g) + 1:
+    if g >= 1 and n > _soft_bound(g) + 1:
         raise InvariantViolation(
             f"{q}: point count {n} exceeds the hard bound {_soft_bound(g) + 1}"
         )
@@ -123,7 +127,7 @@ def build(q: Quadruple) -> WeightedPolytope:
         interior=interior,
         n=n,
         genus=g,
-        exceptional_bound=n > _soft_bound(g),
+        exceptional_bound=g >= 1 and n > _soft_bound(g),
     )
 
 

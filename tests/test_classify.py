@@ -259,6 +259,17 @@ def test_stabilization_report():
         stabilization_report(1, [])
 
 
+@pytest.mark.parametrize(
+    "g, steps, counts, growing",
+    [(1, [3, 7, 15, 30, 60], [1, 4, 6, 8, 8], False), (2, [10, 40, 90], [4, 13, 14], True)],
+)
+def test_stabilization_matches_one_atlas_per_step(g, steps, counts, growing):
+    report = stabilization_report(g, steps)
+    assert report.steps == tuple(zip(steps, counts))
+    assert report.growing is growing
+    assert counts == [len(group_by_class(g, step).classes) for step in steps]
+
+
 def test_stabilization_counts_monotone_and_bounded():
     report = stabilization_report(1, [3, 7, 15, 30])
     counts = [c for _, c in report.steps]

@@ -1,9 +1,11 @@
 """Exit codes, output formats, config handling, golden files."""
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from wpoly import Quadruple, validate
 from wpoly.cli import main
 
 
@@ -68,6 +70,22 @@ def test_poly_analyze_rejects_non_good(capsys):
     code, _, err = run(capsys, "poly", "analyze", "1", "1", "3", "5")
     assert code == 1
     assert "not a good quadruple" in err
+
+
+def test_poly_analyze_never_exits_2_on_good_quadruples(capsys):
+    # exit 2 is reserved for broken invariants, so no good quadruple may
+    # reach it; genus-0 ones may exit 1 when their distinguished points
+    # coincide, and (1,1,4;5) (n = 8 > 3*0 + 7) must pass
+    bad = []
+    for w0, w1, w2, d in product(range(1, 13), range(1, 13), range(1, 13), range(1, 41)):
+        report = validate(Quadruple(w0, w1, w2, d))
+        if not report.is_good:
+            continue
+        code, _, err = run(capsys, "poly", "analyze", str(w0), str(w1), str(w2), str(d))
+        if code == 2 or (code == 1 and (report.genus >= 1 or "distinguished points coincide" not in err)):
+            bad.append(((w0, w1, w2, d), code, err.strip()))
+    assert bad == []
+    assert run(capsys, "poly", "analyze", "1", "1", "4", "5")[0] == 0
 
 
 def test_poly_analyze_svg_byte_stable(capsys, tmp_path, monkeypatch):

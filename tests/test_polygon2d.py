@@ -237,3 +237,46 @@ def test_hull_of_random_points_obeys_pick(pts):
     assert p.area2 == 2 * p.i + direct_b - 2
     assert p.n == p.i + p.b
     assert set(p.vertices) <= set(p.lattice_points)
+
+
+def _box_oracle(vertices):
+    """Every bounding-box point on the inner side of every CCW edge, row by row."""
+    k = len(vertices)
+    xs = [v[0] for v in vertices]
+    ys = [v[1] for v in vertices]
+    return tuple(
+        (x, y)
+        for y in range(min(ys), max(ys) + 1)
+        for x in range(min(xs), max(xs) + 1)
+        if all(
+            (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0]) >= 0
+            for a, b in ((vertices[j], vertices[(j + 1) % k]) for j in range(k))
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [[(0, 0), (1, 0), (4, 13)], [(0, 0), (1, 0), (3, 6)], [(0, 0), (13, 4), (0, 1)]]
+    + [[(0, 0), (1, 0), (0, 2 * g + 2)] for g in range(1, 7)]
+    + [[(0, 0), (2, 0), (0, 2 * g + 2)] for g in range(1, 7)],
+)
+def test_row_scan_matches_box_oracle_on_thin_shapes(pts):
+    p = convex_hull(pts)
+    assert p.lattice_points == _box_oracle(p.vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-15, 15), st.integers(-15, 15)),
+        min_size=3,
+        max_size=8,
+    )
+)
+def test_row_scan_matches_box_oracle(pts):
+    try:
+        p = convex_hull(pts)
+    except DegenerateInputError:
+        return
+    assert p.lattice_points == _box_oracle(p.vertices)

@@ -2,7 +2,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpoly import (
@@ -182,13 +182,19 @@ def test_every_point_decomposes_over_lex_triple():
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(2, 30))
+@example(1, 1, 4, 5)
 def test_point_count_bound_holds_everywhere(w0, w1, w2, d):
-    # n <= 3g + 7 is enforced inside build(); reaching this line means the
-    # invariant held (a violation raises)
+    # n <= 3g + 7 is enforced inside build() for g >= 1 (a violation
+    # raises); genus-0 polytopes have no interior points and no such bound,
+    # e.g. (1,1,4;5) has n = 8
     from wpoly import validate
 
     q = Quadruple(w0, w1, w2, d)
     if not validate(q).is_good:
         return
     p = build(q)
-    assert p.n <= 3 * p.genus + 7
+    if p.genus >= 1:
+        assert p.n <= 3 * p.genus + 7
+    else:
+        assert p.interior == ()
+        assert interior_count(p) == 0
