@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegenerateInputError, InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .polygon2d import (
     LatticePolygon,
     Point2,
     UnimodularAffineMap,
     _build_polygon,
     _canonical_cycle,
+    _egcd,
     _hull_cycle,
     _pick_counts,
     project,
@@ -107,51 +108,56 @@ def group_by_class(g: int, d_max: int, jobs: int = 1) -> ClassAtlas:
 
 
 def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
-    """Grow classes point by point from the unit triangle.
+    """Grow classes point by point from the unit triangle up to n_max points.
 
     A class with n+1 lattice points is reachable from one with n points
-    by re-adding a vertex, so each level extends every class rep by all
-    points Q near it (bounding box inflated by 2) whose hull gains
-    exactly Q.  Classes keep at most g interior points along the way.
+    by re-adding a vertex, and only the points of `_growth_points` can be
+    re-added, so each level extends every class rep by each of them whose
+    hull gains exactly that point.  Classes keep at most g interior points
+    along the way.  Completeness rests on this argument, not on a search box.
     """
-    margin = 2
-    unit = ((0, 0), (1, 0), (0, 1))
-    start, _ = _canonical_cycle(unit)
-    current: set[tuple[Point2, ...]] = {start}
-    found: set[tuple[Point2, ...]] = set()
-    if g == 0:
-        found.add(start)
-    level_n = 3
-    while level_n < n_max and current:
-        next_level: set[tuple[Point2, ...]] = set()
-        for cycle in current:
-            xs = [p[0] for p in cycle]
-            ys = [p[1] for p in cycle]
-            for qx in range(min(xs) - margin, max(xs) + margin + 1):
-                for qy in range(min(ys) - margin, max(ys) + margin + 1):
-                    grown = _grow_cycle(cycle, (qx, qy), level_n, g)
-                    if grown is None:
-                        continue
-                    can, _ = _canonical_cycle(grown)
-                    next_level.add(can)
-        level_n += 1
-        for cycle in next_level:
-            if _pick_counts(cycle)[1] == g:
-                found.add(cycle)
-        current = next_level
+    current = {_canonical_cycle(((0, 0), (1, 0), (0, 1)))[0]}
+    found = set(current) if g == 0 else set()
+    for level_n in range(3, n_max):
+        grown = (_grow_cycle(c, q, level_n, g) for c in current for q in _growth_points(c))
+        current = {_canonical_cycle(c)[0] for c in grown if c is not None}
+        found |= {c for c in current if _pick_counts(c)[1] == g}
     return found
+
+
+def _growth_points(cycle: tuple[Point2, ...]) -> set[Point2]:
+    """Every point q whose hull with the cycle can gain exactly q.
+
+    Such a q lies beyond the line of some edge e = (u, v) of lattice
+    length l.  The triangle conv(e + q) meets the cycle only in e, so its
+    lattice points are e's l + 1 points and q, and Pick's formula gives
+    twice its area as l = l*h, with h the lattice distance of q from e's
+    line: h = 1.  With p = (px, py) the primitive direction of e and
+    f(x) = cross(p, x - u) >= 0 on the cycle, q lies on the line f = -1,
+    which holds u + (t, -s) + m*p for s*px + t*py = 1.  The same holds at
+    every other edge q lies beyond, so the f of both neighbouring edges is
+    >= -1 at q; as the cycle turns left at u and at v, these bound m below
+    and above.
+    """
+    steps = [(v[0] - u[0], v[1] - u[1]) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    lengths = [gcd(abs(x), abs(y)) for x, y in steps]
+    dirs = [(x // n, y // n) for (x, y), n in zip(steps, lengths)]
+    points: set[Point2] = set()
+    for j, ((ux, uy), (px, py)) in enumerate(zip(cycle, dirs)):
+        (ax, ay), (bx, by) = dirs[j - 1], dirs[(j + 1) % len(dirs)]
+        _, s, t = _egcd(px, py)
+        lo = -((1 - ax * s - ay * t) // (ax * py - ay * px))
+        hi = lengths[j] + (1 - bx * s - by * t) // (px * by - py * bx)
+        points.update((ux + t + m * px, uy - s + m * py) for m in range(lo, hi + 1))
+    return points
 
 
 def _grow_cycle(
     cycle: tuple[Point2, ...], q: Point2, n: int, g: int
 ) -> tuple[Point2, ...] | None:
-    """Hull cycle of cycle+q when it gains exactly q and keeps interior <= g."""
-    try:
-        grown = _hull_cycle(list(cycle) + [q])
-    except DegenerateInputError:
-        return None
-    if q not in grown:
-        return None
+    """Hull cycle of cycle+q when it gains exactly q and keeps interior <= g
+    (q lies outside the 2-dimensional cycle, so it is a hull vertex)."""
+    grown = _hull_cycle(list(cycle) + [q])
     _, interior, b = _pick_counts(grown)
     if interior + b != n + 1 or interior > g:
         return None
@@ -181,18 +187,18 @@ def _angular_directions(bound: int) -> list[Point2]:
     return sorted(dirs, key=functools.cmp_to_key(cmp))
 
 
-def _box_cycles(g: int, bound: int) -> set[tuple[Point2, ...]]:
+def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
     """All classes with g interior points realizable inside a bound x bound
     grid (up to translation), by direct enumeration of convex vertex cycles.
 
     Cycles are walked counterclockwise from the lex-least vertex with
     angularly increasing primitive edge directions; a cycle is kept when
-    its interior count is exactly g.  For g >= 1 the search prunes on
-    twice-area > 4g + 5, which no polygon with g interior points exceeds.
+    its interior count is exactly g.  The search prunes on twice-area >
+    g + n_max - 2, which by Pick's formula no class with n <= n_max exceeds.
     """
     dirs = _angular_directions(bound)
     index = {d: i for i, d in enumerate(dirs)}
-    area_bound = 4 * g + 5 if g >= 1 else None
+    area_bound = g + n_max - 2
     found: set[tuple[Point2, ...]] = set()
 
     def vcross(a: Point2, b: Point2) -> int:
@@ -234,7 +240,7 @@ def _box_cycles(g: int, bound: int) -> set[tuple[Point2, ...]]:
                 if max(max(ys), np_[1]) - min(min(ys), np_[1]) > bound:
                     break
                 new_area2 = area2 + (pos[0] * np_[1] - np_[0] * pos[1])
-                if area_bound is not None and new_area2 > area_bound:
+                if new_area2 > area_bound:
                     break
                 chain.append(np_)
                 extend(chain, first_dir, ni, new_area2, blen + length)
@@ -258,32 +264,32 @@ def enumerate_classes(
     box_bound: int | None = None,
     n_max: int | None = None,
 ) -> tuple[LatticePolygon, ...]:
-    """All polygon classes with exactly g interior points.
+    """All classes with exactly g interior points and n_max (default 3g + 7,
+    which misses no class for g >= 1) or fewer lattice points.
 
-    method="inductive" grows classes point by point up to n_max (default
-    3g + 7).  method="box" enumerates every class realizable in a grid of
-    the given bound; the default max(3, 2g + 2) is large enough for every
-    class (the widest, the triangle hull of (0,0),(2,0),(0,2g+2), needs
-    width exactly 2g + 2).  The two must agree wherever both are complete.
+    method="inductive" grows classes point by point; it is complete for
+    every n_max.  method="box" enumerates every class realizable in a grid
+    of the given bound.  The default max(3, 2g + 2) holds every class for
+    g >= 1 (the widest, the hull of (0,0),(2,0),(0,2g+2), needs width 2g + 2);
+    at g = 0 it is max(3, n_max - 2), as every genus-0 class with n points
+    is twice the unit triangle or lies in a height-1 strip of width <= n - 2.
     """
     if g < 0:
         raise PreconditionError(f"g must be >= 0, got {g}")
+    cap = (3 * g + 7) if n_max is None else n_max
+    if cap < 3:
+        raise PreconditionError(f"n_max must be >= 3, got {cap}")
     if method == "inductive":
-        cap = (3 * g + 7) if n_max is None else n_max
-        if cap < 3:
-            raise PreconditionError(f"n_max must be >= 3, got {cap}")
         cycles = _inductive_cycles(g, cap)
     elif method == "box":
-        bound = (max(3, 2 * g + 2)) if box_bound is None else box_bound
+        bound = max(3, 2 * g + 2 if g else cap - 2) if box_bound is None else box_bound
         if bound < 1:
             raise PreconditionError(f"box bound must be >= 1, got {bound}")
-        cycles = _box_cycles(g, bound)
+        cycles = _box_cycles(g, bound, cap)
     else:
         raise ValueError(f"unknown method {method!r}")
-    polys = sorted((_build_polygon(c) for c in cycles), key=lambda p: (p.n, p.vertices))
-    if n_max is not None:
-        polys = [p for p in polys if p.n <= n_max]
-    return tuple(polys)
+    polys = (_build_polygon(c) for c in cycles)
+    return tuple(sorted((p for p in polys if p.n <= cap), key=lambda p: (p.n, p.vertices)))
 
 
 # ---------------------------------------------------------------------------

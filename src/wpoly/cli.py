@@ -230,7 +230,7 @@ def polygons() -> None:
 @click.option("--genus", "g", type=int, required=True)
 @click.option("--method", type=click.Choice(["inductive", "box"]), default="inductive")
 @click.option("--box", "box_bound", type=int, default=None,
-              help="grid bound for the box method (default max(3, 2g+2))")
+              help="box-method grid bound (default max(3, 2g+2); at genus 0 max(3, nmax-2))")
 @click.option("--nmax", type=int, default=None,
               help="largest lattice point count to reach (default 3g+7)")
 @click.option("--cross-check", is_flag=True,

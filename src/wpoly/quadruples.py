@@ -12,6 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from .errors import InvariantViolation, PreconditionError
@@ -278,14 +279,6 @@ def _scan_degree(g: int, d: int) -> list[Quadruple]:
     return found
 
 
-def _scan_range(args: tuple[int, int, int]) -> list[Quadruple]:
-    g, lo, hi = args
-    out: list[Quadruple] = []
-    for d in range(lo, hi):
-        out.extend(_scan_degree(g, d))
-    return out
-
-
 def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
     """All good quadruples with genus g, ascending weights, and d <= d_max.
 
@@ -298,8 +291,8 @@ def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
     only the few w2 the prunes leave, in place of the O(d^3) triples of a
     brute scan: g = 1, 2, 3 together take about 0.2 s at d_max = 120 and
     1.5 s at d_max = 240 with jobs = 1 (Python 3.11, Intel Xeon).  With
-    jobs > 1 the degree range is split across worker processes; the merge
-    keeps the same order.
+    jobs > 1 each degree is one task for a pool of worker processes; the
+    merge keeps the same order.
     """
     if g < 1:
         raise PreconditionError(f"g must be >= 1, got {g}")
@@ -309,16 +302,10 @@ def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
         raise PreconditionError(f"d_max={d_max} exceeds the cap {D_MAX_CAP}")
     if jobs < 1:
         raise PreconditionError(f"jobs must be >= 1, got {jobs}")
-    lo, hi = 3, d_max + 1
-    if lo >= hi:
-        return []
+    scan, degrees = partial(_scan_degree, g), range(3, d_max + 1)
     if jobs == 1:
-        return _scan_range((g, lo, hi))
-    step = max(1, (hi - lo + jobs - 1) // jobs)
-    chunks = [(g, start, min(start + step, hi)) for start in range(lo, hi, step)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_scan_range, chunks))
-    out: list[Quadruple] = []
-    for part in parts:
-        out.extend(part)
-    return out
+        parts = map(scan, degrees)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(scan, degrees))
+    return [q for part in parts for q in part]

@@ -3,6 +3,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpoly import (
     Quadruple,
@@ -18,13 +20,14 @@ from wpoly import (
     project,
     stabilization_report,
 )
-from wpoly.errors import PreconditionError
+from wpoly.classify import _grow_cycle, _growth_points
+from wpoly.errors import DegenerateInputError, PreconditionError
+from wpoly.polygon2d import _hull_cycle, _pick_counts, convex_hull
 
 G1_CLASS_COUNT = 16
 G2_CLASS_COUNT = 45
 # Castryck, "Moving out the edges of a lattice polygon" (2012), Table 1.
-# g = 6 (714) is left out: the inductive margin misses one class there.
-CASTRYCK_COUNTS = {1: 16, 2: 45, 3: 120, 4: 211, 5: 403}
+CASTRYCK_COUNTS = {1: 16, 2: 45, 3: 120, 4: 211, 5: 403, 6: 714, 7: 1023}
 
 
 def _projected(q):
@@ -141,6 +144,13 @@ def test_enum_g0_counts():
     assert len(by_n[4]) == 2
 
 
+def test_enum_g0_box_bound_follows_n_max():
+    # genus-0 strips need width n - 2, so the default box bound grows with n_max
+    box = {p.vertices for p in enumerate_classes(0, "box", n_max=9)}
+    assert box == {p.vertices for p in enumerate_classes(0, "inductive", n_max=9)}
+    assert len(box) == 20
+
+
 def test_enum_g2_inductive_count():
     assert len(enumerate_classes(2, "inductive")) == G2_CLASS_COUNT
 
@@ -148,6 +158,43 @@ def test_enum_g2_inductive_count():
 @pytest.mark.parametrize("g", sorted(CASTRYCK_COUNTS))
 def test_enum_inductive_counts_match_castryck(g):
     assert len(enumerate_classes(g, "inductive")) == CASTRYCK_COUNTS[g]
+
+
+def _margin_growth_points(cycle, margin):
+    """Brute oracle: the points of the cycle's bounding box grown by margin
+    whose hull with the cycle gains exactly that point."""
+    n = sum(_pick_counts(cycle)[1:])
+    xs = [p[0] for p in cycle]
+    ys = [p[1] for p in cycle]
+    return {
+        (qx, qy)
+        for qx in range(min(xs) - margin, max(xs) + margin + 1)
+        for qy in range(min(ys) - margin, max(ys) + margin + 1)
+        if sum(_pick_counts(_hull_cycle(list(cycle) + [(qx, qy)]))[1:]) == n + 1
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=8))
+def test_growth_points_cover_margin_oracle(pts):
+    try:
+        poly = convex_hull(pts)
+    except DegenerateInputError:
+        return
+    growth = _growth_points(poly.vertices)
+    assert _margin_growth_points(poly.vertices, 2 * poly.n + 4) <= growth
+    assert not growth & set(poly.lattice_points)
+
+
+def test_growth_points_reach_the_far_apex():
+    # the class g = 6 needs conv{(0,0),(1,0),(4,13)}: its apex lies 4 rows
+    # above the hull of its other 8 points, beyond a bounding-box margin of 2
+    rest = [p for p in convex_hull([(0, 0), (1, 0), (4, 13)]).lattice_points if p != (4, 13)]
+    cycle = convex_hull(rest).vertices
+    assert cycle == ((0, 0), (1, 0), (3, 9))
+    assert (4, 13) in _growth_points(cycle)
+    assert (4, 13) not in _margin_growth_points(cycle, 2)
+    assert _grow_cycle(cycle, (4, 13), 8, 6) == ((0, 0), (1, 0), (4, 13))
 
 
 @pytest.mark.parametrize("g", [2, 3])

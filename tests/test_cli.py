@@ -158,6 +158,15 @@ def test_polygons_enum_cross_check_ok(capsys):
     assert "cross-check ok: both methods give 16 classes" in out
 
 
+def test_polygons_enum_g0_cross_check_ok(capsys):
+    code, out, _ = run(capsys, "polygons", "enum", "--genus", "0", "--cross-check")
+    assert code == 0
+    assert "cross-check ok: both methods give 12 classes" in out
+    assert out.strip().splitlines()[-1] == (
+        "total: 12 classes (n=3: 1, n=4: 2, n=5: 2, n=6: 4, n=7: 3)"
+    )
+
+
 def test_polygons_enum_box3_count(capsys):
     code, out, _ = run(capsys, "polygons", "enum", "--genus", "1",
                        "--method", "box", "--box", "3")
