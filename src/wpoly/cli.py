@@ -192,8 +192,16 @@ def classify_cmd(cfg: Config, g: int, dmax: int, jobs: int | None,
     jobs = cfg.jobs if jobs is None else jobs
     if jobs < 1:
         raise PreconditionError(f"--jobs must be >= 1, got {jobs}")
-    if dmax > cfg.d_max_cap:
-        raise PreconditionError(f"--dmax {dmax} exceeds the configured cap {cfg.d_max_cap}")
+    steps: list[int] = []
+    if stabilize is not None:
+        try:
+            steps = [int(s) for s in stabilize.split(",") if s.strip()]
+        except ValueError as exc:
+            raise PreconditionError(f"--stabilize expects integers, got {stabilize!r}") from exc
+    for flag, bound in (("--dmax", dmax), ("--stabilize step", max(steps, default=0))):
+        if bound > cfg.d_max_cap:
+            raise PreconditionError(f"{flag} {bound} exceeds the configured cap {cfg.d_max_cap}")
+    report = None if stabilize is None else stabilization_report(g, steps, jobs=jobs)
     atlas = group_by_class(g, dmax, jobs=jobs)
     out_dir = Path(atlas_dir or cfg.atlas_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,12 +218,7 @@ def classify_cmd(cfg: Config, g: int, dmax: int, jobs: int | None,
             fig_path = out_dir / f"class_g{g}_d{dmax}_{index:03d}.svg"
             fig_path.write_text(render_polygon_svg(entry.canonical), encoding="utf-8")
         click.echo(f"{len(atlas.classes)} figures -> {out_dir}")
-    if stabilize is not None:
-        try:
-            steps = [int(s) for s in stabilize.split(",") if s.strip()]
-        except ValueError as exc:
-            raise PreconditionError(f"--stabilize expects integers, got {stabilize!r}") from exc
-        report = stabilization_report(g, steps, jobs=jobs)
+    if report is not None:
         for d_step, count in report.steps:
             click.echo(f"d<={d_step}: {count} classes")
         click.echo(f"still growing at last step: {report.growing}")

@@ -4,8 +4,12 @@ Everything here runs on integers: convex hulls by monotone chain,
 lattice point counts double-checked against the area/boundary identity
 2*area = 2i + b - 2 (Pick's formula), triangulation
 into primitive triangles, and a canonical form under affine unimodular
-equivalence obtained by anchoring each directed hull edge and taking the
-lexicographically least vertex listing.
+equivalence, reflections included: anchor each directed edge u->v of the
+cycle and of its mirror image by (x, y) -> (s(x-ux) + t(y-uy),
+px(y-uy) - py(x-ux)), for (px, py) the edge's primitive direction and
+s*px + t*py = 1, which puts the polygon in 0 <= y <= h, shear by
+(x, y) -> (x - c*y, y) with c = m // h, the one shear putting the top
+row's least x, m, in [0, h), and take the least vertex listing.
 """
 from __future__ import annotations
 
@@ -352,69 +356,53 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _anchor_map(u: Point2, v: Point2, cycle: tuple[Point2, ...]) -> UnimodularAffineMap:
-    """The unique map sending u to the origin, edge u->v along +x, and the
-    polygon into the upper half-plane with the top row's least x in [0, h)."""
-    ex, ey = v[0] - u[0], v[1] - u[1]
-    g = gcd(abs(ex), abs(ey))
-    px, py = ex // g, ey // g
-    _, alpha, beta = _egcd(px, py)
-    linear = ((alpha, beta), (-py, px))
-    base = UnimodularAffineMap(
-        linear,
-        (-(linear[0][0] * u[0] + linear[0][1] * u[1]),
-         -(linear[1][0] * u[0] + linear[1][1] * u[1])),
-    )
-    pts = [base.apply(p) for p in cycle]
-    h = max(p[1] for p in pts)
-    if h < 1 or min(p[1] for p in pts) != 0:
-        raise InvariantViolation("edge anchoring left the polygon outside y >= 0")
-    mtop = min(p[0] for p in pts if p[1] == h)
-    shear = UnimodularAffineMap(((1, -(mtop // h)), (0, 1)), (0, 0))
-    return shear.compose(base)
+def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], UnimodularAffineMap]:
+    """Least vertex listing over all edge anchorings of the cycle and of its
+    mirror image, and the map sending the vertices onto it.
 
-
-def _canonical_cycle(
-    vertices: tuple[Point2, ...], include_mirror: bool = True
-) -> tuple[tuple[Point2, ...], UnimodularAffineMap]:
-    """Least vertex listing over all edge anchorings (and the mirror image)."""
-    bases: list[tuple[tuple[Point2, ...], UnimodularAffineMap]] = [
-        (vertices, UnimodularAffineMap.identity())
-    ]
-    if include_mirror:
-        mirrored = tuple(_MIRROR.apply(p) for p in reversed(vertices))
-        bases.append((mirrored, _MIRROR))
-    best: tuple[Point2, ...] | None = None
-    best_map: UnimodularAffineMap | None = None
-    for cycle, base_map in bases:
-        k = len(cycle)
-        for s in range(k):
-            m = _anchor_map(cycle[s], cycle[(s + 1) % k], cycle)
-            rotated = cycle[s:] + cycle[:s]
-            cand = tuple(m.apply(p) for p in rotated)
-            if best is None or cand < best:
-                best = cand
-                best_map = m.compose(base_map)
-    assert best is not None and best_map is not None
-    return best, best_map
-
-
-def canonical_form(poly: LatticePolygon, include_mirror: bool = True) -> LatticePolygon:
-    """Canonical representative of the polygon's equivalence class.
-
-    With include_mirror=False equivalence is restricted to orientation
-    preserving maps (determinant +1).
+    Anchoring u->v by (s(x-ux) + t(y-uy), px(y-uy) - py(x-ux)) puts u at
+    the origin, the edge along +x and the polygon in 0 <= y <= h.  Every
+    other map doing so differs by a shear (x, y) -> (x - c*y, y), which
+    moves the top row by -c*h, so c = m // h, for m the top row's least x,
+    is the one shear putting that x in [0, h): each anchoring fixes one map.
+    Only a strictly smaller listing replaces the best, so on a symmetric
+    polygon the first winner (cycle edges, then the mirror's) gives the map.
     """
-    cycle, _ = _canonical_cycle(poly.vertices, include_mirror)
+    k = len(vertices)
+    mirrored = tuple((x, -y) for x, y in reversed(vertices))
+    best: tuple[Point2, ...] | None = None
+    for mirror, cycle in ((False, vertices), (True, mirrored)):
+        for j in range(k):
+            ux, uy = cycle[j]
+            vx, vy = cycle[(j + 1) % k]
+            g = gcd(vx - ux, vy - uy)
+            px, py = (vx - ux) // g, (vy - uy) // g
+            _, s, t = _egcd(px, py)
+            pts = [(s * (x - ux) + t * (y - uy), px * (y - uy) - py * (x - ux))
+                   for x, y in cycle[j:] + cycle[:j]]
+            h = max(y for _, y in pts)
+            if h < 1 or min(y for _, y in pts) != 0:
+                raise InvariantViolation("edge anchoring left the polygon outside y >= 0")
+            c = min(x for x, y in pts if y == h) // h
+            cand = tuple((x - c * y, y) for x, y in pts)
+            if best is None or cand < best:
+                best, won = cand, (mirror, s, t, px, py, c, ux, uy)
+    mirror, s, t, px, py, c, ux, uy = won
+    a, b = s + c * py, t - c * px
+    m = UnimodularAffineMap(((a, b), (-py, px)), (-(a * ux + b * uy), py * ux - px * uy))
+    return best, m.compose(_MIRROR) if mirror else m
+
+
+def canonical_form(poly: LatticePolygon) -> LatticePolygon:
+    """Canonical representative of the polygon's equivalence class."""
+    cycle, _ = _canonical_cycle(poly.vertices)
     return _build_polygon(cycle)
 
 
-def equivalent(
-    p1: LatticePolygon, p2: LatticePolygon, include_mirror: bool = True
-) -> tuple[bool, UnimodularAffineMap | None]:
+def equivalent(p1: LatticePolygon, p2: LatticePolygon) -> tuple[bool, UnimodularAffineMap | None]:
     """Equivalence test with a verified witness map sending p1 onto p2."""
-    c1, m1 = _canonical_cycle(p1.vertices, include_mirror)
-    c2, m2 = _canonical_cycle(p2.vertices, include_mirror)
+    c1, m1 = _canonical_cycle(p1.vertices)
+    c2, m2 = _canonical_cycle(p2.vertices)
     if c1 != c2:
         return (False, None)
     witness = m2.inverse().compose(m1)

@@ -269,6 +269,20 @@ def test_classify_respects_config_cap(capsys, tmp_path, monkeypatch):
     assert "exceeds the configured cap" in err
 
 
+@pytest.mark.parametrize("steps", ["10,90", "abc", "7,3", ""])
+def test_classify_stabilize_checked_before_any_atlas(capsys, tmp_path, monkeypatch, steps):
+    # a step above the cap, a non-integer, a decreasing and an empty list
+    # all exit 1 without leaving an atlas behind
+    monkeypatch.chdir(tmp_path)
+    Path("wpoly.json").write_text(json.dumps({"d_max_cap": 40}))
+    code, _, err = run(capsys, "classify", "--genus", "1", "--dmax", "30",
+                       "--stabilize", steps)
+    assert code == 1
+    if steps == "10,90":
+        assert "--stabilize step 90 exceeds the configured cap 40" in err
+    assert not (tmp_path / "atlas").exists()
+
+
 def test_usage_error_exits_1(capsys):
     code, _, err = run(capsys, "polygons", "enum")  # missing --genus
     assert code == 1

@@ -1,4 +1,6 @@
 """Hulls, lattice counts, triangulation, canonical forms, projections."""
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from wpoly import (
     triangulate,
 )
 from wpoly.errors import DegenerateInputError, PreconditionError
+from wpoly.polygon2d import _MIRROR, _canonical_cycle, _egcd
 
 UNIT = [(0, 0), (1, 0), (0, 1)]
 BIG_TRIANGLE = [(0, 0), (3, 0), (0, 3)]
@@ -169,13 +172,91 @@ def test_equivalence_relation_properties():
 
 
 def test_mirror_detection():
-    # (0,0),(1,0),(3,6) is chiral: equivalent to its mirror image only
-    # when reflections are allowed
+    # (0,0),(1,0),(3,6) is chiral: no orientation-preserving map sends it
+    # to its mirror image, but reflections are part of the equivalence
     p = convex_hull([(0, 0), (1, 0), (3, 6)])
     mirrored = convex_hull([(x, -y) for x, y in p.vertices])
-    full, _ = equivalent(p, mirrored, include_mirror=True)
-    sl_only, _ = equivalent(p, mirrored, include_mirror=False)
-    assert full and not sl_only
+    same, witness = equivalent(p, mirrored)
+    assert same and witness.det == -1
+
+
+def _reference_anchor_map(u, v, cycle):
+    """The map sending u to the origin, edge u->v along +x, and the polygon
+    into the upper half-plane with the top row's least x in [0, h), built
+    as a shear composed with an edge map."""
+    ex, ey = v[0] - u[0], v[1] - u[1]
+    g = gcd(abs(ex), abs(ey))
+    px, py = ex // g, ey // g
+    _, alpha, beta = _egcd(px, py)
+    linear = ((alpha, beta), (-py, px))
+    base = UnimodularAffineMap(
+        linear,
+        (-(linear[0][0] * u[0] + linear[0][1] * u[1]),
+         -(linear[1][0] * u[0] + linear[1][1] * u[1])),
+    )
+    pts = [base.apply(p) for p in cycle]
+    h = max(p[1] for p in pts)
+    assert h >= 1 and min(p[1] for p in pts) == 0
+    mtop = min(p[0] for p in pts if p[1] == h)
+    shear = UnimodularAffineMap(((1, -(mtop // h)), (0, 1)), (0, 0))
+    return shear.compose(base)
+
+
+def _reference_canonical_cycle(vertices):
+    """Oracle: least listing over every anchoring, map by map composition."""
+    bases = [
+        (vertices, UnimodularAffineMap.identity()),
+        (tuple(_MIRROR.apply(p) for p in reversed(vertices)), _MIRROR),
+    ]
+    best = best_map = None
+    for cycle, base_map in bases:
+        k = len(cycle)
+        for s in range(k):
+            m = _reference_anchor_map(cycle[s], cycle[(s + 1) % k], cycle)
+            rotated = cycle[s:] + cycle[:s]
+            cand = tuple(m.apply(p) for p in rotated)
+            if best is None or cand < best:
+                best = cand
+                best_map = m.compose(base_map)
+    return best, best_map
+
+
+def _assert_kernel_matches_reference(vertices):
+    listing, m = _canonical_cycle(vertices)
+    ref_listing, ref_map = _reference_canonical_cycle(vertices)
+    assert listing == ref_listing
+    assert m == ref_map
+    assert {m.apply(p) for p in vertices} == set(listing)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+        [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)],
+        [(0, 0), (2, 0), (0, 2)],
+    ],
+)
+def test_canonical_tie_break_on_symmetric_shapes(pts):
+    # several anchorings give the least listing here; the first one in
+    # cycle-then-mirror order decides the map
+    _assert_kernel_matches_reference(convex_hull(pts).vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+        min_size=3,
+        max_size=9,
+    )
+)
+def test_canonical_kernel_matches_reference(pts):
+    try:
+        p = convex_hull(pts)
+    except DegenerateInputError:
+        return
+    _assert_kernel_matches_reference(p.vertices)
 
 
 def test_random_map_deterministic_per_seed():
