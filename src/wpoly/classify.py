@@ -62,6 +62,20 @@ class ClassAtlas:
             ],
         }
 
+    def up_to(self, d_max: int) -> ClassAtlas:
+        """The atlas at a smaller degree bound: members with d <= d_max in
+        their order, classes left without members dropped.  Classes are
+        sorted by their polygon alone and members come in degree order, so
+        this equals group_by_class(g, d_max)."""
+        if d_max > self.d_max:
+            raise PreconditionError(f"cannot extend an atlas at d_max {self.d_max} to {d_max}")
+        entries = []
+        for entry in self.classes:
+            members = tuple(q for q in entry.members if q.d <= d_max)
+            if members:
+                entries.append(ClassEntry(canonical=entry.canonical, n=entry.n, members=members))
+        return ClassAtlas(g=self.g, d_max=d_max, classes=tuple(entries))
+
     def to_json_bytes(self) -> bytes:
         return (json.dumps(self.to_json_dict(), indent=2) + "\n").encode("utf-8")
 
@@ -195,55 +209,70 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
     angularly increasing primitive edge directions; a cycle is kept when
     its interior count is exactly g.  The search prunes on twice-area >
     g + n_max - 2, which by Pick's formula no class with n <= n_max exceeds.
+
+    Two more prunes cut only chains that cannot close with g interior
+    points.  Let C be a convex cycle that completes the partial chain
+    (0,0), c1, ..., ck.  The chain's points are vertices of C in C's
+    cyclic order, so closing the chain by the chord ck -> (0,0) gives a
+    convex P' inside C, and interior(P') <= interior(C).
+
+    1. interior(P') comes from Pick's formula: twice its area is the
+       tracked area2, its boundary count the tracked edge lengths plus the
+       chord's.  Once it exceeds g the step is cut, and so is every longer
+       step in the same direction: P' for a shorter step is the longer
+       one's P' cut by a chord through two of its boundary points, so
+       convex, nested and with no more interior points.
+    2. A chain extended past ck turns its chord into a diagonal of C, so
+       the chord's glen - 1 inner lattice points become interior points of
+       C too.  interior(P') + glen - 1 > g reads area2 - blen + glen > 2g,
+       and then the chain is only closed, never extended.
     """
     dirs = _angular_directions(bound)
     index = {d: i for i, d in enumerate(dirs)}
     area_bound = g + n_max - 2
     found: set[tuple[Point2, ...]] = set()
 
-    def vcross(a: Point2, b: Point2) -> int:
-        return a[0] * b[1] - a[1] * b[0]
-
-    def close(chain: list[Point2], first_dir: Point2, last_idx: int, area2: int, blen: int) -> None:
-        pos = chain[-1]
-        cx, cy = -pos[0], -pos[1]
-        glen = gcd(abs(cx), abs(cy))
-        prim = (cx // glen, cy // glen)
-        ci = index.get(prim)
-        if ci is None or ci <= last_idx:
-            return
-        if vcross(dirs[last_idx], prim) <= 0 or vcross(prim, first_dir) <= 0:
-            return
-        interior = (area2 - (blen + glen) + 2) // 2
-        if (area2 - (blen + glen)) % 2 != 0:
-            raise InvariantViolation(f"parity failure closing chain {chain}")
-        if interior != g:
-            return
-        can, _ = _canonical_cycle(tuple(chain))
-        found.add(can)
-
-    def extend(chain: list[Point2], first_dir: Point2, last_idx: int, area2: int, blen: int) -> None:
+    def extend(
+        chain: list[Point2], first_dir: Point2, last_idx: int,
+        area2: int, blen: int, glen: int, ylo: int, yhi: int,
+    ) -> None:
+        """area2 and blen + glen are twice the area and the boundary count
+        of the chain closed by its chord, of lattice length glen; ylo..yhi
+        is the chain's y-range."""
+        px, py = chain[-1]
+        lx, ly = dirs[last_idx]
         if len(chain) >= 3:
-            close(chain, first_dir, last_idx, area2, blen)
-        pos = chain[-1]
-        ys = [p[1] for p in chain]
+            cx, cy = -px // glen, -py // glen
+            ci = index.get((cx, cy))
+            fx, fy = first_dir
+            if ci is not None and ci > last_idx and lx * cy - ly * cx > 0 and cx * fy - cy * fx > 0:
+                if (area2 - (blen + glen)) % 2 != 0:
+                    raise InvariantViolation(f"parity failure closing chain {chain}")
+                if area2 - (blen + glen) + 2 == 2 * g:
+                    found.add(_canonical_cycle(tuple(chain))[0])
+            if area2 - blen + glen > 2 * g:
+                return
         for ni in range(last_idx + 1, len(dirs)):
-            nd = dirs[ni]
-            if vcross(dirs[last_idx], nd) <= 0:
+            dx, dy = dirs[ni]
+            if lx * dy - ly * dx <= 0:
                 break
             for length in range(1, 2 * bound + 2):
-                np_ = (pos[0] + length * nd[0], pos[1] + length * nd[1])
-                if np_ == (0, 0):
+                nx, ny = px + length * dx, py + length * dy
+                if nx == 0 and ny == 0:
                     break
-                if np_[0] < 0 or np_[0] > bound or (np_[0] == 0 and np_[1] < 0):
+                if nx < 0 or nx > bound or (nx == 0 and ny < 0):
                     break
-                if max(max(ys), np_[1]) - min(min(ys), np_[1]) > bound:
+                lo, hi = min(ylo, ny), max(yhi, ny)
+                if hi - lo > bound:
                     break
-                new_area2 = area2 + (pos[0] * np_[1] - np_[0] * pos[1])
+                new_area2 = area2 + (px * ny - nx * py)
                 if new_area2 > area_bound:
                     break
-                chain.append(np_)
-                extend(chain, first_dir, ni, new_area2, blen + length)
+                new_glen = gcd(nx, abs(ny))
+                if new_area2 - (blen + length + new_glen) + 2 > 2 * g:
+                    break
+                chain.append((nx, ny))
+                extend(chain, first_dir, ni, new_area2, blen + length, new_glen, lo, hi)
                 chain.pop()
 
     for fi, fd in enumerate(dirs):
@@ -253,8 +282,16 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
             start = (length * fd[0], length * fd[1])
             if start[0] > bound or abs(start[1]) > bound:
                 break
-            extend([(0, 0), start], fd, fi, 0, length)
+            extend([(0, 0), start], fd, fi, 0, length, length, min(0, start[1]), max(0, start[1]))
     return found
+
+
+def default_box_bound(g: int, n_max: int | None = None) -> int:
+    """The box method's default grid bound: max(3, 2g + 2), and at g = 0
+    max(3, n_max - 2) with n_max defaulting to 7 (see enumerate_classes)."""
+    if g:
+        return max(3, 2 * g + 2)
+    return max(3, (7 if n_max is None else n_max) - 2)
 
 
 def enumerate_classes(
@@ -282,7 +319,7 @@ def enumerate_classes(
     if method == "inductive":
         cycles = _inductive_cycles(g, cap)
     elif method == "box":
-        bound = max(3, 2 * g + 2 if g else cap - 2) if box_bound is None else box_bound
+        bound = default_box_bound(g, cap) if box_bound is None else box_bound
         if bound < 1:
             raise PreconditionError(f"box bound must be >= 1, got {bound}")
         cycles = _box_cycles(g, bound, cap)
@@ -500,21 +537,33 @@ class StabilizationReport:
         }
 
 
-def stabilization_report(g: int, d_steps, jobs: int = 1) -> StabilizationReport:
-    """Class counts along increasing degree bounds, flagging growth at the end.
-
-    One atlas is built at the largest bound; a class counts at a step when
-    one of its members has degree at most that step.
-    """
+def stabilization_steps(d_steps) -> list[int]:
+    """The degree bounds as a list; they must be nonempty and strictly increasing."""
     steps = list(d_steps)
     if not steps or any(
         steps[i] >= steps[i + 1] for i in range(len(steps) - 1)
     ):
         raise PreconditionError(f"d_steps must be strictly increasing, got {steps}")
-    atlas = group_by_class(g, steps[-1], jobs=jobs)
+    return steps
+
+
+def atlas_stabilization(atlas: ClassAtlas, d_steps) -> StabilizationReport:
+    """Class counts of an atlas along increasing degree bounds up to its
+    d_max; a class counts at a step when one of its members has degree at
+    most that step."""
+    steps = stabilization_steps(d_steps)
+    if steps[-1] > atlas.d_max:
+        raise PreconditionError(f"step {steps[-1]} exceeds the atlas bound {atlas.d_max}")
     first_d = [min(q.d for q in entry.members) for entry in atlas.classes]
     counts = [sum(d <= step for d in first_d) for step in steps]
     growing = len(counts) >= 2 and counts[-1] > counts[-2]
     return StabilizationReport(
-        g=g, steps=tuple(zip(steps, counts)), growing=growing
+        g=atlas.g, steps=tuple(zip(steps, counts)), growing=growing
     )
+
+
+def stabilization_report(g: int, d_steps, jobs: int = 1) -> StabilizationReport:
+    """Class counts along increasing degree bounds, flagging growth at the end,
+    from one atlas built at the largest bound."""
+    steps = stabilization_steps(d_steps)
+    return atlas_stabilization(group_by_class(g, steps[-1], jobs=jobs), steps)

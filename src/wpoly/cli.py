@@ -31,12 +31,14 @@ from pathlib import Path
 import click
 
 from .classify import (
+    atlas_stabilization,
     basis_change,
+    default_box_bound,
     enumerate_classes,
     group_by_class,
     make_curve,
     map_curve,
-    stabilization_report,
+    stabilization_steps,
 )
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 from .polygon2d import canonical_form, equivalent, project
@@ -201,8 +203,13 @@ def classify_cmd(cfg: Config, g: int, dmax: int, jobs: int | None,
     for flag, bound in (("--dmax", dmax), ("--stabilize step", max(steps, default=0))):
         if bound > cfg.d_max_cap:
             raise PreconditionError(f"{flag} {bound} exceeds the configured cap {cfg.d_max_cap}")
-    report = None if stabilize is None else stabilization_report(g, steps, jobs=jobs)
-    atlas = group_by_class(g, dmax, jobs=jobs)
+    if stabilize is not None:
+        steps = stabilization_steps(steps)
+    # one atlas serves both: the report reads it up to the last step, and
+    # the atlas file keeps the members up to --dmax
+    atlas = group_by_class(g, max([dmax, *steps]), jobs=jobs)
+    report = None if stabilize is None else atlas_stabilization(atlas, steps)
+    atlas = atlas.up_to(dmax)
     out_dir = Path(atlas_dir or cfg.atlas_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     atlas_path = out_dir / f"atlas_g{g}_d{dmax}.json"
@@ -237,12 +244,21 @@ def polygons() -> None:
 @click.option("--nmax", type=int, default=None,
               help="largest lattice point count to reach (default 3g+7)")
 @click.option("--cross-check", is_flag=True,
-              help="run both methods and fail (exit 2) on disagreement")
+              help="run both methods and fail (exit 2) on disagreement; an explicit --box "
+                   "below the default bound is refused (exit 1)")
 @click.pass_obj
 def polygons_enum(cfg: Config, g: int, method: str, box_bound: int | None,
                   nmax: int | None, cross_check: bool) -> None:
     """List canonical forms of all polygon classes with g interior points."""
     if cross_check:
+        default_bound = default_box_bound(g, nmax)
+        if box_bound is not None and box_bound < default_bound:
+            # a grid too small for some classes makes the methods differ
+            # by construction, which is no invariant violation
+            raise PreconditionError(
+                f"--cross-check needs the box bound {default_bound} or more for genus {g}; "
+                f"--box {box_bound} would miss classes"
+            )
         inductive = enumerate_classes(g, "inductive", n_max=nmax)
         box = enumerate_classes(g, "box", box_bound=box_bound, n_max=nmax)
         a = {p.vertices for p in inductive}

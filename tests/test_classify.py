@@ -1,5 +1,7 @@
 """Class atlases, dual-method enumeration, basis change, curve transport."""
 import itertools
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,9 +22,15 @@ from wpoly import (
     project,
     stabilization_report,
 )
-from wpoly.classify import _grow_cycle, _growth_points
-from wpoly.errors import DegenerateInputError, PreconditionError
-from wpoly.polygon2d import _hull_cycle, _pick_counts, convex_hull
+from wpoly.classify import (
+    _angular_directions,
+    _box_cycles,
+    _grow_cycle,
+    _growth_points,
+    atlas_stabilization,
+)
+from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
+from wpoly.polygon2d import _canonical_cycle, _hull_cycle, _pick_counts, convex_hull
 
 G1_CLASS_COUNT = 16
 G2_CLASS_COUNT = 45
@@ -197,6 +205,113 @@ def test_growth_points_reach_the_far_apex():
     assert _grow_cycle(cycle, (4, 13), 8, 6) == ((0, 0), (1, 0), (4, 13))
 
 
+def _unpruned_box_cycles(g, bound, n_max):
+    """Oracle: the box walk with only the grid and twice-area prunes.
+
+    Walks every convex chain from the lex-least vertex (0,0) with
+    angularly increasing edge directions inside the grid, and
+    canonicalises each closed cycle with g interior points.
+    """
+    dirs = _angular_directions(bound)
+    index = {d: i for i, d in enumerate(dirs)}
+    area_bound = g + n_max - 2
+    found = set()
+
+    def vcross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def close(chain, first_dir, last_idx, area2, blen):
+        pos = chain[-1]
+        cx, cy = -pos[0], -pos[1]
+        glen = math.gcd(abs(cx), abs(cy))
+        prim = (cx // glen, cy // glen)
+        ci = index.get(prim)
+        if ci is None or ci <= last_idx:
+            return
+        if vcross(dirs[last_idx], prim) <= 0 or vcross(prim, first_dir) <= 0:
+            return
+        interior = (area2 - (blen + glen) + 2) // 2
+        if (area2 - (blen + glen)) % 2 != 0:
+            raise InvariantViolation(f"parity failure closing chain {chain}")
+        if interior != g:
+            return
+        can, _ = _canonical_cycle(tuple(chain))
+        found.add(can)
+
+    def extend(chain, first_dir, last_idx, area2, blen):
+        if len(chain) >= 3:
+            close(chain, first_dir, last_idx, area2, blen)
+        pos = chain[-1]
+        ys = [p[1] for p in chain]
+        for ni in range(last_idx + 1, len(dirs)):
+            nd = dirs[ni]
+            if vcross(dirs[last_idx], nd) <= 0:
+                break
+            for length in range(1, 2 * bound + 2):
+                np_ = (pos[0] + length * nd[0], pos[1] + length * nd[1])
+                if np_ == (0, 0):
+                    break
+                if np_[0] < 0 or np_[0] > bound or (np_[0] == 0 and np_[1] < 0):
+                    break
+                if max(max(ys), np_[1]) - min(min(ys), np_[1]) > bound:
+                    break
+                new_area2 = area2 + (pos[0] * np_[1] - np_[0] * pos[1])
+                if new_area2 > area_bound:
+                    break
+                chain.append(np_)
+                extend(chain, first_dir, ni, new_area2, blen + length)
+                chain.pop()
+
+    for fi, fd in enumerate(dirs):
+        if fd[0] < 1:
+            continue
+        for length in range(1, bound + 1):
+            start = (length * fd[0], length * fd[1])
+            if start[0] > bound or abs(start[1]) > bound:
+                break
+            extend([(0, 0), start], fd, fi, 0, length)
+    return found
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5])
+@pytest.mark.parametrize("g, n_max", [(0, 7), (0, 5), (0, 9), (1, 10), (1, 8), (2, 13), (2, 11)])
+def test_box_cycles_match_unpruned_walk(g, bound, n_max):
+    # n_max is the default 3g + 7, two less, and 9 at g = 0
+    pruned = _box_cycles(g, bound, n_max)
+    assert pruned == _unpruned_box_cycles(g, bound, n_max)
+    assert pruned
+
+
+@pytest.mark.parametrize("g, bound, n_max", [(1, 5, 10), (2, 5, 13)])
+def test_box_walk_enters_no_chain_its_prunes_exclude(g, bound, n_max):
+    # equal cycle sets cannot show a prune that cuts too little, so watch
+    # the walk: every chain it enters, closed by its chord, has at most g
+    # interior points (prune 1), and every chain it extends past its chord
+    # keeps interior + the chord's inner points at most g (prune 2)
+    entered = extended = 0
+
+    def watch(frame, event, arg):
+        nonlocal entered, extended
+        code = frame.f_code
+        if event != "call" or code.co_name != "extend" or code.co_filename != _box_cycles.__code__.co_filename:
+            return
+        here = frame.f_locals
+        if len(here["chain"]) >= 3:
+            entered += 1
+            assert here["area2"] - (here["blen"] + here["glen"]) + 2 <= 2 * g
+        parent = frame.f_back.f_locals
+        if frame.f_back.f_code is code and len(parent["chain"]) >= 4:
+            extended += 1
+            assert parent["area2"] - parent["blen"] + parent["glen"] <= 2 * g
+
+    sys.setprofile(watch)
+    try:
+        found = _box_cycles(g, bound, n_max)
+    finally:
+        sys.setprofile(None)
+    assert found and entered and extended
+
+
 @pytest.mark.parametrize("g", [2, 3])
 def test_atlas_classes_among_enumerated_classes(g):
     # criterion 4's last clause, beyond g = 1 and d <= 60
@@ -331,6 +446,25 @@ def test_stabilization_matches_one_atlas_per_step(g, steps, counts, growing):
     assert report.steps == tuple(zip(steps, counts))
     assert report.growing is growing
     assert counts == [len(group_by_class(g, step).classes) for step in steps]
+
+
+@pytest.mark.parametrize("g, d_max", [(1, 40), (2, 60)])
+def test_atlas_up_to_equals_the_smaller_atlas(g, d_max):
+    big = group_by_class(g, d_max)
+    for d in (3, 7, d_max // 2, d_max - 1, d_max):
+        assert big.up_to(d).to_json_bytes() == group_by_class(g, d).to_json_bytes()
+        assert big.up_to(d).to_csv_text() == group_by_class(g, d).to_csv_text()
+    with pytest.raises(PreconditionError):
+        big.up_to(d_max + 1)
+
+
+def test_atlas_stabilization_stays_within_the_atlas():
+    atlas = group_by_class(1, 30)
+    assert atlas_stabilization(atlas, [3, 7, 30]) == stabilization_report(1, [3, 7, 30])
+    with pytest.raises(PreconditionError):
+        atlas_stabilization(atlas, [3, 31])
+    with pytest.raises(PreconditionError):
+        atlas_stabilization(atlas, [7, 7])
 
 
 def test_stabilization_counts_monotone_and_bounded():

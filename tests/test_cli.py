@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from wpoly import Quadruple, validate
+from wpoly import (
+    Quadruple,
+    enumerate_classes,
+    group_by_class,
+    stabilization_report,
+    validate,
+)
 from wpoly.cli import main
 
 
@@ -174,13 +180,33 @@ def test_polygons_enum_box3_count(capsys):
     assert out.strip().splitlines()[-1].startswith("total: 15 classes")
 
 
-def test_polygons_enum_cross_check_disagreement_exits_2(capsys):
-    # a 3x3 grid cannot hold the width-4 triangle class, so the two
-    # methods genuinely disagree at this bound
-    code, _, err = run(capsys, "polygons", "enum", "--genus", "1",
-                       "--cross-check", "--box", "3")
+def test_polygons_enum_cross_check_small_box_exits_1(capsys):
+    # a 3x3 grid cannot hold the width-4 triangle class: the methods would
+    # differ because of the chosen bound, which is user error, not a bug
+    code, out, err = run(capsys, "polygons", "enum", "--genus", "1",
+                         "--cross-check", "--box", "3")
+    assert code == 1
+    assert "box bound 4" in err and "--box 3" in err
+    assert out == ""
+    # at the default bound or above the cross-check runs
+    code, out, _ = run(capsys, "polygons", "enum", "--genus", "1",
+                       "--cross-check", "--box", "5")
+    assert code == 0
+    assert "cross-check ok: both methods give 16 classes" in out
+
+
+def test_polygons_enum_cross_check_disagreement_exits_2(capsys, monkeypatch):
+    # a box method that loses one class is a real disagreement
+    import wpoly.cli
+
+    def drop_one(g, method="inductive", **kwargs):
+        classes = enumerate_classes(g, method, **kwargs)
+        return classes[:-1] if method == "box" else classes
+
+    monkeypatch.setattr(wpoly.cli, "enumerate_classes", drop_one)
+    code, _, err = run(capsys, "polygons", "enum", "--genus", "1", "--cross-check")
     assert code == 2
-    assert "invariant violation" in err
+    assert "invariant violation: methods disagree: 1 inductive-only, 0 box-only" in err
 
 
 def test_map_curve_permutation(capsys):
@@ -267,6 +293,44 @@ def test_classify_respects_config_cap(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "classify", "--genus", "1", "--dmax", "20")
     assert code == 1
     assert "exceeds the configured cap" in err
+
+
+@pytest.mark.parametrize("dmax, steps", [(15, "3,7,30"), (30, "3,7,15"), (30, "10,30")])
+def test_classify_stabilize_builds_one_atlas_with_the_same_bytes(
+    capsys, tmp_path, monkeypatch, dmax, steps
+):
+    # the atlas files and stdout lines are those of the plain run, whether
+    # --dmax lies below or above the last step, from one group_by_class call
+    import wpoly.classify
+    import wpoly.cli
+
+    monkeypatch.chdir(tmp_path)
+    flags = ["classify", "--genus", "1", "--dmax", str(dmax), "--csv", "--figures"]
+    code, plain, _ = run(capsys, *flags, "--atlas-dir", "plain")
+    assert code == 0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return group_by_class(*args, **kwargs)
+
+    monkeypatch.setattr(wpoly.cli, "group_by_class", counted)
+    monkeypatch.setattr(wpoly.classify, "group_by_class", counted)
+    code, out, _ = run(capsys, *flags, "--atlas-dir", "stab", "--stabilize", steps)
+    assert code == 0
+    assert calls == [(1, max(dmax, int(steps.split(",")[-1])))]
+    out = out.replace("stab", "plain")
+    assert out.startswith(plain)
+    report = stabilization_report(1, [int(s) for s in steps.split(",")])
+    assert out[len(plain):].splitlines() == [
+        *(f"d<={d}: {c} classes" for d, c in report.steps),
+        f"still growing at last step: {report.growing}",
+    ]
+    plain_files = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert plain_files == sorted(p.name for p in (tmp_path / "stab").iterdir())
+    assert len(plain_files) > 2
+    for name in plain_files:
+        assert (tmp_path / "stab" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 @pytest.mark.parametrize("steps", ["10,90", "abc", "7,3", ""])
