@@ -19,19 +19,17 @@ from .errors import InvariantViolation, PreconditionError
 from .polygon2d import (
     LatticePolygon,
     Point2,
-    UnimodularAffineMap,
     _build_polygon,
     _canonical_cycle,
     _egcd,
     _hull_cycle,
     _pick_counts,
+    equivalent,
     project,
     projection_coordinates,
 )
 from .quadruples import Quadruple, enumerate_g_good
 from .wpolytope import Point3, build, find_unimodular_triple, minor_det
-
-Triple3 = tuple[Point3, Point3, Point3]
 
 
 @dataclass(frozen=True)
@@ -345,8 +343,6 @@ class BasisChange:
     q_to: Quadruple
     matrix: tuple[tuple[Fraction, Fraction, Fraction], ...]
     row_map: tuple[int, ...]
-    triple_from: Triple3
-    triple_to: Triple3
 
 
 def _adjugate3(m: tuple[Point3, Point3, Point3]) -> list[list[int]]:
@@ -358,36 +354,36 @@ def _adjugate3(m: tuple[Point3, Point3, Point3]) -> list[list[int]]:
     ]
 
 
-def basis_change(
-    q_from: Quadruple, q_to: Quadruple, witness: UnimodularAffineMap
-) -> BasisChange:
-    """Coordinate change induced by a polygon equivalence witness.
+def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
+    """Coordinate change between two quadruples of one polygon class.
 
     Both quadruples are projected through their first determinant-d
-    triples; the witness must carry the first projected polygon onto the
-    second.  The returned matrix is verified on every row.
+    triples, and the witness from `equivalent`, which carries the first
+    projected polygon onto the second, pairs their rows.  Quadruples of
+    different classes are a precondition failure.  The returned matrix is
+    verified on every row.
     """
     p_from = build(q_from)
     p_to = build(q_to)
-    if p_from.n != p_to.n:
-        raise PreconditionError(
-            f"{q_from} and {q_to} have different point counts; not one class"
-        )
     t_from = find_unimodular_triple(p_from)
+    poly_from = project(p_from, t_from)
     t_to = find_unimodular_triple(p_to)
-    coords_from = projection_coordinates(p_from, t_from)
-    coords_to = projection_coordinates(p_to, t_to)
-    pos_to = {pt: idx for idx, pt in enumerate(coords_to)}
+    same, witness = equivalent(poly_from, project(p_to, t_to))
+    if not same:
+        raise PreconditionError(
+            f"{q_from} and {q_to} do not share a polygon class; nothing to map"
+        )
+    pos_to = {pt: idx for idx, pt in enumerate(projection_coordinates(p_to, t_to))}
     row_map = []
-    for a in coords_from:
+    for a in projection_coordinates(p_from, t_from):
         j = pos_to.get(witness.apply(a))
         if j is None:
-            raise PreconditionError(
+            raise InvariantViolation(
                 "witness does not map the projected polygon onto the target"
             )
         row_map.append(j)
     if len(set(row_map)) != p_from.n:
-        raise PreconditionError("witness-induced row correspondence is not bijective")
+        raise InvariantViolation("witness-induced row correspondence is not bijective")
     det = minor_det(*t_from)
     adj = _adjugate3(t_from)
     rows_to = [
@@ -423,8 +419,6 @@ def basis_change(
         q_to=q_to,
         matrix=matrix,
         row_map=tuple(row_map),
-        triple_from=t_from,
-        triple_to=t_to,
     )
 
 
@@ -448,7 +442,9 @@ def make_curve(q: Quadruple, terms) -> WeightedCurve:
         if coef == 0:
             raise ValueError(f"zero coefficient for {expo}")
         v = tuple(expo)
-        if len(v) != 3 or any((not isinstance(x, int)) or x < 0 for x in v):
+        if len(v) != 3 or any(
+            not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in v
+        ):
             raise ValueError(f"bad exponent vector {expo!r}")
         if sum(x * w for x, w in zip(v, q.weights)) != q.d:
             raise ValueError(f"monomial {v} does not have weighted degree {q.d}")
@@ -486,16 +482,19 @@ def _support_conditions(support: frozenset[Point3]) -> tuple[tuple[bool, bool, b
 
 
 def map_curve(
-    curve: WeightedCurve, bc: BasisChange, q_to: Quadruple
+    curve: WeightedCurve, bc: BasisChange
 ) -> tuple[WeightedCurve, tuple[str, ...]]:
-    """Transport a curve along a basis change, term by term.
+    """Transport a curve on bc.q_from to one on bc.q_to, term by term.
 
     Every monomial must land on an exponent vector of the target degree
     with integer entries.  Monomial-condition coverage of the support is
     compared before and after; regressions come back as warnings.
     """
-    if curve.quadruple != bc.q_from or q_to != bc.q_to:
-        raise PreconditionError("curve, basis change, and target do not line up")
+    if curve.quadruple != bc.q_from:
+        raise PreconditionError(
+            f"curve on {curve.quadruple} does not start the basis change from {bc.q_from}"
+        )
+    q_to = bc.q_to
     rows = set(build(curve.quadruple).points)
     if not curve.support <= rows:
         raise PreconditionError("curve support contains non-polytope monomials")

@@ -41,7 +41,7 @@ from .classify import (
     stabilization_steps,
 )
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
-from .polygon2d import canonical_form, equivalent, project
+from .polygon2d import canonical_form, project
 from .quadruples import D_MAX_CAP, Quadruple, validate
 from .render import render_polygon_svg
 from .wpolytope import build, find_unimodular_triple, verify_case_identities
@@ -284,6 +284,29 @@ def map_group() -> None:
     """Coordinate transport between equivalent quadruples."""
 
 
+def _read_curve_terms(path: str) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """(coef, exponents) pairs of a curve file; a malformed file or item
+    is a precondition failure naming the file and the item's index."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict) or not isinstance(raw.get("terms"), list):
+        raise PreconditionError(f"{path}: expected an object with a 'terms' list")
+    terms = []
+    for index, item in enumerate(raw["terms"]):
+        expo = item.get("exponents") if isinstance(item, dict) else None
+        if (
+            not isinstance(expo, list)
+            or "coef" not in item
+            or len(expo) != 3
+            or any(not isinstance(x, int) or isinstance(x, bool) for x in expo)
+        ):
+            raise PreconditionError(
+                f"{path}: term {index} must be an object with 'coef' and "
+                f"'exponents' as a list of three ints"
+            )
+        terms.append((Fraction(str(item["coef"])), tuple(expo)))
+    return terms
+
+
 @map_group.command("curve")
 @click.argument("w0", type=int)
 @click.argument("w1", type=int)
@@ -302,27 +325,13 @@ def map_curve_cmd(cfg: Config, w0: int, w1: int, w2: int, d: int,
     """Map a curve on (W0,W1,W2;D) to one on (V0,V1,V2;E)."""
     q_from = Quadruple(w0, w1, w2, d)
     q_to = Quadruple(v0, v1, v2, e)
-    p_from = build(q_from)
-    p_to = build(q_to)
-    poly_from = project(p_from, find_unimodular_triple(p_from))
-    poly_to = project(p_to, find_unimodular_triple(p_to))
-    same, witness = equivalent(poly_from, poly_to)
-    if not same or witness is None:
-        raise PreconditionError(
-            f"{q_from} and {q_to} do not share a polygon class; nothing to map"
-        )
-    bc = basis_change(q_from, q_to, witness)
+    bc = basis_change(q_from, q_to)
     if curve_path is not None:
-        raw = json.loads(Path(curve_path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict) or "terms" not in raw:
-            raise PreconditionError(f"{curve_path}: expected an object with a 'terms' list")
-        terms = [
-            (Fraction(str(t["coef"])), tuple(t["exponents"])) for t in raw["terms"]
-        ]
+        terms = _read_curve_terms(curve_path)
     else:
-        terms = [(Fraction(1), pt) for pt in p_from.points]
+        terms = [(Fraction(1), pt) for pt in build(q_from).points]
     curve = make_curve(q_from, terms)
-    mapped, warnings = map_curve(curve, bc, q_to)
+    mapped, warnings = map_curve(curve, bc)
     payload = {
         "source": [*q_from.weights, q_from.d],
         "target": [*q_to.weights, q_to.d],

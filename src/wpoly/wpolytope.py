@@ -194,33 +194,37 @@ def _permute(pt: Point3, sigma: tuple[int, int, int]) -> Point3:
     return (pt[sigma[0]], pt[sigma[1]], pt[sigma[2]])
 
 
-def _match_case(
-    q: Quadruple, g: int, rows: tuple[Point3, Point3, Point3]
-) -> tuple[str, tuple[int, int, int], int | None, int | None, int]:
-    """Find the case template matching the distinguished rows.
+def _match_case(p: WeightedPolytope) -> tuple[DistinguishedTriangle, tuple[int, int]]:
+    """Classify the distinguished rows by the case templates.
 
     Tries templates in a fixed order and axis permutations in lex order;
-    returns (case_tag, sigma, k, l, predicted_det) for the first full
-    match, where sigma maps template slots to original axes.
+    the first full match by (case tag, sigma) wins, where sigma maps
+    template slots to original axes.  Returns the triangle and both sides
+    of the matched case's genus identity, unchecked.
     """
+    q = p.quadruple
+    rows = tuple(_axis_row(p, axis) for axis in range(3))
+    if len(set(rows)) < 3:
+        raise PreconditionError(
+            f"{q}: distinguished points coincide (degenerate, genus 0)"
+        )
     w = q.weights
     d = q.d
     n_div = sum(1 for wi in w if d % wi == 0)
-    candidates: list[tuple[str, tuple[int, int, int], int | None, int | None, int]] = []
+    candidates = []
     for sigma in permutations(range(3)):
         u = (w[sigma[0]], w[sigma[1]], w[sigma[2]])
         r = tuple(_permute(rows[sigma[t]], sigma) for t in range(3))
-        match = _try_templates(n_div, u, d, g, r)
+        match = _try_templates(n_div, u, d, p.genus, r)
         if match is not None:
-            tag, k, l, det = match
-            candidates.append((tag, sigma, k, l, det))
+            tag, k, l, det, identity = match
+            candidates.append((CASE_TAGS.index(tag), sigma, k, l, det, identity))
     if not candidates:
         raise InvariantViolation(
             f"{q}: distinguished rows {rows} match no determinant case"
         )
-    order = {tag: idx for idx, tag in enumerate(CASE_TAGS)}
-    candidates.sort(key=lambda c: (order[c[0]], c[1]))
-    return candidates[0]
+    order, sigma, k, l, det, identity = min(candidates, key=lambda c: c[:2])
+    return (DistinguishedTriangle(rows, CASE_TAGS[order], sigma, k, l, det), identity)
 
 
 def _try_templates(
@@ -229,8 +233,14 @@ def _try_templates(
     d: int,
     g: int,
     r: tuple[Point3, Point3, Point3],
-) -> tuple[str, int | None, int | None, int] | None:
-    """Check the permuted rows against the templates for their divisor count."""
+) -> tuple[str, int | None, int | None, int, tuple[int, int]] | None:
+    """Check the permuted rows against the templates for their divisor count.
+
+    A match returns (case tag, k, l, predicted determinant, genus
+    identity), the identity as its two sides computed from the same u,
+    rows, k and l.  Only the template decides the match; the identity is
+    compared by verify_case_identities.
+    """
     u0, u1, u2 = u
     r0, r1, r2 = r
     if n_div == 0:
@@ -240,7 +250,8 @@ def _try_templates(
             and r1[0] == 0 and r1[2] == 1 and r1[1] >= 1
             and r2[0] == 1 and r2[1] == 0 and r2[2] >= 1
         ):
-            return ("a.i", None, None, (2 * g + 1) * d)
+            rhs = d * (d - u0 - u1 - u2) + u0 * u1 + u0 * u2 + u1 * u2
+            return ("a.i", None, None, (2 * g + 1) * d, ((2 * g + 1) * u0 * u1 * u2, rhs))
         # a.ii: rows (a,1,0), (0,b,1), (0,1,c)
         if (
             r0[1] == 1 and r0[2] == 0 and r0[0] >= 1
@@ -258,7 +269,7 @@ def _try_templates(
                 return None
             if d != k * u1 * u2 + u1 + u2 or d != l * u0 * u2 + u1:
                 return None
-            return ("a.ii", k, l, (2 * g + 1 + k - l) * d)
+            return ("a.ii", k, l, (2 * g + 1 + k - l) * d, (2 * g + 1, a * k + l - k))
         return None
     if n_div == 1:
         if u0 * (d // u0) != d:
@@ -277,7 +288,7 @@ def _try_templates(
             k = (b - 1) // u2
             if k < 1 or c != k * u1 + 1 or d != k * u1 * u2 + u1 + u2:
                 return None
-            return ("b.i", k, None, (2 * g + k) * d)
+            return ("b.i", k, None, (2 * g + k) * d, (2 * g, k * (a - 1)))
         # b.ii: rows (a,0,0), (1,b,0), (0,1,c)
         if (
             r1[0] == 1 and r1[2] == 0 and r1[1] >= 1
@@ -289,7 +300,7 @@ def _try_templates(
             k = (a - 1) // u1
             if k < 1 or b != k * u0 or d != k * u0 * u1 + u0 or d != c * u2 + u1:
                 return None
-            return ("b.ii", k, None, (2 * g + k) * d)
+            return ("b.ii", k, None, (2 * g + k) * d, (2 * g, k * (c - 1)))
         # b.iii: rows (a,0,0), (1,b,0), (1,0,c)
         if (
             r1[0] == 1 and r1[2] == 0 and r1[1] >= 1
@@ -302,7 +313,7 @@ def _try_templates(
             k = (d - u0) // prod
             if k < 1 or b != k * u0 * u2 or c != k * u0 * u1:
                 return None
-            return ("b.iii", k, None, k * d * (d - u0))
+            return ("b.iii", k, None, k * d * (d - u0), (2 * g, k * (d - u1 - u2)))
         return None
     if n_div == 2:
         # c: rows (a,0,0), (0,b,0), (1,0,c); u0 | d, u1 | d, u2 does not
@@ -322,7 +333,7 @@ def _try_templates(
                 return None
             if d != k * u0 * u1 or d != l * u0 * u2 + u0:
                 return None
-            return ("c", k, l, (2 * g + k + l - 1) * d)
+            return ("c", k, l, (2 * g + k + l - 1) * d, (2 * g + l + k - 1, k * l * u0))
         return None
     # n_div == 3, case d: diagonal rows
     prod = u0 * u1 * u2
@@ -336,59 +347,13 @@ def _try_templates(
         and r1 == (0, k * u0 * u2, 0)
         and r2 == (0, 0, k * u0 * u1)
     ):
-        return ("d", k, None, k * d * d)
+        return ("d", k, None, k * d * d, (2 * g - 2 + k * (u0 + u1 + u2), k * d))
     return None
 
 
 def distinguished_triangle(p: WeightedPolytope) -> DistinguishedTriangle:
     """Distinguished per-axis points with their case classification."""
-    rows = tuple(_axis_row(p, axis) for axis in range(3))
-    if len(set(rows)) < 3:
-        raise PreconditionError(
-            f"{p.quadruple}: distinguished points coincide (degenerate, genus 0)"
-        )
-    tag, sigma, k, l, predicted = _match_case(p.quadruple, p.genus, rows)
-    return DistinguishedTriangle(
-        rows=rows,
-        case_tag=tag,
-        permutation=sigma,
-        k=k,
-        l=l,
-        predicted_det=predicted,
-    )
-
-
-def _genus_identity(
-    q: Quadruple, g: int, tri: DistinguishedTriangle
-) -> tuple[int, int]:
-    """Both sides of the genus identity for the matched case."""
-    w = q.weights
-    d = q.d
-    sigma = tri.permutation
-    u0, u1, u2 = (w[sigma[0]], w[sigma[1]], w[sigma[2]])
-    r = tuple(_permute(tri.rows[sigma[t]], sigma) for t in range(3))
-    tag, k, l = tri.case_tag, tri.k, tri.l
-    if tag == "a.i":
-        lhs = (2 * g + 1) * u0 * u1 * u2
-        rhs = d * (d - u0 - u1 - u2) + (u0 * u1 + u0 * u2 + u1 * u2)
-        return (lhs, rhs)
-    if tag == "a.ii":
-        assert k is not None and l is not None
-        return (2 * g + 1, r[0][0] * k + l - k)
-    if tag == "b.i":
-        assert k is not None
-        return (2 * g, k * (r[0][0] - 1))
-    if tag == "b.ii":
-        assert k is not None
-        return (2 * g, k * (r[2][2] - 1))
-    if tag == "b.iii":
-        assert k is not None
-        return (2 * g, k * (d - u1 - u2))
-    if tag == "c":
-        assert k is not None and l is not None
-        return (2 * g + l + k - 1, k * l * u0)
-    assert tag == "d" and k is not None
-    return (2 * g - 2 + k * (u0 + u1 + u2), k * d)
+    return _match_case(p)[0]
 
 
 def verify_case_identities(p: WeightedPolytope) -> CaseReport:
@@ -397,9 +362,8 @@ def verify_case_identities(p: WeightedPolytope) -> CaseReport:
     Raises InvariantViolation if either comparison fails; the report
     carries both sides of each.
     """
-    tri = distinguished_triangle(p)
+    tri, identity = _match_case(p)
     actual = minor_det(*tri.rows)
-    identity = _genus_identity(p.quadruple, p.genus, tri)
     report = CaseReport(
         quadruple=p.quadruple,
         triangle=tri,

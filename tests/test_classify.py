@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wpoly import (
     Quadruple,
+    UnimodularAffineMap,
     basis_change,
     build,
     canonical_form,
@@ -333,9 +334,7 @@ def test_enum_rejects_bad_args():
 
 def test_basis_change_permutation_pair():
     qa, qb = Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)
-    same, witness = equivalent(_projected(qa), _projected(qb))
-    assert same
-    bc = basis_change(qa, qb, witness)
+    bc = basis_change(qa, qb)
     assert bc.matrix == (
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1)),
@@ -346,9 +345,7 @@ def test_basis_change_permutation_pair():
 
 def test_basis_change_identity_pair():
     q = Quadruple(1, 2, 3, 6)
-    same, witness = equivalent(_projected(q), _projected(q))
-    assert same
-    bc = basis_change(q, q, witness)
+    bc = basis_change(q, q)
     assert bc.matrix == (
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1), Fraction(0)),
@@ -359,18 +356,36 @@ def test_basis_change_identity_pair():
 
 def test_basis_change_denominators_divide_d():
     qa, qb = Quadruple(1, 1, 2, 4), Quadruple(1, 1, 2, 4)
-    same, witness = equivalent(_projected(qa), _projected(qb))
-    bc = basis_change(qa, qb, witness)
+    bc = basis_change(qa, qb)
     for row in bc.matrix:
         for entry in row:
             assert (entry * qa.d).denominator == 1
 
 
-def test_basis_change_rejects_wrong_witness():
-    qa, qb = Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)
-    _, witness = equivalent(_projected(qa), _projected(qb))
-    with pytest.raises(PreconditionError):
-        basis_change(Quadruple(1, 1, 1, 3), Quadruple(1, 2, 3, 7), witness)
+def test_basis_change_rejects_different_classes():
+    # different point counts (10 and 8), then two 5-point classes of genus 1
+    for qa, qb in [
+        (Quadruple(1, 1, 1, 3), Quadruple(1, 2, 3, 7)),
+        (Quadruple(3, 4, 5, 19), Quadruple(2, 3, 5, 12)),
+    ]:
+        assert not equivalent(_projected(qa), _projected(qb))[0]
+        with pytest.raises(PreconditionError, match="do not share a polygon class"):
+            basis_change(qa, qb)
+
+
+def test_basis_change_witness_missing_a_row_is_a_bug(monkeypatch):
+    # once equivalent() has vouched for the witness, a row it sends off
+    # the target polygon is an invariant violation, not bad input
+    import wpoly.classify
+
+    def shifted_witness(p1, p2):
+        same, witness = equivalent(p1, p2)
+        shift = UnimodularAffineMap(((1, 0), (0, 1)), (100, 0))
+        return same, shift.compose(witness)
+
+    monkeypatch.setattr(wpoly.classify, "equivalent", shifted_witness)
+    with pytest.raises(InvariantViolation, match="witness does not map"):
+        basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
 
 
 def test_make_curve_validates_terms():
@@ -388,14 +403,16 @@ def test_make_curve_validates_terms():
         make_curve(q, [(1, (7, 0, 0)), (2, (7, 0, 0))])
     with pytest.raises(ValueError):
         make_curve(q, [])
+    # bool is an int subclass; True must not pass for the exponent 1
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        make_curve(q, [(1, (True, 2, 0))])
 
 
 def test_map_curve_permutation_pair():
     qa, qb = Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)
-    _, witness = equivalent(_projected(qa), _projected(qb))
-    bc = basis_change(qa, qb, witness)
+    bc = basis_change(qa, qb)
     curve = make_curve(qa, [(1, (7, 0, 0)), (3, (0, 1, 2)), (-2, (2, 1, 1))])
-    mapped, warnings = map_curve(curve, bc, qb)
+    mapped, warnings = map_curve(curve, bc)
     assert mapped.quadruple == qb
     for coef, v in mapped.terms:
         assert sum(x * w for x, w in zip(v, qb.weights)) == qb.d
@@ -407,21 +424,19 @@ def test_map_curve_permutation_pair():
 
 def test_map_curve_full_support_has_no_warnings():
     qa, qb = Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)
-    _, witness = equivalent(_projected(qa), _projected(qb))
-    bc = basis_change(qa, qb, witness)
+    bc = basis_change(qa, qb)
     full = make_curve(qa, [(1, pt) for pt in build(qa).points])
-    mapped, warnings = map_curve(full, bc, qb)
+    mapped, warnings = map_curve(full, bc)
     assert len(mapped.terms) == 8
     assert warnings == ()
 
 
 def test_map_curve_rejects_mismatched_basis_change():
     qa, qb = Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)
-    _, witness = equivalent(_projected(qa), _projected(qb))
-    bc = basis_change(qa, qb, witness)
+    bc = basis_change(qa, qb)
     curve = make_curve(qb, [(1, (7, 0, 0))])
     with pytest.raises(PreconditionError):
-        map_curve(curve, bc, qb)
+        map_curve(curve, bc)
 
 
 def test_stabilization_report():

@@ -249,6 +249,65 @@ def test_map_curve_from_file(capsys, tmp_path, monkeypatch):
     assert coefs[(0, 2, 1)] == "-3/2"
 
 
+# map curve 3 4 5 15 3 7 8 24 and back: the class conv{(0,0),(1,0),(2,3)}
+# has 6 lattice automorphisms, so these outputs also pin which witness
+# the transport uses
+MAP_GOLDEN = {
+    ("3", "4", "5", "15", "3", "7", "8", "24"): {
+        "source": [3, 4, 5, 15],
+        "target": [3, 7, 8, 24],
+        "matrix": [["8/5", "0", "0"], ["-1/5", "1", "0"], ["0", "0", "1"]],
+        "row_map": [0, 1, 2, 3],
+        "terms": [
+            {"coef": "1", "exponents": [0, 0, 3]},
+            {"coef": "1", "exponents": [1, 3, 0]},
+            {"coef": "1", "exponents": [3, 1, 1]},
+            {"coef": "1", "exponents": [8, 0, 0]},
+        ],
+        "warnings": [],
+    },
+    ("3", "7", "8", "24", "3", "4", "5", "15"): {
+        "source": [3, 7, 8, 24],
+        "target": [3, 4, 5, 15],
+        "matrix": [["5/8", "0", "0"], ["1/8", "1", "0"], ["0", "0", "1"]],
+        "row_map": [0, 1, 2, 3],
+        "terms": [
+            {"coef": "1", "exponents": [0, 0, 3]},
+            {"coef": "1", "exponents": [1, 3, 0]},
+            {"coef": "1", "exponents": [2, 1, 1]},
+            {"coef": "1", "exponents": [5, 0, 0]},
+        ],
+        "warnings": [],
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MAP_GOLDEN))
+def test_map_curve_golden_on_symmetric_class(capsys, argv):
+    code, out, err = run(capsys, "map", "curve", *argv)
+    assert code == 0 and err == ""
+    assert out == json.dumps(MAP_GOLDEN[argv], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("body, where", [
+    ({"terms": [{"coef": "1", "exponents": [7, 0, 0]}, {"coef": "1"}]}, "term 1 "),
+    ({"terms": [{"coef": "1", "exponents": 7}]}, "term 0 "),
+    ({"terms": {"coef": "1", "exponents": [7, 0, 0]}}, "'terms' list"),
+    ({"terms": [["1", [7, 0, 0]]]}, "term 0 "),
+    ({"terms": [{"coef": "1", "exponents": [7, 0]}]}, "term 0 "),
+    ({"terms": [{"coef": "1", "exponents": [True, 2, 0]}]}, "term 0 "),
+], ids=["no-exponents", "scalar-exponents", "terms-object", "list-term", "two-exponents",
+        "bool-exponent"])
+def test_map_curve_malformed_file_exits_1(capsys, tmp_path, body, where):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps(body))
+    code, out, err = run(capsys, "map", "curve", "1", "3", "2", "7", "1", "2", "3", "7",
+                         "--curve", str(curve_file))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert str(curve_file) in err and where in err
+
+
 def test_config_file_sets_format(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("wpoly.json").write_text(json.dumps({"format": "json"}))

@@ -1,0 +1,40 @@
+"""README's library example runs and returns what its comments state."""
+import ast
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _stated_value(comment: str):
+    """The Python literal a comment opens with, as a 1-tuple, or None."""
+    words = comment.split()
+    for k in range(len(words), 0, -1):
+        try:
+            return (ast.literal_eval(" ".join(words[:k])),)
+        except (ValueError, SyntaxError):
+            continue
+    return None
+
+
+def test_readme_library_example_states_its_values():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        comment = lines[stmt.end_lineno - 1].partition("#")[2]
+        stated = _stated_value(comment) if isinstance(stmt, ast.Expr) else None
+        if stated is None:
+            exec(compile(ast.Module([stmt], []), str(README), "exec"), namespace)
+            continue
+        assert eval(source, namespace) == stated[0], source
+        checked.append(source)
+    assert checked == [
+        "validate(q).genus",
+        "canonical_form(poly).vertices",
+        'len(enumerate_classes(1, "inductive"))',
+        "bc.matrix",
+        "mapped.terms",
+    ]

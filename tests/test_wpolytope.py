@@ -113,6 +113,48 @@ def test_case_tags_and_determinants():
         assert rep.triangle.k == k and rep.triangle.l == l, tup
 
 
+def test_case_genus_identities_frozen():
+    # both sides of each case's genus identity, as computed before the
+    # identities moved into the case templates
+    expected = {
+        "a.i": (60, 60),
+        "a.ii": (5, 5),
+        "b.i": (2, 2),
+        "b.ii": (10, 10),
+        "b.iii": (2, 2),
+        "c": (10, 10),
+        "d": (9, 9),
+    }
+    for tag, tup in CASE_INSTANCES.items():
+        rep = verify_case_identities(build(Quadruple(*tup)))
+        assert rep.genus_identity == expected[tag], tup
+        assert rep.to_dict()["genus_identity"] == list(expected[tag]), tup
+
+
+def test_failing_genus_identity_is_reported_not_unmatched(monkeypatch):
+    # the identity is no match condition: a template whose identity fails
+    # still matches, and the check names the identity
+    import wpoly.wpolytope as wp
+
+    true_templates = wp._try_templates
+
+    def broken_identity(*args):
+        match = true_templates(*args)
+        if match is None:
+            return None
+        *head, (lhs, rhs) = match
+        return (*head, (lhs, rhs + 1))
+
+    for tag, tup in CASE_INSTANCES.items():
+        p = build(Quadruple(*tup))
+        tri = distinguished_triangle(p)
+        monkeypatch.setattr(wp, "_try_templates", broken_identity)
+        assert distinguished_triangle(p) == tri, tup
+        with pytest.raises(InvariantViolation, match=f"case {tag} genus identity fails"):
+            verify_case_identities(p)
+        monkeypatch.setattr(wp, "_try_templates", true_templates)
+
+
 def test_case_rows_frozen_for_biii():
     tri = distinguished_triangle(build(Quadruple(1, 3, 2, 7)))
     assert tri.rows == ((7, 0, 0), (1, 2, 0), (1, 0, 3))
