@@ -24,6 +24,7 @@ from .polygon2d import (
     _egcd,
     _hull_cycle,
     _pick_counts,
+    _projected_hull,
     equivalent,
     project,
     projection_coordinates,
@@ -127,14 +128,65 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
     re-added, so each level extends every class rep by each of them whose
     hull gains exactly that point.  Classes keep at most g interior points
     along the way.  Completeness rests on this argument, not on a search box.
+
+    A grown child C = hull(P + q) is canonicalised only when q carries the
+    largest `_vertex_keys` key of C (canonical augmentation, McKay 1998),
+    so each class is canonicalised about once, not once per parent.  This
+    loses no class C with n+1 points and at most g interior points:
+
+    - let v* be a vertex of C with the largest key.  P* = conv(C's lattice
+      points other than v*) is 2-dimensional: it is a segment only when C
+      is a height-1 triangle over an edge of length L >= 2 with apex v*,
+      and that apex has key (1, 1, .), below the (1, L, .) of each base
+      vertex, so it is never v*;
+    - P* has n points and at most g interior points, so by induction its
+      canonical form phi(P*) is in `current`;
+    - phi(v*) is a growth point of phi(P*) by the argument of
+      `_growth_points`, `_grow_cycle` accepts it, and the keys are
+      invariant, so phi(v*) carries the largest key of phi(C) and the
+      filter keeps phi(C).
     """
     current = {_canonical_cycle(((0, 0), (1, 0), (0, 1)))[0]}
     found = set(current) if g == 0 else set()
     for level_n in range(3, n_max):
-        grown = (_grow_cycle(c, q, level_n, g) for c in current for q in _growth_points(c))
-        current = {_canonical_cycle(c)[0] for c in grown if c is not None}
+        grown = ((_grow_cycle(c, q, level_n, g), q) for c in current for q in _growth_points(c))
+        current = {
+            _canonical_cycle(c)[0] for c, q in grown if c is not None and _keeps(c, q)
+        }
         found |= {c for c in current if _pick_counts(c)[1] == g}
     return found
+
+
+def _edge_steps(cycle: tuple[Point2, ...]) -> tuple[list[int], list[Point2]]:
+    """Lattice length and primitive direction of each edge cycle[j] -> cycle[j+1]."""
+    steps = [(v[0] - u[0], v[1] - u[1]) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    lengths = [gcd(abs(x), abs(y)) for x, y in steps]
+    return lengths, [(x // n, y // n) for (x, y), n in zip(steps, lengths)]
+
+
+def _vertex_keys(cycle: tuple[Point2, ...]) -> list[tuple[int, int, int]]:
+    """Key (min(l_in, l_out), max(l_in, l_out), det(p_in, p_out)) of each
+    vertex, from the lattice lengths l and primitive directions p of its
+    incoming and outgoing edges.
+
+    Affine unimodular maps keep lattice lengths and the determinant of two
+    directions up to sign.  A reflection also reverses the cycle, which
+    swaps a vertex's two edges (absorbed by min/max) and negates both
+    directions; det(-p_out, -p_in) = det(p_in, p_out), so the determinant,
+    positive at a counterclockwise vertex, is kept too.
+    """
+    lengths, dirs = _edge_steps(cycle)
+    keys = []
+    for j, (l_out, (bx, by)) in enumerate(zip(lengths, dirs)):
+        l_in, (ax, ay) = lengths[j - 1], dirs[j - 1]
+        keys.append((min(l_in, l_out), max(l_in, l_out), ax * by - ay * bx))
+    return keys
+
+
+def _keeps(cycle: tuple[Point2, ...], q: Point2) -> bool:
+    """Whether the vertex q carries the largest vertex key of the cycle."""
+    keys = _vertex_keys(cycle)
+    return keys[cycle.index(q)] == max(keys)
 
 
 def _growth_points(cycle: tuple[Point2, ...]) -> set[Point2]:
@@ -151,9 +203,7 @@ def _growth_points(cycle: tuple[Point2, ...]) -> set[Point2]:
     >= -1 at q; as the cycle turns left at u and at v, these bound m below
     and above.
     """
-    steps = [(v[0] - u[0], v[1] - u[1]) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-    lengths = [gcd(abs(x), abs(y)) for x, y in steps]
-    dirs = [(x // n, y // n) for (x, y), n in zip(steps, lengths)]
+    lengths, dirs = _edge_steps(cycle)
     points: set[Point2] = set()
     for j, ((ux, uy), (px, py)) in enumerate(zip(cycle, dirs)):
         (ax, ay), (bx, by) = dirs[j - 1], dirs[(j + 1) % len(dirs)]
@@ -366,16 +416,19 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     p_from = build(q_from)
     p_to = build(q_to)
     t_from = find_unimodular_triple(p_from)
-    poly_from = project(p_from, t_from)
     t_to = find_unimodular_triple(p_to)
-    same, witness = equivalent(poly_from, project(p_to, t_to))
+    images_from = projection_coordinates(p_from, t_from)
+    images_to = projection_coordinates(p_to, t_to)
+    same, witness = equivalent(
+        _projected_hull(p_from, images_from), _projected_hull(p_to, images_to)
+    )
     if not same:
         raise PreconditionError(
             f"{q_from} and {q_to} do not share a polygon class; nothing to map"
         )
-    pos_to = {pt: idx for idx, pt in enumerate(projection_coordinates(p_to, t_to))}
+    pos_to = {pt: idx for idx, pt in enumerate(images_to)}
     row_map = []
-    for a in projection_coordinates(p_from, t_from):
+    for a in images_from:
         j = pos_to.get(witness.apply(a))
         if j is None:
             raise InvariantViolation(

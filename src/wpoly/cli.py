@@ -287,7 +287,10 @@ def map_group() -> None:
 def _read_curve_terms(path: str) -> list[tuple[Fraction, tuple[int, ...]]]:
     """(coef, exponents) pairs of a curve file; a malformed file or item
     is a precondition failure naming the file and the item's index."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("terms"), list):
         raise PreconditionError(f"{path}: expected an object with a 'terms' list")
     terms = []

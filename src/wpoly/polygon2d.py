@@ -473,7 +473,12 @@ def project(
     p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]
 ) -> LatticePolygon:
     """Projected polygon; point count and interior count must be preserved."""
-    images = projection_coordinates(p, triple)
+    return _projected_hull(p, projection_coordinates(p, triple))
+
+
+def _projected_hull(p: WeightedPolytope, images: list[Point2]) -> LatticePolygon:
+    """Hull of the projection coordinates of p's rows, checked to hold
+    exactly those points and as many interior points as p."""
     poly = convex_hull(images)
     if set(images) != set(poly.lattice_points):
         raise InvariantViolation(

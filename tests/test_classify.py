@@ -23,20 +23,30 @@ from wpoly import (
     project,
     stabilization_report,
 )
+from wpoly import classify, polygon2d
 from wpoly.classify import (
     _angular_directions,
     _box_cycles,
     _grow_cycle,
     _growth_points,
+    _inductive_cycles,
+    _vertex_keys,
     atlas_stabilization,
 )
 from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
-from wpoly.polygon2d import _canonical_cycle, _hull_cycle, _pick_counts, convex_hull
+from wpoly.polygon2d import (
+    _MIRROR,
+    _canonical_cycle,
+    _hull_cycle,
+    _pick_counts,
+    convex_hull,
+    random_unimodular_map,
+)
 
 G1_CLASS_COUNT = 16
 G2_CLASS_COUNT = 45
 # Castryck, "Moving out the edges of a lattice polygon" (2012), Table 1.
-CASTRYCK_COUNTS = {1: 16, 2: 45, 3: 120, 4: 211, 5: 403, 6: 714, 7: 1023}
+CASTRYCK_COUNTS = {1: 16, 2: 45, 3: 120, 4: 211, 5: 403, 6: 714, 7: 1023, 8: 1830}
 
 
 def _projected(q):
@@ -204,6 +214,75 @@ def test_growth_points_reach_the_far_apex():
     assert (4, 13) in _growth_points(cycle)
     assert (4, 13) not in _margin_growth_points(cycle, 2)
     assert _grow_cycle(cycle, (4, 13), 8, 6) == ((0, 0), (1, 0), (4, 13))
+
+
+def _unfiltered_inductive_cycles(g, n_max):
+    """Oracle: the inductive growth with no vertex-key filter, which
+    canonicalises every accepted growth."""
+    current = {_canonical_cycle(((0, 0), (1, 0), (0, 1)))[0]}
+    found = set(current) if g == 0 else set()
+    for level_n in range(3, n_max):
+        grown = (_grow_cycle(c, q, level_n, g) for c in current for q in _growth_points(c))
+        current = {_canonical_cycle(c)[0] for c in grown if c is not None}
+        found |= {c for c in current if _pick_counts(c)[1] == g}
+    return found
+
+
+@pytest.mark.parametrize(
+    "g, n_max", [(g, 3 * g + 7) for g in range(1, 6)] + [(0, n) for n in range(3, 12)]
+)
+def test_inductive_filter_matches_unfiltered_growth(g, n_max):
+    filtered = _inductive_cycles(g, n_max)
+    assert filtered == _unfiltered_inductive_cycles(g, n_max)
+    assert filtered
+
+
+def _keys_by_vertex(cycle):
+    return dict(zip(cycle, _vertex_keys(cycle)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10),
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+)
+def test_vertex_keys_survive_unimodular_maps_and_mirror(pts, seed, size):
+    try:
+        cycle = _hull_cycle(pts)
+    except DegenerateInputError:
+        return
+    keys = _keys_by_vertex(cycle)
+    assert all(det > 0 for _, _, det in keys.values())
+    for m in (random_unimodular_map(seed, size), _MIRROR):
+        image = _keys_by_vertex(_hull_cycle([m.apply(v) for v in cycle]))
+        assert {m.apply(v): key for v, key in keys.items()} == image
+
+
+def test_height_one_apex_never_carries_the_largest_key():
+    # removing the apex of conv{(0,0),(3,0),(0,1)} leaves a segment, so the
+    # completeness argument needs the apex key strictly below the largest
+    keys = _keys_by_vertex(((0, 0), (3, 0), (0, 1)))
+    assert keys[(0, 1)] == (1, 1, 3)
+    assert keys[(0, 1)] < max(keys.values()) == (1, 3, 1)
+
+
+def test_inductive_filter_canonicalises_fewer_than_accepted_growths(monkeypatch):
+    calls = {"canonical": 0, "accepted": 0}
+
+    def canonical(cycle):
+        calls["canonical"] += 1
+        return _canonical_cycle(cycle)
+
+    def grow(*args):
+        grown = _grow_cycle(*args)
+        calls["accepted"] += grown is not None
+        return grown
+
+    monkeypatch.setattr(classify, "_canonical_cycle", canonical)
+    monkeypatch.setattr(classify, "_grow_cycle", grow)
+    assert len(_inductive_cycles(2, 13)) == G2_CLASS_COUNT
+    assert 0 < calls["canonical"] < calls["accepted"]
 
 
 def _unpruned_box_cycles(g, bound, n_max):
@@ -406,6 +485,21 @@ def test_make_curve_validates_terms():
     # bool is an int subclass; True must not pass for the exponent 1
     with pytest.raises(ValueError, match="bad exponent vector"):
         make_curve(q, [(1, (True, 2, 0))])
+
+
+def test_basis_change_decomposes_each_row_once(monkeypatch):
+    calls = 0
+    decompose = polygon2d.decompose
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return decompose(*args)
+
+    monkeypatch.setattr(polygon2d, "decompose", counted)
+    bc = basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
+    assert len(bc.row_map) == 8
+    assert calls == 2 * 8
 
 
 def test_map_curve_permutation_pair():

@@ -308,6 +308,20 @@ def test_map_curve_malformed_file_exits_1(capsys, tmp_path, body, where):
     assert str(curve_file) in err and where in err
 
 
+@pytest.mark.parametrize("raw, why", [
+    (b'{"terms": [\n', "Expecting value"),
+    (b'{"terms": []}\xff', "can't decode byte 0xff"),
+], ids=["truncated-json", "not-utf8"])
+def test_map_curve_unparsable_file_names_it(capsys, tmp_path, raw, why):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_bytes(raw)
+    code, out, err = run(capsys, "map", "curve", "1", "3", "2", "7", "1", "2", "3", "7",
+                         "--curve", str(curve_file))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {curve_file}: not a UTF-8 JSON file: ")
+    assert why in err
+
+
 def test_config_file_sets_format(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("wpoly.json").write_text(json.dumps({"format": "json"}))
