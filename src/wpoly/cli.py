@@ -13,8 +13,9 @@ d_max_cap, jobs, atlas_dir, format); the WPOLY_ATLAS_DIR
 environment variable overrides the atlas directory, and flags override
 both.
 
-Exit codes: 0 success; 1 bad input or precondition failure; 2 is
-reserved for violations of derived invariants (never for user error).
+Exit codes: 0 success; 1 bad input, precondition failure or an
+unwritable output path; 2 is reserved for violations of derived
+invariants (never for user error).
 
 Curve files are JSON: {"terms": [{"coef": "5" or "3/2", "exponents":
 [a, b, c]}, ...]} with each monomial of full weighted degree.
@@ -58,6 +59,10 @@ class Config:
     format: str = "text"
 
     def __post_init__(self) -> None:
+        for key, kind in (("d_max_cap", int), ("jobs", int), ("atlas_dir", str), ("format", str)):
+            value = getattr(self, key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise PreconditionError(f"config {key} must be {kind.__name__}, got {value!r}")
         if not (1 <= self.d_max_cap <= D_MAX_CAP):
             raise PreconditionError(
                 f"config d_max_cap must be in [1, {D_MAX_CAP}], got {self.d_max_cap}"
@@ -74,8 +79,8 @@ def load_config(cwd: str | None = None) -> Config:
     if path.is_file():
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise PreconditionError(f"{path}: not valid JSON ({exc})") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise PreconditionError(f"{path}: not a UTF-8 JSON file ({exc})") from exc
         if not isinstance(data, dict):
             raise PreconditionError(f"{path}: top level must be an object")
         unknown = set(data) - {"d_max_cap", "jobs", "atlas_dir", "format"}
@@ -86,8 +91,8 @@ def load_config(cwd: str | None = None) -> Config:
         data["atlas_dir"] = env_dir
     try:
         return Config(**data)
-    except TypeError as exc:
-        raise PreconditionError(f"{path}: bad config ({exc})") from exc
+    except PreconditionError as exc:
+        raise PreconditionError(f"{path}: {exc}") from exc
 
 
 @click.group()
@@ -360,7 +365,8 @@ def main(argv: list[str] | None = None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1
-    except (PreconditionError, DegenerateInputError, ValueError) as exc:
+    except (PreconditionError, DegenerateInputError, ValueError, OSError) as exc:
+        # an OSError from pathlib names the path it failed on
         click.echo(f"error: {exc}", err=True)
         return 1
     except InvariantViolation as exc:

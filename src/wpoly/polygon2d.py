@@ -1,15 +1,18 @@
 """Exact lattice polygon geometry in the plane.
 
-Everything here runs on integers: convex hulls by monotone chain,
-lattice point counts double-checked against the area/boundary identity
-2*area = 2i + b - 2 (Pick's formula), triangulation
-into primitive triangles, and a canonical form under affine unimodular
-equivalence, reflections included: anchor each directed edge u->v of the
-cycle and of its mirror image by (x, y) -> (s(x-ux) + t(y-uy),
-px(y-uy) - py(x-ux)), for (px, py) the edge's primitive direction and
-s*px + t*py = 1, which puts the polygon in 0 <= y <= h, shear by
-(x, y) -> (x - c*y, y) with c = m // h, the one shear putting the top
-row's least x, m, in [0, h), and take the least vertex listing.
+Everything here runs on integers: convex hulls by monotone chain; one
+row scan that lists the lattice points from the exact edge crossings and
+marks the boundary ones, its counts checked against the edge gcds and
+the area/boundary identity 2*area = 2i + b - 2 (Pick's formula); a
+triangulation into primitive triangles that splits the fan's triangles
+at lattice points until none is left but the corners; and a canonical
+form under affine unimodular equivalence, reflections included: anchor
+each directed edge u->v of the cycle and of its mirror image by
+(x, y) -> (s(x-ux) + t(y-uy), px(y-uy) - py(x-ux)), for (px, py) the
+edge's primitive direction and s*px + t*py = 1, which puts the polygon
+in 0 <= y <= h, shear by (x, y) -> (x - c*y, y) with c = m // h, the one
+shear putting the top row's least x, m, in [0, h), and take the least
+vertex listing.
 """
 from __future__ import annotations
 
@@ -53,12 +56,14 @@ class LatticePolygon:
 
     vertices is a counterclockwise cycle with no three consecutive
     collinear points.  lattice_points lists every lattice point of the
-    closed polygon in row-major order; i and b are the interior and
-    boundary counts, n = i + b.
+    closed polygon in row-major order, and interior_points the interior
+    ones in the same order; i and b are the interior and boundary counts,
+    n = i + b.
     """
 
     vertices: tuple[Point2, ...]
     lattice_points: tuple[Point2, ...]
+    interior_points: tuple[Point2, ...]
     i: int
     b: int
     n: int
@@ -147,49 +152,62 @@ def _hull_cycle(points: list[Point2]) -> tuple[Point2, ...]:
     return cycle
 
 
-def _edges(cycle: tuple[Point2, ...]) -> list[tuple[Point2, Point2]]:
-    return [(cycle[k], cycle[(k + 1) % len(cycle)]) for k in range(len(cycle))]
+def _hull_lattice_points(
+    cycle: tuple[Point2, ...],
+) -> tuple[tuple[Point2, ...], tuple[Point2, ...], int]:
+    """All lattice points of the closed polygon row by row, its interior
+    points in the same order, and its boundary point count.
 
-
-def _hull_lattice_points(cycle: tuple[Point2, ...]) -> tuple[Point2, ...]:
-    """All lattice points of the closed polygon, row by row.
-
-    Per row the slice runs from the least ceiling to the greatest floor of
-    the exact crossings x = num / den of the non-horizontal edges (every
-    vertex of a strictly convex cycle ends one), so this stays correct for
-    thin slanted shapes.
+    Each non-horizontal edge, taken upward from (px, py) to (qx, qy),
+    crosses row y at x = (c + y*dx) / dy with dx = qx - px, dy = qy - py > 0
+    and c = px*dy - py*dx.  Per row the slice runs from the least ceiling
+    to the greatest floor of the crossings (every vertex of a strictly
+    convex cycle ends such an edge), so this stays correct for thin
+    slanted shapes.  The top and bottom rows lie on the boundary; in any
+    other row the boundary meets the slice only at its two crossings, so a
+    point there is a boundary point exactly when some edge crosses the row
+    at it, that is when the crossing's ceiling equals its floor.
     """
     ys = [p[1] for p in cycle]
-    edges = _edges(cycle)
-    out: list[Point2] = []
-    for y in range(min(ys), max(ys) + 1):
+    y_min, y_max = min(ys), max(ys)
+    slanted: list[tuple[int, int, int, int, int]] = []
+    for (px, py), (qx, qy) in zip(cycle, cycle[1:] + cycle[:1]):
+        if py > qy:
+            px, py, qx, qy = qx, qy, px, py
+        if py != qy:
+            slanted.append((py, qy, px * (qy - py) - py * (qx - px), qx - px, qy - py))
+    points: list[Point2] = []
+    interior: list[Point2] = []
+    b = 0
+    for y in range(y_min, y_max + 1):
         ceils: list[int] = []
         floors: list[int] = []
-        for (px, py), (qx, qy) in edges:
-            if py != qy and min(py, qy) <= y <= max(py, qy):
-                num = px * (qy - py) + (y - py) * (qx - px)
-                den = qy - py
-                if den < 0:
-                    num, den = -num, -den
-                ceils.append(-(-num // den))
-                floors.append(num // den)
-        out.extend((x, y) for x in range(min(ceils), max(floors) + 1))
-    return tuple(out)
-
-
-def _on_boundary(p: Point2, edges: list[tuple[Point2, Point2]]) -> bool:
-    for a, b in edges:
-        if _cross(a, b, p) == 0:
-            if min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]):
-                return True
-    return False
+        exact: set[int] = set()
+        for y0, y1, c, dx, dy in slanted:
+            if y0 <= y <= y1:
+                floor, rem = divmod(c + y * dx, dy)
+                floors.append(floor)
+                if rem:
+                    ceils.append(floor + 1)
+                else:
+                    ceils.append(floor)
+                    exact.add(floor)
+        row = range(min(ceils), max(floors) + 1)
+        points.extend((x, y) for x in row)
+        if y == y_min or y == y_max:
+            b += len(row)
+        else:
+            b += len(exact)
+            interior.extend((x, y) for x in row if x not in exact)
+    return tuple(points), tuple(interior), b
 
 
 def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
     """Validate a CCW strictly convex cycle and take its lattice inventory.
 
-    The interior count is derived from 2*area = 2i + b - 2 and verified
-    against a direct classification of the enumerated points.
+    The boundary count from the edge gcds and the interior count from
+    2*area = 2i + b - 2 are verified against the row scan's own
+    classification of the points it lists.
     """
     if len(cycle) < 3:
         raise DegenerateInputError("polygon needs at least 3 vertices")
@@ -201,10 +219,8 @@ def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
                 f"vertex cycle is not strictly convex counterclockwise at {cycle[(idx + 1) % k]}"
             )
     _, i_pick, b_gcd = _pick_counts(cycle)
-    edges = _edges(cycle)
-    points = _hull_lattice_points(cycle)
-    b_direct = sum(1 for p in points if _on_boundary(p, edges))
-    i_direct = len(points) - b_direct
+    points, interior, b_direct = _hull_lattice_points(cycle)
+    i_direct = len(interior)
     if b_direct != b_gcd or i_direct != i_pick:
         raise InvariantViolation(
             f"lattice counts disagree for {cycle}: "
@@ -213,6 +229,7 @@ def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
     return LatticePolygon(
         vertices=cycle,
         lattice_points=points,
+        interior_points=interior,
         i=i_pick,
         b=b_gcd,
         n=i_pick + b_gcd,
@@ -245,24 +262,37 @@ def polygon_from_json_dict(data: dict) -> LatticePolygon:
 def triangulate(poly: LatticePolygon) -> tuple[Triangle, ...]:
     """Split the polygon into primitive lattice triangles.
 
-    Start with the fan from the first vertex, then insert the remaining
-    boundary lattice points in cycle order and the interior points in
-    lex order, splitting the triangles they land in.  The result has
-    exactly 2i + b - 2 triangles, each of twice-area 1.
+    Start from the fan off the first vertex.  Take a triangle off a stack
+    and look for a lattice point of the polygon in the closed triangle
+    that is not a corner.  If there is one, q, replace the triangle by
+    those of its sub-triangles towards q that have positive area (two
+    when q lies on an edge), each handed only its parent's points;
+    otherwise keep it.  Each split tiles its parent, so the kept pieces
+    tile the polygon.  A kept piece holds no lattice point but its
+    corners, so two triangles sharing an edge both end up cut at every
+    lattice point of that edge and their pieces meet along it edge to
+    edge: the result is a triangulation.  It has exactly 2i + b - 2
+    triangles, each of twice-area 1.
     """
     verts = poly.vertices
-    tris: list[Triangle] = [
-        (verts[0], verts[s], verts[s + 1]) for s in range(1, len(verts) - 1)
+    stack = [
+        ((verts[0], verts[s], verts[s + 1]), poly.lattice_points)
+        for s in range(1, len(verts) - 1)
     ]
-    for q in _boundary_cycle_points(poly):
-        tris = _insert_boundary(tris, q)
-    boundary = set()
-    edges = _edges(verts)
-    for p in poly.lattice_points:
-        if _on_boundary(p, edges):
-            boundary.add(p)
-    for q in sorted(p for p in poly.lattice_points if p not in boundary):
-        tris = _insert_interior(tris, q)
+    tris: list[Triangle] = []
+    while stack:
+        (a, b, c), points = stack.pop()
+        inside = [
+            p for p in points
+            if _cross(a, b, p) >= 0 and _cross(b, c, p) >= 0 and _cross(c, a, p) >= 0
+        ]
+        q = next((p for p in inside if p not in (a, b, c)), None)
+        if q is None:
+            tris.append((a, b, c))
+            continue
+        for child in ((a, b, q), (b, c, q), (c, a, q)):
+            if _cross(*child) > 0:
+                stack.append((child, inside))
     expected = 2 * poly.i + poly.b - 2
     if len(tris) != expected:
         raise InvariantViolation(
@@ -272,70 +302,6 @@ def triangulate(poly: LatticePolygon) -> tuple[Triangle, ...]:
         if _cross(t[0], t[1], t[2]) != 1:
             raise InvariantViolation(f"non-primitive piece {t}")
     return tuple(tris)
-
-
-def _boundary_cycle_points(poly: LatticePolygon) -> list[Point2]:
-    """Non-vertex boundary lattice points, walking the cycle from vertex 0."""
-    out: list[Point2] = []
-    for (px, py), (qx, qy) in _edges(poly.vertices):
-        g = gcd(abs(qx - px), abs(qy - py))
-        sx, sy = (qx - px) // g, (qy - py) // g
-        out.extend((px + j * sx, py + j * sy) for j in range(1, g))
-    return out
-
-
-def _tri_position(t: Triangle, q: Point2) -> tuple[str, int]:
-    """Locate q relative to a CCW triangle: ('in'|'edge'|'out', edge index)."""
-    cs = [_cross(t[e], t[(e + 1) % 3], q) for e in range(3)]
-    if all(c > 0 for c in cs):
-        return ("in", -1)
-    for e in range(3):
-        if cs[e] == 0 and cs[(e + 1) % 3] > 0 and cs[(e + 2) % 3] > 0:
-            return ("edge", e)
-    return ("out", -1)
-
-
-def _split_at_edge(t: Triangle, e: int, q: Point2) -> list[Triangle]:
-    a, b, c = t[e], t[(e + 1) % 3], t[(e + 2) % 3]
-    return [(a, q, c), (q, b, c)]
-
-
-def _insert_boundary(tris: list[Triangle], q: Point2) -> list[Triangle]:
-    out: list[Triangle] = []
-    done = False
-    for t in tris:
-        if not done:
-            kind, e = _tri_position(t, q)
-            if kind == "edge":
-                out.extend(_split_at_edge(t, e, q))
-                done = True
-                continue
-        out.append(t)
-    if not done:
-        raise InvariantViolation(f"boundary point {q} not on any triangle edge")
-    return out
-
-
-def _insert_interior(tris: list[Triangle], q: Point2) -> list[Triangle]:
-    hits: list[tuple[int, str, int]] = []
-    for idx, t in enumerate(tris):
-        kind, e = _tri_position(t, q)
-        if kind != "out":
-            hits.append((idx, kind, e))
-    if len(hits) == 1 and hits[0][1] == "in":
-        idx = hits[0][0]
-        a, b, c = tris[idx]
-        return tris[:idx] + [(a, b, q), (b, c, q), (c, a, q)] + tris[idx + 1:]
-    if len(hits) == 2 and all(kind == "edge" for _, kind, _ in hits):
-        out: list[Triangle] = []
-        lookup = {idx: e for idx, _, e in hits}
-        for idx, t in enumerate(tris):
-            if idx in lookup:
-                out.extend(_split_at_edge(t, lookup[idx], q))
-            else:
-                out.append(t)
-        return out
-    raise InvariantViolation(f"interior point {q} lands in {len(hits)} triangles")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ produce identical files and goldens can be diffed byte for byte.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .polygon2d import LatticePolygon, _edges, _on_boundary
+from .polygon2d import LatticePolygon
 
 _GRID = "#cccccc"
 _OUTLINE = "#1f3a5f"
@@ -44,10 +44,10 @@ def render_polygon_svg(poly: LatticePolygon, unit: int = 24) -> str:
     out.append(
         f'<polygon points="{corners}" fill="{_FILL}" stroke="{_OUTLINE}" stroke-width="2"/>'
     )
-    edges = _edges(poly.vertices)
+    interior = set(poly.interior_points)
     for p in poly.lattice_points:
         cx, cy = px(p)
-        color = _BOUNDARY if _on_boundary(p, edges) else _INTERIOR
+        color = _INTERIOR if p in interior else _BOUNDARY
         out.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="{color}"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -36,6 +36,8 @@ from wpoly import (
 from wpoly.cli import main
 from wpoly.errors import DegenerateInputError, PreconditionError
 
+from lattice_oracles import tiling_faults
+
 D_CORPUS = 60
 GENERA = (1, 2, 3, 4, 5)
 
@@ -255,6 +257,15 @@ def test_criterion_6_pick_triangulation_fuzz(g1_classes, g2_classes, record_crit
         f"have exactly 2i+b-2 primitive pieces summing to the area",
     )
     assert ok, violations[:5]
+
+
+def test_fuzzed_triangulations_tile_the_polygons(g1_classes, g2_classes):
+    # piece count, primitivity and total area allow overlapping pieces;
+    # the edge pairing does not
+    faults = []
+    for poly in _sample_polygons(g1_classes, g2_classes, 500):
+        faults.extend(f"{poly.vertices}: {f}" for f in tiling_faults(poly, triangulate(poly)))
+    assert not faults, faults[:5]
 
 
 def test_criterion_7_canonical_fuzz(g1_classes, g2_classes, record_criterion):

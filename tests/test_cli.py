@@ -358,6 +358,35 @@ def test_config_rejects_bad_values(capsys, tmp_path, monkeypatch):
     Path("wpoly.json").write_text(json.dumps({"jobs": 0}))
     code, _, err = run(capsys, "quad", "check", "1", "3", "2", "7")
     assert code == 1
+    # values of the wrong type are refused before any command runs,
+    # naming the file and the key
+    for key, value in [("atlas_dir", 3), ("atlas_dir", ["x"]), ("format", 1),
+                       ("d_max_cap", 40.5), ("jobs", True), ("jobs", "2")]:
+        Path("wpoly.json").write_text(json.dumps({key: value}))
+        code, _, err = run(capsys, "classify", "--genus", "1", "--dmax", "10")
+        assert code == 1, (key, value)
+        assert "wpoly.json" in err and key in err, err
+    assert not Path("atlas").exists()
+    Path("wpoly.json").write_bytes(b'{"jobs": "\xff"}')
+    code, _, err = run(capsys, "quad", "check", "1", "3", "2", "7")
+    assert code == 1
+    assert "wpoly.json" in err and "UTF-8" in err
+
+
+def test_unwritable_svg_path_exits_1_naming_it(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.svg"
+    code, _, err = run(capsys, "poly", "analyze", "1", "3", "2", "7", "--svg", str(target))
+    assert code == 1
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_atlas_dir_under_a_file_exits_1_naming_it(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+    code, _, err = run(capsys, "classify", "--genus", "1", "--dmax", "10",
+                       "--atlas-dir", "afile/sub")
+    assert code == 1
+    assert err.startswith("error: ") and "afile/sub" in err
 
 
 def test_classify_respects_config_cap(capsys, tmp_path, monkeypatch):

@@ -24,6 +24,8 @@ from wpoly import (
 from wpoly.errors import DegenerateInputError, PreconditionError
 from wpoly.polygon2d import _MIRROR, _canonical_cycle, _egcd
 
+from lattice_oracles import on_boundary, tiling_faults
+
 UNIT = [(0, 0), (1, 0), (0, 1)]
 BIG_TRIANGLE = [(0, 0), (3, 0), (0, 3)]
 SQUARE2 = [(0, 0), (2, 0), (2, 2), (0, 2)]
@@ -91,6 +93,32 @@ def test_triangulate_pieces_are_primitive_and_cover():
             assert area2 == 1
             total += area2
         assert total == p.area2
+
+
+def test_tiling_check_catches_overlap_that_counts_allow():
+    # two copies of one half of the unit square: right count, primitive,
+    # right total area, and still no tiling
+    p = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+    pieces = [((0, 0), (1, 0), (1, 1))] * 2
+    assert len(pieces) == 2 * p.i + p.b - 2 == p.area2
+    assert tiling_faults(p, pieces) != []
+    assert tiling_faults(p, triangulate(p)) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+        min_size=3,
+        max_size=9,
+    )
+)
+def test_triangulation_of_random_hulls_tiles_the_polygon(pts):
+    try:
+        p = convex_hull(pts)
+    except DegenerateInputError:
+        return
+    assert tiling_faults(p, triangulate(p)) == []
 
 
 def test_map_composition_and_inverse():
@@ -313,9 +341,12 @@ def test_hull_of_random_points_obeys_pick(pts):
         p = convex_hull(pts)
     except DegenerateInputError:
         return
-    # i and b recomputed directly from the stored point list
-    direct_b = p.b
-    assert p.area2 == 2 * p.i + direct_b - 2
+    # i and b recounted point by point against every edge
+    boundary = [q for q in p.lattice_points if on_boundary(q, p.vertices)]
+    interior = tuple(q for q in p.lattice_points if not on_boundary(q, p.vertices))
+    assert len(boundary) == p.b
+    assert interior == p.interior_points
+    assert p.area2 == 2 * len(interior) + len(boundary) - 2
     assert p.n == p.i + p.b
     assert set(p.vertices) <= set(p.lattice_points)
 
