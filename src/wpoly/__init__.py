@@ -19,7 +19,6 @@ from .classify import (
     group_by_class,
     make_curve,
     map_curve,
-    stabilization_report,
 )
 from .errors import (
     DegenerateInputError,
@@ -30,16 +29,11 @@ from .errors import (
 from .polygon2d import (
     LatticePolygon,
     UnimodularAffineMap,
-    apply_map,
     canonical_form,
     convex_hull,
-    counts,
     equivalent,
-    polygon_from_json_dict,
     project,
     projection_coordinates,
-    random_unimodular_map,
-    triangulate,
 )
 from .quadruples import (
     D_MAX_CAP,
@@ -61,7 +55,6 @@ from .wpolytope import (
     decompose,
     distinguished_triangle,
     find_unimodular_triple,
-    interior_count,
     minor_det,
     verify_case_identities,
 )
@@ -86,12 +79,10 @@ __all__ = [
     "WPolyError",
     "WeightedCurve",
     "WeightedPolytope",
-    "apply_map",
     "basis_change",
     "build",
     "canonical_form",
     "convex_hull",
-    "counts",
     "decompose",
     "distinguished_triangle",
     "enumerate_classes",
@@ -101,19 +92,14 @@ __all__ = [
     "find_unimodular_triple",
     "genus",
     "group_by_class",
-    "interior_count",
     "make_curve",
     "map_curve",
     "minor_det",
-    "polygon_from_json_dict",
     "project",
     "projection_coordinates",
-    "random_unimodular_map",
     "raw_genus",
     "reduce_weights",
     "render_polygon_svg",
-    "stabilization_report",
-    "triangulate",
     "validate",
     "verify_case_identities",
 ]

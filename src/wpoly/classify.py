@@ -612,10 +612,3 @@ def atlas_stabilization(atlas: ClassAtlas, d_steps) -> StabilizationReport:
     return StabilizationReport(
         g=atlas.g, steps=tuple(zip(steps, counts)), growing=growing
     )
-
-
-def stabilization_report(g: int, d_steps, jobs: int = 1) -> StabilizationReport:
-    """Class counts along increasing degree bounds, flagging growth at the end,
-    from one atlas built at the largest bound."""
-    steps = stabilization_steps(d_steps)
-    return atlas_stabilization(group_by_class(g, steps[-1], jobs=jobs), steps)

@@ -311,7 +311,13 @@ def _read_curve_terms(path: str) -> list[tuple[Fraction, tuple[int, ...]]]:
                 f"{path}: term {index} must be an object with 'coef' and "
                 f"'exponents' as a list of three ints"
             )
-        terms.append((Fraction(str(item["coef"])), tuple(expo)))
+        try:
+            coef = Fraction(str(item["coef"]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PreconditionError(
+                f"{path}: term {index} has coef {item['coef']!r}, not a rational number"
+            ) from exc
+        terms.append((coef, tuple(expo)))
     return terms
 
 

@@ -3,20 +3,17 @@
 Everything here runs on integers: convex hulls by monotone chain; one
 row scan that lists the lattice points from the exact edge crossings and
 marks the boundary ones, its counts checked against the edge gcds and
-the area/boundary identity 2*area = 2i + b - 2 (Pick's formula); a
-triangulation into primitive triangles that splits the fan's triangles
-at lattice points until none is left but the corners; and a canonical
-form under affine unimodular equivalence, reflections included: anchor
-each directed edge u->v of the cycle and of its mirror image by
-(x, y) -> (s(x-ux) + t(y-uy), px(y-uy) - py(x-ux)), for (px, py) the
-edge's primitive direction and s*px + t*py = 1, which puts the polygon
-in 0 <= y <= h, shear by (x, y) -> (x - c*y, y) with c = m // h, the one
-shear putting the top row's least x, m, in [0, h), and take the least
-vertex listing.
+the area/boundary identity 2*area = 2i + b - 2 (Pick's formula); and a
+canonical form under affine unimodular equivalence, reflections
+included: anchor each directed edge u->v of the cycle and of its mirror
+image by (x, y) -> (s(x-ux) + t(y-uy), px(y-uy) - py(x-ux)), for
+(px, py) the edge's primitive direction and s*px + t*py = 1, which puts
+the polygon in 0 <= y <= h, shear by (x, y) -> (x - c*y, y) with
+c = m // h, the one shear putting the top row's least x, m, in [0, h),
+and take the least vertex listing.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import gcd
 
@@ -24,7 +21,6 @@ from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 from .wpolytope import Point3, WeightedPolytope, decompose
 
 Point2 = tuple[int, int]
-Triangle = tuple[Point2, Point2, Point2]
 
 
 def _cross(o: Point2, a: Point2, b: Point2) -> int:
@@ -97,10 +93,6 @@ class UnimodularAffineMap:
     def det(self) -> int:
         (a, b), (c, d) = self.linear
         return a * d - b * c
-
-    @classmethod
-    def identity(cls) -> "UnimodularAffineMap":
-        return cls(((1, 0), (0, 1)), (0, 0))
 
     def apply(self, p: Point2) -> Point2:
         (a, b), (c, d) = self.linear
@@ -244,66 +236,6 @@ def convex_hull(points: list[Point2] | tuple[Point2, ...]) -> LatticePolygon:
     return _build_polygon(_hull_cycle([tuple(p) for p in points]))
 
 
-def counts(poly: LatticePolygon) -> tuple[int, int]:
-    """(interior, boundary) counts; cross-checked when the polygon was built."""
-    return (poly.i, poly.b)
-
-
-def polygon_from_json_dict(data: dict) -> LatticePolygon:
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise DegenerateInputError("polygon JSON must have a 'vertices' key")
-    return convex_hull([tuple(v) for v in data["vertices"]])
-
-
-# ---------------------------------------------------------------------------
-# triangulation
-
-
-def triangulate(poly: LatticePolygon) -> tuple[Triangle, ...]:
-    """Split the polygon into primitive lattice triangles.
-
-    Start from the fan off the first vertex.  Take a triangle off a stack
-    and look for a lattice point of the polygon in the closed triangle
-    that is not a corner.  If there is one, q, replace the triangle by
-    those of its sub-triangles towards q that have positive area (two
-    when q lies on an edge), each handed only its parent's points;
-    otherwise keep it.  Each split tiles its parent, so the kept pieces
-    tile the polygon.  A kept piece holds no lattice point but its
-    corners, so two triangles sharing an edge both end up cut at every
-    lattice point of that edge and their pieces meet along it edge to
-    edge: the result is a triangulation.  It has exactly 2i + b - 2
-    triangles, each of twice-area 1.
-    """
-    verts = poly.vertices
-    stack = [
-        ((verts[0], verts[s], verts[s + 1]), poly.lattice_points)
-        for s in range(1, len(verts) - 1)
-    ]
-    tris: list[Triangle] = []
-    while stack:
-        (a, b, c), points = stack.pop()
-        inside = [
-            p for p in points
-            if _cross(a, b, p) >= 0 and _cross(b, c, p) >= 0 and _cross(c, a, p) >= 0
-        ]
-        q = next((p for p in inside if p not in (a, b, c)), None)
-        if q is None:
-            tris.append((a, b, c))
-            continue
-        for child in ((a, b, q), (b, c, q), (c, a, q)):
-            if _cross(*child) > 0:
-                stack.append((child, inside))
-    expected = 2 * poly.i + poly.b - 2
-    if len(tris) != expected:
-        raise InvariantViolation(
-            f"triangulation produced {len(tris)} pieces, expected {expected}"
-        )
-    for t in tris:
-        if _cross(t[0], t[1], t[2]) != 1:
-            raise InvariantViolation(f"non-primitive piece {t}")
-    return tuple(tris)
-
-
 # ---------------------------------------------------------------------------
 # canonical form and equivalence
 
@@ -378,35 +310,6 @@ def equivalent(p1: LatticePolygon, p2: LatticePolygon) -> tuple[bool, Unimodular
     return (True, witness)
 
 
-def random_unimodular_map(seed: int, size: int) -> UnimodularAffineMap:
-    """Deterministic fuzzing map: `size` elementary shears, an optional
-    axis swap (only when size >= 2), and a translation bounded by size."""
-    if size < 0:
-        raise PreconditionError(f"size must be >= 0, got {size}")
-    if size == 0:
-        return UnimodularAffineMap.identity()
-    rng = random.Random(seed)
-    m = UnimodularAffineMap.identity()
-    for _ in range(size):
-        t = rng.choice([-3, -2, -1, 1, 2, 3])
-        if rng.random() < 0.5:
-            step = UnimodularAffineMap(((1, t), (0, 1)), (0, 0))
-        else:
-            step = UnimodularAffineMap(((1, 0), (t, 1)), (0, 0))
-        m = step.compose(m)
-    if size >= 2 and rng.random() < 0.5:
-        m = UnimodularAffineMap(((0, 1), (1, 0)), (0, 0)).compose(m)
-    shift = UnimodularAffineMap(
-        ((1, 0), (0, 1)), (rng.randint(-size, size), rng.randint(-size, size))
-    )
-    return shift.compose(m)
-
-
-def apply_map(poly: LatticePolygon, m: UnimodularAffineMap) -> LatticePolygon:
-    """Image polygon under an affine unimodular map."""
-    return convex_hull([m.apply(p) for p in poly.vertices])
-
-
 # ---------------------------------------------------------------------------
 # projection from the degree plane to Z^2
 
@@ -422,8 +325,7 @@ def projection_coordinates(
     """
     images: list[Point2] = []
     for row in p.points:
-        dec = decompose(p, triple, row)
-        a1, a2, a3 = dec.alphas
+        a1, a2, a3 = decompose(p, triple, row)
         if a1 + a2 + a3 != 1:
             raise InvariantViolation(
                 f"{p.quadruple}: affine coefficients of {row} sum to {a1 + a2 + a3}"

@@ -9,6 +9,7 @@ integer genus computed from the degree and weights in exact arithmetic.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -291,8 +292,8 @@ def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
     only the few w2 the prunes leave, in place of the O(d^3) triples of a
     brute scan: g = 1, 2, 3 together take about 0.2 s at d_max = 120 and
     1.5 s at d_max = 240 with jobs = 1 (Python 3.11, Intel Xeon).  With
-    jobs > 1 each degree is one task for a pool of worker processes; the
-    merge keeps the same order.
+    jobs > 1 each degree is one task for a pool of worker processes, at
+    most one per CPU and per degree; the merge keeps the same order.
     """
     if g < 1:
         raise PreconditionError(f"g must be >= 1, got {g}")
@@ -303,9 +304,10 @@ def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
     if jobs < 1:
         raise PreconditionError(f"jobs must be >= 1, got {jobs}")
     scan, degrees = partial(_scan_degree, g), range(3, d_max + 1)
-    if jobs == 1:
+    workers = min(jobs, os.cpu_count() or 1, len(degrees))
+    if workers <= 1:
         parts = map(scan, degrees)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(scan, degrees))
     return [q for part in parts for q in part]

@@ -4,9 +4,10 @@ For a good quadruple (w0, w1, w2, d) the polytope P collects every
 exponent vector (a, b, c) >= 0 with a*w0 + b*w1 + c*w2 = d.  Its point
 matrix M(P) has the points as rows in ascending lexicographic order.
 Key facts exercised here: the number of interior points equals the
-genus, every 3x3 minor of M(P) is divisible by d, some triple of rows
-has |det| exactly d, and a distinguished triple of near-axis points
-falls into one of seven cases with a predictable determinant.
+genus, which build() checks for every polytope; every 3x3 minor of M(P)
+is divisible by d; some triple of rows has |det| exactly d; and a
+distinguished triple of near-axis points falls into one of seven cases
+with a predictable determinant.
 """
 from __future__ import annotations
 
@@ -79,13 +80,6 @@ class CaseReport:
         }
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Integer coefficients writing a target point over a row triple."""
-
-    alphas: tuple[int, int, int]
-
-
 def minor_det(v1: Point3, v2: Point3, v3: Point3) -> int:
     """Exact 3x3 determinant of the three points as rows."""
     a, b, c = v1
@@ -97,9 +91,11 @@ def minor_det(v1: Point3, v2: Point3, v3: Point3) -> int:
 def build(q: Quadruple) -> WeightedPolytope:
     """Enumerate the polytope of a good quadruple.
 
-    Points come out in ascending lex order by construction.  For g >= 1
-    the point count is checked against the hard bound n <= 3g + 7;
-    hitting 3g + 7 itself is legal but flagged as exceptional.
+    Points come out in ascending lex order by construction.  The
+    interior points, those with every coordinate >= 1, must number exactly
+    the genus validate() derives from the weights.  For g >= 1 the point
+    count is checked against the hard bound n <= 3g + 7; hitting 3g + 7
+    itself is legal but flagged as exceptional.
     """
     report = validate(q)
     if not report.is_good:
@@ -117,6 +113,10 @@ def build(q: Quadruple) -> WeightedPolytope:
     interior = tuple(p for p in points if p[0] >= 1 and p[1] >= 1 and p[2] >= 1)
     n = len(points)
     g = report.genus
+    if len(interior) != g:
+        raise InvariantViolation(
+            f"{q}: {len(interior)} interior points but genus {g}"
+        )
     if g >= 1 and n > _soft_bound(g) + 1:
         raise InvariantViolation(
             f"{q}: point count {n} exceeds the hard bound {_soft_bound(g) + 1}"
@@ -129,30 +129,6 @@ def build(q: Quadruple) -> WeightedPolytope:
         genus=g,
         exceptional_bound=g >= 1 and n > _soft_bound(g),
     )
-
-
-def interior_count(p: WeightedPolytope) -> int:
-    """Interior point count, verified by an independent shifted count.
-
-    A point is interior exactly when all coordinates are >= 1, i.e. when
-    (a-1, b-1, c-1) >= 0 solves the degree equation with right side
-    d - w0 - w1 - w2.  Both counts must agree.
-    """
-    w0, w1, w2 = p.quadruple.weights
-    target = p.quadruple.d - w0 - w1 - w2
-    shifted = 0
-    if target >= 0:
-        for a in range(target // w0 + 1):
-            rest_a = target - a * w0
-            for b in range(rest_a // w1 + 1):
-                if (rest_a - b * w1) % w2 == 0:
-                    shifted += 1
-    direct = len(p.interior)
-    if shifted != direct:
-        raise InvariantViolation(
-            f"{p.quadruple}: interior counts disagree ({direct} direct, {shifted} shifted)"
-        )
-    return direct
 
 
 def find_unimodular_triple(p: WeightedPolytope) -> tuple[Point3, Point3, Point3]:
@@ -388,8 +364,8 @@ def decompose(
     p: WeightedPolytope,
     triple: tuple[Point3, Point3, Point3],
     target: Point3,
-) -> Decomposition:
-    """Write target = sum alpha_i * triple_i with integer alphas (Cramer).
+) -> tuple[int, int, int]:
+    """The integer alphas with target = sum alpha_i * triple_i (Cramer).
 
     The triple must have |det| == d and the target must solve the degree
     equation for a positive multiple of d.  Non-integer coefficients are
@@ -425,4 +401,4 @@ def decompose(
         raise InvariantViolation(
             f"{q}: decomposition of {target} does not reconstruct the target"
         )
-    return Decomposition(alphas=tuple(alphas))
+    return tuple(alphas)

@@ -1,6 +1,15 @@
-"""Brute-force lattice checks shared by the polygon and acceptance tests."""
+"""Brute-force lattice checks and fuzzing helpers shared by the tests.
+
+None of these is on a program path: the triangulation, the random
+unimodular maps and the shifted interior recount only check what the
+package computes.
+"""
+import random
 from collections import Counter
 from math import gcd
+
+from wpoly import UnimodularAffineMap, convex_hull
+from wpoly.errors import InvariantViolation, PreconditionError
 
 
 def _cross(o, a, b):
@@ -49,3 +58,107 @@ def tiling_faults(poly, tris):
     if unused:
         faults.append(f"boundary segments no piece has as an edge: {sorted(unused)}")
     return faults
+
+
+Triangle = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+
+IDENTITY = UnimodularAffineMap(((1, 0), (0, 1)), (0, 0))
+
+
+def triangulate(poly) -> tuple[Triangle, ...]:
+    """Split the polygon into primitive lattice triangles.
+
+    Start from the fan off the first vertex.  Take a triangle off a stack
+    and look for a lattice point of the polygon in the closed triangle
+    that is not a corner.  If there is one, q, replace the triangle by
+    those of its sub-triangles towards q that have positive area (two
+    when q lies on an edge), each handed only its parent's points;
+    otherwise keep it.  Each split tiles its parent, so the kept pieces
+    tile the polygon.  A kept piece holds no lattice point but its
+    corners, so two triangles sharing an edge both end up cut at every
+    lattice point of that edge and their pieces meet along it edge to
+    edge: the result is a triangulation.  It has exactly 2i + b - 2
+    triangles, each of twice-area 1.
+    """
+    verts = poly.vertices
+    stack = [
+        ((verts[0], verts[s], verts[s + 1]), poly.lattice_points)
+        for s in range(1, len(verts) - 1)
+    ]
+    tris: list[Triangle] = []
+    while stack:
+        (a, b, c), points = stack.pop()
+        inside = [
+            p for p in points
+            if _cross(a, b, p) >= 0 and _cross(b, c, p) >= 0 and _cross(c, a, p) >= 0
+        ]
+        q = next((p for p in inside if p not in (a, b, c)), None)
+        if q is None:
+            tris.append((a, b, c))
+            continue
+        for child in ((a, b, q), (b, c, q), (c, a, q)):
+            if _cross(*child) > 0:
+                stack.append((child, inside))
+    expected = 2 * poly.i + poly.b - 2
+    if len(tris) != expected:
+        raise InvariantViolation(
+            f"triangulation produced {len(tris)} pieces, expected {expected}"
+        )
+    for t in tris:
+        if _cross(t[0], t[1], t[2]) != 1:
+            raise InvariantViolation(f"non-primitive piece {t}")
+    return tuple(tris)
+
+
+def random_unimodular_map(seed: int, size: int) -> UnimodularAffineMap:
+    """Deterministic fuzzing map: `size` elementary shears, an optional
+    axis swap (only when size >= 2), and a translation bounded by size."""
+    if size < 0:
+        raise PreconditionError(f"size must be >= 0, got {size}")
+    if size == 0:
+        return IDENTITY
+    rng = random.Random(seed)
+    m = IDENTITY
+    for _ in range(size):
+        t = rng.choice([-3, -2, -1, 1, 2, 3])
+        if rng.random() < 0.5:
+            step = UnimodularAffineMap(((1, t), (0, 1)), (0, 0))
+        else:
+            step = UnimodularAffineMap(((1, 0), (t, 1)), (0, 0))
+        m = step.compose(m)
+    if size >= 2 and rng.random() < 0.5:
+        m = UnimodularAffineMap(((0, 1), (1, 0)), (0, 0)).compose(m)
+    shift = UnimodularAffineMap(
+        ((1, 0), (0, 1)), (rng.randint(-size, size), rng.randint(-size, size))
+    )
+    return shift.compose(m)
+
+
+def apply_map(poly, m: UnimodularAffineMap):
+    """Image polygon under an affine unimodular map."""
+    return convex_hull([m.apply(p) for p in poly.vertices])
+
+
+def interior_count(p) -> int:
+    """Interior point count of a polytope, verified by an independent
+    shifted count.
+
+    A point is interior exactly when all coordinates are >= 1, i.e. when
+    (a-1, b-1, c-1) >= 0 solves the degree equation with right side
+    d - w0 - w1 - w2.  Both counts must agree.
+    """
+    w0, w1, w2 = p.quadruple.weights
+    target = p.quadruple.d - w0 - w1 - w2
+    shifted = 0
+    if target >= 0:
+        for a in range(target // w0 + 1):
+            rest_a = target - a * w0
+            for b in range(rest_a // w1 + 1):
+                if (rest_a - b * w1) % w2 == 0:
+                    shifted += 1
+    direct = len(p.interior)
+    if shifted != direct:
+        raise InvariantViolation(
+            f"{p.quadruple}: interior counts disagree ({direct} direct, {shifted} shifted)"
+        )
+    return direct

@@ -21,7 +21,6 @@ from wpoly import (
     make_curve,
     map_curve,
     project,
-    stabilization_report,
 )
 from wpoly import classify, polygon2d
 from wpoly.classify import (
@@ -32,6 +31,7 @@ from wpoly.classify import (
     _inductive_cycles,
     _vertex_keys,
     atlas_stabilization,
+    stabilization_steps,
 )
 from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
 from wpoly.polygon2d import (
@@ -40,8 +40,9 @@ from wpoly.polygon2d import (
     _hull_cycle,
     _pick_counts,
     convex_hull,
-    random_unimodular_map,
 )
+
+from lattice_oracles import random_unimodular_map
 
 G1_CLASS_COUNT = 16
 G2_CLASS_COUNT = 45
@@ -533,17 +534,21 @@ def test_map_curve_rejects_mismatched_basis_change():
         map_curve(curve, bc)
 
 
+def _stabilization(g, steps):
+    return atlas_stabilization(group_by_class(g, steps[-1]), steps)
+
+
 def test_stabilization_report():
-    report = stabilization_report(1, [3, 7])
+    report = _stabilization(1, [3, 7])
     assert report.steps == ((3, 1), (7, 4))
     assert report.growing
-    stable = stabilization_report(1, [20, 30])
+    stable = _stabilization(1, [20, 30])
     assert not stable.growing
     assert stable.to_dict()["growing"] is False
     with pytest.raises(PreconditionError):
-        stabilization_report(1, [10, 10])
+        stabilization_steps([10, 10])
     with pytest.raises(PreconditionError):
-        stabilization_report(1, [])
+        stabilization_steps([])
 
 
 @pytest.mark.parametrize(
@@ -551,7 +556,7 @@ def test_stabilization_report():
     [(1, [3, 7, 15, 30, 60], [1, 4, 6, 8, 8], False), (2, [10, 40, 90], [4, 13, 14], True)],
 )
 def test_stabilization_matches_one_atlas_per_step(g, steps, counts, growing):
-    report = stabilization_report(g, steps)
+    report = _stabilization(g, steps)
     assert report.steps == tuple(zip(steps, counts))
     assert report.growing is growing
     assert counts == [len(group_by_class(g, step).classes) for step in steps]
@@ -569,7 +574,7 @@ def test_atlas_up_to_equals_the_smaller_atlas(g, d_max):
 
 def test_atlas_stabilization_stays_within_the_atlas():
     atlas = group_by_class(1, 30)
-    assert atlas_stabilization(atlas, [3, 7, 30]) == stabilization_report(1, [3, 7, 30])
+    assert atlas_stabilization(atlas, [3, 7, 30]).steps == ((3, 1), (7, 4), (30, 8))
     with pytest.raises(PreconditionError):
         atlas_stabilization(atlas, [3, 31])
     with pytest.raises(PreconditionError):
@@ -577,7 +582,7 @@ def test_atlas_stabilization_stays_within_the_atlas():
 
 
 def test_stabilization_counts_monotone_and_bounded():
-    report = stabilization_report(1, [3, 7, 15, 30])
+    report = _stabilization(1, [3, 7, 15, 30])
     counts = [c for _, c in report.steps]
     assert counts == sorted(counts)
     assert counts[-1] <= G1_CLASS_COUNT

@@ -9,9 +9,9 @@ from wpoly import (
     Quadruple,
     enumerate_classes,
     group_by_class,
-    stabilization_report,
     validate,
 )
+from wpoly.classify import atlas_stabilization
 from wpoly.cli import main
 
 
@@ -296,8 +296,15 @@ def test_map_curve_golden_on_symmetric_class(capsys, argv):
     ({"terms": [["1", [7, 0, 0]]]}, "term 0 "),
     ({"terms": [{"coef": "1", "exponents": [7, 0]}]}, "term 0 "),
     ({"terms": [{"coef": "1", "exponents": [True, 2, 0]}]}, "term 0 "),
+    ({"terms": [{"coef": "1/0", "exponents": [7, 0, 0]}]}, "term 0 "),
+    ({"terms": [{"coef": "abc", "exponents": [7, 0, 0]}]}, "term 0 "),
+    ({"terms": [{"coef": None, "exponents": [7, 0, 0]}]}, "term 0 "),
+    ({"terms": [{"coef": True, "exponents": [7, 0, 0]}]}, "term 0 "),
+    ({"terms": [{"coef": "1", "exponents": [7, 0, 0]}, {"coef": [1], "exponents": [0, 1, 2]}]},
+     "term 1 "),
 ], ids=["no-exponents", "scalar-exponents", "terms-object", "list-term", "two-exponents",
-        "bool-exponent"])
+        "bool-exponent", "zero-denominator-coef", "word-coef", "null-coef", "bool-coef",
+        "list-coef"])
 def test_map_curve_malformed_file_exits_1(capsys, tmp_path, body, where):
     curve_file = tmp_path / "curve.json"
     curve_file.write_text(json.dumps(body))
@@ -423,7 +430,8 @@ def test_classify_stabilize_builds_one_atlas_with_the_same_bytes(
     assert calls == [(1, max(dmax, int(steps.split(",")[-1])))]
     out = out.replace("stab", "plain")
     assert out.startswith(plain)
-    report = stabilization_report(1, [int(s) for s in steps.split(",")])
+    step_list = [int(s) for s in steps.split(",")]
+    report = atlas_stabilization(group_by_class(1, step_list[-1]), step_list)
     assert out[len(plain):].splitlines() == [
         *(f"d<={d}: {c} classes" for d, c in report.steps),
         f"still growing at last step: {report.growing}",

@@ -1,4 +1,5 @@
-"""Hulls, lattice counts, triangulation, canonical forms, projections."""
+"""Hulls, lattice counts, canonical forms, projections, and the
+triangulation oracle."""
 from math import gcd
 
 import pytest
@@ -8,23 +9,25 @@ from hypothesis import strategies as st
 from wpoly import (
     Quadruple,
     UnimodularAffineMap,
-    apply_map,
     build,
     canonical_form,
     convex_hull,
-    counts,
     equivalent,
     find_unimodular_triple,
-    polygon_from_json_dict,
     project,
     projection_coordinates,
-    random_unimodular_map,
-    triangulate,
 )
 from wpoly.errors import DegenerateInputError, PreconditionError
 from wpoly.polygon2d import _MIRROR, _canonical_cycle, _egcd
 
-from lattice_oracles import on_boundary, tiling_faults
+from lattice_oracles import (
+    IDENTITY,
+    apply_map,
+    on_boundary,
+    random_unimodular_map,
+    tiling_faults,
+    triangulate,
+)
 
 UNIT = [(0, 0), (1, 0), (0, 1)]
 BIG_TRIANGLE = [(0, 0), (3, 0), (0, 3)]
@@ -56,9 +59,10 @@ def test_hull_rejects_degenerate_input():
 
 
 def test_counts_frozen():
-    assert counts(convex_hull(BIG_TRIANGLE)) == (1, 9)
-    assert counts(convex_hull(SQUARE2)) == (1, 8)
-    assert counts(convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])) == (0, 4)
+    for pts, counts in ((BIG_TRIANGLE, (1, 9)), (SQUARE2, (1, 8)),
+                        ([(0, 0), (1, 0), (1, 1), (0, 1)], (0, 4))):
+        p = convex_hull(pts)
+        assert (p.i, p.b) == counts
 
 
 def test_lattice_points_of_thin_slanted_triangle():
@@ -233,7 +237,7 @@ def _reference_anchor_map(u, v, cycle):
 def _reference_canonical_cycle(vertices):
     """Oracle: least listing over every anchoring, map by map composition."""
     bases = [
-        (vertices, UnimodularAffineMap.identity()),
+        (vertices, IDENTITY),
         (tuple(_MIRROR.apply(p) for p in reversed(vertices)), _MIRROR),
     ]
     best = best_map = None
@@ -289,7 +293,7 @@ def test_canonical_kernel_matches_reference(pts):
 
 def test_random_map_deterministic_per_seed():
     assert random_unimodular_map(7, 3) == random_unimodular_map(7, 3)
-    assert random_unimodular_map(0, 0) == UnimodularAffineMap.identity()
+    assert random_unimodular_map(0, 0) == IDENTITY
 
 
 def test_projection_coordinates_frozen():
@@ -325,7 +329,7 @@ def test_polygon_json_roundtrip():
     p = convex_hull(SQUARE2)
     d = p.to_json_dict()
     assert d == {"vertices": [[0, 0], [2, 0], [2, 2], [0, 2]]}
-    assert polygon_from_json_dict(d).vertices == p.vertices
+    assert convex_hull([tuple(v) for v in d["vertices"]]).vertices == p.vertices
 
 
 @settings(max_examples=120, deadline=None)

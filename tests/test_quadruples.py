@@ -18,6 +18,7 @@ from wpoly import (
     reduce_weights,
     validate,
 )
+from wpoly import quadruples
 from wpoly.errors import PreconditionError
 from wpoly.quadruples import (
     _condition_i_witness,
@@ -185,6 +186,36 @@ def test_enumerate_parallel_matches_serial():
     serial = enumerate_g_good(1, 40)
     parallel = enumerate_g_good(1, 40, jobs=4)
     assert serial == parallel
+
+
+def test_enumerate_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # a fake executor records the pool size and maps serially, so no
+    # process starts however large jobs is
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(quadruples, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(quadruples.os, "cpu_count", lambda: 2)
+    assert enumerate_g_good(1, 40, jobs=10_000) == enumerate_g_good(1, 40)
+    assert sizes == [2]
+    monkeypatch.setattr(quadruples.os, "cpu_count", lambda: 8)
+    assert enumerate_g_good(1, 5, jobs=10_000) == enumerate_g_good(1, 5)
+    assert sizes == [2, 3]  # one worker per degree 3, 4, 5
+    monkeypatch.setattr(quadruples.os, "cpu_count", lambda: None)
+    assert enumerate_g_good(1, 40, jobs=10_000) == enumerate_g_good(1, 40)
+    assert sizes == [2, 3]  # an unknown CPU count scans serially
 
 
 def test_enumerate_rejects_bad_args():

@@ -1,4 +1,5 @@
 """Polytope construction, minors, case identities, decompositions."""
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -12,11 +13,15 @@ from wpoly import (
     distinguished_triangle,
     enumerate_g_good,
     find_unimodular_triple,
-    interior_count,
+    group_by_class,
     minor_det,
     verify_case_identities,
 )
+from wpoly import wpolytope
+from wpoly.cli import main
 from wpoly.errors import InvariantViolation, PreconditionError
+
+from lattice_oracles import interior_count
 
 # one hand-checked instance per case tag
 CASE_INSTANCES = {
@@ -179,17 +184,17 @@ def test_decompose_frozen_values():
     p = build(Quadruple(1, 3, 2, 7))
     t = find_unimodular_triple(p)
     assert t == ((0, 1, 2), (1, 0, 3), (1, 2, 0))
-    assert decompose(p, t, (7, 0, 0)).alphas == (-6, 4, 3)
+    assert decompose(p, t, (7, 0, 0)) == (-6, 4, 3)
     p3 = build(Quadruple(1, 1, 1, 3))
     t3 = find_unimodular_triple(p3)
-    assert decompose(p3, t3, (2, 2, 2)).alphas == (-2, 2, 2)
+    assert decompose(p3, t3, (2, 2, 2)) == (-2, 2, 2)
 
 
 def test_decompose_over_alternative_triple():
     # any row triple with |det| = d works, not just the lex-first one
     p = build(Quadruple(1, 3, 2, 7))
     t = ((4, 1, 0), (2, 1, 1), (1, 2, 0))
-    assert decompose(p, t, (7, 0, 0)).alphas == (2, 0, -1)
+    assert decompose(p, t, (7, 0, 0)) == (2, 0, -1)
 
 
 def test_decompose_alpha_sum_equals_degree_multiple():
@@ -198,7 +203,7 @@ def test_decompose_alpha_sum_equals_degree_multiple():
     t = find_unimodular_triple(p)
     for mult in (1, 2, 3):
         target = (mult * q.d, 0, 0)
-        assert sum(decompose(p, t, target).alphas) == mult
+        assert sum(decompose(p, t, target)) == mult
 
 
 def test_decompose_rejects_bad_inputs():
@@ -218,8 +223,7 @@ def test_every_point_decomposes_over_lex_triple():
             p = build(q)
             t = find_unimodular_triple(p)
             for pt in p.points:
-                dec = decompose(p, t, pt)
-                assert sum(dec.alphas) == 1, (q, pt)
+                assert sum(decompose(p, t, pt)) == 1, (q, pt)
 
 
 @settings(max_examples=150, deadline=None)
@@ -240,3 +244,22 @@ def test_point_count_bound_holds_everywhere(w0, w1, w2, d):
     else:
         assert p.interior == ()
         assert interior_count(p) == 0
+
+
+def test_build_checks_interior_count_against_the_genus(monkeypatch, tmp_path, capsys):
+    # a genus off by one from the weights' report must not slip through
+    # build into an atlas; it is a bug, so the CLI exits 2
+    validate = wpolytope.validate
+
+    def off_by_one(q):
+        report = validate(q)
+        return dataclasses.replace(report, genus=report.genus + 1)
+
+    monkeypatch.setattr(wpolytope, "validate", off_by_one)
+    message = r"^\(\d+,\d+,\d+;\d+\): 1 interior points but genus 2$"
+    with pytest.raises(InvariantViolation, match=message):
+        group_by_class(1, 20)
+    monkeypatch.chdir(tmp_path)
+    assert main(["classify", "--genus", "1", "--dmax", "20"]) == 2
+    assert "interior points but genus" in capsys.readouterr().err
+    assert not (tmp_path / "atlas").exists()
