@@ -25,12 +25,13 @@ from .polygon2d import (
     _hull_cycle,
     _pick_counts,
     _projected_hull,
+    _row_coordinates,
     equivalent,
     project,
     projection_coordinates,
 )
 from .quadruples import Quadruple, enumerate_g_good
-from .wpolytope import Point3, build, find_unimodular_triple, minor_det
+from .wpolytope import Point3, _triple_solver, build, find_unimodular_triple
 
 
 @dataclass(frozen=True)
@@ -395,29 +396,24 @@ class BasisChange:
     row_map: tuple[int, ...]
 
 
-def _adjugate3(m: tuple[Point3, Point3, Point3]) -> list[list[int]]:
-    (a, b, c), (d, e, f), (g_, h, i) = m
-    return [
-        [e * i - f * h, -(b * i - c * h), b * f - c * e],
-        [-(d * i - f * g_), a * i - c * g_, -(a * f - c * d)],
-        [d * h - e * g_, -(a * h - b * g_), a * e - b * d],
-    ]
-
-
 def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     """Coordinate change between two quadruples of one polygon class.
 
     Both quadruples are projected through their first determinant-d
     triples, and the witness from `equivalent`, which carries the first
     projected polygon onto the second, pairs their rows.  Quadruples of
-    different classes are a precondition failure.  The returned matrix is
-    verified on every row.
+    different classes are a precondition failure.  The source triple T is
+    inverted once, as its adjugate adj over its determinant, for its
+    projection and for the matrix T^-1 * R_to = adj * R_to / det, R_to the
+    rows paired with T; its denominators divide d because |det| = d.  Each
+    row is verified in integers: row * (adj * R_to) = det * paired row.
     """
     p_from = build(q_from)
     p_to = build(q_to)
     t_from = find_unimodular_triple(p_from)
     t_to = find_unimodular_triple(p_to)
-    images_from = projection_coordinates(p_from, t_from)
+    adj, det, solve = _triple_solver(q_from, t_from)
+    images_from = _row_coordinates(p_from, t_from, solve)
     images_to = projection_coordinates(p_to, t_to)
     same, witness = equivalent(
         _projected_hull(p_from, images_from), _projected_hull(p_to, images_to)
@@ -437,36 +433,19 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
         row_map.append(j)
     if len(set(row_map)) != p_from.n:
         raise InvariantViolation("witness-induced row correspondence is not bijective")
-    det = minor_det(*t_from)
-    adj = _adjugate3(t_from)
-    rows_to = [
-        p_to.points[row_map[p_from.points.index(t_from[k])]] for k in range(3)
+    rows_to = [p_to.points[row_map[p_from.points.index(t)]] for t in t_from]
+    scaled = [
+        [sum(a * r[c] for a, r in zip(adj_row, rows_to)) for c in range(3)] for adj_row in adj
     ]
-    matrix = tuple(
-        tuple(
-            Fraction(
-                sum(adj[r][k] * rows_to[k][c] for k in range(3)), det
-            )
-            for c in range(3)
-        )
-        for r in range(3)
-    )
+    matrix = tuple(tuple(Fraction(x, det) for x in row) for row in scaled)
     d = q_from.d
-    for row in matrix:
-        for entry in row:
-            if (entry * d).denominator != 1:
-                raise InvariantViolation(
-                    f"basis change entry {entry} has denominator not dividing {d}"
-                )
-    for idx, row in enumerate(p_from.points):
-        image = tuple(
-            sum(Fraction(row[k]) * matrix[k][c] for k in range(3)) for c in range(3)
-        )
-        expected = p_to.points[row_map[idx]]
-        if image != tuple(Fraction(x) for x in expected):
-            raise InvariantViolation(
-                f"basis change does not carry row {row} to {expected}"
-            )
+    bad = [entry for row in matrix for entry in row if d % entry.denominator]
+    if bad:
+        raise InvariantViolation(f"basis change entry {bad[0]} has denominator not dividing {d}")
+    for row, j in zip(p_from.points, row_map):
+        image = [sum(x * s[c] for x, s in zip(row, scaled)) for c in range(3)]
+        if image != [det * x for x in p_to.points[j]]:
+            raise InvariantViolation(f"basis change does not carry row {row} to {p_to.points[j]}")
     return BasisChange(
         q_from=q_from,
         q_to=q_to,

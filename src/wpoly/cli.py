@@ -18,7 +18,8 @@ unwritable output path; 2 is reserved for violations of derived
 invariants (never for user error).
 
 Curve files are JSON: {"terms": [{"coef": "5" or "3/2", "exponents":
-[a, b, c]}, ...]} with each monomial of full weighted degree.
+[a, b, c]}, ...]} with each monomial of full weighted degree; a coef in
+exponent notation, such as "1e3", is refused.
 """
 from __future__ import annotations
 
@@ -293,8 +294,11 @@ def _read_curve_terms(path: str) -> list[tuple[Fraction, tuple[int, ...]]]:
     """(coef, exponents) pairs of a curve file; a malformed file or item
     is a precondition failure naming the file and the item's index."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # a JSON float stays its own text, so that a coef reads exactly
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=str)
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, or an int past Python's
+        # digit limit for string conversion
         raise PreconditionError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("terms"), list):
         raise PreconditionError(f"{path}: expected an object with a 'terms' list")
@@ -311,12 +315,20 @@ def _read_curve_terms(path: str) -> list[tuple[Fraction, tuple[int, ...]]]:
                 f"{path}: term {index} must be an object with 'coef' and "
                 f"'exponents' as a list of three ints"
             )
+        text = str(item["coef"])
         try:
-            coef = Fraction(str(item["coef"]))
-        except (ValueError, ZeroDivisionError) as exc:
+            # exponent notation is refused before Fraction builds 10**exponent
+            coef = None if "e" in text.lower() else Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            coef = None
+        if coef is None:
+            shown = repr(item["coef"])
+            if len(shown) > 40:
+                shown = f"{shown[:30]}... ({len(text)} characters)"
             raise PreconditionError(
-                f"{path}: term {index} has coef {item['coef']!r}, not a rational number"
-            ) from exc
+                f"{path}: term {index} has coef {shown}, not a rational number "
+                f"such as 3/2, -1 or 0.5 (exponent notation is refused)"
+            )
         terms.append((coef, tuple(expo)))
     return terms
 

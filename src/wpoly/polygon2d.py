@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
-from .wpolytope import Point3, WeightedPolytope, decompose
+from .wpolytope import Point3, WeightedPolytope, _triple_solver
 
 Point2 = tuple[int, int]
 
@@ -321,11 +321,17 @@ def projection_coordinates(
 
     Writing a row as alpha1*t1 + alpha2*t2 + alpha3*t3 forces
     alpha1 + alpha2 + alpha3 = 1, so the first two coefficients identify
-    the row; they are the row's coordinates after projection.
+    the row; they are the row's coordinates after projection.  The triple
+    is inverted once, as adj/det with |det| = d, for all the rows.
     """
+    return _row_coordinates(p, triple, _triple_solver(p.quadruple, triple)[2])
+
+
+def _row_coordinates(p: WeightedPolytope, triple, solve) -> list[Point2]:
+    """projection_coordinates through an inverted triple's solve."""
     images: list[Point2] = []
     for row in p.points:
-        a1, a2, a3 = decompose(p, triple, row)
+        a1, a2, a3 = solve(row)
         if a1 + a2 + a3 != 1:
             raise InvariantViolation(
                 f"{p.quadruple}: affine coefficients of {row} sum to {a1 + a2 + a3}"

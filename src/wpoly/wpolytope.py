@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 from .quadruples import Quadruple, validate
 
 Point3 = tuple[int, int, int]
@@ -132,8 +132,16 @@ def build(q: Quadruple) -> WeightedPolytope:
 
 
 def find_unimodular_triple(p: WeightedPolytope) -> tuple[Point3, Point3, Point3]:
-    """First row triple (by sorted row-index order) with |det| == d."""
+    """First row triple (by sorted row-index order) with |det| == d.
+
+    A polytope of fewer than three points, which some genus-0 quadruples
+    have, holds no triple: that is degenerate input, not a violation.
+    """
     d = p.quadruple.d
+    if p.n < 3:
+        raise DegenerateInputError(
+            f"{p.quadruple}: only {p.n} polytope points, no row triple to project through"
+        )
     pts = p.points
     for i, j, k in combinations(range(p.n), 3):
         if abs(minor_det(pts[i], pts[j], pts[k])) == d:
@@ -360,23 +368,54 @@ def verify_case_identities(p: WeightedPolytope) -> CaseReport:
     return report
 
 
+def _triple_solver(q: Quadruple, triple: tuple[Point3, Point3, Point3]):
+    """Invert the row triple T once, in integers: (adj, det, solve).
+
+    adj*T = det*I and |det| = d is checked, so T^-1 = adj/det; solve(target)
+    is alpha = target*adj/det, checked to be integral and to rebuild alpha*T = target.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = triple
+    adj = (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if abs(det) != q.d:
+        raise PreconditionError(f"triple determinant {det} does not have |det| == d = {q.d}")
+
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = adj
+
+    def solve(target: Point3) -> tuple[int, int, int]:
+        x, y, z = target
+        a0, r0 = divmod(x * c00 + y * c10 + z * c20, det)
+        a1, r1 = divmod(x * c01 + y * c11 + z * c21, det)
+        a2, r2 = divmod(x * c02 + y * c12 + z * c22, det)
+        if r0 or r1 or r2:
+            raise InvariantViolation(f"{q}: non-integral decomposition of {target} over {triple}")
+        rebuilt = (a0 * a + a1 * d + a2 * g, a0 * b + a1 * e + a2 * h, a0 * c + a1 * f + a2 * i)
+        if rebuilt != (x, y, z):
+            raise InvariantViolation(
+                f"{q}: decomposition of {target} does not reconstruct the target"
+            )
+        return (a0, a1, a2)
+
+    return adj, det, solve
+
+
 def decompose(
     p: WeightedPolytope,
     triple: tuple[Point3, Point3, Point3],
     target: Point3,
 ) -> tuple[int, int, int]:
-    """The integer alphas with target = sum alpha_i * triple_i (Cramer).
+    """The integer alphas target*adj/det, so target = sum alpha_i * triple_i.
 
     The triple must have |det| == d and the target must solve the degree
     equation for a positive multiple of d.  Non-integer coefficients are
     an invariant violation, not bad input.
     """
     q = p.quadruple
-    det = minor_det(*triple)
-    if abs(det) != q.d:
-        raise PreconditionError(
-            f"triple determinant {det} does not have |det| == d = {q.d}"
-        )
+    solve = _triple_solver(q, triple)[2]
     if any(x < 0 for x in target):
         raise PreconditionError(f"target {target} has negative coordinates")
     degree = sum(t * wi for t, wi in zip(target, q.weights))
@@ -384,21 +423,4 @@ def decompose(
         raise PreconditionError(
             f"target {target} has degree {degree}, not a positive multiple of d"
         )
-    alphas = []
-    for i in range(3):
-        replaced = list(triple)
-        replaced[i] = target
-        num = minor_det(*replaced)
-        if num % det != 0:
-            raise InvariantViolation(
-                f"{q}: non-integral decomposition of {target} over {triple}"
-            )
-        alphas.append(num // det)
-    rebuilt = tuple(
-        sum(alphas[i] * triple[i][c] for i in range(3)) for c in range(3)
-    )
-    if rebuilt != tuple(target):
-        raise InvariantViolation(
-            f"{q}: decomposition of {target} does not reconstruct the target"
-        )
-    return tuple(alphas)
+    return solve(target)

@@ -1,11 +1,12 @@
 """Brute-force lattice checks and fuzzing helpers shared by the tests.
 
 None of these is on a program path: the triangulation, the random
-unimodular maps and the shifted interior recount only check what the
-package computes.
+unimodular maps, the shifted interior recount and Cramer's rule only
+check what the package computes.
 """
 import random
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 from wpoly import UnimodularAffineMap, convex_hull
@@ -162,3 +163,21 @@ def interior_count(p) -> int:
             f"{p.quadruple}: interior counts disagree ({direct} direct, {shifted} shifted)"
         )
     return direct
+
+
+def _det3(r0, r1, r2):
+    (a, b, c), (d, e, f), (g, h, i) = r0, r1, r2
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def cramer_decompose(triple, target):
+    """The exact alphas with target = sum alpha_i * triple_i, by Cramer's
+    rule: alpha_i is the determinant of the triple with row i replaced by
+    the target, over the triple's own determinant."""
+    det = _det3(*triple)
+    alphas = []
+    for i in range(3):
+        replaced = list(triple)
+        replaced[i] = target
+        alphas.append(Fraction(_det3(*replaced), det))
+    return tuple(alphas)

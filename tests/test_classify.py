@@ -22,7 +22,7 @@ from wpoly import (
     map_curve,
     project,
 )
-from wpoly import classify, polygon2d
+from wpoly import classify, polygon2d, wpolytope
 from wpoly.classify import (
     _angular_directions,
     _box_cycles,
@@ -468,6 +468,25 @@ def test_basis_change_witness_missing_a_row_is_a_bug(monkeypatch):
         basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda adj, det: (((adj[0][0] + 1,) + adj[0][1:],) + adj[1:], det),
+     "does not carry row"),
+    (lambda adj, det: (adj, 2 * det), "denominator not dividing 7"),
+], ids=["adjugate-entry", "doubled-determinant"])
+def test_basis_change_checks_a_corrupted_inverse(monkeypatch, corrupt, message):
+    # the matrix is checked on its own: a wrong adjugate or determinant
+    # handed over with a correct row solve must still be caught
+    triple_solver = wpolytope._triple_solver
+
+    def corrupted(*args):
+        adj, det, solve = triple_solver(*args)
+        return (*corrupt(adj, det), solve)
+
+    monkeypatch.setattr(classify, "_triple_solver", corrupted)
+    with pytest.raises(InvariantViolation, match=message):
+        basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
+
+
 def test_make_curve_validates_terms():
     q = Quadruple(1, 3, 2, 7)
     curve = make_curve(q, [(1, (7, 0, 0)), (Fraction(1, 2), (0, 1, 2))])
@@ -489,18 +508,28 @@ def test_make_curve_validates_terms():
 
 
 def test_basis_change_decomposes_each_row_once(monkeypatch):
-    calls = 0
-    decompose = polygon2d.decompose
+    # one triple inverse per quadruple, then one solve per row
+    inverses = solves = 0
+    triple_solver = wpolytope._triple_solver
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        return decompose(*args)
+        nonlocal inverses
+        inverses += 1
+        adj, det, solve = triple_solver(*args)
 
-    monkeypatch.setattr(polygon2d, "decompose", counted)
+        def counted_solve(target):
+            nonlocal solves
+            solves += 1
+            return solve(target)
+
+        return adj, det, counted_solve
+
+    monkeypatch.setattr(polygon2d, "_triple_solver", counted)
+    monkeypatch.setattr(classify, "_triple_solver", counted)
     bc = basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
     assert len(bc.row_map) == 8
-    assert calls == 2 * 8
+    assert inverses == 2
+    assert solves == 2 * 8
 
 
 def test_map_curve_permutation_pair():

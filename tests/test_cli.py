@@ -1,4 +1,5 @@
 """Exit codes, output formats, config handling, golden files."""
+import functools
 import json
 from itertools import product
 from pathlib import Path
@@ -78,20 +79,42 @@ def test_poly_analyze_rejects_non_good(capsys):
     assert "not a good quadruple" in err
 
 
+@functools.cache
+def _small_good_quadruples():
+    """(argv words, genus) of every good quadruple with weights <= 12 and d <= 40."""
+    found = []
+    for w0, w1, w2, d in product(range(1, 13), range(1, 13), range(1, 13), range(1, 41)):
+        report = validate(Quadruple(w0, w1, w2, d))
+        if report.is_good:
+            found.append(([str(w0), str(w1), str(w2), str(d)], report.genus))
+    return found
+
+
 def test_poly_analyze_never_exits_2_on_good_quadruples(capsys):
     # exit 2 is reserved for broken invariants, so no good quadruple may
     # reach it; genus-0 ones may exit 1 when their distinguished points
     # coincide, and (1,1,4;5) (n = 8 > 3*0 + 7) must pass
     bad = []
-    for w0, w1, w2, d in product(range(1, 13), range(1, 13), range(1, 13), range(1, 41)):
-        report = validate(Quadruple(w0, w1, w2, d))
-        if not report.is_good:
-            continue
-        code, _, err = run(capsys, "poly", "analyze", str(w0), str(w1), str(w2), str(d))
-        if code == 2 or (code == 1 and (report.genus >= 1 or "distinguished points coincide" not in err)):
-            bad.append(((w0, w1, w2, d), code, err.strip()))
+    for words, genus in _small_good_quadruples():
+        code, _, err = run(capsys, "poly", "analyze", *words)
+        if code == 2 or (code == 1 and (genus >= 1 or "distinguished points coincide" not in err)):
+            bad.append((words, code, err.strip()))
     assert bad == []
     assert run(capsys, "poly", "analyze", "1", "1", "4", "5")[0] == 0
+
+
+def test_map_curve_never_exits_2_on_good_quadruples(capsys):
+    # a quadruple mapped onto itself; genus-0 polytopes of two points hold
+    # no row triple to project through, which is exit 1
+    bad = []
+    for words, genus in _small_good_quadruples():
+        code, _, err = run(capsys, "map", "curve", *words, *words)
+        if code == 2 or (code == 1 and (genus >= 1 or "only 2 polytope points" not in err)):
+            bad.append((words, code, err.strip()))
+    assert bad == []
+    code, out, err = run(capsys, "map", "curve", "3", "4", "5", "8", "3", "4", "5", "8")
+    assert (code, out) == (1, "")
+    assert err == "error: (3,4,5;8): only 2 polytope points, no row triple to project through\n"
 
 
 def test_poly_analyze_svg_byte_stable(capsys, tmp_path, monkeypatch):
@@ -238,6 +261,8 @@ def test_map_curve_from_file(capsys, tmp_path, monkeypatch):
         "terms": [
             {"coef": "1", "exponents": [7, 0, 0]},
             {"coef": "-3/2", "exponents": [0, 1, 2]},
+            {"coef": 0.5, "exponents": [2, 1, 1]},
+            {"coef": 2, "exponents": [1, 0, 3]},
         ]
     }))
     code, out, _ = run(capsys, "map", "curve", "1", "3", "2", "7", "1", "2", "3", "7",
@@ -247,6 +272,8 @@ def test_map_curve_from_file(capsys, tmp_path, monkeypatch):
     coefs = {tuple(t["exponents"]): t["coef"] for t in payload["terms"]}
     assert coefs[(7, 0, 0)] == "1"
     assert coefs[(0, 2, 1)] == "-3/2"
+    assert coefs[(2, 1, 1)] == "1/2"
+    assert coefs[(1, 3, 0)] == "2"
 
 
 # map curve 3 4 5 15 3 7 8 24 and back: the class conv{(0,0),(1,0),(2,3)}
@@ -302,17 +329,27 @@ def test_map_curve_golden_on_symmetric_class(capsys, argv):
     ({"terms": [{"coef": True, "exponents": [7, 0, 0]}]}, "term 0 "),
     ({"terms": [{"coef": "1", "exponents": [7, 0, 0]}, {"coef": [1], "exponents": [0, 1, 2]}]},
      "term 1 "),
+    # exponent notation is refused before Fraction would build 10**exponent
+    ({"terms": [{"coef": "1e3", "exponents": [7, 0, 0]}]}, "term 0 "),
+    ({"terms": [{"coef": "1e5000", "exponents": [7, 0, 0]}]}, "term 0 "),
+    ({"terms": [{"coef": "1e999999999", "exponents": [7, 0, 0]}]}, "term 0 "),
+    ('{"terms": [{"coef": 1E3, "exponents": [7, 0, 0]}]}', "term 0 "),
+    ({"terms": [{"coef": "1" * 5000, "exponents": [7, 0, 0]}]}, "term 0 "),
+    # past Python's digit limit json.loads itself raises ValueError
+    ('{"terms": [{"coef": %s, "exponents": [7, 0, 0]}]}' % ("1" * 5000), "not a UTF-8 JSON file"),
 ], ids=["no-exponents", "scalar-exponents", "terms-object", "list-term", "two-exponents",
         "bool-exponent", "zero-denominator-coef", "word-coef", "null-coef", "bool-coef",
-        "list-coef"])
+        "list-coef", "exponent-coef", "huge-exponent-coef", "giant-exponent-coef",
+        "json-exponent-coef", "long-string-coef", "long-json-int-coef"])
 def test_map_curve_malformed_file_exits_1(capsys, tmp_path, body, where):
     curve_file = tmp_path / "curve.json"
-    curve_file.write_text(json.dumps(body))
+    curve_file.write_text(body if isinstance(body, str) else json.dumps(body))
     code, out, err = run(capsys, "map", "curve", "1", "3", "2", "7", "1", "2", "3", "7",
                          "--curve", str(curve_file))
     assert code == 1 and out == ""
     assert err.startswith("error: ")
     assert str(curve_file) in err and where in err
+    assert len(err) < 400  # a long coef is not echoed in full
 
 
 @pytest.mark.parametrize("raw, why", [

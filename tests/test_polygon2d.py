@@ -1,5 +1,6 @@
 """Hulls, lattice counts, canonical forms, projections, and the
 triangulation oracle."""
+import dataclasses
 from math import gcd
 
 import pytest
@@ -17,7 +18,8 @@ from wpoly import (
     project,
     projection_coordinates,
 )
-from wpoly.errors import DegenerateInputError, PreconditionError
+from wpoly import polygon2d
+from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
 from wpoly.polygon2d import _MIRROR, _canonical_cycle, _egcd
 
 from lattice_oracles import (
@@ -306,6 +308,30 @@ def test_projection_coordinates_frozen():
     assert coords[idx[0]] == (1, 0)
     assert coords[idx[1]] == (0, 1)
     assert coords[idx[2]] == (0, 0)
+
+
+def test_projection_coordinates_checks_rows_and_triple(monkeypatch):
+    p = build(Quadruple(1, 3, 2, 7))
+    triple = find_unimodular_triple(p)
+    # a row of degree 2d has coefficients summing to 2
+    doubled = dataclasses.replace(p, points=p.points + ((14, 0, 0),))
+    with pytest.raises(InvariantViolation, match="sum to 2"):
+        projection_coordinates(doubled, triple)
+    # a solve that swaps alpha1 and alpha2 keeps the sums but moves the triple
+    triple_solver = polygon2d._triple_solver
+
+    def swapped(*args):
+        adj, det, solve = triple_solver(*args)
+
+        def solve_swapped(row):
+            a1, a2, a3 = solve(row)
+            return a2, a1, a3
+
+        return adj, det, solve_swapped
+
+    monkeypatch.setattr(polygon2d, "_triple_solver", swapped)
+    with pytest.raises(InvariantViolation, match="did not project to"):
+        projection_coordinates(p, triple)
 
 
 def test_project_preserves_counts():

@@ -1,7 +1,9 @@
-"""README's library example runs and returns what its comments state."""
+"""README's library example and shell transcripts give what README states."""
 import ast
 import re
 from pathlib import Path
+
+from wpoly.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +40,26 @@ def test_readme_library_example_states_its_values():
         "bc.matrix",
         "mapped.terms",
     ]
+
+
+def test_readme_shell_transcripts_match_the_cli(capsys, tmp_path, monkeypatch):
+    # each block opening with `$ wpoly` runs through the CLI entry point in
+    # an empty directory; a `| tail -N` keeps the last N lines
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WPOLY_ATLAS_DIR", raising=False)
+    transcripts = re.findall(
+        r"```\n\$ wpoly (.*?)\n(.*?)```", README.read_text(encoding="utf-8"), re.S
+    )
+    assert [command for command, _ in transcripts] == [
+        "quad check 1 3 2 7",
+        "poly analyze 1 3 2 7",
+        "classify --genus 1 --dmax 30",
+        "polygons enum --genus 0 | tail -2",
+    ]
+    for command, expected in transcripts:
+        argv, _, pipe = command.partition(" | ")
+        assert main(argv.split()) == 0, command
+        out = capsys.readouterr().out
+        if pipe:
+            out = "".join(out.splitlines(keepends=True)[-int(pipe.removeprefix("tail -")):])
+        assert out == expected, command

@@ -1,5 +1,6 @@
 """Polytope construction, minors, case identities, decompositions."""
 import dataclasses
+import functools
 from itertools import combinations
 
 import pytest
@@ -15,13 +16,14 @@ from wpoly import (
     find_unimodular_triple,
     group_by_class,
     minor_det,
+    projection_coordinates,
     verify_case_identities,
 )
 from wpoly import wpolytope
 from wpoly.cli import main
 from wpoly.errors import InvariantViolation, PreconditionError
 
-from lattice_oracles import interior_count
+from lattice_oracles import cramer_decompose, interior_count
 
 # one hand-checked instance per case tag
 CASE_INSTANCES = {
@@ -217,6 +219,16 @@ def test_decompose_rejects_bad_inputs():
         decompose(p, t, (-7, 0, 0))
 
 
+def test_triple_solver_checks_divisibility():
+    # decompose refuses a target whose degree is not a multiple of d before
+    # solving; the solve itself still refuses a non-integral one
+    p = build(Quadruple(1, 3, 2, 7))
+    _, det, solve = wpolytope._triple_solver(p.quadruple, find_unimodular_triple(p))
+    assert abs(det) == 7
+    with pytest.raises(InvariantViolation, match="non-integral decomposition"):
+        solve((1, 0, 0))
+
+
 def test_every_point_decomposes_over_lex_triple():
     for g in (1, 2):
         for q in enumerate_g_good(g, 20):
@@ -224,6 +236,32 @@ def test_every_point_decomposes_over_lex_triple():
             t = find_unimodular_triple(p)
             for pt in p.points:
                 assert sum(decompose(p, t, pt)) == 1, (q, pt)
+
+
+@functools.cache
+def _good_quadruples():
+    return tuple(q for g in range(1, 9) for q in enumerate_g_good(g, 90))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_decompose_and_projection_match_cramer(data):
+    # any det-d triple, in any row order, against the replaced-row oracle:
+    # every row, and one target of degree 2d (a sum of two rows)
+    q = data.draw(st.sampled_from(_good_quadruples()), label="quadruple")
+    p = build(q)
+    triples = [t for t in combinations(p.points, 3) if abs(minor_det(*t)) == q.d]
+    triple = tuple(data.draw(st.sampled_from(triples).flatmap(st.permutations), label="triple"))
+    coords = projection_coordinates(p, triple)
+    for row, image in zip(p.points, coords):
+        expected = cramer_decompose(triple, row)
+        assert decompose(p, triple, row) == expected, (q, triple, row)
+        assert image == expected[:2]
+    i = data.draw(st.integers(0, p.n - 1))
+    j = data.draw(st.integers(0, p.n - 1))
+    target = tuple(x + y for x, y in zip(p.points[i], p.points[j]))
+    alphas = decompose(p, triple, target)
+    assert alphas == cramer_decompose(triple, target) and sum(alphas) == 2
 
 
 @settings(max_examples=150, deadline=None)
