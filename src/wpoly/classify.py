@@ -91,8 +91,8 @@ def group_by_class(g: int, d_max: int, jobs: int = 1) -> ClassAtlas:
     """Atlas of genus-g quadruples up to d_max, grouped by polygon class.
 
     Classes are sorted by (point count, canonical vertices); members stay
-    in enumeration order.  jobs parallelizes the quadruple scan only, so
-    parallel runs produce identical atlases.
+    in enumeration order.  jobs is passed to enumerate_g_good, which
+    accepts it for compatibility and does not use it.
     """
     grouped: dict[tuple[Point2, ...], dict] = {}
     for q in enumerate_g_good(g, d_max, jobs=jobs):
@@ -519,7 +519,9 @@ def map_curve(
     """Transport a curve on bc.q_from to one on bc.q_to, term by term.
 
     Every monomial must land on an exponent vector of the target degree
-    with integer entries.  Monomial-condition coverage of the support is
+    with integer entries.  Terms are transported in integers, through
+    d*T with d = bc.q_from.d, which is integral because every denominator
+    of T divides d.  Monomial-condition coverage of the support is
     compared before and after; regressions come back as warnings.
     """
     if curve.quadruple != bc.q_from:
@@ -530,14 +532,18 @@ def map_curve(
     rows = set(build(curve.quadruple).points)
     if not curve.support <= rows:
         raise PreconditionError("curve support contains non-polytope monomials")
+    d = bc.q_from.d
+    scaled = [[x * d for x in row] for row in bc.matrix]
+    if any(x.denominator != 1 for row in scaled for x in row):
+        raise InvariantViolation(f"basis change matrix has a denominator not dividing {d}")
+    scaled = [[x.numerator for x in row] for row in scaled]
     new_terms = []
     for coef, v in curve.terms:
-        image = [
-            sum(Fraction(v[k]) * bc.matrix[k][c] for k in range(3)) for c in range(3)
-        ]
-        if any(x.denominator != 1 or x < 0 for x in image):
+        image = [sum(v[k] * scaled[k][c] for k in range(3)) for c in range(3)]
+        if any(x % d or x < 0 for x in image):
+            image = [Fraction(x, d) for x in image]
             raise InvariantViolation(f"monomial {v} maps to non-lattice {image}")
-        iv = tuple(int(x) for x in image)
+        iv = tuple(x // d for x in image)
         if sum(x * w for x, w in zip(iv, q_to.weights)) != q_to.d:
             raise InvariantViolation(f"monomial {v} maps off degree {q_to.d}")
         new_terms.append((coef, iv))

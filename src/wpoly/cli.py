@@ -80,7 +80,9 @@ def load_config(cwd: str | None = None) -> Config:
     if path.is_file():
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
+            # JSONDecodeError, UnicodeDecodeError, or an int past Python's
+            # digit limit for string conversion
             raise PreconditionError(f"{path}: not a UTF-8 JSON file ({exc})") from exc
         if not isinstance(data, dict):
             raise PreconditionError(f"{path}: top level must be an object")
@@ -186,7 +188,8 @@ def poly_analyze(cfg: Config, w0: int, w1: int, w2: int, d: int,
 @cli.command("classify")
 @click.option("--genus", "g", type=int, required=True)
 @click.option("--dmax", type=int, required=True)
-@click.option("--jobs", type=int, default=None, help="parallel workers (default from config)")
+@click.option("--jobs", type=int, default=None,
+              help="accepted for compatibility (>= 1); changes nothing")
 @click.option("--atlas-dir", "atlas_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--csv", "write_csv", is_flag=True, help="also write the member table as CSV")
 @click.option("--figures", is_flag=True, help="also write one SVG per class")

@@ -9,11 +9,8 @@ integer genus computed from the degree and weights in exact arithmetic.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 
 from .errors import InvariantViolation, PreconditionError
@@ -218,82 +215,128 @@ def family_quadruple(g: int, m: int) -> Quadruple:
     return Quadruple(1, (d - 1) // 2, (d + 1) // (2 * g + 2), d)
 
 
-def _scan_degree(g: int, d: int) -> list[Quadruple]:
-    """All good quadruples of degree d and genus g, weights ascending.
+def _case_candidates(g: int, d_max: int):
+    """(case tag, u0, u1, u2, d) with d <= d_max for every parameter value
+    of the seven determinant cases at genus g.
 
-    Two exact prunes decide which w2 are tried for each (w0, w1):
-
-    - Genus window.  Each gcd(w_i, d)/w_i lies in (0, 1], so the genus
-      formula gives 2g - 2 <= d(d - w0 - w1 - w2)/(w0 w1 w2) < 2g + 1.
-      With a = d(d - w0 - w1) and b = w0 w1 that is
-      a // ((2g+1)b + d) < w2 <= a // ((2g-2)b + d).
-      The upper end is at most a // d = d - w0 - w1, so w2 < d holds.  It
-      falls as w1 grows (a falls, b grows), so once it is below w1, or
-      a <= 0, no larger w1 leaves a w2 >= w1.  The window at w1 = w0
-      bounds the window of every larger w1 and falls as w0 grows, so once
-      it is empty there no larger w0 leaves one either.  It is computed
-      before the gcd test, because w1 = w0 is coprime only for w0 = 1.
-    - Condition (i) on the axis of w2 needs k*w2 + w_j = d with k >= 1, so
-      w2 divides d, d - w0 or d - w1 (j = 2, 0, 1).  The window's
-      divisors of such an m are m // k for the k in
-      [ceil(m / hi), m // lo] that divide m.
-
-    Each w2 left, in ascending order, then passes the goodness tests of
-    `validate`: pairwise coprimality, conditions (i) and (ii) on all three
-    axes, and an exact genus that must be integral and equal g.
+    Each case fixes its distinguished rows (the pure power x_i^(d/u_i)
+    when u_i divides d, else a monomial x_i^e * x_j) in template slots
+    0, 1, 2; the case's genus identity then leaves at most two free
+    integers, listed here.  The candidates are unchecked and may repeat.
     """
-    found = []
-    c_hi, c_lo = 2 * g - 2, 2 * g + 1
-    for w0 in range(1, d):
-        a = d * (d - 2 * w0)
-        if a <= 0 or a // (c_hi * w0 * w0 + d) < w0:
-            break
-        for w1 in range(w0, d):
-            a = d * (d - w0 - w1)
-            if a <= 0:
-                break
-            b = w0 * w1
-            hi = a // (c_hi * b + d)
-            if hi < w1:
-                break
-            if gcd(w0, w1) != 1:
+    m = 2 * g + 1
+    # a.i, no weight divides d: rows (a,1,0), (0,b,1), (1,0,c), so
+    # a*u0 + u1 = b*u1 + u2 = c*u2 + u0 = d and abc + 1 = (2g+1)d, whence
+    # (2g+1)u0 = bc - c + 1, (2g+1)u1 = ca - a + 1, (2g+1)u2 = ab - b + 1.
+    # Integral weights need a, b, c >= 2; rotating (a, b, c) rotates the
+    # weights, so a is the least of the three.
+    n = m * d_max - 1
+    a = 2
+    while a * a * a <= n:
+        for b in range(a, n // (a * a) + 1):
+            ab = a * b
+            if gcd(ab, m) != 1:
                 continue
-            lo = max(w1, a // (c_lo * b + d) + 1)
-            window = {
-                m // k
-                for m in (d, d - w0, d - w1)
-                for k in range(-(-m // hi), m // lo + 1)
-                if m % k == 0
-            }
-            for w2 in sorted(window):
-                if gcd(w0, w2) != 1 or gcd(w1, w2) != 1:
-                    continue
-                weights = (w0, w1, w2)
-                if any(_condition_i_witness(weights, d, i) is None for i in range(3)):
-                    continue
-                if any(_condition_ii_witness(weights, d, i) is None for i in range(3)):
-                    continue
-                q = Quadruple(w0, w1, w2, d)
-                value = raw_genus(q)
-                if value.denominator == 1 and int(value) == g:
-                    found.append(q)
-    return found
+            c_first = a + (-pow(ab, -1, m) - a) % m  # least c >= a with abc = -1 mod m
+            for c in range(c_first, n // ab + 1, m):
+                x, y, z = b * c - c + 1, c * a - a + 1, ab - b + 1
+                if x % m == 0 and y % m == 0 and z % m == 0:
+                    yield "a.i", x // m, y // m, z // m, (ab * c + 1) // m
+        a += 1
+    # a.ii, no weight divides d: rows (a,1,0), (0,b,1), (0,1,c) with
+    # a = l*u2, b = k*u2 + 1, c = k*u1 + 1 = l*u0 and l(k*u2 + 1) = 2g+1+k,
+    # so k <= 2g; u1 is free and d = (k*u2 + 1)u1 + u2.
+    for k in range(1, 2 * g + 1):
+        for l in range(1, m + k + 1):
+            if (m + k) % l or ((m + k) // l - 1) % k or (m + k) // l <= k:
+                continue
+            u2 = ((m + k) // l - 1) // k
+            for u1 in range(1, (d_max - u2) // (k * u2 + 1) + 1):
+                if (k * u1 + 1) % l == 0:
+                    yield "a.ii", (k * u1 + 1) // l, u1, u2, (k * u2 + 1) * u1 + u2
+    # b.i, b.ii and b.iii: only u0 divides d, row (d/u0, 0, 0), and k
+    # divides 2g.
+    for k in range(1, 2 * g + 1):
+        if (2 * g) % k:
+            continue
+        s = 2 * g // k
+        # b.i: rows (0,b,1), (0,1,c) with b = k*u2 + 1, c = k*u1 + 1,
+        # d = k*u1*u2 + u1 + u2 and 2g = k(d/u0 - 1); swapping u1 and u2
+        # swaps b and c, so u1 <= u2.
+        u1 = 1
+        while k * u1 * u1 + 2 * u1 <= d_max:
+            for u2 in range(u1, (d_max - u1) // (k * u1 + 1) + 1):
+                d = k * u1 * u2 + u1 + u2
+                if d % (s + 1) == 0:
+                    yield "b.i", d // (s + 1), u1, u2, d
+            u1 += 1
+        # b.ii: rows (1,b,0), (0,1,c) with b = k*u0, d = (k*u1 + 1)u0,
+        # d = c*u2 + u1 and 2g = k(c - 1).
+        for u1 in range(1, (d_max - 1) // k + 1):
+            for u0 in range(1, d_max // (k * u1 + 1) + 1):
+                d = (k * u1 + 1) * u0
+                if (d - u1) % (s + 1) == 0:
+                    yield "b.ii", u0, u1, (d - u1) // (s + 1), d
+        # b.iii: rows (1,b,0), (1,0,c) with d = (k*u1*u2 + 1)u0 and
+        # 2g = k(d - u1 - u2); u0 >= 1 bounds u1 and u2 by 2g/k + 1.
+        for u1 in range(1, s + 2):
+            for u2 in range(1, s + 2):
+                d = u1 + u2 + s
+                if d <= d_max and d % (k * u1 * u2 + 1) == 0:
+                    yield "b.iii", d // (k * u1 * u2 + 1), u1, u2, d
+    # c, u0 and u1 divide d: rows (d/u0,0,0), (0,d/u1,0), (1,0,c) with
+    # d/u0 = k*u1 = l*u2 + 1, d = k*u0*u1 and 2g + k + l - 1 = k*l*u0,
+    # so (k - 1)(l - 1) <= 2g and k, l <= 2g + 1; u2 is free.
+    for k in range(1, m + 1):
+        for l in range(1, m + 1):
+            if (2 * g + k + l - 1) % (k * l):
+                continue
+            u0 = (2 * g + k + l - 1) // (k * l)
+            for u2 in range(1, (d_max // u0 - 1) // l + 1):
+                if (l * u2 + 1) % k == 0:
+                    yield "c", u0, (l * u2 + 1) // k, u2, u0 * (l * u2 + 1)
+    # d, every weight divides d: d = k*u0*u1*u2 and k(d - u0 - u1 - u2)
+    # = 2g - 2, so u2(k*u0*u1 - 1) = u0 + u1 + (2g - 2)/k.  The equation
+    # is symmetric, so u0 <= u1 <= u2, and k <= 2g + 1.
+    for k in range(1, m + 1):
+        if (2 * g - 2) % k:
+            continue
+        s = (2 * g - 2) // k
+        u0 = 1
+        while (k * u0 * u0 - 1) * u0 <= 2 * u0 + s:
+            u1 = u0
+            while (k * u0 * u1 - 1) * u1 <= u0 + u1 + s:
+                den = k * u0 * u1 - 1
+                if den > 0 and (u0 + u1 + s) % den == 0:
+                    u2 = (u0 + u1 + s) // den
+                    if k * u0 * u1 * u2 <= d_max:
+                        yield "d", u0, u1, u2, k * u0 * u1 * u2
+                u1 += 1
+            u0 += 1
 
 
 def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
     """All good quadruples with genus g, ascending weights, and d <= d_max.
 
-    Sorted by (d, w0, w1, w2).  The list is complete: by the genus formula
-    and condition (i), the w2 of every good genus-g quadruple lies in the
-    window `_scan_degree` computes and divides d, d - w0 or d - w1, so the
-    scan tries it; and every quadruple it tries passes the same
-    coprimality, condition (i)/(ii) and integral-genus tests as `validate`.
-    The scan visits at most O(d^2) pairs (w0, w1) per degree and tests
-    only the few w2 the prunes leave, in place of the O(d^3) triples of a
-    brute scan: g = 1, 2, 3 together take about 0.2 s at d_max = 120 and
-    1.5 s at d_max = 240 with jobs = 1 (Python 3.11, Intel Xeon).  With
-    jobs > 1 each degree is one task for a pool of worker processes, at
-    most one per CPU and per degree; the merge keeps the same order.
+    Sorted by (d, w0, w1, w2).  The list comes from the seven determinant
+    cases, not from a scan of the degrees.  It is complete: the
+    distinguished rows of every good quadruple of genus g >= 1 match one
+    of the seven case templates, and their determinant and the case's
+    genus identity equal the case's formulas (the paper's case lemma,
+    which wpolytope.verify_case_identities checks on every polytope it is
+    given).  `_case_candidates` lists every parameter value of every
+    template that those equations allow at genus g with d <= d_max, so
+    each such quadruple is among the candidates, in some order of its
+    weights.  Each candidate is sorted to ascending weights, deduplicated,
+    and kept only if `validate` finds it good (coprimality, conditions
+    (i)/(ii) on all three axes, integral genus) with genus g.
+
+    For fixed g there are O(d_max log^2 d_max) candidates, most of them
+    from cases a.i, a.ii, b.i, b.ii and c, and the walk is one serial
+    pass: g = 1, 2, 3 together take about 0.03 s at d_max = 120 and
+    0.07 s at d_max = 240, and g = 1 alone about 0.1 s at d_max = 800
+    (Python 3.11, Intel Xeon).  jobs is accepted for compatibility and
+    must be >= 1; it changes nothing.
     """
     if g < 1:
         raise PreconditionError(f"g must be >= 1, got {g}")
@@ -303,11 +346,10 @@ def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
         raise PreconditionError(f"d_max={d_max} exceeds the cap {D_MAX_CAP}")
     if jobs < 1:
         raise PreconditionError(f"jobs must be >= 1, got {jobs}")
-    scan, degrees = partial(_scan_degree, g), range(3, d_max + 1)
-    workers = min(jobs, os.cpu_count() or 1, len(degrees))
-    if workers <= 1:
-        parts = map(scan, degrees)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, degrees))
-    return [q for part in parts for q in part]
+    keys = {(d, *sorted(u)) for _, *u, d in _case_candidates(g, d_max)}
+    found = []
+    for d, w0, w1, w2 in sorted(keys):
+        q = Quadruple(w0, w1, w2, d)
+        if validate(q).genus == g:
+            found.append(q)
+    return found

@@ -1,7 +1,9 @@
 """Class atlases, dual-method enumeration, basis change, curve transport."""
 import itertools
 import math
+import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -561,6 +563,27 @@ def test_map_curve_rejects_mismatched_basis_change():
     curve = make_curve(qb, [(1, (7, 0, 0))])
     with pytest.raises(PreconditionError):
         map_curve(curve, bc)
+
+
+def test_map_curve_rejects_images_off_the_target_polytope():
+    # each check on a transported monomial, on basis changes whose matrix
+    # was replaced: d*T must be integral, and every image a nonnegative
+    # lattice point of degree d
+    qa, qb = Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)
+    bc = basis_change(qa, qb)
+    curve = make_curve(qa, [(1, (7, 0, 0)), (1, (0, 1, 2))])
+
+    def scaled_identity(x):
+        return tuple(tuple(x if r == c else Fraction(0) for c in range(3)) for r in range(3))
+
+    for factor, message in [
+        (Fraction(1, 2), "denominator not dividing 7"),
+        (Fraction(-1), "maps to non-lattice [Fraction(0, 1), Fraction(-1, 1), Fraction(-2, 1)]"),
+        (Fraction(1, 7), "maps to non-lattice [Fraction(0, 1), Fraction(1, 7), Fraction(2, 7)]"),
+        (Fraction(2), "maps off degree 7"),
+    ]:
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            map_curve(curve, replace(bc, matrix=scaled_identity(factor)))
 
 
 def _stabilization(g, steps):

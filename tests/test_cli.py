@@ -415,6 +415,11 @@ def test_config_rejects_bad_values(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "quad", "check", "1", "3", "2", "7")
     assert code == 1
     assert "wpoly.json" in err and "UTF-8" in err
+    # an int past Python's digit limit for string conversion
+    Path("wpoly.json").write_text('{"jobs": ' + "9" * 5000 + "}")
+    code, out, err = run(capsys, "quad", "check", "1", "3", "2", "7")
+    assert (code, out) == (1, "")
+    assert "wpoly.json" in err and "not a UTF-8 JSON file" in err, err
 
 
 def test_unwritable_svg_path_exits_1_naming_it(capsys, tmp_path):

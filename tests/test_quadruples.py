@@ -18,13 +18,9 @@ from wpoly import (
     reduce_weights,
     validate,
 )
-from wpoly import quadruples
 from wpoly.errors import PreconditionError
-from wpoly.quadruples import (
-    _condition_i_witness,
-    _condition_ii_witness,
-    _scan_degree,
-)
+from wpoly.quadruples import _case_candidates, _condition_i_witness, _condition_ii_witness
+from wpoly.wpolytope import build, distinguished_triangle
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,6 +48,69 @@ def _brute_scan(d):
                 if value.denominator == 1:
                     found.setdefault(int(value), []).append(q)
     return {g: tuple(qs) for g, qs in found.items()}
+
+
+def _scan_degree(g, d):
+    """Oracle for large d: all good quadruples of degree d and genus g,
+    weights ascending.
+
+    Two exact prunes decide which w2 are tried for each (w0, w1):
+
+    - Genus window.  Each gcd(w_i, d)/w_i lies in (0, 1], so the genus
+      formula gives 2g - 2 <= d(d - w0 - w1 - w2)/(w0 w1 w2) < 2g + 1.
+      With a = d(d - w0 - w1) and b = w0 w1 that is
+      a // ((2g+1)b + d) < w2 <= a // ((2g-2)b + d).
+      The upper end is at most a // d = d - w0 - w1, so w2 < d holds.  It
+      falls as w1 grows (a falls, b grows), so once it is below w1, or
+      a <= 0, no larger w1 leaves a w2 >= w1.  The window at w1 = w0
+      bounds the window of every larger w1 and falls as w0 grows, so once
+      it is empty there no larger w0 leaves one either.  It is computed
+      before the gcd test, because w1 = w0 is coprime only for w0 = 1.
+    - Condition (i) on the axis of w2 needs k*w2 + w_j = d with k >= 1, so
+      w2 divides d, d - w0 or d - w1 (j = 2, 0, 1).  The window's
+      divisors of such an m are m // k for the k in
+      [ceil(m / hi), m // lo] that divide m.
+
+    Each w2 left, in ascending order, then passes the goodness tests:
+    pairwise coprimality, conditions (i) and (ii) on all three axes, and
+    an exact genus that must be integral and equal g.
+    """
+    found = []
+    c_hi, c_lo = 2 * g - 2, 2 * g + 1
+    for w0 in range(1, d):
+        a = d * (d - 2 * w0)
+        if a <= 0 or a // (c_hi * w0 * w0 + d) < w0:
+            break
+        for w1 in range(w0, d):
+            a = d * (d - w0 - w1)
+            if a <= 0:
+                break
+            b = w0 * w1
+            hi = a // (c_hi * b + d)
+            if hi < w1:
+                break
+            if math.gcd(w0, w1) != 1:
+                continue
+            lo = max(w1, a // (c_lo * b + d) + 1)
+            window = {
+                m // k
+                for m in (d, d - w0, d - w1)
+                for k in range(-(-m // hi), m // lo + 1)
+                if m % k == 0
+            }
+            for w2 in sorted(window):
+                if math.gcd(w0, w2) != 1 or math.gcd(w1, w2) != 1:
+                    continue
+                weights = (w0, w1, w2)
+                if any(_condition_i_witness(weights, d, i) is None for i in range(3)):
+                    continue
+                if any(_condition_ii_witness(weights, d, i) is None for i in range(3)):
+                    continue
+                q = Quadruple(w0, w1, w2, d)
+                value = raw_genus(q)
+                if value.denominator == 1 and int(value) == g:
+                    found.append(q)
+    return found
 
 
 def test_quadruple_rejects_nonpositive_entries():
@@ -182,40 +241,52 @@ def test_scan_degree_matches_brute_scan(g, d):
     assert _scan_degree(g, d) == list(_brute_scan(d).get(g, ()))
 
 
+@pytest.mark.parametrize("g", range(1, 9))
+def test_enumerate_matches_scan_oracle(g):
+    expected = [q for d in range(3, 241) for q in _scan_degree(g, d)]
+    assert enumerate_g_good(g, 240) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 400))
+def test_enumerate_degree_slice_matches_scan_oracle(g, d):
+    assert [q for q in enumerate_g_good(g, d) if q.d == d] == _scan_degree(g, d)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_each_case_walk_lists_the_quadruples_of_its_case(g):
+    # the walks overlap, so equal lists alone would not catch a walk that
+    # misses part of its own case: each quadruple must come from the walk
+    # of the case its distinguished rows match
+    walked = {}
+    for tag, *u, d in _case_candidates(g, 240):
+        walked.setdefault(tag, set()).add((*sorted(u), d))
+    for q in enumerate_g_good(g, 240):
+        tag = distinguished_triangle(build(q)).case_tag
+        assert (*q.weights, q.d) in walked.get(tag, ()), (q, tag)
+
+
+# Counts the degree scan (now the oracle _scan_degree) gave at large d
+@pytest.mark.parametrize(
+    "g, d_max, count",
+    [(2, 600, 1391), (2, 1200, 3221), (3, 1200, 3475), (5, 1200, 1904), (1, 800, 2020)],
+)
+def test_enumerate_large_degree_counts(g, d_max, count):
+    quads = enumerate_g_good(g, d_max)
+    assert len(quads) == count
+    assert quads == sorted(quads, key=lambda q: q.sort_key)
+    listed = set(quads)
+    m = 1
+    while family_quadruple(g, m).d <= d_max:
+        q = family_quadruple(g, m)
+        assert Quadruple(*sorted(q.weights), q.d) in listed, q
+        m += 1
+
+
 def test_enumerate_parallel_matches_serial():
     serial = enumerate_g_good(1, 40)
     parallel = enumerate_g_good(1, 40, jobs=4)
     assert serial == parallel
-
-
-def test_enumerate_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # a fake executor records the pool size and maps serially, so no
-    # process starts however large jobs is
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(quadruples, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(quadruples.os, "cpu_count", lambda: 2)
-    assert enumerate_g_good(1, 40, jobs=10_000) == enumerate_g_good(1, 40)
-    assert sizes == [2]
-    monkeypatch.setattr(quadruples.os, "cpu_count", lambda: 8)
-    assert enumerate_g_good(1, 5, jobs=10_000) == enumerate_g_good(1, 5)
-    assert sizes == [2, 3]  # one worker per degree 3, 4, 5
-    monkeypatch.setattr(quadruples.os, "cpu_count", lambda: None)
-    assert enumerate_g_good(1, 40, jobs=10_000) == enumerate_g_good(1, 40)
-    assert sizes == [2, 3]  # an unknown CPU count scans serially
 
 
 def test_enumerate_rejects_bad_args():
