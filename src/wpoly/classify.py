@@ -21,17 +21,18 @@ from .polygon2d import (
     Point2,
     _build_polygon,
     _canonical_cycle,
+    _check_projected_interior,
     _egcd,
     _hull_cycle,
+    _images_hull,
     _pick_counts,
     _projected_hull,
     _row_coordinates,
     equivalent,
-    project,
     projection_coordinates,
 )
 from .quadruples import Quadruple, enumerate_g_good
-from .wpolytope import Point3, _triple_solver, build, find_unimodular_triple
+from .wpolytope import Point3, _build, _triple_solver, build, find_unimodular_triple
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,26 @@ def group_by_class(g: int, d_max: int, jobs: int = 1) -> ClassAtlas:
     Classes are sorted by (point count, canonical vertices); members stay
     in enumeration order.  jobs is passed to enumerate_g_good, which
     accepts it for compatibility and does not use it.
+
+    enumerate_g_good has validated each quadruple with genus g, so its
+    polytope comes from _build(q, g), which checks interior = genus and
+    the point bound without validating again.  Each polytope is projected
+    through its det-d triple.  Many quadruples project to the same point
+    set, so the hull of a point set (checked to hold exactly those
+    points) and its canonical cycle are computed once per set in this
+    call and reused; the projected interior count is still checked
+    against every polytope.
     """
     grouped: dict[tuple[Point2, ...], dict] = {}
+    seen: dict[frozenset[Point2], tuple[LatticePolygon, tuple[Point2, ...]]] = {}
     for q in enumerate_g_good(g, d_max, jobs=jobs):
-        p = build(q)
-        poly = project(p, find_unimodular_triple(p))
-        cycle, _ = _canonical_cycle(poly.vertices)
+        p = _build(q, g)
+        key = frozenset(projection_coordinates(p, find_unimodular_triple(p)))
+        if key not in seen:
+            poly = _images_hull(q, key)
+            seen[key] = (poly, _canonical_cycle(poly.vertices)[0])
+        poly, cycle = seen[key]
+        _check_projected_interior(p, poly)
         slot = grouped.setdefault(cycle, {"n": poly.n, "members": []})
         if slot["n"] != poly.n:
             raise InvariantViolation(

@@ -14,10 +14,12 @@ and take the least vertex listing.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
+from .quadruples import Quadruple
 from .wpolytope import Point3, WeightedPolytope, _triple_solver
 
 Point2 = tuple[int, int]
@@ -353,11 +355,21 @@ def project(
 def _projected_hull(p: WeightedPolytope, images: list[Point2]) -> LatticePolygon:
     """Hull of the projection coordinates of p's rows, checked to hold
     exactly those points and as many interior points as p."""
-    poly = convex_hull(images)
-    if set(images) != set(poly.lattice_points):
-        raise InvariantViolation(
-            f"{p.quadruple}: projection gained or lost lattice points"
-        )
+    return _check_projected_interior(p, _images_hull(p.quadruple, images))
+
+
+def _images_hull(q: Quadruple, images: Iterable[Point2]) -> LatticePolygon:
+    """Hull of the projected rows of q, checked to hold exactly those
+    lattice points.  It depends on the point set alone."""
+    images = set(images)
+    poly = convex_hull(list(images))
+    if images != set(poly.lattice_points):
+        raise InvariantViolation(f"{q}: projection gained or lost lattice points")
+    return poly
+
+
+def _check_projected_interior(p: WeightedPolytope, poly: LatticePolygon) -> LatticePolygon:
+    """poly, checked to have as many interior points as the polytope p."""
     if poly.i != len(p.interior):
         raise InvariantViolation(
             f"{p.quadruple}: projected interior count {poly.i} != {len(p.interior)}"

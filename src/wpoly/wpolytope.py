@@ -91,28 +91,48 @@ def minor_det(v1: Point3, v2: Point3, v3: Point3) -> int:
 def build(q: Quadruple) -> WeightedPolytope:
     """Enumerate the polytope of a good quadruple.
 
-    Points come out in ascending lex order by construction.  The
-    interior points, those with every coordinate >= 1, must number exactly
-    the genus validate() derives from the weights.  For g >= 1 the point
-    count is checked against the hard bound n <= 3g + 7; hitting 3g + 7
-    itself is legal but flagged as exceptional.
+    Runs validate() and hands the genus it derives to _build, which
+    checks the polytope against it; a quadruple that is not good is a
+    PreconditionError.
     """
     report = validate(q)
     if not report.is_good:
         raise PreconditionError(f"{q} is not a good quadruple")
     assert report.genus is not None
-    w0, w1, w2 = q.weights
+    return _build(q, report.genus)
+
+
+def _build(q: Quadruple, g: int) -> WeightedPolytope:
+    """The polytope of q, which the caller has already validated as good
+    with genus g.
+
+    The outer loop runs over the exponent x of the heaviest axis, at most
+    d / max(w) + 1 values.  Within it the exponents y of a second axis
+    that leave a remainder divisible by the third weight form one residue
+    class mod that weight, stepped from its least member (the weights are
+    pairwise coprime, so the second weight is invertible), so each inner
+    step yields a point.  The points are then sorted into ascending lex
+    order.  The interior points, those with every coordinate >= 1, must
+    number exactly g.  For g >= 1 the point count is checked against the
+    hard bound n <= 3g + 7; hitting 3g + 7 itself is legal but flagged as
+    exceptional.
+    """
+    w = q.weights
     d = q.d
+    outer = w.index(max(w))
+    second, third = (axis for axis in range(3) if axis != outer)
+    wx, wy, wz = w[outer], w[second], w[third]
+    slot = tuple((outer, second, third).index(axis) for axis in range(3))
+    inverse = pow(wy, -1, wz)
     points: list[Point3] = []
-    for a in range(d // w0 + 1):
-        rest_a = d - a * w0
-        for b in range(rest_a // w1 + 1):
-            rest = rest_a - b * w1
-            if rest % w2 == 0:
-                points.append((a, b, rest // w2))
+    for x in range(d // wx + 1):
+        rest = d - x * wx
+        for y in range(rest * inverse % wz, rest // wy + 1, wz):
+            xyz = (x, y, (rest - y * wy) // wz)
+            points.append((xyz[slot[0]], xyz[slot[1]], xyz[slot[2]]))
+    points.sort()
     interior = tuple(p for p in points if p[0] >= 1 and p[1] >= 1 and p[2] >= 1)
     n = len(points)
-    g = report.genus
     if len(interior) != g:
         raise InvariantViolation(
             f"{q}: {len(interior)} interior points but genus {g}"

@@ -1,15 +1,26 @@
 """Brute-force lattice checks and fuzzing helpers shared by the tests.
 
 None of these is on a program path: the triangulation, the random
-unimodular maps, the shifted interior recount and Cramer's rule only
-check what the package computes.
+unimodular maps, the shifted interior recount, Cramer's rule, the
+looping condition (ii) witness, the double-loop point list and the
+memo-free atlas only check what the package computes.
 """
 import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from wpoly import UnimodularAffineMap, convex_hull
+from wpoly import (
+    ClassAtlas,
+    ClassEntry,
+    UnimodularAffineMap,
+    build,
+    canonical_form,
+    convex_hull,
+    enumerate_g_good,
+    find_unimodular_triple,
+    project,
+)
 from wpoly.errors import InvariantViolation, PreconditionError
 
 
@@ -181,3 +192,43 @@ def cramer_decompose(triple, target):
         replaced[i] = target
         alphas.append(Fraction(_det3(*replaced), det))
     return tuple(alphas)
+
+
+def condition_ii_witness_loop(weights, d, axis):
+    """Condition (ii) witness by trying e_j = 0, 1, ... up to d / w_j."""
+    j, k = [a for a in range(3) if a != axis]
+    wj, wk = weights[j], weights[k]
+    for ej in range(d // wj + 1):
+        rest = d - ej * wj
+        if rest % wk == 0:
+            return ((j, ej), (k, rest // wk))
+    return None
+
+
+def polytope_points_loop(q):
+    """Every (a, b, c) >= 0 of degree d, by trying each (a, b) in lex order."""
+    w0, w1, w2 = q.weights
+    points = []
+    for a in range(q.d // w0 + 1):
+        rest_a = q.d - a * w0
+        for b in range(rest_a // w1 + 1):
+            rest = rest_a - b * w1
+            if rest % w2 == 0:
+                points.append((a, b, rest // w2))
+    return tuple(points)
+
+
+def atlas_oracle(g, d_max):
+    """group_by_class without its per-atlas memo: public build, project
+    and canonical_form on every quadruple, grouped by canonical vertices
+    and sorted by (point count, vertices)."""
+    grouped = {}
+    for q in enumerate_g_good(g, d_max):
+        p = build(q)
+        canon = canonical_form(project(p, find_unimodular_triple(p)))
+        grouped.setdefault(canon.vertices, (canon, []))[1].append(q)
+    entries = [
+        ClassEntry(canonical=canon, n=canon.n, members=tuple(members))
+        for canon, members in sorted(grouped.values(), key=lambda e: (e[0].n, e[0].vertices))
+    ]
+    return ClassAtlas(g=g, d_max=d_max, classes=tuple(entries))

@@ -1,4 +1,5 @@
 """Class atlases, dual-method enumeration, basis change, curve transport."""
+import hashlib
 import itertools
 import math
 import re
@@ -17,12 +18,14 @@ from wpoly import (
     build,
     canonical_form,
     enumerate_classes,
+    enumerate_g_good,
     equivalent,
     find_unimodular_triple,
     group_by_class,
     make_curve,
     map_curve,
     project,
+    projection_coordinates,
 )
 from wpoly import classify, polygon2d, wpolytope
 from wpoly.classify import (
@@ -44,12 +47,19 @@ from wpoly.polygon2d import (
     convex_hull,
 )
 
-from lattice_oracles import random_unimodular_map
+from lattice_oracles import atlas_oracle, random_unimodular_map
 
 G1_CLASS_COUNT = 16
 G2_CLASS_COUNT = 45
 # Castryck, "Moving out the edges of a lattice polygon" (2012), Table 1.
 CASTRYCK_COUNTS = {1: 16, 2: 45, 3: 120, 4: 211, 5: 403, 6: 714, 7: 1023, 8: 1830}
+# sha256 of group_by_class(g, 240).to_json_bytes(); atlas bytes are part
+# of the behaviour contract, so a change here must be deliberate.
+ATLAS_240_SHA256 = {
+    1: "c01a7d113d13944317cd2f12521dbdb6682345e2249526dc7f43b24fb8ac64ef",
+    2: "f59cd8be33d1508f05d3c7d2ed5afb4deb9d4517798ffdfc06c5cc7c76691153",
+    3: "6862f3d2a09547a4b1663ec7eea292b791114b185dab6caaee218bb1c9c48606",
+}
 
 
 def _projected(q):
@@ -91,6 +101,47 @@ def test_atlas_bytes_deterministic_and_parallel_stable():
     parallel = group_by_class(1, 20, jobs=4)
     assert serial.to_json_bytes() == again.to_json_bytes() == parallel.to_json_bytes()
     assert serial.to_json_bytes().endswith(b"\n")
+
+
+@pytest.mark.parametrize("g", sorted(ATLAS_240_SHA256))
+def test_atlas_bytes_golden(g):
+    digest = hashlib.sha256(group_by_class(g, 240).to_json_bytes()).hexdigest()
+    assert digest == ATLAS_240_SHA256[g]
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_atlas_matches_the_memo_free_oracle(g):
+    assert group_by_class(g, 240).to_json_bytes() == atlas_oracle(g, 240).to_json_bytes()
+
+
+def test_memo_hit_still_checks_the_projected_interior(monkeypatch):
+    # a quadruple whose point set an earlier one already projected to
+    # reuses that hull, but its own interior count is still checked
+    seen = set()
+    for hit in enumerate_g_good(1, 30):
+        p = build(hit)
+        key = frozenset(projection_coordinates(p, find_unimodular_triple(p)))
+        if key in seen:
+            break
+        seen.add(key)
+    hulls = []
+    images_hull = classify._images_hull
+    build_checked = classify._build
+
+    def counted(q, images):
+        hulls.append(q)
+        return images_hull(q, images)
+
+    def corrupted(q, g):
+        p = build_checked(q, g)
+        return replace(p, interior=p.interior[1:]) if q == hit else p
+
+    monkeypatch.setattr(classify, "_images_hull", counted)
+    monkeypatch.setattr(classify, "_build", corrupted)
+    message = rf"^{re.escape(str(hit))}: projected interior count 1 != 0$"
+    with pytest.raises(InvariantViolation, match=message):
+        group_by_class(1, 30)
+    assert len(hulls) == len(seen) and hit not in hulls
 
 
 def test_atlas_csv_golden():

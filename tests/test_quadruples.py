@@ -22,6 +22,8 @@ from wpoly.errors import PreconditionError
 from wpoly.quadruples import _case_candidates, _condition_i_witness, _condition_ii_witness
 from wpoly.wpolytope import build, distinguished_triangle
 
+from lattice_oracles import condition_ii_witness_loop
+
 
 @functools.lru_cache(maxsize=None)
 def _brute_scan(d):
@@ -41,7 +43,7 @@ def _brute_scan(d):
                 weights = (w0, w1, w2)
                 if any(_condition_i_witness(weights, d, i) is None for i in range(3)):
                     continue
-                if any(_condition_ii_witness(weights, d, i) is None for i in range(3)):
+                if any(condition_ii_witness_loop(weights, d, i) is None for i in range(3)):
                     continue
                 q = Quadruple(w0, w1, w2, d)
                 value = raw_genus(q)
@@ -104,7 +106,7 @@ def _scan_degree(g, d):
                 weights = (w0, w1, w2)
                 if any(_condition_i_witness(weights, d, i) is None for i in range(3)):
                     continue
-                if any(_condition_ii_witness(weights, d, i) is None for i in range(3)):
+                if any(condition_ii_witness_loop(weights, d, i) is None for i in range(3)):
                     continue
                 q = Quadruple(w0, w1, w2, d)
                 value = raw_genus(q)
@@ -169,6 +171,18 @@ def test_validate_degree_too_small():
     report = validate(Quadruple(1, 3, 5, 4))
     assert not report.degree_dominates
     assert not report.is_good
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60)),
+    st.integers(1, 3000),
+    st.integers(0, 2),
+)
+def test_condition_ii_witness_matches_the_loop(weights, d, axis):
+    # the direct formula finds the loop's smallest-e_j witness, or none,
+    # for any weights, coprime or not
+    assert _condition_ii_witness(weights, d, axis) == condition_ii_witness_loop(weights, d, axis)
 
 
 def test_raw_genus_fractional_for_non_good():

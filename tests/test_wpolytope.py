@@ -1,7 +1,8 @@
 """Polytope construction, minors, case identities, decompositions."""
 import dataclasses
 import functools
-from itertools import combinations
+import re
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,11 +20,12 @@ from wpoly import (
     projection_coordinates,
     verify_case_identities,
 )
-from wpoly import wpolytope
+from wpoly import classify, wpolytope
 from wpoly.cli import main
 from wpoly.errors import InvariantViolation, PreconditionError
+from wpoly.wpolytope import _build
 
-from lattice_oracles import cramer_decompose, interior_count
+from lattice_oracles import cramer_decompose, interior_count, polytope_points_loop
 
 # one hand-checked instance per case tag
 CASE_INSTANCES = {
@@ -284,9 +286,9 @@ def test_point_count_bound_holds_everywhere(w0, w1, w2, d):
         assert interior_count(p) == 0
 
 
-def test_build_checks_interior_count_against_the_genus(monkeypatch, tmp_path, capsys):
+def test_build_checks_interior_count_against_the_genus(monkeypatch):
     # a genus off by one from the weights' report must not slip through
-    # build into an atlas; it is a bug, so the CLI exits 2
+    # the public build
     validate = wpolytope.validate
 
     def off_by_one(q):
@@ -295,9 +297,37 @@ def test_build_checks_interior_count_against_the_genus(monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(wpolytope, "validate", off_by_one)
     message = r"^\(\d+,\d+,\d+;\d+\): 1 interior points but genus 2$"
-    with pytest.raises(InvariantViolation, match=message):
+    for q in enumerate_g_good(1, 20):
+        with pytest.raises(InvariantViolation, match=message):
+            build(q)
+
+
+def test_atlas_path_checks_interior_count_against_the_genus(monkeypatch, tmp_path, capsys):
+    # group_by_class trusts the genus enumerate_g_good validated; a
+    # quadruple of another genus handed to it is a bug that _build must
+    # catch before it reaches an atlas, so the CLI exits 2
+    q2 = enumerate_g_good(2, 20)[0]
+    monkeypatch.setattr(classify, "enumerate_g_good", lambda g, d_max, jobs=1: [q2])
+    message = rf"^{re.escape(str(q2))}: 2 interior points but genus 1$"
+    with pytest.raises(InvariantViolation, match=message) as excinfo:
         group_by_class(1, 20)
+    assert excinfo.traceback[-1].name == "_build"
     monkeypatch.chdir(tmp_path)
     assert main(["classify", "--genus", "1", "--dmax", "20"]) == 2
-    assert "interior points but genus" in capsys.readouterr().err
+    assert f"{q2}: 2 interior points but genus 1" in capsys.readouterr().err
     assert not (tmp_path / "atlas").exists()
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_build_points_match_the_double_loop(g):
+    # the residue-stepped loop over the heaviest axis, sorted, lists the
+    # same points as trying every (a, b), in every order of the weights
+    quads = enumerate_g_good(g, 120)
+    if g == 1:
+        assert Quadruple(1, 1, 1, 3) in quads
+    for q in quads:
+        for w0, w1, w2 in set(permutations(q.weights)):
+            permuted = Quadruple(w0, w1, w2, q.d)
+            p = _build(permuted, g)
+            assert p.points == polytope_points_loop(permuted), permuted
+            assert build(permuted) == p
