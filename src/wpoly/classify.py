@@ -23,7 +23,6 @@ from .polygon2d import (
     _canonical_cycle,
     _check_projected_interior,
     _egcd,
-    _hull_cycle,
     _images_hull,
     _pick_counts,
     _projected_hull,
@@ -142,8 +141,12 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
     A class with n+1 lattice points is reachable from one with n points
     by re-adding a vertex, and only the points of `_growth_points` can be
     re-added, so each level extends every class rep by each of them whose
-    hull gains exactly that point.  Classes keep at most g interior points
-    along the way.  Completeness rests on this argument, not on a search box.
+    hull gains exactly that point; `_splices` forms each such hull by
+    splicing the point into the parent's cycle.  Classes keep at most g
+    interior points along the way.  Completeness rests on this argument,
+    not on a search box.  For g >= 1 the levels stop at 3g + 7 points, as
+    by Scott's bound no class with g >= 1 interior points has more; the
+    genus-0 strips, which grow without end, are not followed past it.
 
     A grown child C = hull(P + q) is canonicalised only when q carries the
     largest `_vertex_keys` key of C (canonical augmentation, McKay 1998),
@@ -158,17 +161,15 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
     - P* has n points and at most g interior points, so by induction its
       canonical form phi(P*) is in `current`;
     - phi(v*) is a growth point of phi(P*) by the argument of
-      `_growth_points`, `_grow_cycle` accepts it, and the keys are
+      `_growth_points`, `_splices` accepts it, and the keys are
       invariant, so phi(v*) carries the largest key of phi(C) and the
       filter keeps phi(C).
     """
     current = {_canonical_cycle(((0, 0), (1, 0), (0, 1)))[0]}
     found = set(current) if g == 0 else set()
-    for level_n in range(3, n_max):
-        grown = ((_grow_cycle(c, q, level_n, g), q) for c in current for q in _growth_points(c))
-        current = {
-            _canonical_cycle(c)[0] for c, q in grown if c is not None and _keeps(c, q)
-        }
+    for level_n in range(3, min(n_max, 3 * g + 7) if g else n_max):
+        grown = (child for c in current for _, _, child in _splices(c, level_n, g))
+        current = {_canonical_cycle(c)[0] for c in grown if c is not None}
         found |= {c for c in current if _pick_counts(c)[1] == g}
     return found
 
@@ -180,10 +181,10 @@ def _edge_steps(cycle: tuple[Point2, ...]) -> tuple[list[int], list[Point2]]:
     return lengths, [(x // n, y // n) for (x, y), n in zip(steps, lengths)]
 
 
-def _vertex_keys(cycle: tuple[Point2, ...]) -> list[tuple[int, int, int]]:
+def _vertex_keys(lengths: list[int], dirs: list[Point2]) -> list[tuple[int, int, int]]:
     """Key (min(l_in, l_out), max(l_in, l_out), det(p_in, p_out)) of each
-    vertex, from the lattice lengths l and primitive directions p of its
-    incoming and outgoing edges.
+    vertex of a cycle, from the `_edge_steps` lattice lengths l and
+    primitive directions p of its incoming and outgoing edges.
 
     Affine unimodular maps keep lattice lengths and the determinant of two
     directions up to sign.  A reflection also reverses the cycle, which
@@ -191,22 +192,22 @@ def _vertex_keys(cycle: tuple[Point2, ...]) -> list[tuple[int, int, int]]:
     directions; det(-p_out, -p_in) = det(p_in, p_out), so the determinant,
     positive at a counterclockwise vertex, is kept too.
     """
-    lengths, dirs = _edge_steps(cycle)
-    keys = []
-    for j, (l_out, (bx, by)) in enumerate(zip(lengths, dirs)):
-        l_in, (ax, ay) = lengths[j - 1], dirs[j - 1]
-        keys.append((min(l_in, l_out), max(l_in, l_out), ax * by - ay * bx))
-    return keys
+    return [
+        _key(lengths[j - 1], dirs[j - 1], l_out, p_out)
+        for j, (l_out, p_out) in enumerate(zip(lengths, dirs))
+    ]
 
 
-def _keeps(cycle: tuple[Point2, ...], q: Point2) -> bool:
-    """Whether the vertex q carries the largest vertex key of the cycle."""
-    keys = _vertex_keys(cycle)
-    return keys[cycle.index(q)] == max(keys)
+def _key(l_in: int, p_in: Point2, l_out: int, p_out: Point2) -> tuple[int, int, int]:
+    """The `_vertex_keys` key of a vertex between two edges."""
+    return (min(l_in, l_out), max(l_in, l_out), p_in[0] * p_out[1] - p_in[1] * p_out[0])
 
 
-def _growth_points(cycle: tuple[Point2, ...]) -> set[Point2]:
-    """Every point q whose hull with the cycle can gain exactly q.
+def _growth_points(
+    cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Point2]
+) -> set[Point2]:
+    """Every point q whose hull with the cycle can gain exactly q, given
+    the cycle's `_edge_steps`.
 
     Such a q lies beyond the line of some edge e = (u, v) of lattice
     length l.  The triangle conv(e + q) meets the cycle only in e, so its
@@ -219,7 +220,6 @@ def _growth_points(cycle: tuple[Point2, ...]) -> set[Point2]:
     >= -1 at q; as the cycle turns left at u and at v, these bound m below
     and above.
     """
-    lengths, dirs = _edge_steps(cycle)
     points: set[Point2] = set()
     for j, ((ux, uy), (px, py)) in enumerate(zip(cycle, dirs)):
         (ax, ay), (bx, by) = dirs[j - 1], dirs[(j + 1) % len(dirs)]
@@ -230,16 +230,72 @@ def _growth_points(cycle: tuple[Point2, ...]) -> set[Point2]:
     return points
 
 
-def _grow_cycle(
-    cycle: tuple[Point2, ...], q: Point2, n: int, g: int
-) -> tuple[Point2, ...] | None:
-    """Hull cycle of cycle+q when it gains exactly q and keeps interior <= g
-    (q lies outside the 2-dimensional cycle, so it is a hull vertex)."""
-    grown = _hull_cycle(list(cycle) + [q])
-    _, interior, b = _pick_counts(grown)
-    if interior + b != n + 1 or interior > g:
-        return None
-    return grown
+def _splices(cycle: tuple[Point2, ...], n: int, g: int):
+    """For each growth point q of a strictly convex CCW cycle with n
+    lattice points: q, the counts (twice the area, interior, boundary) of
+    hull(cycle + q), and that hull's cycle, starting at q, when it gains
+    exactly q (interior + boundary = n + 1), has at most g interior points
+    and q carries its largest vertex key; else None.
+
+    q lies outside the cycle.  Let f_j = cross(p_j, q - v_j), p_j the
+    primitive direction of the edge e_j = v_j -> v_{j+1} of lattice
+    length l_j.  Of a convex polygon a point outside sees one contiguous
+    chain of edges, those with f_j < 0.  An edge with f_j = 0 has q on its
+    line, past one end, and the cycle turns left there, so the neighbour
+    edge at that end has f < 0: such edges sit only at the ends of the
+    run of edges with f <= 0, a -> ... -> z.  The hull replaces the run by
+    a -> q -> z and drops the run's inner vertices (on an end edge with
+    f = 0 the dropped vertex lies on a segment to q).  The triangles
+    (v_j, v_{j+1}, q) over the run tile the added region, each of twice
+    area -l_j*f_j, and the boundary swaps the run's lattice length for
+    gcd(q - a) + gcd(q - z); Pick gives the interior.  A vertex key
+    depends on its two edges alone, so only a, q and z get new keys.
+
+    The edge steps and keys are taken once per cycle, and a child is
+    built only when kept; each built child is recounted by
+    `_pick_counts` and must agree.
+    """
+    k = len(cycle)
+    lengths, dirs = _edge_steps(cycle)
+    keys = _vertex_keys(lengths, dirs)
+    area2, _, b = _pick_counts(cycle)
+    for q in _growth_points(cycle, lengths, dirs):
+        qx, qy = q
+        f = [px * (qy - uy) - py * (qx - ux) for (ux, uy), (px, py) in zip(cycle, dirs)]
+        starts = [j for j in range(k) if f[j] <= 0 < f[j - 1]]
+        if len(starts) != 1:
+            raise InvariantViolation(f"{q} does not see one chain of edges of {cycle}")
+        a = z = starts[0]
+        child_area2, child_b = area2, b
+        while f[z] <= 0:
+            child_area2 -= lengths[z] * f[z]
+            child_b -= lengths[z]
+            z = (z + 1) % k
+        (ax, ay), (zx, zy) = cycle[a], cycle[z]
+        l_aq, l_qz = gcd(qx - ax, qy - ay), gcd(zx - qx, zy - qy)
+        child_b += l_aq + l_qz
+        if (child_area2 - child_b) % 2 != 0:
+            raise InvariantViolation(f"area/boundary parity fails growing {cycle} by {q}")
+        interior = (child_area2 - child_b + 2) // 2
+        counts = (child_area2, interior, child_b)
+        if interior + child_b != n + 1 or interior > g:
+            yield q, counts, None
+            continue
+        p_aq = ((qx - ax) // l_aq, (qy - ay) // l_aq)
+        p_qz = ((zx - qx) // l_qz, (zy - qy) // l_qz)
+        key_q = _key(l_aq, p_aq, l_qz, p_qz)
+        retained = k - (z - a) % k + 1
+        if (
+            key_q < _key(lengths[a - 1], dirs[a - 1], l_aq, p_aq)
+            or key_q < _key(l_qz, p_qz, lengths[z], dirs[z])
+            or any(key_q < keys[(z + t) % k] for t in range(1, retained - 1))
+        ):
+            yield q, counts, None
+            continue
+        child = (q,) + (cycle[z:] + cycle[:z])[:retained]
+        if _pick_counts(child) != counts:
+            raise InvariantViolation(f"splicing {q} into {cycle} miscounts {child}")
+        yield q, counts, child
 
 
 def _angular_directions(bound: int) -> list[Point2]:

@@ -10,7 +10,9 @@ image by (x, y) -> (s(x-ux) + t(y-uy), px(y-uy) - py(x-ux)), for
 (px, py) the edge's primitive direction and s*px + t*py = 1, which puts
 the polygon in 0 <= y <= h, shear by (x, y) -> (x - c*y, y) with
 c = m // h, the one shear putting the top row's least x, m, in [0, h),
-and take the least vertex listing.
+and take the least vertex listing.  Each listing starts (0, 0), (L, 0),
+L the anchored edge's lattice length, so only the shortest edges are
+anchored.
 """
 from __future__ import annotations
 
@@ -267,8 +269,17 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
     is the one shear putting that x in [0, h): each anchoring fixes one map.
     Only a strictly smaller listing replaces the best, so on a symmetric
     polygon the first winner (cycle edges, then the mirror's) gives the map.
+
+    Every anchored listing starts (0, 0), (L, 0), L the lattice length of
+    the anchored edge, so only edges of the least length L can win and the
+    others are skipped.  A skipped listing is larger than every kept one,
+    so the least listing and its first winner, hence the map, are those of
+    the full pass.
     """
     k = len(vertices)
+    shortest = min(
+        gcd(vx - ux, vy - uy) for (ux, uy), (vx, vy) in zip(vertices, vertices[1:] + vertices[:1])
+    )
     mirrored = tuple((x, -y) for x, y in reversed(vertices))
     best: tuple[Point2, ...] | None = None
     for mirror, cycle in ((False, vertices), (True, mirrored)):
@@ -276,6 +287,8 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
             ux, uy = cycle[j]
             vx, vy = cycle[(j + 1) % k]
             g = gcd(vx - ux, vy - uy)
+            if g != shortest:
+                continue
             px, py = (vx - ux) // g, (vy - uy) // g
             _, s, t = _egcd(px, py)
             pts = [(s * (x - ux) + t * (y - uy), px * (y - uy) - py * (x - ux))

@@ -336,10 +336,11 @@ def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
     template that those equations allow at genus g with d <= d_max, so
     each such quadruple is among the candidates, in some order of its
     weights.  Each candidate is sorted to ascending weights, deduplicated,
-    and kept only if `validate` finds it good (coprimality, conditions
-    (i)/(ii) on all three axes, integral genus) with genus g.  Callers
-    may rely on that: group_by_class builds each listed polytope without
-    validating it again.
+    dropped at once unless its weights are pairwise coprime (most rejected
+    candidates fail there), and kept only if `validate` finds it good
+    (coprimality, conditions (i)/(ii) on all three axes, integral genus)
+    with genus g.  Callers may rely on that: group_by_class builds each
+    listed polytope without validating it again.
 
     For fixed g there are O(d_max log^2 d_max) candidates, most of them
     from cases a.i, a.ii, b.i, b.ii and c, and the walk is one serial
@@ -359,6 +360,8 @@ def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
     keys = {(d, *sorted(u)) for _, *u, d in _case_candidates(g, d_max)}
     found = []
     for d, w0, w1, w2 in sorted(keys):
+        if gcd(w0, w1) != 1 or gcd(w0, w2) != 1 or gcd(w1, w2) != 1:
+            continue
         q = Quadruple(w0, w1, w2, d)
         if validate(q).genus == g:
             found.append(q)

@@ -2,8 +2,9 @@
 
 None of these is on a program path: the triangulation, the random
 unimodular maps, the shifted interior recount, Cramer's rule, the
-looping condition (ii) witness, the double-loop point list and the
-memo-free atlas only check what the package computes.
+looping condition (ii) witness, the double-loop point list, the
+memo-free atlas and the re-hulled growth step only check what the
+package computes.
 """
 import random
 from collections import Counter
@@ -21,7 +22,9 @@ from wpoly import (
     find_unimodular_triple,
     project,
 )
+from wpoly.classify import _edge_steps, _vertex_keys
 from wpoly.errors import InvariantViolation, PreconditionError
+from wpoly.polygon2d import _hull_cycle, _pick_counts
 
 
 def _cross(o, a, b):
@@ -232,3 +235,21 @@ def atlas_oracle(g, d_max):
         for canon, members in sorted(grouped.values(), key=lambda e: (e[0].n, e[0].vertices))
     ]
     return ClassAtlas(g=g, d_max=d_max, classes=tuple(entries))
+
+
+def grow_cycle(cycle, q, n, g):
+    """Hull cycle of cycle+q, re-hulled and fully recounted, when it gains
+    exactly q and keeps interior <= g (q lies outside the 2-dimensional
+    cycle, so it is a hull vertex); else None."""
+    grown = _hull_cycle(list(cycle) + [q])
+    _, interior, b = _pick_counts(grown)
+    if interior + b != n + 1 or interior > g:
+        return None
+    return grown
+
+
+def keeps(cycle, q):
+    """Whether the vertex q carries the largest vertex key of the cycle,
+    from keys recomputed over the whole cycle."""
+    keys = _vertex_keys(*_edge_steps(cycle))
+    return keys[cycle.index(q)] == max(keys)

@@ -31,9 +31,10 @@ from wpoly import classify, polygon2d, wpolytope
 from wpoly.classify import (
     _angular_directions,
     _box_cycles,
-    _grow_cycle,
+    _edge_steps,
     _growth_points,
     _inductive_cycles,
+    _splices,
     _vertex_keys,
     atlas_stabilization,
     stabilization_steps,
@@ -47,7 +48,7 @@ from wpoly.polygon2d import (
     convex_hull,
 )
 
-from lattice_oracles import atlas_oracle, random_unimodular_map
+from lattice_oracles import atlas_oracle, grow_cycle, keeps, random_unimodular_map
 
 G1_CLASS_COUNT = 16
 G2_CLASS_COUNT = 45
@@ -254,9 +255,60 @@ def test_growth_points_cover_margin_oracle(pts):
         poly = convex_hull(pts)
     except DegenerateInputError:
         return
-    growth = _growth_points(poly.vertices)
+    growth = _growth_points(poly.vertices, *_edge_steps(poly.vertices))
     assert _margin_growth_points(poly.vertices, 2 * poly.n + 4) <= growth
     assert not growth & set(poly.lattice_points)
+
+
+def _rotations(cycle):
+    return {cycle[j:] + cycle[:j] for j in range(len(cycle))}
+
+
+def _assert_splices_match_oracles(cycle, g):
+    """Every growth point of the cycle: the splice's counts equal those of
+    the re-hulled cycle + q, and it builds a child exactly when the oracle
+    grows one whose largest vertex key sits at q, equal up to rotation."""
+    n = sum(_pick_counts(cycle)[1:])
+    spliced = list(_splices(cycle, n, g))
+    assert {q for q, _, _ in spliced} == _growth_points(cycle, *_edge_steps(cycle))
+    for q, counts, child in spliced:
+        assert counts == _pick_counts(_hull_cycle(list(cycle) + [q]))
+        grown = grow_cycle(cycle, q, n, g)
+        if grown is not None and keeps(grown, q):
+            assert child is not None and child[0] == q
+            assert child in _rotations(grown)
+        else:
+            assert child is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10))
+def test_splices_match_rehull_and_key_oracles(pts):
+    try:
+        cycle = _hull_cycle(pts)
+    except DegenerateInputError:
+        return
+    interior = _pick_counts(cycle)[1]
+    for g in sorted({0, 1, 2, interior, interior + 1, interior + 3}):
+        _assert_splices_match_oracles(cycle, g)
+
+
+@pytest.mark.parametrize(
+    "cycle, q, g, child",
+    [
+        # q on the line of the edge (0,0)->(1,0): a collinear extension
+        (((0, 0), (1, 0), (0, 1)), (2, 0), 0, ((0, 0), (2, 0), (0, 1))),
+        # the far apex of the g = 6 class conv{(0,0),(1,0),(4,13)}
+        (((0, 0), (1, 0), (3, 9)), (4, 13), 6, ((0, 0), (1, 0), (4, 13))),
+        # a run of three edges, collinear at both ends: (0,1) and (1,1) drop
+        (((0, 1), (1, 1), (2, 2), (0, 2)), (0, 0), 1, ((0, 0), (2, 2), (0, 2))),
+    ],
+)
+def test_splice_pinned_cases(cycle, q, g, child):
+    n = sum(_pick_counts(cycle)[1:])
+    spliced = {p: c for p, _, c in _splices(cycle, n, g)}
+    assert spliced[q] in _rotations(child)
+    _assert_splices_match_oracles(cycle, g)
 
 
 def test_growth_points_reach_the_far_apex():
@@ -265,9 +317,10 @@ def test_growth_points_reach_the_far_apex():
     rest = [p for p in convex_hull([(0, 0), (1, 0), (4, 13)]).lattice_points if p != (4, 13)]
     cycle = convex_hull(rest).vertices
     assert cycle == ((0, 0), (1, 0), (3, 9))
-    assert (4, 13) in _growth_points(cycle)
+    assert (4, 13) in _growth_points(cycle, *_edge_steps(cycle))
     assert (4, 13) not in _margin_growth_points(cycle, 2)
-    assert _grow_cycle(cycle, (4, 13), 8, 6) == ((0, 0), (1, 0), (4, 13))
+    spliced = {q: (counts, child) for q, counts, child in _splices(cycle, 8, 6)}
+    assert spliced[(4, 13)] == ((13, 6, 3), ((4, 13), (0, 0), (1, 0)))
 
 
 def _unfiltered_inductive_cycles(g, n_max):
@@ -276,7 +329,11 @@ def _unfiltered_inductive_cycles(g, n_max):
     current = {_canonical_cycle(((0, 0), (1, 0), (0, 1)))[0]}
     found = set(current) if g == 0 else set()
     for level_n in range(3, n_max):
-        grown = (_grow_cycle(c, q, level_n, g) for c in current for q in _growth_points(c))
+        grown = (
+            grow_cycle(c, q, level_n, g)
+            for c in current
+            for q in _growth_points(c, *_edge_steps(c))
+        )
         current = {_canonical_cycle(c)[0] for c in grown if c is not None}
         found |= {c for c in current if _pick_counts(c)[1] == g}
     return found
@@ -292,7 +349,7 @@ def test_inductive_filter_matches_unfiltered_growth(g, n_max):
 
 
 def _keys_by_vertex(cycle):
-    return dict(zip(cycle, _vertex_keys(cycle)))
+    return dict(zip(cycle, _vertex_keys(*_edge_steps(cycle))))
 
 
 @settings(max_examples=80, deadline=None)
@@ -328,15 +385,38 @@ def test_inductive_filter_canonicalises_fewer_than_accepted_growths(monkeypatch)
         calls["canonical"] += 1
         return _canonical_cycle(cycle)
 
-    def grow(*args):
-        grown = _grow_cycle(*args)
-        calls["accepted"] += grown is not None
-        return grown
+    def splices(cycle, n, g):
+        for q, (area2, interior, b), child in _splices(cycle, n, g):
+            calls["accepted"] += interior + b == n + 1 and interior <= g
+            yield q, (area2, interior, b), child
 
     monkeypatch.setattr(classify, "_canonical_cycle", canonical)
-    monkeypatch.setattr(classify, "_grow_cycle", grow)
+    monkeypatch.setattr(classify, "_splices", splices)
     assert len(_inductive_cycles(2, 13)) == G2_CLASS_COUNT
     assert 0 < calls["canonical"] < calls["accepted"]
+
+
+def test_splice_recount_catches_a_miscounted_child(monkeypatch):
+    # every built child is recounted in full: parents are canonical
+    # listings, which start at (0, 0), and a child starts at its growth
+    # point, so this recount is wrong on children alone
+    real = polygon2d._pick_counts
+
+    def miscount(cycle):
+        area2, interior, b = real(cycle)
+        return (area2, interior, b) if cycle[0] == (0, 0) else (area2 + 2, interior + 1, b)
+
+    monkeypatch.setattr(classify, "_pick_counts", miscount)
+    with pytest.raises(InvariantViolation, match="miscounts"):
+        _inductive_cycles(1, 10)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_inductive_stops_at_scotts_bound(g):
+    # no class with g >= 1 interior points has more than 3g + 7 points, so a
+    # larger n_max lists the same classes without following genus-0 strips
+    assert enumerate_classes(g, n_max=60) == enumerate_classes(g)
+    assert _inductive_cycles(g, 10**5) == _inductive_cycles(g, 3 * g + 7)
 
 
 def _unpruned_box_cycles(g, bound, n_max):

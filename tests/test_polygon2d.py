@@ -277,6 +277,27 @@ def test_canonical_tie_break_on_symmetric_shapes(pts):
     _assert_kernel_matches_reference(convex_hull(pts).vertices)
 
 
+@pytest.mark.parametrize(
+    "vertices, det",
+    [
+        # two shortest edges of length 1 beside one of length 3
+        (((0, 0), (3, 0), (0, 1)), 1),
+        # a unique shortest edge, (3,0)->(0,2); an anchoring on the cycle wins
+        (((0, 0), (3, 0), (0, 2)), 1),
+        # a unique shortest edge, (2,0)->(0,3), whose anchoring wins only
+        # in the mirror image's order
+        (((0, 0), (2, 0), (0, 3)), -1),
+    ],
+)
+def test_canonical_prune_on_mixed_edge_lengths(vertices, det):
+    # only anchorings on shortest edges are tried; the listing and the map
+    # must still equal the reference over every anchoring
+    _assert_kernel_matches_reference(vertices)
+    listing, m = _canonical_cycle(vertices)
+    assert listing[:2] == ((0, 0), (1, 0))
+    assert m.det == det
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(

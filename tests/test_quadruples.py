@@ -18,6 +18,7 @@ from wpoly import (
     reduce_weights,
     validate,
 )
+from wpoly import quadruples
 from wpoly.errors import PreconditionError
 from wpoly.quadruples import _case_candidates, _condition_i_witness, _condition_ii_witness
 from wpoly.wpolytope import build, distinguished_triangle
@@ -295,6 +296,28 @@ def test_enumerate_large_degree_counts(g, d_max, count):
         q = family_quadruple(g, m)
         assert Quadruple(*sorted(q.weights), q.d) in listed, q
         m += 1
+
+
+def test_enumerate_validates_every_coprime_candidate_and_only_those(monkeypatch):
+    # the gcd pre-test drops candidates validate would reject as not
+    # coprime; every other candidate, each kept one among them, is validated
+    validated = []
+
+    def recording(q):
+        validated.append(q)
+        return validate(q)
+
+    monkeypatch.setattr(quadruples, "validate", recording)
+    found = enumerate_g_good(1, 400)
+    candidates = {(d, *sorted(u)) for _, *u, d in _case_candidates(1, 400)}
+    coprime = [
+        Quadruple(w0, w1, w2, d)
+        for d, w0, w1, w2 in sorted(candidates)
+        if math.gcd(w0, w1) == math.gcd(w0, w2) == math.gcd(w1, w2) == 1
+    ]
+    assert validated == coprime
+    assert set(found) <= set(validated)
+    assert len(coprime) < len(candidates)
 
 
 def test_enumerate_parallel_matches_serial():
