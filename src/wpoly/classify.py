@@ -600,10 +600,14 @@ def map_curve(
             f"curve on {curve.quadruple} does not start the basis change from {bc.q_from}"
         )
     q_to = bc.q_to
-    rows = set(build(curve.quadruple).points)
-    if not curve.support <= rows:
+    w, d = bc.q_from.weights, bc.q_from.d
+    # the polytope's points are the nonnegative integer vectors of degree d
+    if not all(
+        len(v) == 3 and all(isinstance(x, int) and x >= 0 for x in v)
+        and sum(x * wi for x, wi in zip(v, w)) == d
+        for v in curve.support
+    ):
         raise PreconditionError("curve support contains non-polytope monomials")
-    d = bc.q_from.d
     scaled = [[x * d for x in row] for row in bc.matrix]
     if any(x.denominator != 1 for row in scaled for x in row):
         raise InvariantViolation(f"basis change matrix has a denominator not dividing {d}")

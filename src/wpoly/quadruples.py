@@ -227,9 +227,10 @@ def _case_candidates(g: int, d_max: int):
     """(case tag, u0, u1, u2, d) with d <= d_max for every parameter value
     of the seven determinant cases at genus g.
 
-    Each case fixes its distinguished rows (the pure power x_i^(d/u_i)
-    when u_i divides d, else a monomial x_i^e * x_j) in template slots
-    0, 1, 2; the case's genus identity then leaves at most two free
+    Each case fixes the shape of its distinguished rows (the pure power
+    x_i^(d/u_i) when u_i divides d, else a monomial x_i^e * x_j) in slots
+    0, 1, 2, as its wpolytope.CASE_MAPS entry says where each slot's row
+    points; the case's genus identity then leaves at most two free
     integers, listed here.  The candidates are unchecked and may repeat.
     """
     m = 2 * g + 1
@@ -328,14 +329,14 @@ def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
 
     Sorted by (d, w0, w1, w2).  The list comes from the seven determinant
     cases, not from a scan of the degrees.  It is complete: the
-    distinguished rows of every good quadruple of genus g >= 1 match one
-    of the seven case templates, and their determinant and the case's
-    genus identity equal the case's formulas (the paper's case lemma,
-    which wpolytope.verify_case_identities checks on every polytope it is
-    given).  `_case_candidates` lists every parameter value of every
-    template that those equations allow at genus g with d <= d_max, so
-    each such quadruple is among the candidates, in some order of its
-    weights.  Each candidate is sorted to ascending weights, deduplicated,
+    distinguished rows of every good quadruple of genus g >= 1 take one
+    of the seven shapes in wpolytope.CASE_MAPS, and their determinant and
+    the case's genus identity equal the case's formulas (the paper's case
+    lemma, which wpolytope.verify_case_identities checks on every
+    polytope it is given).  `_case_candidates` lists every parameter
+    value of every case that those equations allow at genus g with
+    d <= d_max, so each such quadruple is among the candidates, in some
+    order of its weights.  Each candidate is sorted to ascending weights, deduplicated,
     dropped at once unless its weights are pairwise coprime (most rejected
     candidates fail there), and kept only if `validate` finds it good
     (coprimality, conditions (i)/(ii) on all three axes, integral genus)

@@ -7,7 +7,9 @@ Key facts exercised here: the number of interior points equals the
 genus, which build() checks for every polytope; every 3x3 minor of M(P)
 is divisible by d; some triple of rows has |det| exactly d; and a
 distinguished triple of near-axis points falls into one of seven cases
-with a predictable determinant.
+with a predictable determinant.  The case is read off where each axis's
+row points (CASE_MAPS): to the one other axis the row uses, or to itself
+for a pure power.
 """
 from __future__ import annotations
 
@@ -18,8 +20,6 @@ from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 from .quadruples import Quadruple, validate
 
 Point3 = tuple[int, int, int]
-
-CASE_TAGS = ("a.i", "a.ii", "b.i", "b.ii", "b.iii", "c", "d")
 
 # Hard bound on the point count: n <= 3g + 7, where only one shape per
 # genus class may reach 3g + 7 (the soft bound is 3g + 6).  The bound
@@ -46,9 +46,9 @@ class DistinguishedTriangle:
     """Per-axis distinguished points plus their case classification.
 
     rows[i] is the point chosen for axis i, in the original coordinate
-    order.  permutation sigma aligns the rows with the case template:
-    template slot t corresponds to original axis sigma[t].  k and l are
-    the case integers where the case defines them.
+    order.  permutation sigma aligns the rows with the case's CASE_MAPS
+    entry: slot t corresponds to original axis sigma[t].  k and l are the
+    case integers where the case defines them.
     """
 
     rows: tuple[Point3, Point3, Point3]
@@ -194,17 +194,33 @@ def _axis_row(p: WeightedPolytope, axis: int) -> Point3:
     )
 
 
-def _permute(pt: Point3, sigma: tuple[int, int, int]) -> Point3:
-    return (pt[sigma[0]], pt[sigma[1]], pt[sigma[2]])
+# Each distinguished row is a pure power x_i^e or a monomial x_i^e * x_j,
+# so axis i points to j, or to itself.  The seven cases are the seven
+# shapes of such a map up to relabelling the axes; an entry says where
+# slots 0, 1, 2 point.  Orbit sizes 2, 6, 3, 6, 3, 6, 1 cover all 27 maps.
+CASE_MAPS = {
+    "a.i": (1, 2, 0),  # 3-cycle: rows (a,1,0), (0,b,1), (1,0,c)
+    "a.ii": (1, 2, 1),  # 2-cycle plus tail: (a,1,0), (0,b,1), (0,1,c)
+    "b.i": (0, 2, 1),  # fixed point plus 2-cycle: (a,0,0), (0,b,1), (0,1,c)
+    "b.ii": (0, 0, 1),  # chain into a fixed point: (a,0,0), (1,b,0), (0,1,c)
+    "b.iii": (0, 0, 0),  # two axes into one fixed point: (a,0,0), (1,b,0), (1,0,c)
+    "c": (0, 1, 0),  # two fixed points, third into one: (a,0,0), (0,b,0), (1,0,c)
+    "d": (0, 1, 2),  # identity: (a,0,0), (0,b,0), (0,0,c)
+}
+
+# map -> (tag, least sigma in lex order), slot t being axis sigma[t]; the
+# sigmas run in reverse so that the least one is written last
+_CASE_OF_MAP = {
+    tuple(sigma[slots[sigma.index(i)]] for i in range(3)): (tag, sigma)
+    for tag, slots in CASE_MAPS.items()
+    for sigma in reversed(list(permutations(range(3))))
+}
 
 
 def _match_case(p: WeightedPolytope) -> tuple[DistinguishedTriangle, tuple[int, int]]:
-    """Classify the distinguished rows by the case templates.
-
-    Tries templates in a fixed order and axis permutations in lex order;
-    the first full match by (case tag, sigma) wins, where sigma maps
-    template slots to original axes.  Returns the triangle and both sides
-    of the matched case's genus identity, unchecked.
+    """Classify the distinguished rows by where each axis's row points
+    (CASE_MAPS).  Returns the triangle and both sides of the case's genus
+    identity, unchecked.
     """
     q = p.quadruple
     rows = tuple(_axis_row(p, axis) for axis in range(3))
@@ -212,147 +228,58 @@ def _match_case(p: WeightedPolytope) -> tuple[DistinguishedTriangle, tuple[int, 
         raise PreconditionError(
             f"{q}: distinguished points coincide (degenerate, genus 0)"
         )
-    w = q.weights
-    d = q.d
-    n_div = sum(1 for wi in w if d % wi == 0)
-    candidates = []
-    for sigma in permutations(range(3)):
-        u = (w[sigma[0]], w[sigma[1]], w[sigma[2]])
-        r = tuple(_permute(rows[sigma[t]], sigma) for t in range(3))
-        match = _try_templates(n_div, u, d, p.genus, r)
-        if match is not None:
-            tag, k, l, det, identity = match
-            candidates.append((CASE_TAGS.index(tag), sigma, k, l, det, identity))
-    if not candidates:
-        raise InvariantViolation(
-            f"{q}: distinguished rows {rows} match no determinant case"
-        )
-    order, sigma, k, l, det, identity = min(candidates, key=lambda c: c[:2])
-    return (DistinguishedTriangle(rows, CASE_TAGS[order], sigma, k, l, det), identity)
+    points_to = tuple(next((j for j in range(3) if j != i and r[j]), i) for i, r in enumerate(rows))
+    tag, sigma = _CASE_OF_MAP[points_to]
+    u = tuple(q.weights[axis] for axis in sigma)
+    a, b, c = (rows[axis][axis] for axis in sigma)
+    k, l, det, identity = _case_formulas(q, p.genus, tag, u, a, b, c)
+    return (DistinguishedTriangle(rows, tag, sigma, k, l, det), identity)
 
 
-def _try_templates(
-    n_div: int,
-    u: tuple[int, int, int],
-    d: int,
-    g: int,
-    r: tuple[Point3, Point3, Point3],
-) -> tuple[str, int | None, int | None, int, tuple[int, int]] | None:
-    """Check the permuted rows against the templates for their divisor count.
+def _case_formulas(
+    q: Quadruple, g: int, tag: str, u: tuple[int, int, int], a: int, b: int, c: int
+) -> tuple[int | None, int | None, int, tuple[int, int]]:
+    """(k, l, predicted determinant, both sides of the genus identity) of
+    one case, from the weights u and free exponents a, b, c of slots 0, 1, 2.
 
-    A match returns (case tag, k, l, predicted determinant, genus
-    identity), the identity as its two sides computed from the same u,
-    rows, k and l.  Only the template decides the match; the identity is
-    compared by verify_case_identities.
+    k and l must be exact quotients >= 1, else InvariantViolation.  The
+    rest of each case's row template follows from the shape, the rows'
+    degree equations and pairwise coprimality.  In a.ii, a*u0 + u1 =
+    b*u1 + u2 = u1 + c*u2 = d gives (b - 1)u1 = (c - 1)u2 and a*u0 = c*u2,
+    so u2 divides b - 1 and a, and with k = (b - 1)/u2, l = a/u2 that is
+    c = 1 + k*u1 = l*u0 and d = k*u1*u2 + u1 + u2 = l*u0*u2 + u1.
     """
     u0, u1, u2 = u
-    r0, r1, r2 = r
-    if n_div == 0:
-        # a.i: rows (a,1,0), (0,b,1), (1,0,c)
-        if (
-            r0[1] == 1 and r0[2] == 0 and r0[0] >= 1
-            and r1[0] == 0 and r1[2] == 1 and r1[1] >= 1
-            and r2[0] == 1 and r2[1] == 0 and r2[2] >= 1
-        ):
-            rhs = d * (d - u0 - u1 - u2) + u0 * u1 + u0 * u2 + u1 * u2
-            return ("a.i", None, None, (2 * g + 1) * d, ((2 * g + 1) * u0 * u1 * u2, rhs))
-        # a.ii: rows (a,1,0), (0,b,1), (0,1,c)
-        if (
-            r0[1] == 1 and r0[2] == 0 and r0[0] >= 1
-            and r1[0] == 0 and r1[2] == 1 and r1[1] >= 1
-            and r2[0] == 0 and r2[1] == 1 and r2[2] >= 1
-        ):
-            a, b, c = r0[0], r1[1], r2[2]
-            if a % u2 != 0 or (b - 1) % u2 != 0:
-                return None
-            l = a // u2
-            k = (b - 1) // u2
-            if k < 1 or l < 1:
-                return None
-            if c != 1 + k * u1 or a != l * u2 or c != l * u0:
-                return None
-            if d != k * u1 * u2 + u1 + u2 or d != l * u0 * u2 + u1:
-                return None
-            return ("a.ii", k, l, (2 * g + 1 + k - l) * d, (2 * g + 1, a * k + l - k))
-        return None
-    if n_div == 1:
-        if u0 * (d // u0) != d:
-            return None
-        a = d // u0
-        if r0 != (a, 0, 0):
-            return None
-        # b.i: rows (a,0,0), (0,b,1), (0,1,c)
-        if (
-            r1[0] == 0 and r1[2] == 1 and r1[1] >= 1
-            and r2[0] == 0 and r2[1] == 1 and r2[2] >= 1
-        ):
-            b, c = r1[1], r2[2]
-            if (b - 1) % u2 != 0:
-                return None
-            k = (b - 1) // u2
-            if k < 1 or c != k * u1 + 1 or d != k * u1 * u2 + u1 + u2:
-                return None
-            return ("b.i", k, None, (2 * g + k) * d, (2 * g, k * (a - 1)))
-        # b.ii: rows (a,0,0), (1,b,0), (0,1,c)
-        if (
-            r1[0] == 1 and r1[2] == 0 and r1[1] >= 1
-            and r2[0] == 0 and r2[1] == 1 and r2[2] >= 1
-        ):
-            b, c = r1[1], r2[2]
-            if (a - 1) % u1 != 0:
-                return None
-            k = (a - 1) // u1
-            if k < 1 or b != k * u0 or d != k * u0 * u1 + u0 or d != c * u2 + u1:
-                return None
-            return ("b.ii", k, None, (2 * g + k) * d, (2 * g, k * (c - 1)))
-        # b.iii: rows (a,0,0), (1,b,0), (1,0,c)
-        if (
-            r1[0] == 1 and r1[2] == 0 and r1[1] >= 1
-            and r2[0] == 1 and r2[1] == 0 and r2[2] >= 1
-        ):
-            b, c = r1[1], r2[2]
-            prod = u0 * u1 * u2
-            if (d - u0) % prod != 0:
-                return None
-            k = (d - u0) // prod
-            if k < 1 or b != k * u0 * u2 or c != k * u0 * u1:
-                return None
-            return ("b.iii", k, None, k * d * (d - u0), (2 * g, k * (d - u1 - u2)))
-        return None
-    if n_div == 2:
-        # c: rows (a,0,0), (0,b,0), (1,0,c); u0 | d, u1 | d, u2 does not
-        if d % u0 != 0 or d % u1 != 0 or d % u2 == 0:
-            return None
-        if (
-            r0 == (d // u0, 0, 0)
-            and r1 == (0, d // u1, 0)
-            and r2[0] == 1 and r2[1] == 0 and r2[2] >= 1
-        ):
-            a, b, c = r0[0], r1[1], r2[2]
-            if b % u0 != 0 or c % u0 != 0:
-                return None
-            k = b // u0
-            l = c // u0
-            if k < 1 or l < 1 or a != k * u1 or a != l * u2 + 1:
-                return None
-            if d != k * u0 * u1 or d != l * u0 * u2 + u0:
-                return None
-            return ("c", k, l, (2 * g + k + l - 1) * d, (2 * g + l + k - 1, k * l * u0))
-        return None
-    # n_div == 3, case d: diagonal rows
-    prod = u0 * u1 * u2
-    if d % prod != 0:
-        return None
-    k = d // prod
-    if k < 1:
-        return None
-    if (
-        r0 == (k * u1 * u2, 0, 0)
-        and r1 == (0, k * u0 * u2, 0)
-        and r2 == (0, 0, k * u0 * u1)
-    ):
-        return ("d", k, None, k * d * d, (2 * g - 2 + k * (u0 + u1 + u2), k * d))
-    return None
+    d = q.d
+
+    def quotient(name: str, num: int, den: int) -> int:
+        value, rest = divmod(num, den)
+        if rest or value < 1:
+            raise InvariantViolation(
+                f"{q}: case {tag} needs {name} = {num}/{den} to be a positive integer"
+            )
+        return value
+
+    if tag == "a.i":
+        rhs = d * (d - u0 - u1 - u2) + u0 * u1 + u0 * u2 + u1 * u2
+        return None, None, (2 * g + 1) * d, ((2 * g + 1) * u0 * u1 * u2, rhs)
+    if tag == "a.ii":
+        k, l = quotient("k", b - 1, u2), quotient("l", a, u2)
+        return k, l, (2 * g + 1 + k - l) * d, (2 * g + 1, a * k + l - k)
+    if tag == "b.i":
+        k = quotient("k", b - 1, u2)
+        return k, None, (2 * g + k) * d, (2 * g, k * (a - 1))
+    if tag == "b.ii":
+        k = quotient("k", a - 1, u1)
+        return k, None, (2 * g + k) * d, (2 * g, k * (c - 1))
+    if tag == "b.iii":
+        k = quotient("k", d - u0, u0 * u1 * u2)
+        return k, None, k * d * (d - u0), (2 * g, k * (d - u1 - u2))
+    if tag == "c":
+        k, l = quotient("k", b, u0), quotient("l", c, u0)
+        return k, l, (2 * g + k + l - 1) * d, (2 * g + l + k - 1, k * l * u0)
+    k = quotient("k", d, u0 * u1 * u2)  # d
+    return k, None, k * d * d, (2 * g - 2 + k * (u0 + u1 + u2), k * d)
 
 
 def distinguished_triangle(p: WeightedPolytope) -> DistinguishedTriangle:

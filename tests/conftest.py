@@ -1,4 +1,8 @@
+from itertools import product
+
 import pytest
+
+from wpoly import Quadruple, validate
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -15,6 +19,19 @@ def record_criterion():
         return ok
 
     return _record
+
+
+@pytest.fixture(scope="session")
+def small_good_quadruples():
+    """(quadruple, genus) of every good quadruple with weights <= 12 and
+    d <= 40, in product order; 2685 of them, swept once per session."""
+    found = []
+    for w0, w1, w2, d in product(range(1, 13), range(1, 13), range(1, 13), range(1, 41)):
+        q = Quadruple(w0, w1, w2, d)
+        report = validate(q)
+        if report.is_good:
+            found.append((q, report.genus))
+    return tuple(found)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from wpoly import (
     Quadruple,
     UnimodularAffineMap,
+    WeightedCurve,
     basis_change,
     build,
     canonical_form,
@@ -39,6 +40,7 @@ from wpoly.classify import (
     atlas_stabilization,
     stabilization_steps,
 )
+from wpoly.cli import main
 from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
 from wpoly.polygon2d import (
     _MIRROR,
@@ -694,6 +696,33 @@ def test_map_curve_rejects_mismatched_basis_change():
     curve = make_curve(qb, [(1, (7, 0, 0))])
     with pytest.raises(PreconditionError):
         map_curve(curve, bc)
+
+
+def test_map_curve_refuses_support_off_the_polytope():
+    # a hand-built curve skips make_curve's checks; map_curve itself
+    # refuses monomials that are not polytope points
+    qa, qb = Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)
+    bc = basis_change(qa, qb)
+    for off in [(1, 0, 0), (9, 0, -1), (7, 0)]:
+        curve = WeightedCurve(qa, ((Fraction(1), (7, 0, 0)), (Fraction(1), off)))
+        with pytest.raises(PreconditionError, match="^curve support contains non-polytope monomials$"):
+            map_curve(curve, bc)
+
+
+def test_map_curve_command_builds_three_polytopes(monkeypatch, capsys):
+    # basis_change builds both polytopes and the default curve reads the
+    # source's points; the support check needs no polytope of its own
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return build(q)
+
+    monkeypatch.setattr(classify, "build", counted)
+    monkeypatch.setattr("wpoly.cli.build", counted)
+    assert main(["map", "curve", "1", "3", "2", "7", "1", "2", "3", "7"]) == 0
+    capsys.readouterr()
+    assert calls == [Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7), Quadruple(1, 3, 2, 7)]
 
 
 def test_map_curve_rejects_images_off_the_target_polytope():

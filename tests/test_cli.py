@@ -1,17 +1,10 @@
 """Exit codes, output formats, config handling, golden files."""
-import functools
 import json
-from itertools import product
 from pathlib import Path
 
 import pytest
 
-from wpoly import (
-    Quadruple,
-    enumerate_classes,
-    group_by_class,
-    validate,
-)
+from wpoly import enumerate_classes, group_by_class
 from wpoly.classify import atlas_stabilization
 from wpoly.cli import main
 
@@ -79,23 +72,17 @@ def test_poly_analyze_rejects_non_good(capsys):
     assert "not a good quadruple" in err
 
 
-@functools.cache
-def _small_good_quadruples():
-    """(argv words, genus) of every good quadruple with weights <= 12 and d <= 40."""
-    found = []
-    for w0, w1, w2, d in product(range(1, 13), range(1, 13), range(1, 13), range(1, 41)):
-        report = validate(Quadruple(w0, w1, w2, d))
-        if report.is_good:
-            found.append(([str(w0), str(w1), str(w2), str(d)], report.genus))
-    return found
+def _words(q):
+    return [str(x) for x in (*q.weights, q.d)]
 
 
-def test_poly_analyze_never_exits_2_on_good_quadruples(capsys):
+def test_poly_analyze_never_exits_2_on_good_quadruples(capsys, small_good_quadruples):
     # exit 2 is reserved for broken invariants, so no good quadruple may
     # reach it; genus-0 ones may exit 1 when their distinguished points
     # coincide, and (1,1,4;5) (n = 8 > 3*0 + 7) must pass
     bad = []
-    for words, genus in _small_good_quadruples():
+    for q, genus in small_good_quadruples:
+        words = _words(q)
         code, _, err = run(capsys, "poly", "analyze", *words)
         if code == 2 or (code == 1 and (genus >= 1 or "distinguished points coincide" not in err)):
             bad.append((words, code, err.strip()))
@@ -103,11 +90,12 @@ def test_poly_analyze_never_exits_2_on_good_quadruples(capsys):
     assert run(capsys, "poly", "analyze", "1", "1", "4", "5")[0] == 0
 
 
-def test_map_curve_never_exits_2_on_good_quadruples(capsys):
+def test_map_curve_never_exits_2_on_good_quadruples(capsys, small_good_quadruples):
     # a quadruple mapped onto itself; genus-0 polytopes of two points hold
     # no row triple to project through, which is exit 1
     bad = []
-    for words, genus in _small_good_quadruples():
+    for q, genus in small_good_quadruples:
+        words = _words(q)
         code, _, err = run(capsys, "map", "curve", *words, *words)
         if code == 2 or (code == 1 and (genus >= 1 or "only 2 polytope points" not in err)):
             bad.append((words, code, err.strip()))

@@ -1,8 +1,10 @@
 """Polytope construction, minors, case identities, decompositions."""
 import dataclasses
 import functools
+import hashlib
+import json
 import re
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -124,7 +126,7 @@ def test_case_tags_and_determinants():
 
 def test_case_genus_identities_frozen():
     # both sides of each case's genus identity, as computed before the
-    # identities moved into the case templates
+    # identities moved into the case formulas
     expected = {
         "a.i": (60, 60),
         "a.ii": (5, 5),
@@ -141,27 +143,83 @@ def test_case_genus_identities_frozen():
 
 
 def test_failing_genus_identity_is_reported_not_unmatched(monkeypatch):
-    # the identity is no match condition: a template whose identity fails
+    # the identity is no match condition: a case whose identity fails
     # still matches, and the check names the identity
-    import wpoly.wpolytope as wp
-
-    true_templates = wp._try_templates
+    true_formulas = wpolytope._case_formulas
 
     def broken_identity(*args):
-        match = true_templates(*args)
-        if match is None:
-            return None
-        *head, (lhs, rhs) = match
-        return (*head, (lhs, rhs + 1))
+        k, l, det, (lhs, rhs) = true_formulas(*args)
+        return k, l, det, (lhs, rhs + 1)
 
     for tag, tup in CASE_INSTANCES.items():
         p = build(Quadruple(*tup))
         tri = distinguished_triangle(p)
-        monkeypatch.setattr(wp, "_try_templates", broken_identity)
+        monkeypatch.setattr(wpolytope, "_case_formulas", broken_identity)
         assert distinguished_triangle(p) == tri, tup
         with pytest.raises(InvariantViolation, match=f"case {tag} genus identity fails"):
             verify_case_identities(p)
-        monkeypatch.setattr(wp, "_try_templates", true_templates)
+        monkeypatch.setattr(wpolytope, "_case_formulas", true_formulas)
+
+
+def _relabelled(slots, sigma):
+    # the map on the axes when template slot t is axis sigma[t]
+    points_to = [None, None, None]
+    for t in range(3):
+        points_to[sigma[t]] = sigma[slots[t]]
+    return tuple(points_to)
+
+
+def test_case_maps_partition_the_27_maps():
+    # the seven shapes up to relabelling are disjoint orbits covering every
+    # map on three axes, and the lookup carries the lex-least sigma
+    sigmas = list(permutations(range(3)))
+    orbits = {
+        tag: {_relabelled(slots, sigma) for sigma in sigmas}
+        for tag, slots in wpolytope.CASE_MAPS.items()
+    }
+    assert list(orbits) == list(CASE_INSTANCES)
+    assert [len(orbit) for orbit in orbits.values()] == [2, 6, 3, 6, 3, 6, 1]
+    every_map = set(product(range(3), repeat=3))
+    assert set().union(*orbits.values()) == every_map
+    assert sum(len(orbit) for orbit in orbits.values()) == len(every_map) == 27
+    assert set(wpolytope._CASE_OF_MAP) == every_map
+    for tag, orbit in orbits.items():
+        for points_to in orbit:
+            slots = wpolytope.CASE_MAPS[tag]
+            least = min(s for s in sigmas if _relabelled(slots, s) == points_to)
+            assert wpolytope._CASE_OF_MAP[points_to] == (tag, least)
+
+
+def test_case_formulas_refuse_inexact_quotients():
+    # (2,3,5;17) is a.ii with slot weights (5,2,3) and exponents a, b, c =
+    # 3, 7, 5: k = (b - 1)/u2 = 2 and l = a/u2 = 1
+    q = Quadruple(2, 3, 5, 17)
+    assert wpolytope._case_formulas(q, 2, "a.ii", (5, 2, 3), 3, 7, 5) == (2, 1, 102, (5, 5))
+    for (a, b, c), message in [
+        ((4, 7, 5), "case a.ii needs l = 4/3 to be a positive integer"),
+        ((3, 1, 5), "case a.ii needs k = 0/3 to be a positive integer"),
+    ]:
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(f'{q}: {message}')}$"):
+            wpolytope._case_formulas(q, 2, "a.ii", (5, 2, 3), a, b, c)
+    with pytest.raises(InvariantViolation, match=re.escape("case d needs k = 3/2")):
+        wpolytope._case_formulas(Quadruple(1, 1, 1, 3), 1, "d", (1, 1, 2), 3, 3, 3)
+
+
+# sha256 of the case reports (or error class and message) over the good
+# quadruples with weights <= 12 and d <= 40, as the six-permutation
+# template matcher computed them
+CASE_SWEEP_SHA256 = "885e4d1569b827b01e495fa91dfeadfcd88ed26f197558ffc7aeb06449ff3f87"
+
+
+def test_case_reports_golden_over_small_good_quadruples(small_good_quadruples):
+    items = []
+    for q, _ in small_good_quadruples:
+        try:
+            items.append(verify_case_identities(build(q)).to_dict())
+        except (PreconditionError, InvariantViolation) as exc:
+            items.append([type(exc).__name__, str(exc)])
+    assert len(items) == 2685
+    assert hashlib.sha256(json.dumps(items).encode()).hexdigest() == CASE_SWEEP_SHA256
 
 
 def test_case_rows_frozen_for_biii():
