@@ -49,11 +49,9 @@ from .quadruples import (
 from .render import render_polygon_svg
 from .wpolytope import (
     CaseReport,
-    DistinguishedTriangle,
     WeightedPolytope,
     build,
     decompose,
-    distinguished_triangle,
     find_unimodular_triple,
     minor_det,
     verify_case_identities,
@@ -68,7 +66,6 @@ __all__ = [
     "ClassEntry",
     "D_MAX_CAP",
     "DegenerateInputError",
-    "DistinguishedTriangle",
     "InvariantViolation",
     "LatticePolygon",
     "PreconditionError",
@@ -84,7 +81,6 @@ __all__ = [
     "canonical_form",
     "convex_hull",
     "decompose",
-    "distinguished_triangle",
     "enumerate_classes",
     "enumerate_g_good",
     "equivalent",

@@ -458,13 +458,15 @@ class BasisChange:
     """Exact rational coordinate change aligning two polytopes row by row.
 
     matrix T satisfies row_i(M(P)) * T = row_{row_map[i]}(M(P')) for every
-    row; all denominators in T divide the common degree d.
+    row; all denominators in T divide the common degree d.  rows are the
+    rows of M(P), in the order row_map indexes them.
     """
 
     q_from: Quadruple
     q_to: Quadruple
     matrix: tuple[tuple[Fraction, Fraction, Fraction], ...]
     row_map: tuple[int, ...]
+    rows: tuple[Point3, ...]
 
 
 def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
@@ -522,6 +524,7 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
         q_to=q_to,
         matrix=matrix,
         row_map=tuple(row_map),
+        rows=p_from.points,
     )
 
 
@@ -563,25 +566,14 @@ def make_curve(q: Quadruple, terms) -> WeightedCurve:
 
 def _support_conditions(support: frozenset[Point3]) -> tuple[tuple[bool, bool, bool], tuple[bool, bool, bool]]:
     """Which of the two monomial conditions the support itself witnesses."""
-    cond_i = []
-    cond_ii = []
-    for axis in range(3):
-        others = [j for j in range(3) if j != axis]
-        has_i = False
-        for p in support:
-            if p[axis] >= 2 and all(p[j] == 0 for j in others):
-                has_i = True
-                break
-            for j in others:
-                k = [o for o in others if o != j][0]
-                if p[axis] >= 1 and p[j] == 1 and p[k] == 0:
-                    has_i = True
-                    break
-            if has_i:
-                break
-        cond_i.append(has_i)
-        cond_ii.append(any(p[axis] == 0 for p in support))
-    return (tuple(cond_i), tuple(cond_ii))
+    # (i): some v = x_i^k * x_j with k >= 1 and any j, that is v[i] >= 1,
+    # at most 1 in the other two exponents and degree sum(v) >= 2;
+    # (ii): some v with v[i] = 0
+    cond_i = tuple(
+        any(v[i] >= 1 and sum(v) - v[i] <= 1 and sum(v) >= 2 for v in support)
+        for i in range(3)
+    )
+    return (cond_i, tuple(any(v[i] == 0 for v in support) for i in range(3)))
 
 
 def map_curve(
@@ -600,13 +592,8 @@ def map_curve(
             f"curve on {curve.quadruple} does not start the basis change from {bc.q_from}"
         )
     q_to = bc.q_to
-    w, d = bc.q_from.weights, bc.q_from.d
-    # the polytope's points are the nonnegative integer vectors of degree d
-    if not all(
-        len(v) == 3 and all(isinstance(x, int) and x >= 0 for x in v)
-        and sum(x * wi for x, wi in zip(v, w)) == d
-        for v in curve.support
-    ):
+    d = bc.q_from.d
+    if not curve.support <= set(bc.rows):
         raise PreconditionError("curve support contains non-polytope monomials")
     scaled = [[x * d for x in row] for row in bc.matrix]
     if any(x.denominator != 1 for row in scaled for x in row):

@@ -177,7 +177,7 @@ def poly_analyze(cfg: Config, w0: int, w1: int, w2: int, d: int,
     click.echo(f"genus       {p.genus}")
     click.echo(f"points      {p.n}" + ("  (exceeds soft bound 3g+6)" if p.exceptional_bound else ""))
     click.echo(f"interior    {len(p.interior)}")
-    click.echo(f"case        {case.triangle.case_tag}")
+    click.echo(f"case        {case.case_tag}")
     click.echo(f"determinant {case.actual_det} (predicted {case.predicted_det})")
     click.echo(f"triple      {[list(row) for row in triple]}")
     click.echo(f"canonical   {canon.to_json_dict()['vertices']}")
@@ -358,7 +358,7 @@ def map_curve_cmd(cfg: Config, w0: int, w1: int, w2: int, d: int,
     if curve_path is not None:
         terms = _read_curve_terms(curve_path)
     else:
-        terms = [(Fraction(1), pt) for pt in build(q_from).points]
+        terms = [(Fraction(1), pt) for pt in bc.rows]
     curve = make_curve(q_from, terms)
     mapped, warnings = map_curve(curve, bc)
     payload = {

@@ -47,16 +47,6 @@ class Quadruple:
     def weights(self) -> tuple[int, int, int]:
         return (self.w0, self.w1, self.w2)
 
-    @property
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.d, self.w0, self.w1, self.w2)
-
-    @property
-    def normalized_key(self) -> tuple[int, int, int, int]:
-        """Deduplication key: weights sorted ascending, then the degree."""
-        a, b, c = sorted(self.weights)
-        return (a, b, c, self.d)
-
     def __str__(self) -> str:
         return f"({self.w0},{self.w1},{self.w2};{self.d})"
 

@@ -5,11 +5,12 @@ exponent vector (a, b, c) >= 0 with a*w0 + b*w1 + c*w2 = d.  Its point
 matrix M(P) has the points as rows in ascending lexicographic order.
 Key facts exercised here: the number of interior points equals the
 genus, which build() checks for every polytope; every 3x3 minor of M(P)
-is divisible by d; some triple of rows has |det| exactly d; and a
-distinguished triple of near-axis points falls into one of seven cases
-with a predictable determinant.  The case is read off where each axis's
-row points (CASE_MAPS): to the one other axis the row uses, or to itself
-for a pure power.
+is divisible by d; some triple of rows has |det| exactly d; and the
+distinguished rows (axis i's is the pure power x_i^(d/w_i) when w_i
+divides d, else the condition-(i) witness x_i^k * x_j that validate
+reports) fall into one of seven cases with a predictable determinant.
+The case is read off where each axis's row points (CASE_MAPS): to the
+one other axis the row uses, or to itself for a pure power.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
-from .quadruples import Quadruple, validate
+from .quadruples import Quadruple, _condition_i_witness, validate
 
 Point3 = tuple[int, int, int]
 
@@ -42,38 +43,32 @@ class WeightedPolytope:
 
 
 @dataclass(frozen=True)
-class DistinguishedTriangle:
-    """Per-axis distinguished points plus their case classification.
+class CaseReport:
+    """The distinguished rows of a polytope and their case.
 
-    rows[i] is the point chosen for axis i, in the original coordinate
-    order.  permutation sigma aligns the rows with the case's CASE_MAPS
-    entry: slot t corresponds to original axis sigma[t].  k and l are the
-    case integers where the case defines them.
+    rows[i] is the row of axis i, in the original coordinate order.
+    permutation sigma aligns the rows with the case's CASE_MAPS entry:
+    slot t corresponds to original axis sigma[t].  k and l are the case
+    integers where the case defines them.
     """
 
+    quadruple: Quadruple
     rows: tuple[Point3, Point3, Point3]
     case_tag: str
     permutation: tuple[int, int, int]
     k: int | None
     l: int | None
-    predicted_det: int
-
-
-@dataclass(frozen=True)
-class CaseReport:
-    quadruple: Quadruple
-    triangle: DistinguishedTriangle
     actual_det: int
     predicted_det: int
     genus_identity: tuple[int, int]
 
     def to_dict(self) -> dict:
         return {
-            "case": self.triangle.case_tag,
-            "rows": [list(p) for p in self.triangle.rows],
-            "permutation": list(self.triangle.permutation),
-            "k": self.triangle.k,
-            "l": self.triangle.l,
+            "case": self.case_tag,
+            "rows": [list(p) for p in self.rows],
+            "permutation": list(self.permutation),
+            "k": self.k,
+            "l": self.l,
             "actual_det": self.actual_det,
             "predicted_det": self.predicted_det,
             "genus_identity": list(self.genus_identity),
@@ -169,29 +164,20 @@ def find_unimodular_triple(p: WeightedPolytope) -> tuple[Point3, Point3, Point3]
     raise InvariantViolation(f"{p.quadruple}: no row triple with |det| == {d}")
 
 
-def _axis_row(p: WeightedPolytope, axis: int) -> Point3:
-    """The distinguished point for one axis.
-
-    Preference order: the pure power of the axis, then the point with a
-    single unit in the lower other axis, then in the higher other axis.
+def _axis_row(q: Quadruple, axis: int) -> Point3:
+    """Axis i's distinguished row: x_i^(d/w_i) when w_i divides d, else
+    the condition-(i) witness x_i^k * x_j, whose least j is then not i.
     """
-    w = p.quadruple.weights
-    d = p.quadruple.d
+    w, d = q.weights, q.d
+    row = [0, 0, 0]
     if d % w[axis] == 0:
-        pt = [0, 0, 0]
-        pt[axis] = d // w[axis]
-        return tuple(pt)
-    others = [j for j in range(3) if j != axis]
-    for j in others:
-        rest = d - w[j]
-        if rest >= w[axis] and rest % w[axis] == 0:
-            pt = [0, 0, 0]
-            pt[axis] = rest // w[axis]
-            pt[j] = 1
-            return tuple(pt)
-    raise InvariantViolation(
-        f"{p.quadruple}: no distinguished point for axis {axis}"
-    )
+        row[axis] = d // w[axis]
+    elif (witness := _condition_i_witness(w, d, axis)) is not None:
+        row[axis], j = witness
+        row[j] = 1
+    else:
+        raise InvariantViolation(f"{q}: no distinguished point for axis {axis}")
+    return tuple(row)
 
 
 # Each distinguished row is a pure power x_i^e or a monomial x_i^e * x_j,
@@ -217,23 +203,20 @@ _CASE_OF_MAP = {
 }
 
 
-def _match_case(p: WeightedPolytope) -> tuple[DistinguishedTriangle, tuple[int, int]]:
+def _case_report(p: WeightedPolytope) -> CaseReport:
     """Classify the distinguished rows by where each axis's row points
-    (CASE_MAPS).  Returns the triangle and both sides of the case's genus
-    identity, unchecked.
+    (CASE_MAPS).  The determinant and genus identity are left unchecked.
     """
     q = p.quadruple
-    rows = tuple(_axis_row(p, axis) for axis in range(3))
+    rows = tuple(_axis_row(q, axis) for axis in range(3))
     if len(set(rows)) < 3:
-        raise PreconditionError(
-            f"{q}: distinguished points coincide (degenerate, genus 0)"
-        )
+        raise PreconditionError(f"{q}: distinguished points coincide (degenerate, genus 0)")
     points_to = tuple(next((j for j in range(3) if j != i and r[j]), i) for i, r in enumerate(rows))
     tag, sigma = _CASE_OF_MAP[points_to]
     u = tuple(q.weights[axis] for axis in sigma)
     a, b, c = (rows[axis][axis] for axis in sigma)
     k, l, det, identity = _case_formulas(q, p.genus, tag, u, a, b, c)
-    return (DistinguishedTriangle(rows, tag, sigma, k, l, det), identity)
+    return CaseReport(q, rows, tag, sigma, k, l, minor_det(*rows), det, identity)
 
 
 def _case_formulas(
@@ -282,35 +265,22 @@ def _case_formulas(
     return k, None, k * d * d, (2 * g - 2 + k * (u0 + u1 + u2), k * d)
 
 
-def distinguished_triangle(p: WeightedPolytope) -> DistinguishedTriangle:
-    """Distinguished per-axis points with their case classification."""
-    return _match_case(p)[0]
-
-
 def verify_case_identities(p: WeightedPolytope) -> CaseReport:
     """Compare the actual determinant and genus identity with the case formulas.
 
     Raises InvariantViolation if either comparison fails; the report
     carries both sides of each.
     """
-    tri, identity = _match_case(p)
-    actual = minor_det(*tri.rows)
-    report = CaseReport(
-        quadruple=p.quadruple,
-        triangle=tri,
-        actual_det=actual,
-        predicted_det=tri.predicted_det,
-        genus_identity=identity,
-    )
-    if actual != tri.predicted_det:
+    report = _case_report(p)
+    if report.actual_det != report.predicted_det:
         raise InvariantViolation(
-            f"{p.quadruple}: case {tri.case_tag} determinant mismatch: "
-            f"actual {actual}, predicted {tri.predicted_det}"
+            f"{p.quadruple}: case {report.case_tag} determinant mismatch: "
+            f"actual {report.actual_det}, predicted {report.predicted_det}"
         )
-    if identity[0] != identity[1]:
+    lhs, rhs = report.genus_identity
+    if lhs != rhs:
         raise InvariantViolation(
-            f"{p.quadruple}: case {tri.case_tag} genus identity fails: "
-            f"{identity[0]} != {identity[1]}"
+            f"{p.quadruple}: case {report.case_tag} genus identity fails: {lhs} != {rhs}"
         )
     return report
 

@@ -85,9 +85,9 @@ def test_criterion_1_polytope_identity_suite(record_criterion):
             if abs(minor_det(*triple)) != q.d:
                 violations.append(f"{q}: triple determinant mismatch")
             rep = verify_case_identities(p)
-            case_tags.add(rep.triangle.case_tag)
+            case_tags.add(rep.case_tag)
             if rep.actual_det != rep.predicted_det:
-                violations.append(f"{q}: case {rep.triangle.case_tag} det mismatch")
+                violations.append(f"{q}: case {rep.case_tag} det mismatch")
     elapsed = time.time() - t0
     ok = not violations and elapsed < 60 and total > 0
     record_criterion(

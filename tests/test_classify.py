@@ -709,9 +709,9 @@ def test_map_curve_refuses_support_off_the_polytope():
             map_curve(curve, bc)
 
 
-def test_map_curve_command_builds_three_polytopes(monkeypatch, capsys):
-    # basis_change builds both polytopes and the default curve reads the
-    # source's points; the support check needs no polytope of its own
+def test_map_curve_command_builds_two_polytopes(monkeypatch, capsys):
+    # basis_change builds both polytopes; the default curve and the
+    # support check read the source's rows from the basis change
     calls = []
 
     def counted(q):
@@ -722,7 +722,36 @@ def test_map_curve_command_builds_three_polytopes(monkeypatch, capsys):
     monkeypatch.setattr("wpoly.cli.build", counted)
     assert main(["map", "curve", "1", "3", "2", "7", "1", "2", "3", "7"]) == 0
     capsys.readouterr()
-    assert calls == [Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7), Quadruple(1, 3, 2, 7)]
+    assert calls == [Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)]
+
+
+def test_basis_change_rows_are_the_source_rows():
+    qa, qb = Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)
+    bc = basis_change(qa, qb)
+    assert bc.rows == build(qa).points
+    assert len(bc.row_map) == len(bc.rows)
+
+
+def _literal_support_conditions(support):
+    # (i) for axis i: some v equals x_i^k * x_j with k >= 1 and any j;
+    # (ii): some v avoids x_i
+    def monomial(i, k, j):
+        v = [0, 0, 0]
+        v[i] += k
+        v[j] += 1
+        return tuple(v)
+
+    cond_i = tuple(
+        any(v == monomial(i, k, j) for v in support for k in range(1, max(v) + 1) for j in range(3))
+        for i in range(3)
+    )
+    return cond_i, tuple(any(v[i] == 0 for v in support) for i in range(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.frozensets(st.tuples(*[st.integers(0, 3)] * 3), max_size=6))
+def test_support_conditions_match_the_literal_definition(support):
+    assert classify._support_conditions(support) == _literal_support_conditions(support)
 
 
 def test_map_curve_rejects_images_off_the_target_polytope():

@@ -21,7 +21,7 @@ from wpoly import (
 from wpoly import quadruples
 from wpoly.errors import PreconditionError
 from wpoly.quadruples import _case_candidates, _condition_i_witness, _condition_ii_witness
-from wpoly.wpolytope import build, distinguished_triangle
+from wpoly.wpolytope import _case_report, build
 
 from lattice_oracles import condition_ii_witness_loop
 
@@ -130,11 +130,8 @@ def test_quadruple_rejects_degree_over_cap():
         Quadruple(1, 1, 1, D_MAX_CAP + 1)
 
 
-def test_str_and_keys():
-    q = Quadruple(2, 3, 5, 17)
-    assert str(q) == "(2,3,5;17)"
-    assert q.sort_key == (17, 2, 3, 5)
-    assert Quadruple(3, 2, 5, 17).normalized_key == q.normalized_key
+def test_str():
+    assert str(Quadruple(2, 3, 5, 17)) == "(2,3,5;17)"
 
 
 def test_reduce_weights_examples():
@@ -239,7 +236,7 @@ def test_enumerate_empty_below_first_degree():
 
 def test_enumerate_sorted_and_weights_ascending():
     quads = enumerate_g_good(2, 40)
-    assert quads == sorted(quads, key=lambda q: q.sort_key)
+    assert quads == sorted(quads, key=lambda q: (q.d, *q.weights))
     assert all(q.w0 <= q.w1 <= q.w2 for q in quads)
 
 
@@ -277,7 +274,7 @@ def test_each_case_walk_lists_the_quadruples_of_its_case(g):
     for tag, *u, d in _case_candidates(g, 240):
         walked.setdefault(tag, set()).add((*sorted(u), d))
     for q in enumerate_g_good(g, 240):
-        tag = distinguished_triangle(build(q)).case_tag
+        tag = _case_report(build(q)).case_tag
         assert (*q.weights, q.d) in walked.get(tag, ()), (q, tag)
 
 
@@ -289,7 +286,7 @@ def test_each_case_walk_lists_the_quadruples_of_its_case(g):
 def test_enumerate_large_degree_counts(g, d_max, count):
     quads = enumerate_g_good(g, d_max)
     assert len(quads) == count
-    assert quads == sorted(quads, key=lambda q: q.sort_key)
+    assert quads == sorted(quads, key=lambda q: (q.d, *q.weights))
     listed = set(quads)
     m = 1
     while family_quadruple(g, m).d <= d_max:

@@ -14,12 +14,12 @@ from wpoly import (
     Quadruple,
     build,
     decompose,
-    distinguished_triangle,
     enumerate_g_good,
     find_unimodular_triple,
     group_by_class,
     minor_det,
     projection_coordinates,
+    validate,
     verify_case_identities,
 )
 from wpoly import classify, wpolytope
@@ -118,10 +118,10 @@ def test_case_tags_and_determinants():
     for tag, tup in CASE_INSTANCES.items():
         p = build(Quadruple(*tup))
         rep = verify_case_identities(p)
-        assert rep.triangle.case_tag == tag, tup
+        assert rep.case_tag == tag, tup
         det, k, l = expected[tag]
         assert rep.actual_det == rep.predicted_det == det, tup
-        assert rep.triangle.k == k and rep.triangle.l == l, tup
+        assert rep.k == k and rep.l == l, tup
 
 
 def test_case_genus_identities_frozen():
@@ -144,7 +144,8 @@ def test_case_genus_identities_frozen():
 
 def test_failing_genus_identity_is_reported_not_unmatched(monkeypatch):
     # the identity is no match condition: a case whose identity fails
-    # still matches, and the check names the identity
+    # still matches, with the same report but for the identity, and the
+    # check names the identity
     true_formulas = wpolytope._case_formulas
 
     def broken_identity(*args):
@@ -153,9 +154,11 @@ def test_failing_genus_identity_is_reported_not_unmatched(monkeypatch):
 
     for tag, tup in CASE_INSTANCES.items():
         p = build(Quadruple(*tup))
-        tri = distinguished_triangle(p)
+        true = wpolytope._case_report(p)
+        lhs, rhs = true.genus_identity
         monkeypatch.setattr(wpolytope, "_case_formulas", broken_identity)
-        assert distinguished_triangle(p) == tri, tup
+        broken = wpolytope._case_report(p)
+        assert broken == dataclasses.replace(true, genus_identity=(lhs, rhs + 1)), tup
         with pytest.raises(InvariantViolation, match=f"case {tag} genus identity fails"):
             verify_case_identities(p)
         monkeypatch.setattr(wpolytope, "_case_formulas", true_formulas)
@@ -223,9 +226,22 @@ def test_case_reports_golden_over_small_good_quadruples(small_good_quadruples):
 
 
 def test_case_rows_frozen_for_biii():
-    tri = distinguished_triangle(build(Quadruple(1, 3, 2, 7)))
-    assert tri.rows == ((7, 0, 0), (1, 2, 0), (1, 0, 3))
-    assert tri.permutation == (0, 1, 2)
+    rep = wpolytope._case_report(build(Quadruple(1, 3, 2, 7)))
+    assert rep.rows == ((7, 0, 0), (1, 2, 0), (1, 0, 3))
+    assert rep.permutation == (0, 1, 2)
+
+
+def test_axis_row_is_the_pure_power_else_the_validate_witness():
+    # w_1 = 1 divides d = 3, so axis 1's row is x_1^3, though validate's
+    # least-j witness for axis 1 is x_1^2 * x_0
+    q = Quadruple(1, 1, 1, 3)
+    assert validate(q).condition_i[1] == (2, 0)
+    assert wpolytope._case_report(build(q)).rows[1] == (0, 3, 0)
+    # 3 and 2 do not divide 7: axes 1 and 2 take validate's witnesses
+    # x_1^2 * x_0 and x_2^3 * x_0
+    q = Quadruple(1, 3, 2, 7)
+    assert validate(q).condition_i[1:] == ((2, 0), (3, 0))
+    assert wpolytope._case_report(build(q)).rows[1:] == ((1, 2, 0), (1, 0, 3))
 
 
 def test_case_report_dict_shape():
