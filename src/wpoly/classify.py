@@ -87,12 +87,11 @@ class ClassAtlas:
         return "\n".join(lines) + "\n"
 
 
-def group_by_class(g: int, d_max: int, jobs: int = 1) -> ClassAtlas:
+def group_by_class(g: int, d_max: int) -> ClassAtlas:
     """Atlas of genus-g quadruples up to d_max, grouped by polygon class.
 
     Classes are sorted by (point count, canonical vertices); members stay
-    in enumeration order.  jobs is passed to enumerate_g_good, which
-    accepts it for compatibility and does not use it.
+    in enumeration order.
 
     enumerate_g_good has validated each quadruple with genus g, so its
     polytope comes from _build(q, g), which checks interior = genus and
@@ -105,7 +104,7 @@ def group_by_class(g: int, d_max: int, jobs: int = 1) -> ClassAtlas:
     """
     grouped: dict[tuple[Point2, ...], dict] = {}
     seen: dict[frozenset[Point2], tuple[LatticePolygon, tuple[Point2, ...]]] = {}
-    for q in enumerate_g_good(g, d_max, jobs=jobs):
+    for q in enumerate_g_good(g, d_max):
         p = _build(q, g)
         key = frozenset(projection_coordinates(p, find_unimodular_triple(p)))
         if key not in seen:
@@ -406,14 +405,6 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
     return found
 
 
-def default_box_bound(g: int, n_max: int | None = None) -> int:
-    """The box method's default grid bound: max(3, 2g + 2), and at g = 0
-    max(3, n_max - 2) with n_max defaulting to 7 (see enumerate_classes)."""
-    if g:
-        return max(3, 2 * g + 2)
-    return max(3, (7 if n_max is None else n_max) - 2)
-
-
 def enumerate_classes(
     g: int,
     method: str = "inductive",
@@ -439,7 +430,7 @@ def enumerate_classes(
     if method == "inductive":
         cycles = _inductive_cycles(g, cap)
     elif method == "box":
-        bound = default_box_bound(g, cap) if box_bound is None else box_bound
+        bound = max(3, 2 * g + 2 if g else cap - 2) if box_bound is None else box_bound
         if bound < 1:
             raise PreconditionError(f"box bound must be >= 1, got {bound}")
         cycles = _box_cycles(g, bound, cap)
@@ -637,12 +628,15 @@ class StabilizationReport:
 
 
 def stabilization_steps(d_steps) -> list[int]:
-    """The degree bounds as a list; they must be nonempty and strictly increasing."""
+    """The degree bounds as a list; they must be nonempty, strictly
+    increasing and at least 1."""
     steps = list(d_steps)
     if not steps or any(
         steps[i] >= steps[i + 1] for i in range(len(steps) - 1)
     ):
         raise PreconditionError(f"d_steps must be strictly increasing, got {steps}")
+    if steps[0] < 1:
+        raise PreconditionError(f"stabilize steps must be >= 1, got {steps}")
     return steps
 
 

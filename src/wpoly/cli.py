@@ -9,7 +9,7 @@ polygons enum              enumerate polygon classes for a genus
 map curve <8 ints>         transport a curve between equivalent quadruples
 
 Configuration is read from wpoly.json in the working directory (keys
-d_max_cap, jobs, atlas_dir, format); the WPOLY_ATLAS_DIR
+d_max_cap, atlas_dir, format); the WPOLY_ATLAS_DIR
 environment variable overrides the atlas directory, and flags override
 both.
 
@@ -35,7 +35,6 @@ import click
 from .classify import (
     atlas_stabilization,
     basis_change,
-    default_box_bound,
     enumerate_classes,
     group_by_class,
     make_curve,
@@ -55,12 +54,11 @@ ATLAS_ENV = "WPOLY_ATLAS_DIR"
 @dataclass(frozen=True)
 class Config:
     d_max_cap: int = D_MAX_CAP
-    jobs: int = 1
     atlas_dir: str = "atlas"
     format: str = "text"
 
     def __post_init__(self) -> None:
-        for key, kind in (("d_max_cap", int), ("jobs", int), ("atlas_dir", str), ("format", str)):
+        for key, kind in (("d_max_cap", int), ("atlas_dir", str), ("format", str)):
             value = getattr(self, key)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise PreconditionError(f"config {key} must be {kind.__name__}, got {value!r}")
@@ -68,8 +66,6 @@ class Config:
             raise PreconditionError(
                 f"config d_max_cap must be in [1, {D_MAX_CAP}], got {self.d_max_cap}"
             )
-        if self.jobs < 1:
-            raise PreconditionError(f"config jobs must be >= 1, got {self.jobs}")
         if self.format not in ("text", "json"):
             raise PreconditionError(f"config format must be text or json, got {self.format!r}")
 
@@ -86,7 +82,7 @@ def load_config(cwd: str | None = None) -> Config:
             raise PreconditionError(f"{path}: not a UTF-8 JSON file ({exc})") from exc
         if not isinstance(data, dict):
             raise PreconditionError(f"{path}: top level must be an object")
-        unknown = set(data) - {"d_max_cap", "jobs", "atlas_dir", "format"}
+        unknown = set(data) - {"d_max_cap", "atlas_dir", "format"}
         if unknown:
             raise PreconditionError(f"{path}: unknown keys {sorted(unknown)}")
     env_dir = os.environ.get(ATLAS_ENV)
@@ -188,7 +184,7 @@ def poly_analyze(cfg: Config, w0: int, w1: int, w2: int, d: int,
 @cli.command("classify")
 @click.option("--genus", "g", type=int, required=True)
 @click.option("--dmax", type=int, required=True)
-@click.option("--jobs", type=int, default=None,
+@click.option("--jobs", type=int, default=1,
               help="accepted for compatibility (>= 1); changes nothing")
 @click.option("--atlas-dir", "atlas_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--csv", "write_csv", is_flag=True, help="also write the member table as CSV")
@@ -196,13 +192,14 @@ def poly_analyze(cfg: Config, w0: int, w1: int, w2: int, d: int,
 @click.option("--stabilize", default=None,
               help="comma-separated increasing degree bounds to report class counts for")
 @click.pass_obj
-def classify_cmd(cfg: Config, g: int, dmax: int, jobs: int | None,
+def classify_cmd(cfg: Config, g: int, dmax: int, jobs: int,
                  atlas_dir: str | None, write_csv: bool, figures: bool,
                  stabilize: str | None) -> None:
     """Group all g-good quadruples with d <= dmax into an atlas file."""
-    jobs = cfg.jobs if jobs is None else jobs
     if jobs < 1:
         raise PreconditionError(f"--jobs must be >= 1, got {jobs}")
+    if dmax < 1:
+        raise PreconditionError(f"--dmax must be >= 1, got {dmax}")
     steps: list[int] = []
     if stabilize is not None:
         try:
@@ -216,7 +213,7 @@ def classify_cmd(cfg: Config, g: int, dmax: int, jobs: int | None,
         steps = stabilization_steps(steps)
     # one atlas serves both: the report reads it up to the last step, and
     # the atlas file keeps the members up to --dmax
-    atlas = group_by_class(g, max([dmax, *steps]), jobs=jobs)
+    atlas = group_by_class(g, max([dmax, *steps]))
     report = None if stabilize is None else atlas_stabilization(atlas, steps)
     atlas = atlas.up_to(dmax)
     out_dir = Path(atlas_dir or cfg.atlas_dir)
@@ -248,28 +245,17 @@ def polygons() -> None:
 @polygons.command("enum")
 @click.option("--genus", "g", type=int, required=True)
 @click.option("--method", type=click.Choice(["inductive", "box"]), default="inductive")
-@click.option("--box", "box_bound", type=int, default=None,
-              help="box-method grid bound (default max(3, 2g+2); at genus 0 max(3, nmax-2))")
 @click.option("--nmax", type=int, default=None,
               help="largest lattice point count to reach (default 3g+7)")
 @click.option("--cross-check", is_flag=True,
-              help="run both methods and fail (exit 2) on disagreement; an explicit --box "
-                   "below the default bound is refused (exit 1)")
+              help="run both methods and fail (exit 2) on disagreement")
 @click.pass_obj
-def polygons_enum(cfg: Config, g: int, method: str, box_bound: int | None,
-                  nmax: int | None, cross_check: bool) -> None:
+def polygons_enum(cfg: Config, g: int, method: str, nmax: int | None,
+                  cross_check: bool) -> None:
     """List canonical forms of all polygon classes with g interior points."""
     if cross_check:
-        default_bound = default_box_bound(g, nmax)
-        if box_bound is not None and box_bound < default_bound:
-            # a grid too small for some classes makes the methods differ
-            # by construction, which is no invariant violation
-            raise PreconditionError(
-                f"--cross-check needs the box bound {default_bound} or more for genus {g}; "
-                f"--box {box_bound} would miss classes"
-            )
         inductive = enumerate_classes(g, "inductive", n_max=nmax)
-        box = enumerate_classes(g, "box", box_bound=box_bound, n_max=nmax)
+        box = enumerate_classes(g, "box", n_max=nmax)
         a = {p.vertices for p in inductive}
         b = {p.vertices for p in box}
         if a != b:
@@ -279,7 +265,7 @@ def polygons_enum(cfg: Config, g: int, method: str, box_bound: int | None,
         classes = inductive
         click.echo(f"cross-check ok: both methods give {len(classes)} classes")
     else:
-        classes = enumerate_classes(g, method, box_bound=box_bound, n_max=nmax)
+        classes = enumerate_classes(g, method, n_max=nmax)
     by_n: dict[int, int] = {}
     for p in classes:
         by_n[p.n] = by_n.get(p.n, 0) + 1

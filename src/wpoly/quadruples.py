@@ -19,7 +19,6 @@ from .errors import InvariantViolation, PreconditionError
 # arithmetic is arbitrary precision; the cap only bounds running time.
 D_MAX_CAP = 200_000
 
-Axis = int
 Witness1 = tuple[int, int]  # (k, j): monomial x_i^k * x_j of degree d
 Witness2 = tuple[tuple[int, int], tuple[int, int]]  # ((j, e_j), (k, e_k))
 
@@ -314,7 +313,7 @@ def _case_candidates(g: int, d_max: int):
             u0 += 1
 
 
-def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
+def enumerate_g_good(g: int, d_max: int) -> list[Quadruple]:
     """All good quadruples with genus g, ascending weights, and d <= d_max.
 
     Sorted by (d, w0, w1, w2).  The list comes from the seven determinant
@@ -337,8 +336,7 @@ def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
     from cases a.i, a.ii, b.i, b.ii and c, and the walk is one serial
     pass: g = 1, 2, 3 together take about 0.02 s at d_max = 120 and
     0.04 s at d_max = 240, and g = 1 alone about 0.1 s at d_max = 800
-    (Python 3.11, Intel Xeon).  jobs is accepted for compatibility and
-    must be >= 1; it changes nothing.
+    (Python 3.11, Intel Xeon).
     """
     if g < 1:
         raise PreconditionError(f"g must be >= 1, got {g}")
@@ -346,8 +344,6 @@ def enumerate_g_good(g: int, d_max: int, jobs: int = 1) -> list[Quadruple]:
         raise PreconditionError(f"d_max must be >= 1, got {d_max}")
     if d_max > D_MAX_CAP:
         raise PreconditionError(f"d_max={d_max} exceeds the cap {D_MAX_CAP}")
-    if jobs < 1:
-        raise PreconditionError(f"jobs must be >= 1, got {jobs}")
     keys = {(d, *sorted(u)) for _, *u, d in _case_candidates(g, d_max)}
     found = []
     for d, w0, w1, w2 in sorted(keys):

@@ -1,12 +1,11 @@
 """Byte-stable SVG figures for lattice polygons.
 
 Figures are built by plain string assembly with integer coordinates
-only (24 px per lattice unit by default), so identical polygons always
+only (24 px per lattice unit), so identical polygons always
 produce identical files and goldens can be diffed byte for byte.
 """
 from __future__ import annotations
 
-from .errors import PreconditionError
 from .polygon2d import LatticePolygon
 
 _GRID = "#cccccc"
@@ -14,21 +13,20 @@ _OUTLINE = "#1f3a5f"
 _FILL = "#dce6f2"
 _BOUNDARY = "#1f3a5f"
 _INTERIOR = "#c0392b"
+_UNIT = 24  # px per lattice unit
 
 
-def render_polygon_svg(poly: LatticePolygon, unit: int = 24) -> str:
+def render_polygon_svg(poly: LatticePolygon) -> str:
     """SVG drawing of the polygon: grid dots, outline, lattice points
     (interior points filled in a contrasting color)."""
-    if unit < 4:
-        raise PreconditionError(f"unit must be >= 4 px, got {unit}")
     x0, y0, x1, y1 = poly.bounding_box()
     pad = 1
-    width = (x1 - x0 + 2 * pad) * unit
-    height = (y1 - y0 + 2 * pad) * unit
+    width = (x1 - x0 + 2 * pad) * _UNIT
+    height = (y1 - y0 + 2 * pad) * _UNIT
 
     def px(p) -> tuple[int, int]:
         # flip y: SVG grows downward
-        return ((p[0] - x0 + pad) * unit, (y1 - p[1] + pad) * unit)
+        return ((p[0] - x0 + pad) * _UNIT, (y1 - p[1] + pad) * _UNIT)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -98,12 +98,11 @@ def test_atlas_json_dict_shape():
     assert d["classes"][0]["members"] == [[1, 2, 3, 6]]
 
 
-def test_atlas_bytes_deterministic_and_parallel_stable():
-    serial = group_by_class(1, 20)
+def test_atlas_bytes_deterministic():
+    first = group_by_class(1, 20)
     again = group_by_class(1, 20)
-    parallel = group_by_class(1, 20, jobs=4)
-    assert serial.to_json_bytes() == again.to_json_bytes() == parallel.to_json_bytes()
-    assert serial.to_json_bytes().endswith(b"\n")
+    assert first.to_json_bytes() == again.to_json_bytes()
+    assert first.to_json_bytes().endswith(b"\n")
 
 
 @pytest.mark.parametrize("g", sorted(ATLAS_240_SHA256))

@@ -126,7 +126,7 @@ def test_classify_counts_and_idempotence(capsys, tmp_path, monkeypatch):
     assert atlas.read_bytes() == first
 
 
-def test_classify_parallel_identical_bytes(capsys, tmp_path, monkeypatch):
+def test_classify_jobs_flag_changes_nothing(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(capsys, "classify", "--genus", "1", "--dmax", "15", "--atlas-dir", "a1")
     run(capsys, "classify", "--genus", "1", "--dmax", "15", "--atlas-dir", "a8", "--jobs", "8")
@@ -161,6 +161,21 @@ def test_classify_rejects_bad_jobs(capsys, tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--dmax", "0", "--stabilize", "5"], "--dmax"),
+    (["--dmax", "-5", "--stabilize", "5,10"], "--dmax"),
+    (["--dmax", "10", "--stabilize", "-3,5"], "stabilize"),
+    (["--dmax", "0"], "--dmax"),
+])
+def test_classify_rejects_nonpositive_degree_bounds(capsys, tmp_path, monkeypatch, flags, named):
+    # refused before any atlas is built, with or without --stabilize
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "classify", "--genus", "1", *flags)
+    assert (code, out) == (1, "")
+    assert named in err and ">= 1" in err, err
+    assert not (tmp_path / "atlas").exists()
+
+
 def test_polygons_enum_g0(capsys):
     code, out, _ = run(capsys, "polygons", "enum", "--genus", "0", "--nmax", "4")
     assert code == 0
@@ -185,25 +200,12 @@ def test_polygons_enum_g0_cross_check_ok(capsys):
 
 
 def test_polygons_enum_box3_count(capsys):
-    code, out, _ = run(capsys, "polygons", "enum", "--genus", "1",
-                       "--method", "box", "--box", "3")
-    assert code == 0
-    assert out.strip().splitlines()[-1].startswith("total: 15 classes")
-
-
-def test_polygons_enum_cross_check_small_box_exits_1(capsys):
-    # a 3x3 grid cannot hold the width-4 triangle class: the methods would
-    # differ because of the chosen bound, which is user error, not a bug
+    # the box method always uses the smallest grid that holds every class;
+    # criterion 5 checks box(3) = 15 through the library
     code, out, err = run(capsys, "polygons", "enum", "--genus", "1",
-                         "--cross-check", "--box", "3")
-    assert code == 1
-    assert "box bound 4" in err and "--box 3" in err
-    assert out == ""
-    # at the default bound or above the cross-check runs
-    code, out, _ = run(capsys, "polygons", "enum", "--genus", "1",
-                       "--cross-check", "--box", "5")
-    assert code == 0
-    assert "cross-check ok: both methods give 16 classes" in out
+                         "--method", "box", "--box", "3")
+    assert (code, out) == (1, "")
+    assert "No such option '--box'" in err, err
 
 
 def test_polygons_enum_cross_check_disagreement_exits_2(capsys, monkeypatch):
@@ -385,26 +387,36 @@ def test_config_rejects_unknown_keys(capsys, tmp_path, monkeypatch):
     assert "unknown keys" in err
 
 
+def test_config_rejects_the_retired_jobs_key(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("wpoly.json").write_text(json.dumps({"jobs": 4}))
+    code, out, err = run(capsys, "classify", "--genus", "1", "--dmax", "10")
+    assert (code, out) == (1, "")
+    assert "wpoly.json" in err and "unknown keys ['jobs']" in err, err
+    assert not Path("atlas").exists()
+
+
 def test_config_rejects_bad_values(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    Path("wpoly.json").write_text(json.dumps({"jobs": 0}))
+    Path("wpoly.json").write_text(json.dumps({"d_max_cap": 0}))
     code, _, err = run(capsys, "quad", "check", "1", "3", "2", "7")
     assert code == 1
+    assert "wpoly.json" in err and "d_max_cap must be in" in err, err
     # values of the wrong type are refused before any command runs,
     # naming the file and the key
     for key, value in [("atlas_dir", 3), ("atlas_dir", ["x"]), ("format", 1),
-                       ("d_max_cap", 40.5), ("jobs", True), ("jobs", "2")]:
+                       ("d_max_cap", 40.5), ("d_max_cap", True), ("d_max_cap", "2")]:
         Path("wpoly.json").write_text(json.dumps({key: value}))
         code, _, err = run(capsys, "classify", "--genus", "1", "--dmax", "10")
         assert code == 1, (key, value)
         assert "wpoly.json" in err and key in err, err
     assert not Path("atlas").exists()
-    Path("wpoly.json").write_bytes(b'{"jobs": "\xff"}')
+    Path("wpoly.json").write_bytes(b'{"d_max_cap": "\xff"}')
     code, _, err = run(capsys, "quad", "check", "1", "3", "2", "7")
     assert code == 1
     assert "wpoly.json" in err and "UTF-8" in err
     # an int past Python's digit limit for string conversion
-    Path("wpoly.json").write_text('{"jobs": ' + "9" * 5000 + "}")
+    Path("wpoly.json").write_text('{"d_max_cap": ' + "9" * 5000 + "}")
     code, out, err = run(capsys, "quad", "check", "1", "3", "2", "7")
     assert (code, out) == (1, "")
     assert "wpoly.json" in err and "not a UTF-8 JSON file" in err, err

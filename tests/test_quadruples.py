@@ -317,19 +317,11 @@ def test_enumerate_validates_every_coprime_candidate_and_only_those(monkeypatch)
     assert len(coprime) < len(candidates)
 
 
-def test_enumerate_parallel_matches_serial():
-    serial = enumerate_g_good(1, 40)
-    parallel = enumerate_g_good(1, 40, jobs=4)
-    assert serial == parallel
-
-
 def test_enumerate_rejects_bad_args():
     with pytest.raises(PreconditionError):
         enumerate_g_good(0, 10)
     with pytest.raises(PreconditionError):
         enumerate_g_good(1, 0)
-    with pytest.raises(PreconditionError):
-        enumerate_g_good(1, 10, jobs=0)
 
 
 def test_family_quadruples_are_good_with_right_genus():

@@ -1,9 +1,10 @@
-"""README's library example and shell transcripts give what README states."""
+"""README's library example, shell transcripts and config example do what README states."""
 import ast
+import json
 import re
 from pathlib import Path
 
-from wpoly.cli import main
+from wpoly.cli import Config, load_config, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -63,3 +64,12 @@ def test_readme_shell_transcripts_match_the_cli(capsys, tmp_path, monkeypatch):
         if pipe:
             out = "".join(out.splitlines(keepends=True)[-int(pipe.removeprefix("tail -")):])
         assert out == expected, command
+
+
+def test_readme_config_example_loads(tmp_path, monkeypatch):
+    # the wpoly.json shown under "Configuration" is one load_config accepts
+    monkeypatch.delenv("WPOLY_ATLAS_DIR", raising=False)
+    section = README.read_text(encoding="utf-8").partition("## Configuration")[2]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    (tmp_path / "wpoly.json").write_text(example, encoding="utf-8")
+    assert load_config(str(tmp_path)) == Config(**json.loads(example))

@@ -381,7 +381,7 @@ def test_atlas_path_checks_interior_count_against_the_genus(monkeypatch, tmp_pat
     # quadruple of another genus handed to it is a bug that _build must
     # catch before it reaches an atlas, so the CLI exits 2
     q2 = enumerate_g_good(2, 20)[0]
-    monkeypatch.setattr(classify, "enumerate_g_good", lambda g, d_max, jobs=1: [q2])
+    monkeypatch.setattr(classify, "enumerate_g_good", lambda g, d_max: [q2])
     message = rf"^{re.escape(str(q2))}: 2 interior points but genus 1$"
     with pytest.raises(InvariantViolation, match=message) as excinfo:
         group_by_class(1, 20)
