@@ -631,10 +631,10 @@ def stabilization_steps(d_steps) -> list[int]:
     """The degree bounds as a list; they must be nonempty, strictly
     increasing and at least 1."""
     steps = list(d_steps)
-    if not steps or any(
-        steps[i] >= steps[i + 1] for i in range(len(steps) - 1)
-    ):
-        raise PreconditionError(f"d_steps must be strictly increasing, got {steps}")
+    if not steps:
+        raise PreconditionError("stabilize steps must be nonempty")
+    if any(a >= b for a, b in zip(steps, steps[1:])):
+        raise PreconditionError(f"stabilize steps must be strictly increasing, got {steps}")
     if steps[0] < 1:
         raise PreconditionError(f"stabilize steps must be >= 1, got {steps}")
     return steps

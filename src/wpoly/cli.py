@@ -8,11 +8,6 @@ classify                   group g-good quadruples into an atlas file
 polygons enum              enumerate polygon classes for a genus
 map curve <8 ints>         transport a curve between equivalent quadruples
 
-Configuration is read from wpoly.json in the working directory (keys
-d_max_cap, atlas_dir, format); the WPOLY_ATLAS_DIR
-environment variable overrides the atlas directory, and flags override
-both.
-
 Exit codes: 0 success; 1 bad input, precondition failure or an
 unwritable output path; 2 is reserved for violations of derived
 invariants (never for user error).
@@ -24,9 +19,7 @@ exponent notation, such as "1e3", is refused.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,58 +40,10 @@ from .quadruples import D_MAX_CAP, Quadruple, validate
 from .render import render_polygon_svg
 from .wpolytope import build, find_unimodular_triple, verify_case_identities
 
-CONFIG_FILENAME = "wpoly.json"
-ATLAS_ENV = "WPOLY_ATLAS_DIR"
-
-
-@dataclass(frozen=True)
-class Config:
-    d_max_cap: int = D_MAX_CAP
-    atlas_dir: str = "atlas"
-    format: str = "text"
-
-    def __post_init__(self) -> None:
-        for key, kind in (("d_max_cap", int), ("atlas_dir", str), ("format", str)):
-            value = getattr(self, key)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise PreconditionError(f"config {key} must be {kind.__name__}, got {value!r}")
-        if not (1 <= self.d_max_cap <= D_MAX_CAP):
-            raise PreconditionError(
-                f"config d_max_cap must be in [1, {D_MAX_CAP}], got {self.d_max_cap}"
-            )
-        if self.format not in ("text", "json"):
-            raise PreconditionError(f"config format must be text or json, got {self.format!r}")
-
-
-def load_config(cwd: str | None = None) -> Config:
-    path = Path(cwd or os.getcwd()) / CONFIG_FILENAME
-    data: dict = {}
-    if path.is_file():
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            # JSONDecodeError, UnicodeDecodeError, or an int past Python's
-            # digit limit for string conversion
-            raise PreconditionError(f"{path}: not a UTF-8 JSON file ({exc})") from exc
-        if not isinstance(data, dict):
-            raise PreconditionError(f"{path}: top level must be an object")
-        unknown = set(data) - {"d_max_cap", "atlas_dir", "format"}
-        if unknown:
-            raise PreconditionError(f"{path}: unknown keys {sorted(unknown)}")
-    env_dir = os.environ.get(ATLAS_ENV)
-    if env_dir:
-        data["atlas_dir"] = env_dir
-    try:
-        return Config(**data)
-    except PreconditionError as exc:
-        raise PreconditionError(f"{path}: {exc}") from exc
-
 
 @click.group()
-@click.pass_context
-def cli(ctx: click.Context) -> None:
+def cli() -> None:
     """Exact lattice-polytope toolkit for weighted plane curves."""
-    ctx.obj = load_config()
 
 
 @cli.group()
@@ -112,12 +57,11 @@ def quad() -> None:
 @click.argument("w2", type=int)
 @click.argument("d", type=int)
 @click.option("--json", "as_json", is_flag=True, help="emit the report as JSON")
-@click.pass_obj
-def quad_check(cfg: Config, w0: int, w1: int, w2: int, d: int, as_json: bool) -> None:
+def quad_check(w0: int, w1: int, w2: int, d: int, as_json: bool) -> None:
     """Report pairwise coprimality, degree conditions, and genus."""
     q = Quadruple(w0, w1, w2, d)
     report = validate(q)
-    if as_json or cfg.format == "json":
+    if as_json:
         click.echo(json.dumps(report.to_dict(), indent=2))
         return
     click.echo(f"quadruple        {q}")
@@ -143,9 +87,7 @@ def poly() -> None:
 @click.option("--json", "as_json", is_flag=True, help="emit the report as JSON")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False), default=None,
               help="write an SVG of the projected polygon")
-@click.pass_obj
-def poly_analyze(cfg: Config, w0: int, w1: int, w2: int, d: int,
-                 as_json: bool, svg_path: str | None) -> None:
+def poly_analyze(w0: int, w1: int, w2: int, d: int, as_json: bool, svg_path: str | None) -> None:
     """Build the polytope of a good quadruple and verify its case identities."""
     q = Quadruple(w0, w1, w2, d)
     p = build(q)
@@ -166,7 +108,7 @@ def poly_analyze(cfg: Config, w0: int, w1: int, w2: int, d: int,
     }
     if svg_path is not None:
         Path(svg_path).write_text(render_polygon_svg(polygon), encoding="utf-8")
-    if as_json or cfg.format == "json":
+    if as_json:
         click.echo(json.dumps(payload, indent=2))
         return
     click.echo(f"quadruple   {q}")
@@ -191,10 +133,8 @@ def poly_analyze(cfg: Config, w0: int, w1: int, w2: int, d: int,
 @click.option("--figures", is_flag=True, help="also write one SVG per class")
 @click.option("--stabilize", default=None,
               help="comma-separated increasing degree bounds to report class counts for")
-@click.pass_obj
-def classify_cmd(cfg: Config, g: int, dmax: int, jobs: int,
-                 atlas_dir: str | None, write_csv: bool, figures: bool,
-                 stabilize: str | None) -> None:
+def classify_cmd(g: int, dmax: int, jobs: int, atlas_dir: str | None,
+                 write_csv: bool, figures: bool, stabilize: str | None) -> None:
     """Group all g-good quadruples with d <= dmax into an atlas file."""
     if jobs < 1:
         raise PreconditionError(f"--jobs must be >= 1, got {jobs}")
@@ -207,8 +147,8 @@ def classify_cmd(cfg: Config, g: int, dmax: int, jobs: int,
         except ValueError as exc:
             raise PreconditionError(f"--stabilize expects integers, got {stabilize!r}") from exc
     for flag, bound in (("--dmax", dmax), ("--stabilize step", max(steps, default=0))):
-        if bound > cfg.d_max_cap:
-            raise PreconditionError(f"{flag} {bound} exceeds the configured cap {cfg.d_max_cap}")
+        if bound > D_MAX_CAP:
+            raise PreconditionError(f"{flag} {bound} exceeds the configured cap {D_MAX_CAP}")
     if stabilize is not None:
         steps = stabilization_steps(steps)
     # one atlas serves both: the report reads it up to the last step, and
@@ -216,7 +156,7 @@ def classify_cmd(cfg: Config, g: int, dmax: int, jobs: int,
     atlas = group_by_class(g, max([dmax, *steps]))
     report = None if stabilize is None else atlas_stabilization(atlas, steps)
     atlas = atlas.up_to(dmax)
-    out_dir = Path(atlas_dir or cfg.atlas_dir)
+    out_dir = Path(atlas_dir or "atlas")
     out_dir.mkdir(parents=True, exist_ok=True)
     atlas_path = out_dir / f"atlas_g{g}_d{dmax}.json"
     atlas_path.write_bytes(atlas.to_json_bytes())
@@ -249,9 +189,7 @@ def polygons() -> None:
               help="largest lattice point count to reach (default 3g+7)")
 @click.option("--cross-check", is_flag=True,
               help="run both methods and fail (exit 2) on disagreement")
-@click.pass_obj
-def polygons_enum(cfg: Config, g: int, method: str, nmax: int | None,
-                  cross_check: bool) -> None:
+def polygons_enum(g: int, method: str, nmax: int | None, cross_check: bool) -> None:
     """List canonical forms of all polygon classes with g interior points."""
     if cross_check:
         inductive = enumerate_classes(g, "inductive", n_max=nmax)
@@ -333,9 +271,7 @@ def _read_curve_terms(path: str) -> list[tuple[Fraction, tuple[int, ...]]]:
 @click.argument("e", type=int)
 @click.option("--curve", "curve_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="JSON file with curve terms (default: all monomials)")
-@click.pass_obj
-def map_curve_cmd(cfg: Config, w0: int, w1: int, w2: int, d: int,
-                  v0: int, v1: int, v2: int, e: int,
+def map_curve_cmd(w0: int, w1: int, w2: int, d: int, v0: int, v1: int, v2: int, e: int,
                   curve_path: str | None) -> None:
     """Map a curve on (W0,W1,W2;D) to one on (V0,V1,V2;E)."""
     q_from = Quadruple(w0, w1, w2, d)

@@ -1,4 +1,4 @@
-"""Exit codes, output formats, config handling, golden files."""
+"""Exit codes, output formats, output paths, golden files."""
 import json
 from pathlib import Path
 
@@ -356,72 +356,6 @@ def test_map_curve_unparsable_file_names_it(capsys, tmp_path, raw, why):
     assert why in err
 
 
-def test_config_file_sets_format(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    Path("wpoly.json").write_text(json.dumps({"format": "json"}))
-    code, out, _ = run(capsys, "quad", "check", "1", "3", "2", "7")
-    assert code == 0
-    assert json.loads(out)["is_good"] is True
-
-
-def test_config_env_overrides_atlas_dir(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("WPOLY_ATLAS_DIR", str(tmp_path / "env_atlas"))
-    run(capsys, "classify", "--genus", "1", "--dmax", "3")
-    assert (tmp_path / "env_atlas" / "atlas_g1_d3.json").is_file()
-
-
-def test_config_flag_overrides_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("WPOLY_ATLAS_DIR", str(tmp_path / "env_atlas"))
-    run(capsys, "classify", "--genus", "1", "--dmax", "3", "--atlas-dir", "flag_atlas")
-    assert (tmp_path / "flag_atlas" / "atlas_g1_d3.json").is_file()
-    assert not (tmp_path / "env_atlas").exists()
-
-
-def test_config_rejects_unknown_keys(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    Path("wpoly.json").write_text(json.dumps({"threads": 4}))
-    code, _, err = run(capsys, "quad", "check", "1", "3", "2", "7")
-    assert code == 1
-    assert "unknown keys" in err
-
-
-def test_config_rejects_the_retired_jobs_key(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    Path("wpoly.json").write_text(json.dumps({"jobs": 4}))
-    code, out, err = run(capsys, "classify", "--genus", "1", "--dmax", "10")
-    assert (code, out) == (1, "")
-    assert "wpoly.json" in err and "unknown keys ['jobs']" in err, err
-    assert not Path("atlas").exists()
-
-
-def test_config_rejects_bad_values(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    Path("wpoly.json").write_text(json.dumps({"d_max_cap": 0}))
-    code, _, err = run(capsys, "quad", "check", "1", "3", "2", "7")
-    assert code == 1
-    assert "wpoly.json" in err and "d_max_cap must be in" in err, err
-    # values of the wrong type are refused before any command runs,
-    # naming the file and the key
-    for key, value in [("atlas_dir", 3), ("atlas_dir", ["x"]), ("format", 1),
-                       ("d_max_cap", 40.5), ("d_max_cap", True), ("d_max_cap", "2")]:
-        Path("wpoly.json").write_text(json.dumps({key: value}))
-        code, _, err = run(capsys, "classify", "--genus", "1", "--dmax", "10")
-        assert code == 1, (key, value)
-        assert "wpoly.json" in err and key in err, err
-    assert not Path("atlas").exists()
-    Path("wpoly.json").write_bytes(b'{"d_max_cap": "\xff"}')
-    code, _, err = run(capsys, "quad", "check", "1", "3", "2", "7")
-    assert code == 1
-    assert "wpoly.json" in err and "UTF-8" in err
-    # an int past Python's digit limit for string conversion
-    Path("wpoly.json").write_text('{"d_max_cap": ' + "9" * 5000 + "}")
-    code, out, err = run(capsys, "quad", "check", "1", "3", "2", "7")
-    assert (code, out) == (1, "")
-    assert "wpoly.json" in err and "not a UTF-8 JSON file" in err, err
-
-
 def test_unwritable_svg_path_exits_1_naming_it(capsys, tmp_path):
     target = tmp_path / "missing" / "x.svg"
     code, _, err = run(capsys, "poly", "analyze", "1", "3", "2", "7", "--svg", str(target))
@@ -438,12 +372,33 @@ def test_atlas_dir_under_a_file_exits_1_naming_it(capsys, tmp_path, monkeypatch)
     assert err.startswith("error: ") and "afile/sub" in err
 
 
-def test_classify_respects_config_cap(capsys, tmp_path, monkeypatch):
+def test_classify_respects_the_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    Path("wpoly.json").write_text(json.dumps({"d_max_cap": 10}))
-    code, _, err = run(capsys, "classify", "--genus", "1", "--dmax", "20")
+    code, _, err = run(capsys, "classify", "--genus", "1", "--dmax", "200001")
     assert code == 1
-    assert "exceeds the configured cap" in err
+    assert "--dmax 200001 exceeds the configured cap 200000" in err
+    assert not (tmp_path / "atlas").exists()
+
+
+def test_classify_empty_atlas_dir_writes_to_the_default(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "classify", "--genus", "1", "--dmax", "10", "--atlas-dir", "")
+    assert code == 0
+    assert out.endswith(" -> atlas/atlas_g1_d10.json\n"), out
+    assert (tmp_path / "atlas" / "atlas_g1_d10.json").is_file()
+
+
+def test_wpoly_json_is_not_read(capsys, tmp_path, monkeypatch):
+    # a wpoly.json in the working directory sets nothing: quad check keeps
+    # its text report and classify its cap of 200000
+    monkeypatch.chdir(tmp_path)
+    Path("wpoly.json").write_text(json.dumps({"format": "json", "d_max_cap": 10}))
+    code, out, _ = run(capsys, "quad", "check", "1", "3", "2", "7")
+    assert code == 0
+    assert out.startswith("quadruple        (1,3,2;7)\n"), out
+    code, _, _ = run(capsys, "classify", "--genus", "1", "--dmax", "20")
+    assert code == 0
+    assert (tmp_path / "atlas" / "atlas_g1_d20.json").is_file()
 
 
 @pytest.mark.parametrize("dmax, steps", [(15, "3,7,30"), (30, "3,7,15"), (30, "10,30")])
@@ -485,17 +440,23 @@ def test_classify_stabilize_builds_one_atlas_with_the_same_bytes(
         assert (tmp_path / "stab" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
-@pytest.mark.parametrize("steps", ["10,90", "abc", "7,3", ""])
-def test_classify_stabilize_checked_before_any_atlas(capsys, tmp_path, monkeypatch, steps):
+@pytest.mark.parametrize("steps, message", [
+    ("10,200001", "--stabilize step 200001 exceeds the configured cap 200000"),
+    ("abc", "--stabilize expects integers, got 'abc'"),
+    ("7,3", "stabilize steps must be strictly increasing, got [7, 3]"),
+    ("", "stabilize steps must be nonempty"),
+    (",", "stabilize steps must be nonempty"),
+], ids=["10,200001", "abc", "7,3", "", ","])
+def test_classify_stabilize_checked_before_any_atlas(
+    capsys, tmp_path, monkeypatch, steps, message
+):
     # a step above the cap, a non-integer, a decreasing and an empty list
     # all exit 1 without leaving an atlas behind
     monkeypatch.chdir(tmp_path)
-    Path("wpoly.json").write_text(json.dumps({"d_max_cap": 40}))
     code, _, err = run(capsys, "classify", "--genus", "1", "--dmax", "30",
                        "--stabilize", steps)
     assert code == 1
-    if steps == "10,90":
-        assert "--stabilize step 90 exceeds the configured cap 40" in err
+    assert err == f"error: {message}\n", err
     assert not (tmp_path / "atlas").exists()
 
 

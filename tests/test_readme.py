@@ -1,10 +1,9 @@
-"""README's library example, shell transcripts and config example do what README states."""
+"""README's library example and shell transcripts do what README states."""
 import ast
-import json
 import re
 from pathlib import Path
 
-from wpoly.cli import Config, load_config, main
+from wpoly.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,7 +46,6 @@ def test_readme_shell_transcripts_match_the_cli(capsys, tmp_path, monkeypatch):
     # each block opening with `$ wpoly` runs through the CLI entry point in
     # an empty directory; a `| tail -N` keeps the last N lines
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("WPOLY_ATLAS_DIR", raising=False)
     transcripts = re.findall(
         r"```\n\$ wpoly (.*?)\n(.*?)```", README.read_text(encoding="utf-8"), re.S
     )
@@ -64,12 +62,3 @@ def test_readme_shell_transcripts_match_the_cli(capsys, tmp_path, monkeypatch):
         if pipe:
             out = "".join(out.splitlines(keepends=True)[-int(pipe.removeprefix("tail -")):])
         assert out == expected, command
-
-
-def test_readme_config_example_loads(tmp_path, monkeypatch):
-    # the wpoly.json shown under "Configuration" is one load_config accepts
-    monkeypatch.delenv("WPOLY_ATLAS_DIR", raising=False)
-    section = README.read_text(encoding="utf-8").partition("## Configuration")[2]
-    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
-    (tmp_path / "wpoly.json").write_text(example, encoding="utf-8")
-    assert load_config(str(tmp_path)) == Config(**json.loads(example))
