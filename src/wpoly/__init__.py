@@ -41,9 +41,7 @@ from .quadruples import (
     ValidityReport,
     enumerate_g_good,
     family_quadruple,
-    genus,
     raw_genus,
-    reduce_weights,
     validate,
 )
 from .render import render_polygon_svg
@@ -51,7 +49,6 @@ from .wpolytope import (
     CaseReport,
     WeightedPolytope,
     build,
-    decompose,
     find_unimodular_triple,
     minor_det,
     verify_case_identities,
@@ -80,13 +77,11 @@ __all__ = [
     "build",
     "canonical_form",
     "convex_hull",
-    "decompose",
     "enumerate_classes",
     "enumerate_g_good",
     "equivalent",
     "family_quadruple",
     "find_unimodular_triple",
-    "genus",
     "group_by_class",
     "make_curve",
     "map_curve",
@@ -94,7 +89,6 @@ __all__ = [
     "project",
     "projection_coordinates",
     "raw_genus",
-    "reduce_weights",
     "render_polygon_svg",
     "validate",
     "verify_case_identities",

@@ -409,15 +409,14 @@ def enumerate_classes(
     g: int,
     method: str = "inductive",
     *,
-    box_bound: int | None = None,
     n_max: int | None = None,
 ) -> tuple[LatticePolygon, ...]:
     """All classes with exactly g interior points and n_max (default 3g + 7,
     which misses no class for g >= 1) or fewer lattice points.
 
     method="inductive" grows classes point by point; it is complete for
-    every n_max.  method="box" enumerates every class realizable in a grid
-    of the given bound.  The default max(3, 2g + 2) holds every class for
+    every n_max.  method="box" enumerates every class realizable in a fixed
+    bound x bound grid.  The bound max(3, 2g + 2) holds every class for
     g >= 1 (the widest, the hull of (0,0),(2,0),(0,2g+2), needs width 2g + 2);
     at g = 0 it is max(3, n_max - 2), as every genus-0 class with n points
     is twice the unit triangle or lies in a height-1 strip of width <= n - 2.
@@ -430,10 +429,7 @@ def enumerate_classes(
     if method == "inductive":
         cycles = _inductive_cycles(g, cap)
     elif method == "box":
-        bound = max(3, 2 * g + 2 if g else cap - 2) if box_bound is None else box_bound
-        if bound < 1:
-            raise PreconditionError(f"box bound must be >= 1, got {bound}")
-        cycles = _box_cycles(g, bound, cap)
+        cycles = _box_cycles(g, max(3, 2 * g + 2 if g else cap - 2), cap)
     else:
         raise ValueError(f"unknown method {method!r}")
     polys = (_build_polygon(c) for c in cycles)
@@ -618,13 +614,6 @@ class StabilizationReport:
     g: int
     steps: tuple[tuple[int, int], ...]
     growing: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "steps": [[d, c] for d, c in self.steps],
-            "growing": self.growing,
-        }
 
 
 def stabilization_steps(d_steps) -> list[int]:

@@ -148,7 +148,7 @@ def classify_cmd(g: int, dmax: int, jobs: int, atlas_dir: str | None,
             raise PreconditionError(f"--stabilize expects integers, got {stabilize!r}") from exc
     for flag, bound in (("--dmax", dmax), ("--stabilize step", max(steps, default=0))):
         if bound > D_MAX_CAP:
-            raise PreconditionError(f"{flag} {bound} exceeds the configured cap {D_MAX_CAP}")
+            raise PreconditionError(f"{flag} {bound} exceeds the cap {D_MAX_CAP}")
     if stabilize is not None:
         steps = stabilization_steps(steps)
     # one atlas serves both: the report reads it up to the last step, and

@@ -68,11 +68,6 @@ class LatticePolygon:
     b: int
     n: int
 
-    @property
-    def area2(self) -> int:
-        """Twice the enclosed area."""
-        return _pick_counts(self.vertices)[0]
-
     def bounding_box(self) -> tuple[int, int, int, int]:
         xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]

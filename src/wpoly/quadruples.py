@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InvariantViolation, PreconditionError
 
@@ -82,28 +82,6 @@ class ValidityReport:
             "is_good": self.is_good,
             "genus": self.genus,
         }
-
-
-def reduce_weights(w0: int, w1: int, w2: int) -> tuple[int, int, int]:
-    """Divide out common factors so the reduced weights are pairwise coprime.
-
-    Each weight is divided by the lcm of the gcds it shares with the other
-    two; the quotient is always exact.
-    """
-    w = (w0, w1, w2)
-    for v in w:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"weights must be positive ints, got {w!r}")
-    d0 = gcd(w[1], w[2])
-    d1 = gcd(w[0], w[2])
-    d2 = gcd(w[0], w[1])
-    divisors = (lcm(d1, d2), lcm(d0, d2), lcm(d0, d1))
-    reduced = []
-    for v, a in zip(w, divisors):
-        if v % a != 0:
-            raise InvariantViolation(f"weight reduction not exact for {w!r}")
-        reduced.append(v // a)
-    return tuple(reduced)
 
 
 def _condition_i_witness(weights: tuple[int, int, int], d: int, axis: int) -> Witness1 | None:
@@ -187,15 +165,6 @@ def validate(q: Quadruple) -> ValidityReport:
         is_good=good,
         genus=g,
     )
-
-
-def genus(q: Quadruple) -> int:
-    """Integer genus of a good quadruple."""
-    report = validate(q)
-    if not report.is_good:
-        raise PreconditionError(f"{q} is not a good quadruple")
-    assert report.genus is not None
-    return report.genus
 
 
 def family_quadruple(g: int, m: int) -> Quadruple:

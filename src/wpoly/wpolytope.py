@@ -319,25 +319,3 @@ def _triple_solver(q: Quadruple, triple: tuple[Point3, Point3, Point3]):
 
     return adj, det, solve
 
-
-def decompose(
-    p: WeightedPolytope,
-    triple: tuple[Point3, Point3, Point3],
-    target: Point3,
-) -> tuple[int, int, int]:
-    """The integer alphas target*adj/det, so target = sum alpha_i * triple_i.
-
-    The triple must have |det| == d and the target must solve the degree
-    equation for a positive multiple of d.  Non-integer coefficients are
-    an invariant violation, not bad input.
-    """
-    q = p.quadruple
-    solve = _triple_solver(q, triple)[2]
-    if any(x < 0 for x in target):
-        raise PreconditionError(f"target {target} has negative coordinates")
-    degree = sum(t * wi for t, wi in zip(target, q.weights))
-    if degree == 0 or degree % q.d != 0:
-        raise PreconditionError(
-            f"target {target} has degree {degree}, not a positive multiple of d"
-        )
-    return solve(target)

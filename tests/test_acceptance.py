@@ -16,7 +16,6 @@ from wpoly import (
     build,
     canonical_form,
     convex_hull,
-    decompose,
     enumerate_classes,
     enumerate_g_good,
     find_unimodular_triple,
@@ -28,8 +27,10 @@ from wpoly import (
     render_polygon_svg,
     verify_case_identities,
 )
+from wpoly import classify, wpolytope
 from wpoly.cli import main
 from wpoly.errors import DegenerateInputError, PreconditionError
+from wpoly.polygon2d import _pick_counts
 
 from lattice_oracles import (
     apply_map,
@@ -114,7 +115,7 @@ def test_criterion_2_projection_suite(corpus, record_criterion):
     for tup in [(1, 1, 1, 3), (1, 3, 2, 7), (1, 2, 3, 11)]:
         q = Quadruple(*tup)
         p = build(q)
-        triple = find_unimodular_triple(p)
+        solve = wpolytope._triple_solver(q, find_unimodular_triple(p))[2]
         for mult in (2, 3):
             target_degree = mult * q.d
             for a in range(target_degree // q.w0 + 1):
@@ -122,7 +123,7 @@ def test_criterion_2_projection_suite(corpus, record_criterion):
                     rem = target_degree - a * q.w0 - b * q.w1
                     if rem % q.w2 != 0:
                         continue
-                    if sum(decompose(p, triple, (a, b, rem // q.w2))) != mult:
+                    if sum(solve((a, b, rem // q.w2))) != mult:
                         violations.append(f"{q}: alpha sum for degree {mult}d")
                     multiples_checked += 1
     ok = not violations
@@ -184,7 +185,7 @@ def test_criterion_4_classification_finiteness(g1_classes, record_criterion):
 
 def test_criterion_5_cross_validation(g1_classes, g2_classes, record_criterion):
     ind1 = {p.vertices for p in g1_classes}
-    box1 = {p.vertices for p in enumerate_classes(1, "box", box_bound=4)}
+    box1 = {p.vertices for p in enumerate_classes(1, "box")}
     # independent oracle at bound 3: hulls of every subset of the 4x4 grid
     grid = [(x, y) for x in range(4) for y in range(4)]
     oracle3 = set()
@@ -196,9 +197,9 @@ def test_criterion_5_cross_validation(g1_classes, g2_classes, record_criterion):
                 continue
             if hull.i == 1:
                 oracle3.add(canonical_form(hull).vertices)
-    box3 = {p.vertices for p in enumerate_classes(1, "box", box_bound=3)}
+    box3 = classify._box_cycles(1, 3, 10)
     ind2 = {p.vertices for p in g2_classes}
-    box2 = {p.vertices for p in enumerate_classes(2, "box", box_bound=6)}
+    box2 = {p.vertices for p in enumerate_classes(2, "box")}
     ok = (
         ind1 == box1
         and len(ind1) == 16
@@ -234,7 +235,8 @@ def test_criterion_6_pick_triangulation_fuzz(g1_classes, g2_classes, record_crit
     samples = _sample_polygons(g1_classes, g2_classes, 500)
     for poly in samples:
         i, b = poly.i, poly.b
-        if poly.area2 != 2 * i + b - 2:
+        poly_area2 = _pick_counts(poly.vertices)[0]
+        if poly_area2 != 2 * i + b - 2:
             violations.append(f"{poly.vertices}: area vs Pick")
         tris = triangulate(poly)
         if len(tris) != 2 * i + b - 2:
@@ -247,7 +249,7 @@ def test_criterion_6_pick_triangulation_fuzz(g1_classes, g2_classes, record_crit
                 break
             total += area2
         else:
-            if total != poly.area2:
+            if total != poly_area2:
                 violations.append(f"{poly.vertices}: piece areas do not sum")
     ok = not violations
     record_criterion(

@@ -376,7 +376,7 @@ def test_classify_respects_the_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, "classify", "--genus", "1", "--dmax", "200001")
     assert code == 1
-    assert "--dmax 200001 exceeds the configured cap 200000" in err
+    assert "--dmax 200001 exceeds the cap 200000" in err
     assert not (tmp_path / "atlas").exists()
 
 
@@ -441,7 +441,7 @@ def test_classify_stabilize_builds_one_atlas_with_the_same_bytes(
 
 
 @pytest.mark.parametrize("steps, message", [
-    ("10,200001", "--stabilize step 200001 exceeds the configured cap 200000"),
+    ("10,200001", "--stabilize step 200001 exceeds the cap 200000"),
     ("abc", "--stabilize expects integers, got 'abc'"),
     ("7,3", "stabilize steps must be strictly increasing, got [7, 3]"),
     ("", "stabilize steps must be nonempty"),

@@ -13,9 +13,7 @@ from wpoly import (
     Quadruple,
     enumerate_g_good,
     family_quadruple,
-    genus,
     raw_genus,
-    reduce_weights,
     validate,
 )
 from wpoly import quadruples
@@ -134,13 +132,6 @@ def test_str():
     assert str(Quadruple(2, 3, 5, 17)) == "(2,3,5;17)"
 
 
-def test_reduce_weights_examples():
-    assert reduce_weights(2, 3, 5) == (2, 3, 5)
-    assert reduce_weights(6, 10, 15) == (1, 1, 1)
-    assert reduce_weights(2, 4, 3) == (1, 2, 3)
-    assert reduce_weights(2, 2, 3) == (1, 1, 3)
-
-
 def test_validate_good_instance():
     report = validate(Quadruple(1, 3, 2, 7))
     assert report.pairwise_coprime
@@ -197,17 +188,16 @@ def test_raw_genus_integral_for_good():
 
 
 def test_genus_values():
-    assert genus(Quadruple(1, 1, 1, 3)) == 1
-    assert genus(Quadruple(1, 1, 2, 4)) == 1
-    assert genus(Quadruple(1, 2, 3, 6)) == 1
-    assert genus(Quadruple(1, 2, 3, 7)) == 1
-    assert genus(Quadruple(1, 2, 1, 5)) == 2
-    assert genus(Quadruple(1, 1, 1, 4)) == 3
+    assert validate(Quadruple(1, 1, 1, 3)).genus == 1
+    assert validate(Quadruple(1, 1, 2, 4)).genus == 1
+    assert validate(Quadruple(1, 2, 3, 6)).genus == 1
+    assert validate(Quadruple(1, 2, 3, 7)).genus == 1
+    assert validate(Quadruple(1, 2, 1, 5)).genus == 2
+    assert validate(Quadruple(1, 1, 1, 4)).genus == 3
 
 
 def test_genus_requires_good():
-    with pytest.raises(PreconditionError):
-        genus(Quadruple(1, 1, 3, 5))
+    assert validate(Quadruple(1, 1, 3, 5)).genus is None
 
 
 def test_validity_report_to_dict_shape():

@@ -1,8 +1,10 @@
 """README's library example and shell transcripts do what README states."""
 import ast
+import inspect
 import re
 from pathlib import Path
 
+import wpoly
 from wpoly.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -40,6 +42,27 @@ def test_readme_library_example_states_its_values():
         "bc.matrix",
         "mapped.terms",
     ]
+
+
+def test_public_surface_is_pinned():
+    # README's Library section: every exported name has a caller in the
+    # CLI or the library, except family_quadruple, the paper's witness
+    assert sorted(wpoly.__all__) == [
+        "BasisChange", "CaseReport", "ClassAtlas", "ClassEntry", "D_MAX_CAP",
+        "DegenerateInputError", "InvariantViolation", "LatticePolygon",
+        "PreconditionError", "Quadruple", "StabilizationReport",
+        "UnimodularAffineMap", "ValidityReport", "WPolyError", "WeightedCurve",
+        "WeightedPolytope", "basis_change", "build", "canonical_form",
+        "convex_hull", "enumerate_classes", "enumerate_g_good", "equivalent",
+        "family_quadruple", "find_unimodular_triple", "group_by_class",
+        "make_curve", "map_curve", "minor_det", "project",
+        "projection_coordinates", "raw_genus", "render_polygon_svg", "validate",
+        "verify_case_identities",
+    ]
+    assert all(hasattr(wpoly, name) for name in wpoly.__all__)
+    assert "box_bound" not in inspect.signature(wpoly.enumerate_classes).parameters
+    assert not hasattr(wpoly.LatticePolygon, "area2")
+    assert not hasattr(wpoly.StabilizationReport, "to_dict")
 
 
 def test_readme_shell_transcripts_match_the_cli(capsys, tmp_path, monkeypatch):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from wpoly import (
     Quadruple,
     build,
-    decompose,
     enumerate_g_good,
     find_unimodular_triple,
     group_by_class,
@@ -28,6 +27,10 @@ from wpoly.errors import InvariantViolation, PreconditionError
 from wpoly.wpolytope import _build
 
 from lattice_oracles import cramer_decompose, interior_count, polytope_points_loop
+
+
+def solve_over(p, triple, target):
+    return wpolytope._triple_solver(p.quadruple, triple)[2](target)
 
 # one hand-checked instance per case tag
 CASE_INSTANCES = {
@@ -262,17 +265,17 @@ def test_decompose_frozen_values():
     p = build(Quadruple(1, 3, 2, 7))
     t = find_unimodular_triple(p)
     assert t == ((0, 1, 2), (1, 0, 3), (1, 2, 0))
-    assert decompose(p, t, (7, 0, 0)) == (-6, 4, 3)
+    assert solve_over(p, t, (7, 0, 0)) == (-6, 4, 3)
     p3 = build(Quadruple(1, 1, 1, 3))
     t3 = find_unimodular_triple(p3)
-    assert decompose(p3, t3, (2, 2, 2)) == (-2, 2, 2)
+    assert solve_over(p3, t3, (2, 2, 2)) == (-2, 2, 2)
 
 
 def test_decompose_over_alternative_triple():
     # any row triple with |det| = d works, not just the lex-first one
     p = build(Quadruple(1, 3, 2, 7))
     t = ((4, 1, 0), (2, 1, 1), (1, 2, 0))
-    assert decompose(p, t, (7, 0, 0)) == (2, 0, -1)
+    assert solve_over(p, t, (7, 0, 0)) == (2, 0, -1)
 
 
 def test_decompose_alpha_sum_equals_degree_multiple():
@@ -281,23 +284,17 @@ def test_decompose_alpha_sum_equals_degree_multiple():
     t = find_unimodular_triple(p)
     for mult in (1, 2, 3):
         target = (mult * q.d, 0, 0)
-        assert sum(decompose(p, t, target)) == mult
+        assert sum(solve_over(p, t, target)) == mult
 
 
 def test_decompose_rejects_bad_inputs():
     p = build(Quadruple(1, 3, 2, 7))
-    t = find_unimodular_triple(p)
     with pytest.raises(PreconditionError):
-        decompose(p, ((1, 2, 0), (3, 0, 2), (5, 0, 1)), (7, 0, 0))  # |det| = 14
-    with pytest.raises(PreconditionError):
-        decompose(p, t, (1, 0, 0))  # degree not a multiple of d
-    with pytest.raises(PreconditionError):
-        decompose(p, t, (-7, 0, 0))
+        solve_over(p, ((1, 2, 0), (3, 0, 2), (5, 0, 1)), (7, 0, 0))  # |det| = 14
 
 
 def test_triple_solver_checks_divisibility():
-    # decompose refuses a target whose degree is not a multiple of d before
-    # solving; the solve itself still refuses a non-integral one
+    # a target whose degree is not a multiple of d has no integral solution
     p = build(Quadruple(1, 3, 2, 7))
     _, det, solve = wpolytope._triple_solver(p.quadruple, find_unimodular_triple(p))
     assert abs(det) == 7
@@ -311,7 +308,7 @@ def test_every_point_decomposes_over_lex_triple():
             p = build(q)
             t = find_unimodular_triple(p)
             for pt in p.points:
-                assert sum(decompose(p, t, pt)) == 1, (q, pt)
+                assert sum(solve_over(p, t, pt)) == 1, (q, pt)
 
 
 @functools.cache
@@ -331,12 +328,12 @@ def test_decompose_and_projection_match_cramer(data):
     coords = projection_coordinates(p, triple)
     for row, image in zip(p.points, coords):
         expected = cramer_decompose(triple, row)
-        assert decompose(p, triple, row) == expected, (q, triple, row)
+        assert solve_over(p, triple, row) == expected, (q, triple, row)
         assert image == expected[:2]
     i = data.draw(st.integers(0, p.n - 1))
     j = data.draw(st.integers(0, p.n - 1))
     target = tuple(x + y for x, y in zip(p.points[i], p.points[j]))
-    alphas = decompose(p, triple, target)
+    alphas = solve_over(p, triple, target)
     assert alphas == cramer_decompose(triple, target) and sum(alphas) == 2
 
 
