@@ -32,8 +32,6 @@ from .polygon2d import (
     canonical_form,
     convex_hull,
     equivalent,
-    project,
-    projection_coordinates,
 )
 from .quadruples import (
     D_MAX_CAP,
@@ -51,6 +49,8 @@ from .wpolytope import (
     build,
     find_unimodular_triple,
     minor_det,
+    project,
+    projection_coordinates,
     verify_case_identities,
 )
 

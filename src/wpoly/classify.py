@@ -9,7 +9,6 @@ quadruples in the same class through an exact rational basis change.
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,17 +20,15 @@ from .polygon2d import (
     Point2,
     _build_polygon,
     _canonical_cycle,
-    _check_projected_interior,
     _egcd,
-    _images_hull,
     _pick_counts,
-    _projected_hull,
-    _row_coordinates,
     equivalent,
-    projection_coordinates,
 )
 from .quadruples import Quadruple, enumerate_g_good
-from .wpolytope import Point3, _build, _triple_solver, build, find_unimodular_triple
+from .wpolytope import (
+    Point3, _build, _check_projected_interior, _images_hull, _triple_solver, build,
+    find_unimodular_triple, projection_coordinates,
+)
 
 
 @dataclass(frozen=True)
@@ -307,17 +304,12 @@ def _angular_directions(bound: int) -> list[Point2]:
         if (dx, dy) != (0, 0) and gcd(abs(dx), abs(dy)) == 1
     ]
 
-    def half(d: Point2) -> int:
-        return 0 if (d[0] > 0 or (d[0] == 0 and d[1] > 0)) else 1
-
-    def cmp(a: Point2, b: Point2) -> int:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        c = a[0] * b[1] - a[1] * b[0]
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    return sorted(dirs, key=functools.cmp_to_key(cmp))
+    # the right half-plane (with +y) first, then the left (with -y); in
+    # each, the slope rises counterclockwise and the vertical comes last
+    return sorted(
+        dirs, key=lambda d: (d[0] < 0 or (d[0] == 0 and d[1] < 0), d[0] == 0,
+                             Fraction(d[1], d[0]) if d[0] else 0)
+    )
 
 
 def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
@@ -420,6 +412,8 @@ def enumerate_classes(
     g >= 1 (the widest, the hull of (0,0),(2,0),(0,2g+2), needs width 2g + 2);
     at g = 0 it is max(3, n_max - 2), as every genus-0 class with n points
     is twice the unit triangle or lies in a height-1 strip of width <= n - 2.
+    Each class is rebuilt by _build_polygon, and one whose interior count
+    is not g is an InvariantViolation.
     """
     if g < 0:
         raise PreconditionError(f"g must be >= 0, got {g}")
@@ -432,8 +426,11 @@ def enumerate_classes(
         cycles = _box_cycles(g, max(3, 2 * g + 2 if g else cap - 2), cap)
     else:
         raise ValueError(f"unknown method {method!r}")
-    polys = (_build_polygon(c) for c in cycles)
-    return tuple(sorted((p for p in polys if p.n <= cap), key=lambda p: (p.n, p.vertices)))
+    polys = sorted(map(_build_polygon, cycles), key=lambda p: (p.n, p.vertices))
+    for poly in polys:
+        if poly.i != g:
+            raise InvariantViolation(f"class {poly.vertices} has {poly.i} interior points, not {g}")
+    return tuple(p for p in polys if p.n <= cap)
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +460,20 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     triples, and the witness from `equivalent`, which carries the first
     projected polygon onto the second, pairs their rows.  Quadruples of
     different classes are a precondition failure.  The source triple T is
-    inverted once, as its adjugate adj over its determinant, for its
-    projection and for the matrix T^-1 * R_to = adj * R_to / det, R_to the
-    rows paired with T; its denominators divide d because |det| = d.  Each
-    row is verified in integers: row * (adj * R_to) = det * paired row.
+    inverted once more, as its adjugate adj over its determinant, for the
+    matrix T^-1 * R_to = adj * R_to / det, R_to the rows paired with T; its
+    denominators divide d because |det| = d.  Each row is verified in
+    integers: row * (adj * R_to) = det * paired row.
     """
     p_from = build(q_from)
     p_to = build(q_to)
     t_from = find_unimodular_triple(p_from)
     t_to = find_unimodular_triple(p_to)
-    adj, det, solve = _triple_solver(q_from, t_from)
-    images_from = _row_coordinates(p_from, t_from, solve)
+    images_from = projection_coordinates(p_from, t_from)
     images_to = projection_coordinates(p_to, t_to)
     same, witness = equivalent(
-        _projected_hull(p_from, images_from), _projected_hull(p_to, images_to)
+        _check_projected_interior(p_from, _images_hull(q_from, images_from)),
+        _check_projected_interior(p_to, _images_hull(q_to, images_to)),
     )
     if not same:
         raise PreconditionError(
@@ -493,6 +490,7 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
         row_map.append(j)
     if len(set(row_map)) != p_from.n:
         raise InvariantViolation("witness-induced row correspondence is not bijective")
+    adj, det, _ = _triple_solver(q_from, t_from)
     rows_to = [p_to.points[row_map[p_from.points.index(t)]] for t in t_from]
     scaled = [
         [sum(a * r[c] for a, r in zip(adj_row, rows_to)) for c in range(3)] for adj_row in adj

@@ -35,10 +35,10 @@ from .classify import (
     stabilization_steps,
 )
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
-from .polygon2d import canonical_form, project
+from .polygon2d import canonical_form
 from .quadruples import D_MAX_CAP, Quadruple, validate
 from .render import render_polygon_svg
-from .wpolytope import build, find_unimodular_triple, verify_case_identities
+from .wpolytope import build, find_unimodular_triple, project, verify_case_identities
 
 
 @click.group()
@@ -103,8 +103,8 @@ def poly_analyze(w0: int, w1: int, w2: int, d: int, as_json: bool, svg_path: str
         "exceptional_bound": p.exceptional_bound,
         "case": case.to_dict(),
         "triple": [list(row) for row in triple],
-        "projected": polygon.to_json_dict()["vertices"],
-        "canonical": canon.to_json_dict()["vertices"],
+        "projected": [list(v) for v in polygon.vertices],
+        "canonical": [list(v) for v in canon.vertices],
     }
     if svg_path is not None:
         Path(svg_path).write_text(render_polygon_svg(polygon), encoding="utf-8")
@@ -118,7 +118,7 @@ def poly_analyze(w0: int, w1: int, w2: int, d: int, as_json: bool, svg_path: str
     click.echo(f"case        {case.case_tag}")
     click.echo(f"determinant {case.actual_det} (predicted {case.predicted_det})")
     click.echo(f"triple      {[list(row) for row in triple]}")
-    click.echo(f"canonical   {canon.to_json_dict()['vertices']}")
+    click.echo(f"canonical   {[list(v) for v in canon.vertices]}")
     if svg_path is not None:
         click.echo(f"figure      {svg_path}")
 

@@ -16,13 +16,10 @@ anchored.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
-from .quadruples import Quadruple
-from .wpolytope import Point3, WeightedPolytope, _triple_solver
 
 Point2 = tuple[int, int]
 
@@ -72,9 +69,6 @@ class LatticePolygon:
         xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
-
-    def to_json_dict(self) -> dict:
-        return {"vertices": [[x, y] for x, y in self.vertices]}
 
 
 @dataclass(frozen=True)
@@ -318,68 +312,3 @@ def equivalent(p1: LatticePolygon, p2: LatticePolygon) -> tuple[bool, Unimodular
     if image != set(p2.lattice_points):
         raise InvariantViolation("equivalence witness does not map point sets")
     return (True, witness)
-
-
-# ---------------------------------------------------------------------------
-# projection from the degree plane to Z^2
-
-
-def projection_coordinates(
-    p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]
-) -> list[Point2]:
-    """Coefficients (alpha1, alpha2) of every row over the triple.
-
-    Writing a row as alpha1*t1 + alpha2*t2 + alpha3*t3 forces
-    alpha1 + alpha2 + alpha3 = 1, so the first two coefficients identify
-    the row; they are the row's coordinates after projection.  The triple
-    is inverted once, as adj/det with |det| = d, for all the rows.
-    """
-    return _row_coordinates(p, triple, _triple_solver(p.quadruple, triple)[2])
-
-
-def _row_coordinates(p: WeightedPolytope, triple, solve) -> list[Point2]:
-    """projection_coordinates through an inverted triple's solve."""
-    images: list[Point2] = []
-    for row in p.points:
-        a1, a2, a3 = solve(row)
-        if a1 + a2 + a3 != 1:
-            raise InvariantViolation(
-                f"{p.quadruple}: affine coefficients of {row} sum to {a1 + a2 + a3}"
-            )
-        images.append((a1, a2))
-    for pt, expected in zip(triple, ((1, 0), (0, 1), (0, 0))):
-        if images[p.points.index(pt)] != expected:
-            raise InvariantViolation(f"triple row {pt} did not project to {expected}")
-    return images
-
-
-def project(
-    p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]
-) -> LatticePolygon:
-    """Projected polygon; point count and interior count must be preserved."""
-    return _projected_hull(p, projection_coordinates(p, triple))
-
-
-def _projected_hull(p: WeightedPolytope, images: list[Point2]) -> LatticePolygon:
-    """Hull of the projection coordinates of p's rows, checked to hold
-    exactly those points and as many interior points as p."""
-    return _check_projected_interior(p, _images_hull(p.quadruple, images))
-
-
-def _images_hull(q: Quadruple, images: Iterable[Point2]) -> LatticePolygon:
-    """Hull of the projected rows of q, checked to hold exactly those
-    lattice points.  It depends on the point set alone."""
-    images = set(images)
-    poly = convex_hull(list(images))
-    if images != set(poly.lattice_points):
-        raise InvariantViolation(f"{q}: projection gained or lost lattice points")
-    return poly
-
-
-def _check_projected_interior(p: WeightedPolytope, poly: LatticePolygon) -> LatticePolygon:
-    """poly, checked to have as many interior points as the polytope p."""
-    if poly.i != len(p.interior):
-        raise InvariantViolation(
-            f"{p.quadruple}: projected interior count {poly.i} != {len(p.interior)}"
-        )
-    return poly

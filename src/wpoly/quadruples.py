@@ -212,9 +212,10 @@ def _case_candidates(g: int, d_max: int):
         a += 1
     # a.ii, no weight divides d: rows (a,1,0), (0,b,1), (0,1,c) with
     # a = l*u2, b = k*u2 + 1, c = k*u1 + 1 = l*u0 and l(k*u2 + 1) = 2g+1+k,
-    # so k <= 2g; u1 is free and d = (k*u2 + 1)u1 + u2.
-    for k in range(1, 2 * g + 1):
-        for l in range(1, m + k + 1):
+    # so k <= 2g and l <= (2g+1+k)/(k+1); u1 is free and
+    # d = (k*u2 + 1)u1 + u2 >= k + 2.
+    for k in range(1, min(2 * g, d_max - 2) + 1):
+        for l in range(1, (m + k) // (k + 1) + 1):
             if (m + k) % l or ((m + k) // l - 1) % k or (m + k) // l <= k:
                 continue
             u2 = ((m + k) // l - 1) // k
@@ -245,17 +246,19 @@ def _case_candidates(g: int, d_max: int):
                 if (d - u1) % (s + 1) == 0:
                     yield "b.ii", u0, u1, (d - u1) // (s + 1), d
         # b.iii: rows (1,b,0), (1,0,c) with d = (k*u1*u2 + 1)u0 and
-        # 2g = k(d - u1 - u2); u0 >= 1 bounds u1 and u2 by 2g/k + 1.
-        for u1 in range(1, s + 2):
-            for u2 in range(1, s + 2):
+        # 2g = k(d - u1 - u2); u0 >= 1 bounds u1 and u2 by 2g/k + 1, and
+        # d = u1 + u2 + 2g/k <= d_max bounds them too.
+        for u1 in range(1, min(s + 1, d_max - s - 1) + 1):
+            for u2 in range(1, min(s + 1, d_max - s - u1) + 1):
                 d = u1 + u2 + s
-                if d <= d_max and d % (k * u1 * u2 + 1) == 0:
+                if d % (k * u1 * u2 + 1) == 0:
                     yield "b.iii", d // (k * u1 * u2 + 1), u1, u2, d
     # c, u0 and u1 divide d: rows (d/u0,0,0), (0,d/u1,0), (1,0,c) with
     # d/u0 = k*u1 = l*u2 + 1, d = k*u0*u1 and 2g + k + l - 1 = k*l*u0,
-    # so (k - 1)(l - 1) <= 2g and k, l <= 2g + 1; u2 is free.
-    for k in range(1, m + 1):
-        for l in range(1, m + 1):
+    # so (k - 1)(l - 1) <= 2g and k, l <= 2g + 1, while d/u0 <= d_max
+    # gives k <= d_max and l <= d_max - 1; u2 is free.
+    for k in range(1, min(m, d_max) + 1):
+        for l in range(1, min(m, d_max - 1) + 1):
             if (2 * g + k + l - 1) % (k * l):
                 continue
             u0 = (2 * g + k + l - 1) // (k * l)
@@ -304,8 +307,12 @@ def enumerate_g_good(g: int, d_max: int) -> list[Quadruple]:
     For fixed g there are O(d_max log^2 d_max) candidates, most of them
     from cases a.i, a.ii, b.i, b.ii and c, and the walk is one serial
     pass: g = 1, 2, 3 together take about 0.02 s at d_max = 120 and
-    0.04 s at d_max = 240, and g = 1 alone about 0.1 s at d_max = 800
-    (Python 3.11, Intel Xeon).
+    0.04 s at d_max = 240, and g = 1 alone about 0.06 s at d_max = 800.
+    Each case's degree equation bounds its loops by d_max, and a genus
+    above (d_max - 1)(d_max - 2)/2, which no quadruple with d <= d_max
+    has, returns [] at once.  Only the a.i scan, of O(g * d_max) pairs
+    (a, b), grows with g: g = 2000 takes about 0.3 s at d_max = 100 and
+    g = 10000 about 2 s at d_max = 200 (Python 3.11, Intel Xeon).
     """
     if g < 1:
         raise PreconditionError(f"g must be >= 1, got {g}")
@@ -313,6 +320,8 @@ def enumerate_g_good(g: int, d_max: int) -> list[Quadruple]:
         raise PreconditionError(f"d_max must be >= 1, got {d_max}")
     if d_max > D_MAX_CAP:
         raise PreconditionError(f"d_max={d_max} exceeds the cap {D_MAX_CAP}")
+    if 2 * g > (d_max - 1) * (d_max - 2):
+        return []
     keys = {(d, *sorted(u)) for _, *u, d in _case_candidates(g, d_max)}
     found = []
     for d, w0, w1, w2 in sorted(keys):

@@ -10,14 +10,18 @@ distinguished rows (axis i's is the pure power x_i^(d/w_i) when w_i
 divides d, else the condition-(i) witness x_i^k * x_j that validate
 reports) fall into one of seven cases with a predictable determinant.
 The case is read off where each axis's row points (CASE_MAPS): to the
-one other axis the row uses, or to itself for a pure power.
+one other axis the row uses, or to itself for a pure power.  Written
+over a triple of |det| = d, the rows project onto the lattice points of
+a plane polygon with as many interior points (project).
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
+from .polygon2d import LatticePolygon, Point2, convex_hull
 from .quadruples import Quadruple, _condition_i_witness, validate
 
 Point3 = tuple[int, int, int]
@@ -30,6 +34,12 @@ Point3 = tuple[int, int, int]
 # exceptional flag therefore apply it to g >= 1 only.
 def _soft_bound(g: int) -> int:
     return 3 * g + 6
+
+
+# Hard ceiling on the genus build() accepts: by the bound above it holds
+# a polytope to 300007 points, near the 200003 of (1,1,199999;200000),
+# the largest genus-0 polytope under the degree cap (timings in README).
+GENUS_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -87,13 +97,16 @@ def build(q: Quadruple) -> WeightedPolytope:
     """Enumerate the polytope of a good quadruple.
 
     Runs validate() and hands the genus it derives to _build, which
-    checks the polytope against it; a quadruple that is not good is a
-    PreconditionError.
+    checks the polytope against it; a quadruple that is not good, or
+    whose genus exceeds GENUS_CAP, is a PreconditionError raised before
+    any point is enumerated.
     """
     report = validate(q)
     if not report.is_good:
         raise PreconditionError(f"{q} is not a good quadruple")
     assert report.genus is not None
+    if report.genus > GENUS_CAP:
+        raise PreconditionError(f"{q}: genus={report.genus} exceeds the genus cap {GENUS_CAP}")
     return _build(q, report.genus)
 
 
@@ -319,3 +332,52 @@ def _triple_solver(q: Quadruple, triple: tuple[Point3, Point3, Point3]):
 
     return adj, det, solve
 
+
+def projection_coordinates(
+    p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]
+) -> list[Point2]:
+    """Coefficients (alpha1, alpha2) of every row over the triple.
+
+    Writing a row as alpha1*t1 + alpha2*t2 + alpha3*t3 forces
+    alpha1 + alpha2 + alpha3 = 1, so the first two coefficients identify
+    the row; they are the row's coordinates after projection.  The triple
+    is inverted once, as adj/det with |det| = d, for all the rows.
+    """
+    solve = _triple_solver(p.quadruple, triple)[2]
+    images: list[Point2] = []
+    for row in p.points:
+        a1, a2, a3 = solve(row)
+        if a1 + a2 + a3 != 1:
+            raise InvariantViolation(
+                f"{p.quadruple}: affine coefficients of {row} sum to {a1 + a2 + a3}"
+            )
+        images.append((a1, a2))
+    for pt, expected in zip(triple, ((1, 0), (0, 1), (0, 0))):
+        if images[p.points.index(pt)] != expected:
+            raise InvariantViolation(f"triple row {pt} did not project to {expected}")
+    return images
+
+
+def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> LatticePolygon:
+    """Projected polygon; point count and interior count must be preserved."""
+    images = projection_coordinates(p, triple)
+    return _check_projected_interior(p, _images_hull(p.quadruple, images))
+
+
+def _images_hull(q: Quadruple, images: Iterable[Point2]) -> LatticePolygon:
+    """Hull of the projected rows of q, checked to hold exactly those
+    lattice points.  It depends on the point set alone."""
+    images = set(images)
+    poly = convex_hull(list(images))
+    if images != set(poly.lattice_points):
+        raise InvariantViolation(f"{q}: projection gained or lost lattice points")
+    return poly
+
+
+def _check_projected_interior(p: WeightedPolytope, poly: LatticePolygon) -> LatticePolygon:
+    """poly, checked to have as many interior points as the polytope p."""
+    if poly.i != len(p.interior):
+        raise InvariantViolation(
+            f"{p.quadruple}: projected interior count {poly.i} != {len(p.interior)}"
+        )
+    return poly

@@ -4,7 +4,6 @@ Each test emits one PASS/FAIL line (collected into the terminal summary)
 and fails loudly with the offending instances when a criterion breaks.
 """
 import hashlib
-import json
 import time
 from itertools import combinations
 

@@ -210,6 +210,17 @@ def test_enum_box_bound3_misses_exactly_the_wide_triangle():
     assert ind - box3 == {((0, 0), (2, 0), (0, 4))}
 
 
+def test_enum_checks_the_interior_count_of_every_class(monkeypatch):
+    # a closed chain the walk wrongly accepts, here with i = 2 and n = 10,
+    # must not come back as a genus-1 class
+    box_cycles = classify._box_cycles
+    wrong = ((0, 0), (5, 0), (0, 2))
+    monkeypatch.setattr(classify, "_box_cycles", lambda *args: box_cycles(*args) | {wrong})
+    message = rf"^class {re.escape(str(wrong))} has 2 interior points, not 1$"
+    with pytest.raises(InvariantViolation, match=message):
+        enumerate_classes(1, "box")
+
+
 def test_enum_g0_counts():
     classes = enumerate_classes(0, "inductive", n_max=4)
     by_n = {}
@@ -640,7 +651,8 @@ def test_make_curve_validates_terms():
 
 
 def test_basis_change_decomposes_each_row_once(monkeypatch):
-    # one triple inverse per quadruple, then one solve per row
+    # one triple inverse per projection and one more for the source
+    # triple's matrix, then one solve per row
     inverses = solves = 0
     triple_solver = wpolytope._triple_solver
 
@@ -656,11 +668,11 @@ def test_basis_change_decomposes_each_row_once(monkeypatch):
 
         return adj, det, counted_solve
 
-    monkeypatch.setattr(polygon2d, "_triple_solver", counted)
+    monkeypatch.setattr(wpolytope, "_triple_solver", counted)
     monkeypatch.setattr(classify, "_triple_solver", counted)
     bc = basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
     assert len(bc.row_map) == 8
-    assert inverses == 2
+    assert inverses == 3
     assert solves == 2 * 8
 
 

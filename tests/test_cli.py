@@ -1,5 +1,7 @@
 """Exit codes, output formats, output paths, golden files."""
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -220,6 +222,44 @@ def test_polygons_enum_cross_check_disagreement_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, "polygons", "enum", "--genus", "1", "--cross-check")
     assert code == 2
     assert "invariant violation: methods disagree: 1 inductive-only, 0 box-only" in err
+
+
+def test_polygons_enum_class_with_wrong_interior_count_exits_2(capsys, monkeypatch):
+    import wpoly.classify
+
+    box_cycles = wpoly.classify._box_cycles
+    monkeypatch.setattr(
+        wpoly.classify, "_box_cycles", lambda *args: box_cycles(*args) | {((0, 0), (5, 0), (0, 2))}
+    )
+    code, out, err = run(capsys, "polygons", "enum", "--genus", "1", "--method", "box")
+    assert (code, out) == (2, "")
+    assert err == (
+        "invariant violation: class ((0, 0), (5, 0), (0, 2)) has 2 interior points, not 1\n"
+    )
+
+
+@pytest.mark.parametrize("argv, quadruple, genus", [
+    (("poly", "analyze", "1", "4", "5", "2009"), "(1,4,5;2009)", 100400),
+    (("map", "curve", "1", "1", "2", "635", "1", "2", "1", "635"), "(1,1,2;635)", 100172),
+], ids=["poly-analyze", "map-curve"])
+def test_genus_above_the_cap_exits_1_at_once(capsys, argv, quadruple, genus):
+    # refused from validate's genus, before any polytope point is listed
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == f"error: {quadruple}: genus={genus} exceeds the genus cap 100000\n"
+
+
+def test_genus_at_the_cap_is_analyzed_as_before(capsys):
+    # (1,4,5;2005) has genus exactly 100000; the digest is of the output
+    # before the cap existed
+    code, out, _ = run(capsys, "poly", "analyze", "1", "4", "5", "2005", "--json")
+    assert code == 0
+    assert json.loads(out)["genus"] == 100000
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9c79da432a65e68dc792be1a7e7cffca33ba6f6e452aa9432603fb66a60cc798"
+    )
 
 
 def test_map_curve_permutation(capsys):

@@ -1,7 +1,9 @@
 """Hulls, lattice counts, canonical forms, projections, and the
 triangulation oracle."""
+import ast
 import dataclasses
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from wpoly import (
     project,
     projection_coordinates,
 )
-from wpoly import polygon2d
+from wpoly import polygon2d, wpolytope
 from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
 from wpoly.polygon2d import _MIRROR, _canonical_cycle, _egcd, _pick_counts
 
@@ -339,7 +341,7 @@ def test_projection_coordinates_checks_rows_and_triple(monkeypatch):
     with pytest.raises(InvariantViolation, match="sum to 2"):
         projection_coordinates(doubled, triple)
     # a solve that swaps alpha1 and alpha2 keeps the sums but moves the triple
-    triple_solver = polygon2d._triple_solver
+    triple_solver = wpolytope._triple_solver
 
     def swapped(*args):
         adj, det, solve = triple_solver(*args)
@@ -350,9 +352,22 @@ def test_projection_coordinates_checks_rows_and_triple(monkeypatch):
 
         return adj, det, solve_swapped
 
-    monkeypatch.setattr(polygon2d, "_triple_solver", swapped)
+    monkeypatch.setattr(wpolytope, "_triple_solver", swapped)
     with pytest.raises(InvariantViolation, match="did not project to"):
         projection_coordinates(p, triple)
+
+
+def test_plane_layer_imports_only_the_errors():
+    # the projection from the polytope layer lives in wpolytope, which
+    # imports polygon2d; polygon2d itself is plane geometry alone
+    modules = set()
+    for node in ast.walk(ast.parse(Path(polygon2d.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert {m for m in modules if m.startswith((".", "wpoly"))} == {".errors"}
+    assert not hasattr(polygon2d, "project") and not hasattr(polygon2d, "projection_coordinates")
 
 
 def test_project_preserves_counts():
@@ -370,13 +385,6 @@ def test_projected_hull_shape_frozen():
     poly = project(p, find_unimodular_triple(p))
     assert poly.vertices == ((-6, 4), (0, 0), (1, 0), (0, 1))
     assert (poly.i, poly.b, poly.n) == (1, 7, 8)
-
-
-def test_polygon_json_roundtrip():
-    p = convex_hull(SQUARE2)
-    d = p.to_json_dict()
-    assert d == {"vertices": [[0, 0], [2, 0], [2, 2], [0, 2]]}
-    assert convex_hull([tuple(v) for v in d["vertices"]]).vertices == p.vertices
 
 
 @settings(max_examples=120, deadline=None)

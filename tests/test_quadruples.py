@@ -314,6 +314,32 @@ def test_enumerate_rejects_bad_args():
         enumerate_g_good(1, 0)
 
 
+def test_enumerate_is_empty_above_the_triangle_genus(small_good_quadruples):
+    # the interior points (a, b, c) >= 1 map injectively to the pairs (a, b)
+    # with a + b <= d - 1, so g <= (d - 1)(d - 2)/2, with equality at
+    # (1,1,1;d); a larger g returns [] before the walk
+    assert all(2 * g <= (q.d - 1) * (q.d - 2) for q, g in small_good_quadruples)
+    assert enumerate_g_good(36, 10) == [Quadruple(1, 1, 1, 10)]
+    assert enumerate_g_good(37, 10) == []
+    assert enumerate_g_good(10000, 10) == []
+
+
+def test_case_walk_is_bounded_by_the_degree(monkeypatch):
+    # below the triangle genus the walk still runs.  Its a.ii, c and b.iii
+    # loops are bounded by d_max, not by g alone, so all its ranges
+    # together span less than a.i's scan of about (2g + 1) * d_max pairs
+    spans = []
+
+    def counted(*args):
+        spans.append(len(range(*args)))
+        return range(*args)
+
+    monkeypatch.setattr(quadruples, "range", counted, raising=False)
+    assert 2 * 2000 <= 99 * 98
+    assert enumerate_g_good(2000, 100) == []
+    assert sum(spans) < (2 * 2000 + 1) * 100
+
+
 def test_family_quadruples_are_good_with_right_genus():
     for g in range(1, 6):
         for m in range(1, 4):
