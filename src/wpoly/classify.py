@@ -26,7 +26,7 @@ from .polygon2d import (
 )
 from .quadruples import Quadruple, enumerate_g_good
 from .wpolytope import (
-    Point3, _build, _check_projected_interior, _images_hull, _triple_solver, build,
+    Point3, _build, _check_projected_counts, _images_hull, _triple_solver, build,
     find_unimodular_triple, projection_coordinates,
 )
 
@@ -96,8 +96,8 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
     through its det-d triple.  Many quadruples project to the same point
     set, so the hull of a point set (checked to hold exactly those
     points) and its canonical cycle are computed once per set in this
-    call and reused; the projected interior count is still checked
-    against every polytope.
+    call and reused; the projected point and interior counts are still
+    checked against every polytope.
     """
     grouped: dict[tuple[Point2, ...], dict] = {}
     seen: dict[frozenset[Point2], tuple[LatticePolygon, tuple[Point2, ...]]] = {}
@@ -108,7 +108,7 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
             poly = _images_hull(q, key)
             seen[key] = (poly, _canonical_cycle(poly.vertices)[0])
         poly, cycle = seen[key]
-        _check_projected_interior(p, poly)
+        _check_projected_counts(p, poly)
         slot = grouped.setdefault(cycle, {"n": poly.n, "members": []})
         if slot["n"] != poly.n:
             raise InvariantViolation(
@@ -472,8 +472,8 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     images_from = projection_coordinates(p_from, t_from)
     images_to = projection_coordinates(p_to, t_to)
     same, witness = equivalent(
-        _check_projected_interior(p_from, _images_hull(q_from, images_from)),
-        _check_projected_interior(p_to, _images_hull(q_to, images_to)),
+        _check_projected_counts(p_from, _images_hull(q_from, images_from)),
+        _check_projected_counts(p_to, _images_hull(q_to, images_to)),
     )
     if not same:
         raise PreconditionError(

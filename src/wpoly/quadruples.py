@@ -11,13 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import InvariantViolation, PreconditionError
 
 # Hard ceiling on the degree accepted anywhere in the package.  All
 # arithmetic is arbitrary precision; the cap only bounds running time.
 D_MAX_CAP = 200_000
+
+# Hard ceiling on the genus accepted by wpolytope.build() and by
+# enumerate_g_good, whose quadruples group_by_class builds.  By Scott's
+# bound n <= 3g + 7 it holds a polytope to 300007 points, near the 200003
+# of (1,1,199999;200000), the largest genus-0 polytope under the degree
+# cap (timings in README).
+GENUS_CAP = 100_000
 
 Witness1 = tuple[int, int]  # (k, j): monomial x_i^k * x_j of degree d
 Witness2 = tuple[tuple[int, int], tuple[int, int]]  # ((j, e_j), (k, e_k))
@@ -98,19 +105,14 @@ def _condition_ii_witness(weights: tuple[int, int, int], d: int, axis: int) -> W
     """Smallest-e_j witness monomial of degree d using only the other two
     axes j < k.
 
-    e_j*w_j + e_k*w_k = d needs h = gcd(w_j, w_k) to divide d; then
-    e_j = (d/h)(w_j/h)^-1 mod (w_k/h) is the least e_j >= 0 leaving a
-    remainder divisible by w_k, and it is a witness when e_j*w_j <= d.
+    e_j*w_j + e_k*w_k = d holds for the e_j in [0, d/w_j] with
+    e_j*w_j = d (mod w_k), the least of which _congruent gives first.
     """
     j, k = [a for a in range(3) if a != axis]
     wj, wk = weights[j], weights[k]
-    h = gcd(wj, wk)
-    if d % h:
-        return None
-    ej = d // h * pow(wj // h, -1, wk // h) % (wk // h)
-    if ej * wj > d:
-        return None
-    return ((j, ej), (k, (d - ej * wj) // wk))
+    for ej in _congruent(wj, d, wk, 0, d // wj):
+        return ((j, ej), (k, (d - ej * wj) // wk))
+    return None
 
 
 def raw_genus(q: Quadruple) -> Fraction:
@@ -181,6 +183,16 @@ def family_quadruple(g: int, m: int) -> Quadruple:
     return Quadruple(1, (d - 1) // 2, (d + 1) // (2 * g + 2), d)
 
 
+def _congruent(a: int, b: int, m: int, lo: int, hi: int) -> range:
+    """The t in [lo, hi] with a*t = b (mod m): none unless h = gcd(a, m)
+    divides b, else the class of (b/h)(a/h)^-1 mod m/h."""
+    h = gcd(a, m)
+    if b % h:
+        return range(0)
+    step = m // h
+    return range(lo + (b // h * pow(a // h, -1, step) - lo) % step, hi + 1, step)
+
+
 def _case_candidates(g: int, d_max: int):
     """(case tag, u0, u1, u2, d) with d <= d_max for every parameter value
     of the seven determinant cases at genus g.
@@ -196,86 +208,79 @@ def _case_candidates(g: int, d_max: int):
     # a*u0 + u1 = b*u1 + u2 = c*u2 + u0 = d and abc + 1 = (2g+1)d, whence
     # (2g+1)u0 = bc - c + 1, (2g+1)u1 = ca - a + 1, (2g+1)u2 = ab - b + 1.
     # Integral weights need a, b, c >= 2; rotating (a, b, c) rotates the
-    # weights, so a is the least of the three.
+    # weights, so a is the least of the three, and a*u0 + u1 = d bounds it
+    # by d_max.  Integral u2, then u0, fix b, then c, mod 2g+1; then abc =
+    # (b - 1)c = -1 and b(ca - a + 1) = abc - ab + b = 0, so u1 and d follow.
     n = m * d_max - 1
     a = 2
-    while a * a * a <= n:
-        for b in range(a, n // (a * a) + 1):
-            ab = a * b
-            if gcd(ab, m) != 1:
-                continue
-            c_first = a + (-pow(ab, -1, m) - a) % m  # least c >= a with abc = -1 mod m
-            for c in range(c_first, n // ab + 1, m):
-                x, y, z = b * c - c + 1, c * a - a + 1, ab - b + 1
-                if x % m == 0 and y % m == 0 and z % m == 0:
-                    yield "a.i", x // m, y // m, z // m, (ab * c + 1) // m
+    while a * a * a <= n and a < d_max:
+        for b in _congruent(a - 1, -1, m, a, n // (a * a)):
+            for c in _congruent(b - 1, -1, m, a, n // (a * b)):
+                u = ((b * c - c + 1) // m, (c * a - a + 1) // m, (a * b - b + 1) // m)
+                yield "a.i", *u, (a * b * c + 1) // m
         a += 1
     # a.ii, no weight divides d: rows (a,1,0), (0,b,1), (0,1,c) with
     # a = l*u2, b = k*u2 + 1, c = k*u1 + 1 = l*u0 and l(k*u2 + 1) = 2g+1+k,
-    # so k <= 2g and l <= (2g+1+k)/(k+1); u1 is free and
-    # d = (k*u2 + 1)u1 + u2 >= k + 2.
+    # so k <= 2g, u2 <= 2g/k + 1 and l = (2g+1+k)/(k*u2 + 1); u1 is free,
+    # with k*u1 = -1 (mod l), and d = (k*u2 + 1)u1 + u2 >= (k + 1)u2 + 1.
     for k in range(1, min(2 * g, d_max - 2) + 1):
-        for l in range(1, (m + k) // (k + 1) + 1):
-            if (m + k) % l or ((m + k) // l - 1) % k or (m + k) // l <= k:
+        for u2 in range(1, min(2 * g // k + 1, (d_max - 1) // (k + 1)) + 1):
+            if (m + k) % (k * u2 + 1):
                 continue
-            u2 = ((m + k) // l - 1) // k
-            for u1 in range(1, (d_max - u2) // (k * u2 + 1) + 1):
-                if (k * u1 + 1) % l == 0:
-                    yield "a.ii", (k * u1 + 1) // l, u1, u2, (k * u2 + 1) * u1 + u2
-    # b.i, b.ii and b.iii: only u0 divides d, row (d/u0, 0, 0), and k
-    # divides 2g.
-    for k in range(1, 2 * g + 1):
+            l = (m + k) // (k * u2 + 1)
+            for u1 in _congruent(k, -1, l, 1, (d_max - u2) // (k * u2 + 1)):
+                yield "a.ii", (k * u1 + 1) // l, u1, u2, (k * u2 + 1) * u1 + u2
+    # b.i, b.ii and b.iii: only u0 divides d, row (d/u0, 0, 0), k divides
+    # 2g, and d >= k + 1 in each.
+    for k in range(1, min(2 * g, d_max) + 1):
         if (2 * g) % k:
             continue
         s = 2 * g // k
         # b.i: rows (0,b,1), (0,1,c) with b = k*u2 + 1, c = k*u1 + 1,
-        # d = k*u1*u2 + u1 + u2 and 2g = k(d/u0 - 1); swapping u1 and u2
-        # swaps b and c, so u1 <= u2.
-        u1 = 1
-        while k * u1 * u1 + 2 * u1 <= d_max:
-            for u2 in range(u1, (d_max - u1) // (k * u1 + 1) + 1):
+        # d = (k*u1 + 1)u2 + u1 and 2g = k(d/u0 - 1), so d = 0 (mod s+1);
+        # swapping u1 and u2 swaps b and c, so u1 <= u2 and k*u1^2 < d.
+        for u1 in range(1, isqrt(d_max // k) + 1):
+            for u2 in _congruent(k * u1 + 1, -u1, s + 1, u1, (d_max - u1) // (k * u1 + 1)):
                 d = k * u1 * u2 + u1 + u2
-                if d % (s + 1) == 0:
-                    yield "b.i", d // (s + 1), u1, u2, d
-            u1 += 1
+                yield "b.i", d // (s + 1), u1, u2, d
         # b.ii: rows (1,b,0), (0,1,c) with b = k*u0, d = (k*u1 + 1)u0,
-        # d = c*u2 + u1 and 2g = k(c - 1).
+        # d = c*u2 + u1 and 2g = k(c - 1), so d = u1 (mod s+1).
         for u1 in range(1, (d_max - 1) // k + 1):
-            for u0 in range(1, d_max // (k * u1 + 1) + 1):
+            for u0 in _congruent(k * u1 + 1, u1, s + 1, 1, d_max // (k * u1 + 1)):
                 d = (k * u1 + 1) * u0
-                if (d - u1) % (s + 1) == 0:
-                    yield "b.ii", u0, u1, (d - u1) // (s + 1), d
+                yield "b.ii", u0, u1, (d - u1) // (s + 1), d
         # b.iii: rows (1,b,0), (1,0,c) with d = (k*u1*u2 + 1)u0 and
-        # 2g = k(d - u1 - u2); u0 >= 1 bounds u1 and u2 by 2g/k + 1, and
-        # d = u1 + u2 + 2g/k <= d_max bounds them too.
+        # 2g = k(d - u1 - u2); u0 >= 1 bounds u1 by 2g/k + 1 and u2 by
+        # (u1 + 2g/k - 1)/(k*u1 - 1), or by 2g/k when k*u1 = 1 (u2 + 1 then
+        # divides 2g/k), and d = u1 + u2 + 2g/k <= d_max bounds them too.
         for u1 in range(1, min(s + 1, d_max - s - 1) + 1):
-            for u2 in range(1, min(s + 1, d_max - s - u1) + 1):
+            for u2 in range(1, min(d_max - s - u1, (u1 + s - 1) // max(k * u1 - 1, 1)) + 1):
                 d = u1 + u2 + s
                 if d % (k * u1 * u2 + 1) == 0:
                     yield "b.iii", d // (k * u1 * u2 + 1), u1, u2, d
     # c, u0 and u1 divide d: rows (d/u0,0,0), (0,d/u1,0), (1,0,c) with
     # d/u0 = k*u1 = l*u2 + 1, d = k*u0*u1 and 2g + k + l - 1 = k*l*u0,
-    # so (k - 1)(l - 1) <= 2g and k, l <= 2g + 1, while d/u0 <= d_max
-    # gives k <= d_max and l <= d_max - 1; u2 is free.
+    # so (k - 1)(l - 1) <= 2g, k <= 2g + 1 and l = 1 - 2g (mod k), while
+    # d/u0 <= d_max gives k <= d_max and l < d_max; u2 is free, with
+    # l*u2 = -1 (mod k).
     for k in range(1, min(m, d_max) + 1):
-        for l in range(1, min(m, d_max - 1) + 1):
+        for l in _congruent(1, 1 - 2 * g, k, 1, min(2 * g // max(k - 1, 1) + 1, d_max - 1)):
             if (2 * g + k + l - 1) % (k * l):
                 continue
             u0 = (2 * g + k + l - 1) // (k * l)
-            for u2 in range(1, (d_max // u0 - 1) // l + 1):
-                if (l * u2 + 1) % k == 0:
-                    yield "c", u0, (l * u2 + 1) // k, u2, u0 * (l * u2 + 1)
+            for u2 in _congruent(l, -1, k, 1, (d_max // u0 - 1) // l):
+                yield "c", u0, (l * u2 + 1) // k, u2, u0 * (l * u2 + 1)
     # d, every weight divides d: d = k*u0*u1*u2 and k(d - u0 - u1 - u2)
     # = 2g - 2, so u2(k*u0*u1 - 1) = u0 + u1 + (2g - 2)/k.  The equation
-    # is symmetric, so u0 <= u1 <= u2, and k <= 2g + 1.
-    for k in range(1, m + 1):
+    # is symmetric, so u0 <= u1 <= u2, and k <= 2g + 1, k*u0*u1^2 <= d_max.
+    for k in range(1, min(m, d_max) + 1):
         if (2 * g - 2) % k:
             continue
         s = (2 * g - 2) // k
         u0 = 1
-        while (k * u0 * u0 - 1) * u0 <= 2 * u0 + s:
+        while (k * u0 * u0 - 1) * u0 <= 2 * u0 + s and k * u0 ** 3 <= d_max:
             u1 = u0
-            while (k * u0 * u1 - 1) * u1 <= u0 + u1 + s:
+            while (k * u0 * u1 - 1) * u1 <= u0 + u1 + s and k * u0 * u1 * u1 <= d_max:
                 den = k * u0 * u1 - 1
                 if den > 0 and (u0 + u1 + s) % den == 0:
                     u2 = (u0 + u1 + s) // den
@@ -308,20 +313,19 @@ def enumerate_g_good(g: int, d_max: int) -> list[Quadruple]:
     from cases a.i, a.ii, b.i, b.ii and c, and the walk is one serial
     pass: g = 1, 2, 3 together take about 0.02 s at d_max = 120 and
     0.04 s at d_max = 240, and g = 1 alone about 0.06 s at d_max = 800.
-    Each case's degree equation bounds its loops by d_max, and a genus
-    above (d_max - 1)(d_max - 2)/2, which no quadruple with d <= d_max
-    has, returns [] at once.  Only the a.i scan, of O(g * d_max) pairs
-    (a, b), grows with g: g = 2000 takes about 0.3 s at d_max = 100 and
-    g = 10000 about 2 s at d_max = 200 (Python 3.11, Intel Xeon).
+    Every loop is bounded by d_max and each free parameter walks only its
+    residue class (_congruent), so a large g costs little more: g = 2000
+    takes about 0.5 s at d_max = 100000, and g = GENUS_CAP, above which g
+    is refused, 0.1 ms at d_max = 10 and 2 s at 200000 (Python 3.11, Xeon).
     """
     if g < 1:
         raise PreconditionError(f"g must be >= 1, got {g}")
+    if g > GENUS_CAP:
+        raise PreconditionError(f"g={g} exceeds the genus cap {GENUS_CAP}")
     if d_max < 1:
         raise PreconditionError(f"d_max must be >= 1, got {d_max}")
     if d_max > D_MAX_CAP:
         raise PreconditionError(f"d_max={d_max} exceeds the cap {D_MAX_CAP}")
-    if 2 * g > (d_max - 1) * (d_max - 2):
-        return []
     keys = {(d, *sorted(u)) for _, *u, d in _case_candidates(g, d_max)}
     found = []
     for d, w0, w1, w2 in sorted(keys):

@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 from .polygon2d import LatticePolygon, Point2, convex_hull
-from .quadruples import Quadruple, _condition_i_witness, validate
+from .quadruples import GENUS_CAP, Quadruple, _condition_i_witness, validate
 
 Point3 = tuple[int, int, int]
 
@@ -34,12 +34,6 @@ Point3 = tuple[int, int, int]
 # exceptional flag therefore apply it to g >= 1 only.
 def _soft_bound(g: int) -> int:
     return 3 * g + 6
-
-
-# Hard ceiling on the genus build() accepts: by the bound above it holds
-# a polytope to 300007 points, near the 200003 of (1,1,199999;200000),
-# the largest genus-0 polytope under the degree cap (timings in README).
-GENUS_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -361,7 +355,7 @@ def projection_coordinates(
 def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> LatticePolygon:
     """Projected polygon; point count and interior count must be preserved."""
     images = projection_coordinates(p, triple)
-    return _check_projected_interior(p, _images_hull(p.quadruple, images))
+    return _check_projected_counts(p, _images_hull(p.quadruple, images))
 
 
 def _images_hull(q: Quadruple, images: Iterable[Point2]) -> LatticePolygon:
@@ -374,8 +368,10 @@ def _images_hull(q: Quadruple, images: Iterable[Point2]) -> LatticePolygon:
     return poly
 
 
-def _check_projected_interior(p: WeightedPolytope, poly: LatticePolygon) -> LatticePolygon:
-    """poly, checked to have as many interior points as the polytope p."""
+def _check_projected_counts(p: WeightedPolytope, poly: LatticePolygon) -> LatticePolygon:
+    """poly, checked to have as many points and interior points as the polytope p."""
+    if poly.n != p.n:
+        raise InvariantViolation(f"{p.quadruple}: projected point count {poly.n} != {p.n}")
     if poly.i != len(p.interior):
         raise InvariantViolation(
             f"{p.quadruple}: projected interior count {poly.i} != {len(p.interior)}"

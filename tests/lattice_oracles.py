@@ -4,7 +4,7 @@ None of these is on a program path: the triangulation, the random
 unimodular maps, the shifted interior recount, Cramer's rule, the
 looping condition (ii) witness, the double-loop point list, the
 memo-free atlas and the re-hulled growth step only check what the
-package computes.
+package computes, and the vertex-dropping projection only breaks it.
 """
 import random
 from collections import Counter
@@ -253,3 +253,22 @@ def keeps(cycle, q):
     from keys recomputed over the whole cycle."""
     keys = _vertex_keys(*_edge_steps(cycle))
     return keys[cycle.index(q)] == max(keys)
+
+
+def vertex_dropped(projection):
+    """projection_coordinates, but with one hull vertex's image moved onto
+    another image.  The vertex is one whose removal keeps the interior
+    count, and the hull of the remaining images holds exactly them, so
+    only the projected point count goes wrong; a projection without such
+    a vertex is left as it is."""
+
+    def dropped(p, triple):
+        images = projection(p, triple)
+        hull = convex_hull(list(set(images)))
+        for v in hull.vertices:
+            rest = [pt for pt in images if pt != v]
+            if convex_hull(list(set(rest))).i == hull.i:
+                return [rest[0] if pt == v else pt for pt in images]
+        return images
+
+    return dropped

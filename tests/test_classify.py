@@ -50,7 +50,7 @@ from wpoly.polygon2d import (
     convex_hull,
 )
 
-from lattice_oracles import atlas_oracle, grow_cycle, keeps, random_unimodular_map
+from lattice_oracles import atlas_oracle, grow_cycle, keeps, random_unimodular_map, vertex_dropped
 
 G1_CLASS_COUNT = 16
 G2_CLASS_COUNT = 45
@@ -144,6 +144,14 @@ def test_memo_hit_still_checks_the_projected_interior(monkeypatch):
     with pytest.raises(InvariantViolation, match=message):
         group_by_class(1, 30)
     assert len(hulls) == len(seen) and hit not in hulls
+
+
+def test_projection_that_loses_a_point_is_caught(monkeypatch):
+    # the hull of the projected rows holds exactly them and keeps the
+    # interior count, but has one point fewer than the polytope
+    monkeypatch.setattr(classify, "projection_coordinates", vertex_dropped(projection_coordinates))
+    with pytest.raises(InvariantViolation, match=r"^\(1,1,1;3\): projected point count 9 != 10$"):
+        group_by_class(1, 30)
 
 
 def test_atlas_csv_golden():

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from wpoly import enumerate_classes, group_by_class
+from wpoly import enumerate_classes, group_by_class, wpolytope
 from wpoly.classify import atlas_stabilization
 from wpoly.cli import main
+
+from lattice_oracles import vertex_dropped
 
 
 def run(capsys, *argv):
@@ -238,17 +240,29 @@ def test_polygons_enum_class_with_wrong_interior_count_exits_2(capsys, monkeypat
     )
 
 
-@pytest.mark.parametrize("argv, quadruple, genus", [
-    (("poly", "analyze", "1", "4", "5", "2009"), "(1,4,5;2009)", 100400),
-    (("map", "curve", "1", "1", "2", "635", "1", "2", "1", "635"), "(1,1,2;635)", 100172),
-], ids=["poly-analyze", "map-curve"])
-def test_genus_above_the_cap_exits_1_at_once(capsys, argv, quadruple, genus):
-    # refused from validate's genus, before any polytope point is listed
+@pytest.mark.parametrize("argv, message", [
+    (("poly", "analyze", "1", "4", "5", "2009"), "(1,4,5;2009): genus=100400"),
+    (("map", "curve", "1", "1", "2", "635", "1", "2", "1", "635"), "(1,1,2;635): genus=100172"),
+    (("classify", "--genus", "100001", "--dmax", "10"), "g=100001"),
+], ids=["poly-analyze", "map-curve", "classify"])
+def test_genus_above_the_cap_exits_1_at_once(capsys, tmp_path, monkeypatch, argv, message):
+    # refused before any polytope point is listed or any file is written
+    monkeypatch.chdir(tmp_path)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
-    assert err == f"error: {quadruple}: genus={genus} exceeds the genus cap 100000\n"
+    assert err == f"error: {message} exceeds the genus cap 100000\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_poly_analyze_projection_that_loses_a_point_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(
+        wpolytope, "projection_coordinates", vertex_dropped(wpolytope.projection_coordinates)
+    )
+    code, out, err = run(capsys, "poly", "analyze", "1", "1", "1", "3")
+    assert (code, out) == (2, "")
+    assert err == "invariant violation: (1,1,1;3): projected point count 9 != 10\n"
 
 
 def test_genus_at_the_cap_is_analyzed_as_before(capsys):

@@ -1,7 +1,9 @@
 """Quadruple validity, genus, and enumeration."""
 import functools
+import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,13 @@ from wpoly import (
 )
 from wpoly import quadruples
 from wpoly.errors import PreconditionError
-from wpoly.quadruples import _case_candidates, _condition_i_witness, _condition_ii_witness
+from wpoly.quadruples import (
+    GENUS_CAP,
+    _case_candidates,
+    _condition_i_witness,
+    _condition_ii_witness,
+    _congruent,
+)
 from wpoly.wpolytope import _case_report, build
 
 from lattice_oracles import condition_ii_witness_loop
@@ -312,22 +320,29 @@ def test_enumerate_rejects_bad_args():
         enumerate_g_good(0, 10)
     with pytest.raises(PreconditionError):
         enumerate_g_good(1, 0)
+    with pytest.raises(PreconditionError, match=r"^g=100001 exceeds the genus cap 100000$"):
+        enumerate_g_good(GENUS_CAP + 1, 10)
 
 
 def test_enumerate_is_empty_above_the_triangle_genus(small_good_quadruples):
     # the interior points (a, b, c) >= 1 map injectively to the pairs (a, b)
     # with a + b <= d - 1, so g <= (d - 1)(d - 2)/2, with equality at
-    # (1,1,1;d); a larger g returns [] before the walk
+    # (1,1,1;d); above it the walk, bounded by d_max, finds nothing
     assert all(2 * g <= (q.d - 1) * (q.d - 2) for q, g in small_good_quadruples)
     assert enumerate_g_good(36, 10) == [Quadruple(1, 1, 1, 10)]
     assert enumerate_g_good(37, 10) == []
     assert enumerate_g_good(10000, 10) == []
+    start = time.perf_counter()
+    assert enumerate_g_good(GENUS_CAP, 10) == []
+    assert time.perf_counter() - start < 1
 
 
 def test_case_walk_is_bounded_by_the_degree(monkeypatch):
-    # below the triangle genus the walk still runs.  Its a.ii, c and b.iii
-    # loops are bounded by d_max, not by g alone, so all its ranges
-    # together span less than a.i's scan of about (2g + 1) * d_max pairs
+    # every loop of the walk is bounded by d_max, and each free parameter
+    # steps through its residue class only, so all its ranges together
+    # span far less than (2g + 1) * d_max.  Stepping through every b of
+    # a.i would span about 2.6e8 at (2000, 100000); the walk spans under
+    # 2e6 there
     spans = []
 
     def counted(*args):
@@ -338,6 +353,41 @@ def test_case_walk_is_bounded_by_the_degree(monkeypatch):
     assert 2 * 2000 <= 99 * 98
     assert enumerate_g_good(2000, 100) == []
     assert sum(spans) < (2 * 2000 + 1) * 100
+    spans.clear()
+    assert sum(1 for _ in _case_candidates(2000, 100000)) > 0
+    assert sum(spans) < 2 * 10**6
+
+
+def test_congruent_matches_brute_force():
+    seen = set()
+    for a, b, m, lo in itertools.product(range(-3, 9), range(-5, 6), range(1, 9), range(-2, 4)):
+        for hi in range(lo - 2, lo + 20):
+            expected = [t for t in range(lo, hi + 1) if (a * t - b) % m == 0]
+            assert list(_congruent(a, b, m, lo, hi)) == expected, (a, b, m, lo, hi)
+            kinds = {"m = 1": m == 1, "m | a": m > 1 and a % m == 0, "b < 0": b < 0}
+            seen.update((kind, bool(expected)) for kind, hit in kinds.items() if hit)
+    # each kind of input occurs both with and without a solution
+    assert seen == set(itertools.product(("m = 1", "m | a", "b < 0"), (False, True)))
+
+
+# (g, d_max) pairs whose sorted _case_candidates multisets the golden
+# digest below covers; it was computed with the walk that stepped through
+# every parameter value and filtered, before the walk solved congruences
+_WALK_GRID = (
+    [(g, d) for g in range(1, 13) for d in (1, 2, 3, 4, 5, 9, 17, 60, 120, 240, 500)]
+    + [(g, d) for g in (40, 200) for d in (50, 300, 2000)]
+    + [(g, d) for g in (500, 2000) for d in (3, 10, 100)]
+    + [(g, 1000) for g in range(1, 31)]
+)
+
+
+def test_case_walk_candidates_golden():
+    digest = hashlib.sha256()
+    for g, d in _WALK_GRID:
+        digest.update(f"{g} {d} {sorted(_case_candidates(g, d))}\n".encode())
+    assert digest.hexdigest() == (
+        "80b7ab881076aaefd833b713303a9889a1790a89b41db9a476993e34e4bfb116"
+    )
 
 
 def test_family_quadruples_are_good_with_right_genus():
