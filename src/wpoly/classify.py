@@ -20,6 +20,7 @@ from .polygon2d import (
     Point2,
     _build_polygon,
     _canonical_cycle,
+    _class_key,
     _egcd,
     _pick_counts,
     equivalent,
@@ -131,6 +132,18 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
 # enumeration of polygon classes with a fixed interior count
 
 
+def _canonical_classes(reps: dict[tuple, tuple[Point2, ...]]) -> set[tuple[Point2, ...]]:
+    """The canonical cycle of each representative in a {`_class_key`:
+    representative} dict.  The key is complete, so two keys sharing a
+    canonical cycle are a bug."""
+    classes: dict[tuple[Point2, ...], tuple] = {}
+    for key, rep in reps.items():
+        cycle = _canonical_cycle(rep)[0]
+        if classes.setdefault(cycle, key) != key:
+            raise InvariantViolation(f"class {cycle} has two class keys")
+    return set(classes)
+
+
 def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
     """Grow classes point by point from the unit triangle up to n_max points.
 
@@ -144,30 +157,38 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
     by Scott's bound no class with g >= 1 interior points has more; the
     genus-0 strips, which grow without end, are not followed past it.
 
-    A grown child C = hull(P + q) is canonicalised only when q carries the
-    largest `_vertex_keys` key of C (canonical augmentation, McKay 1998),
-    so each class is canonicalised about once, not once per parent.  This
-    loses no class C with n+1 points and at most g interior points:
+    A grown child C = hull(P + q) is kept only when q carries the largest
+    `_vertex_keys` key of C (canonical augmentation, McKay 1998), so most
+    classes are grown from one parent, not from each.  Keys can tie, so a
+    class may still come from several parents; each level keeps the first
+    child of each `_class_key`, and only the classes found are
+    canonicalised, once each, at the end.  This loses no class C with n+1
+    points and at most g interior points:
 
     - let v* be a vertex of C with the largest key.  P* = conv(C's lattice
       points other than v*) is 2-dimensional: it is a segment only when C
       is a height-1 triangle over an edge of length L >= 2 with apex v*,
       and that apex has key (1, 1, .), below the (1, L, .) of each base
       vertex, so it is never v*;
-    - P* has n points and at most g interior points, so by induction its
-      canonical form phi(P*) is in `current`;
-    - phi(v*) is a growth point of phi(P*) by the argument of
-      `_growth_points`, `_splices` accepts it, and the keys are
-      invariant, so phi(v*) carries the largest key of phi(C) and the
-      filter keeps phi(C).
+    - P* has n points and at most g interior points, so by induction a
+      representative phi(P*) of its class is in `current`;
+    - growth points, splices and vertex keys are equivariant under affine
+      unimodular maps, so phi(v*) is a growth point of phi(P*) by the
+      argument of `_growth_points`, `_splices` accepts it, phi(v*)
+      carries the largest key of phi(C), and the filter keeps phi(C).
     """
-    current = {_canonical_cycle(((0, 0), (1, 0), (0, 1)))[0]}
-    found = set(current) if g == 0 else set()
+    start = ((0, 0), (1, 0), (0, 1))
+    current = {_class_key(start): start}
+    found = dict(current) if g == 0 else {}
     for level_n in range(3, min(n_max, 3 * g + 7) if g else n_max):
-        grown = (child for c in current for _, _, child in _splices(c, level_n, g))
-        current = {_canonical_cycle(c)[0] for c in grown if c is not None}
-        found |= {c for c in current if _pick_counts(c)[1] == g}
-    return found
+        grown: dict[tuple, tuple[Point2, ...]] = {}
+        for parent in current.values():
+            for _, _, child in _splices(parent, level_n, g):
+                if child is not None:
+                    grown.setdefault(_class_key(child), child)
+        current = grown
+        found.update((key, c) for key, c in current.items() if _pick_counts(c)[1] == g)
+    return _canonical_classes(found)
 
 
 def _edge_steps(cycle: tuple[Point2, ...]) -> tuple[list[int], list[Point2]]:
@@ -318,8 +339,11 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
 
     Cycles are walked counterclockwise from the lex-least vertex with
     angularly increasing primitive edge directions; a cycle is kept when
-    its interior count is exactly g.  The search prunes on twice-area >
-    g + n_max - 2, which by Pick's formula no class with n <= n_max exceeds.
+    its interior count is exactly g and no cycle kept before has its
+    `_class_key`.  A class closes as many cycles, so only the classes
+    found are canonicalised, once each, at the end.  The search prunes on
+    twice-area > g + n_max - 2, which by Pick's formula no class with
+    n <= n_max exceeds.
 
     Two more prunes cut only chains that cannot close with g interior
     points.  Let C be a convex cycle that completes the partial chain
@@ -341,7 +365,7 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
     dirs = _angular_directions(bound)
     index = {d: i for i, d in enumerate(dirs)}
     area_bound = g + n_max - 2
-    found: set[tuple[Point2, ...]] = set()
+    found: dict[tuple, tuple[Point2, ...]] = {}
 
     def extend(
         chain: list[Point2], first_dir: Point2, last_idx: int,
@@ -360,7 +384,8 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
                 if (area2 - (blen + glen)) % 2 != 0:
                     raise InvariantViolation(f"parity failure closing chain {chain}")
                 if area2 - (blen + glen) + 2 == 2 * g:
-                    found.add(_canonical_cycle(tuple(chain))[0])
+                    cycle = tuple(chain)
+                    found.setdefault(_class_key(cycle), cycle)
             if area2 - blen + glen > 2 * g:
                 return
         for ni in range(last_idx + 1, len(dirs)):
@@ -394,7 +419,7 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
             if start[0] > bound or abs(start[1]) > bound:
                 break
             extend([(0, 0), start], fd, fi, 0, length, length, min(0, start[1]), max(0, start[1]))
-    return found
+    return _canonical_classes(found)
 
 
 def enumerate_classes(
@@ -412,8 +437,10 @@ def enumerate_classes(
     g >= 1 (the widest, the hull of (0,0),(2,0),(0,2g+2), needs width 2g + 2);
     at g = 0 it is max(3, n_max - 2), as every genus-0 class with n points
     is twice the unit triangle or lies in a height-1 strip of width <= n - 2.
-    Each class is rebuilt by _build_polygon, and one whose interior count
-    is not g is an InvariantViolation.
+    Both methods tell classes apart by `_class_key` and canonicalise each
+    class they find once; two keys with one canonical form are an
+    InvariantViolation.  Each class is rebuilt by _build_polygon, and one
+    whose interior count is not g is an InvariantViolation.
     """
     if g < 0:
         raise PreconditionError(f"g must be >= 0, got {g}")

@@ -12,7 +12,9 @@ the polygon in 0 <= y <= h, shear by (x, y) -> (x - c*y, y) with
 c = m // h, the one shear putting the top row's least x, m, in [0, h),
 and take the least vertex listing.  Each listing starts (0, 0), (L, 0),
 L the anchored edge's lattice length, so only the shortest edges are
-anchored.
+anchored.  `_class_key` is a cheaper complete invariant of the same
+classes, a cyclic word of edge lengths and determinants, for telling
+classes apart without listing a canonical form.
 """
 from __future__ import annotations
 
@@ -245,6 +247,58 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _class_key(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """Complete invariant of a strictly convex CCW cycle under affine
+    unimodular maps, reflections included: the least rotation of its
+    cyclic word and of its mirror image's.
+
+    Let r_i and l_i be the primitive direction and the lattice length of
+    the edge leaving vertex i, d_i = det(r_{i-1}, r_i) > 0 and u any
+    vector with det(r_{i-1}, u) = 1.  The letter at vertex i is
+    (l_i, d_i, det(r_{i-1}, r_{i+1}), det(r_i, u) mod d_i); the last entry
+    does not depend on u, as u + t*r_{i-1} moves det(r_i, u) by -t*d_i.
+    The mirror image, read the other way round, has at vertex i the letter
+    (l_{i-1}, d_i, det(r_{i-2}, r_i), det(r_{i-1}, u_i) mod d_i) with
+    det(r_i, u_i) = 1.  One extended gcd s*px + t*py = 1 per edge
+    r = (px, py) gives that edge's u = (-t, s) with det(r, u) = 1 for
+    both words.
+
+    Invariance: translations move no edge; a map of det 1 keeps lattice
+    lengths and determinants and carries a valid u to a valid u; a map of
+    det -1 also reverses the cycle and negates each determinant, which
+    swaps the two words.  The least rotation forgets the first vertex.
+
+    Completeness: send r_{i-1} to (1, 0) by an SL2(Z) map.  Then
+    r_i = (a, d_i) and u = (x, 1) for some x, so the last entry is
+    a - x*d_i mod d_i = a mod d_i, and the maps fixing (1, 0) are the
+    shears, which move a by multiples of d_i: one letter fixes
+    (r_{i-1}, r_i) up to SL2(Z) and a shear.  As r_{i-1} and r_i are
+    independent, det(r_i, r_{i+1}) = d_{i+1} and det(r_{i-1}, r_{i+1})
+    fix r_{i+1}, and so on round the cycle; the lengths then fix the
+    vertices from vertex i.  So cycles with equal keys are equivalent.
+    """
+    k = len(cycle)
+    lengths: list[int] = []
+    dirs: list[Point2] = []
+    for (ux, uy), (vx, vy) in zip(cycle, cycle[1:] + cycle[:1]):
+        length = gcd(vx - ux, vy - uy)
+        lengths.append(length)
+        dirs.append(((vx - ux) // length, (vy - uy) // length))
+    bezout = [_egcd(px, py)[1:] for px, py in dirs]
+    word: list[tuple[int, int, int, int]] = []
+    mirror: list[tuple[int, int, int, int]] = []
+    for i in range(k):
+        (ax, ay), (bx, by), (cx, cy) = dirs[i - 2], dirs[i - 1], dirs[i]
+        nx, ny = dirs[(i + 1) % k]
+        d = bx * cy - by * cx
+        s, t = bezout[i - 1]
+        word.append((lengths[i], d, bx * ny - by * nx, (cx * s + cy * t) % d))
+        s, t = bezout[i]
+        mirror.append((lengths[i - 1], d, ax * cy - ay * cx, (bx * s + by * t) % d))
+    words = (tuple(word), tuple(reversed(mirror)))
+    return min(w[j:] + w[:j] for w in words for j in range(k))
 
 
 def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], UnimodularAffineMap]:

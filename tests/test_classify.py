@@ -45,6 +45,7 @@ from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionE
 from wpoly.polygon2d import (
     _MIRROR,
     _canonical_cycle,
+    _class_key,
     _hull_cycle,
     _pick_counts,
     convex_hull,
@@ -254,6 +255,15 @@ def test_enum_inductive_counts_match_castryck(g):
     assert len(enumerate_classes(g, "inductive")) == CASTRYCK_COUNTS[g]
 
 
+@pytest.mark.parametrize("g", range(9))
+def test_class_keys_tell_every_enumerated_class_apart(g):
+    # the classes of g = 1..8 are complete by Castryck's counts above, so
+    # distinct keys here show the key is complete on every class the
+    # enumerators meet; g = 0 lists its classes with at most 7 points
+    classes = enumerate_classes(g)
+    assert len({_class_key(p.vertices) for p in classes}) == len(classes)
+
+
 def _margin_growth_points(cycle, margin):
     """Brute oracle: the points of the cycle's bounding box grown by margin
     whose hull with the cycle gains exactly that point."""
@@ -399,6 +409,8 @@ def test_height_one_apex_never_carries_the_largest_key():
 
 
 def test_inductive_filter_canonicalises_fewer_than_accepted_growths(monkeypatch):
+    # each class is canonicalised once, however many accepted growths and
+    # kept children reach it
     calls = {"canonical": 0, "accepted": 0}
 
     def canonical(cycle):
@@ -413,18 +425,52 @@ def test_inductive_filter_canonicalises_fewer_than_accepted_growths(monkeypatch)
     monkeypatch.setattr(classify, "_canonical_cycle", canonical)
     monkeypatch.setattr(classify, "_splices", splices)
     assert len(_inductive_cycles(2, 13)) == G2_CLASS_COUNT
-    assert 0 < calls["canonical"] < calls["accepted"]
+    assert calls["canonical"] == G2_CLASS_COUNT < calls["accepted"]
+
+
+def test_box_walk_canonicalises_once_per_class(monkeypatch):
+    # the g = 2 walk closes about 2600 cycles with 2 interior points, and
+    # canonicalises only the first one of each of the 45 classes
+    calls = {"canonical": 0, "keyed": 0}
+
+    def canonical(cycle):
+        calls["canonical"] += 1
+        return _canonical_cycle(cycle)
+
+    def class_key(cycle):
+        calls["keyed"] += 1
+        return _class_key(cycle)
+
+    monkeypatch.setattr(classify, "_canonical_cycle", canonical)
+    monkeypatch.setattr(classify, "_class_key", class_key)
+    assert len(enumerate_classes(2, "box")) == G2_CLASS_COUNT
+    assert calls["canonical"] == G2_CLASS_COUNT
+    assert calls["keyed"] > 2000
+
+
+@pytest.mark.parametrize("method", ["inductive", "box"])
+def test_a_key_that_splits_a_class_is_a_bug(monkeypatch, capsys, method):
+    # a key that also holds the listing gives one class as many keys as it
+    # has listings; their canonical forms then coincide, which the
+    # enumerators must report, not list as several classes
+    monkeypatch.setattr(classify, "_class_key", lambda cycle: (_class_key(cycle), cycle))
+    with pytest.raises(InvariantViolation, match=r"^class .* has two class keys$"):
+        enumerate_classes(1, method)
+    assert main(["polygons", "enum", "--genus", "1", "--method", method]) == 2
+    assert "invariant violation: class" in capsys.readouterr().err
 
 
 def test_splice_recount_catches_a_miscounted_child(monkeypatch):
-    # every built child is recounted in full: parents are canonical
-    # listings, which start at (0, 0), and a child starts at its growth
-    # point, so this recount is wrong on children alone
+    # every built child is recounted in full: this count is wrong only when
+    # `_splices` recounts the child it has just built, and right for the
+    # parents' counts, so the recount alone can catch it
     real = polygon2d._pick_counts
 
     def miscount(cycle):
         area2, interior, b = real(cycle)
-        return (area2, interior, b) if cycle[0] == (0, 0) else (area2 + 2, interior + 1, b)
+        if sys._getframe(1).f_locals.get("child") is cycle:
+            return (area2 + 2, interior + 1, b)
+        return (area2, interior, b)
 
     monkeypatch.setattr(classify, "_pick_counts", miscount)
     with pytest.raises(InvariantViolation, match="miscounts"):

@@ -22,7 +22,7 @@ from wpoly import (
 )
 from wpoly import polygon2d, wpolytope
 from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
-from wpoly.polygon2d import _MIRROR, _canonical_cycle, _egcd, _pick_counts
+from wpoly.polygon2d import _MIRROR, _canonical_cycle, _class_key, _egcd, _hull_cycle, _pick_counts
 
 from lattice_oracles import (
     IDENTITY,
@@ -314,6 +314,38 @@ def test_canonical_kernel_matches_reference(pts):
     except DegenerateInputError:
         return
     _assert_kernel_matches_reference(p.vertices)
+
+
+POINTS = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POINTS, st.integers(0, 10**6), st.integers(1, 5))
+def test_class_key_survives_unimodular_maps_and_mirror(pts, seed, size):
+    try:
+        cycle = _hull_cycle(pts)
+    except DegenerateInputError:
+        return
+    key = _class_key(cycle)
+    for m in (random_unimodular_map(seed, size), _MIRROR):
+        assert _class_key(_hull_cycle([m.apply(v) for v in cycle])) == key
+
+
+@settings(max_examples=300, deadline=None)
+@given(POINTS, POINTS, st.booleans(), st.integers(0, 10**6))
+def test_class_key_equal_exactly_when_canonical_forms_are(pts, other, related, seed):
+    # a random second hull is rarely equivalent to the first, so half the
+    # pairs take a unimodular image of the first hull's points instead
+    if related:
+        m = random_unimodular_map(seed, 4)
+        other = [m.apply(p) for p in pts]
+    try:
+        p, q = _hull_cycle(pts), _hull_cycle(other)
+    except DegenerateInputError:
+        return
+    same = _canonical_cycle(p)[0] == _canonical_cycle(q)[0]
+    assert (_class_key(p) == _class_key(q)) == same
+    assert same or not related
 
 
 def test_random_map_deterministic_per_seed():
