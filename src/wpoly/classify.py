@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InvariantViolation, PreconditionError
 from .polygon2d import (
@@ -21,6 +22,7 @@ from .polygon2d import (
     _build_polygon,
     _canonical_cycle,
     _class_key,
+    _edge_steps,
     _egcd,
     _pick_counts,
     equivalent,
@@ -85,46 +87,47 @@ class ClassAtlas:
         return "\n".join(lines) + "\n"
 
 
+class _PointSet(NamedTuple):
+    """A point set's hull as `group_by_class` keeps it; `_check_projected_counts` reads n, i."""
+    n: int
+    i: int
+    key: tuple
+
+
 def group_by_class(g: int, d_max: int) -> ClassAtlas:
     """Atlas of genus-g quadruples up to d_max, grouped by polygon class.
 
     Classes are sorted by (point count, canonical vertices); members stay
-    in enumeration order.
-
-    enumerate_g_good has validated each quadruple with genus g, so its
-    polytope comes from _build(q, g), which checks interior = genus and
-    the point bound without validating again.  Each polytope is projected
-    through its det-d triple.  Many quadruples project to the same point
-    set, so the hull of a point set (checked to hold exactly those
-    points) and its canonical cycle are computed once per set in this
-    call and reused; the projected point and interior counts are still
-    checked against every polytope.
+    in enumeration order.  Each quadruple's polytope comes from
+    _build(q, g), as enumerate_g_good has validated it, and is projected
+    through its det-d triple.  The hull of each distinct point set is made
+    once and only its `_PointSet` is kept; its counts are checked against
+    every polytope projecting to the set.  The first hull of each class
+    key is canonicalised by `_canonical_classes`, as in the enumerators.
     """
-    grouped: dict[tuple[Point2, ...], dict] = {}
-    seen: dict[frozenset[Point2], tuple[LatticePolygon, tuple[Point2, ...]]] = {}
+    seen: dict[frozenset[Point2], _PointSet] = {}
+    classes: dict[tuple, tuple[tuple[Point2, ...], set[int], list[Quadruple]]] = {}
     for q in enumerate_g_good(g, d_max):
         p = _build(q, g)
-        key = frozenset(projection_coordinates(p, find_unimodular_triple(p)))
-        if key not in seen:
-            poly = _images_hull(q, key)
-            seen[key] = (poly, _canonical_cycle(poly.vertices)[0])
-        poly, cycle = seen[key]
-        _check_projected_counts(p, poly)
-        slot = grouped.setdefault(cycle, {"n": poly.n, "members": []})
-        if slot["n"] != poly.n:
-            raise InvariantViolation(
-                f"class {cycle}: members disagree on point count ({slot['n']} vs {poly.n})"
-            )
-        slot["members"].append(q)
+        images = frozenset(projection_coordinates(p, find_unimodular_triple(p)))
+        if images not in seen:
+            hull = _images_hull(q, images)
+            seen[images] = _PointSet(hull.n, hull.i, _class_key(hull.vertices))
+            _, ns, _ = classes.setdefault(seen[images].key, (hull.vertices, set(), []))
+            ns.add(hull.n)
+            del hull  # its point inventory is not kept
+        _, _, members = classes[_check_projected_counts(p, seen[images]).key]
+        members.append(q)
+    del seen  # nor are the point sets, while the canonical polygons are built
+    canonical = _canonical_classes({key: rep for key, (rep, _, _) in classes.items()})
     entries = []
-    for cycle in sorted(grouped, key=lambda c: (grouped[c]["n"], c)):
-        slot = grouped[cycle]
-        poly = _build_polygon(cycle)
-        if poly.n != slot["n"]:
+    for poly in _class_polygons(canonical, g):
+        _, ns, members = classes[canonical[poly.vertices]]
+        if ns != {poly.n}:
             raise InvariantViolation(
-                f"class {cycle}: canonical polygon has {poly.n} points, members have {slot['n']}"
+                f"class {poly.vertices} has {poly.n} points, its point sets {sorted(ns)}"
             )
-        entries.append(ClassEntry(canonical=poly, n=slot["n"], members=tuple(slot["members"])))
+        entries.append(ClassEntry(canonical=poly, n=poly.n, members=tuple(members)))
     return ClassAtlas(g=g, d_max=d_max, classes=tuple(entries))
 
 
@@ -132,16 +135,24 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
 # enumeration of polygon classes with a fixed interior count
 
 
-def _canonical_classes(reps: dict[tuple, tuple[Point2, ...]]) -> set[tuple[Point2, ...]]:
-    """The canonical cycle of each representative in a {`_class_key`:
-    representative} dict.  The key is complete, so two keys sharing a
-    canonical cycle are a bug."""
+def _canonical_classes(reps: dict[tuple, tuple[Point2, ...]]) -> dict[tuple[Point2, ...], tuple]:
+    """{canonical cycle: key} of a {`_class_key`: representative} dict; the
+    key is complete, so two keys with one canonical cycle are a bug."""
     classes: dict[tuple[Point2, ...], tuple] = {}
     for key, rep in reps.items():
         cycle = _canonical_cycle(rep)[0]
         if classes.setdefault(cycle, key) != key:
             raise InvariantViolation(f"class {cycle} has two class keys")
-    return set(classes)
+    return classes
+
+
+def _class_polygons(cycles, g: int) -> tuple[LatticePolygon, ...]:
+    """The cycles rebuilt, checked to have g interior points, and sorted by (n, vertices)."""
+    polys = tuple(sorted(map(_build_polygon, cycles), key=lambda p: (p.n, p.vertices)))
+    for poly in polys:
+        if poly.i != g:
+            raise InvariantViolation(f"class {poly.vertices} has {poly.i} interior points, not {g}")
+    return polys
 
 
 def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
@@ -188,14 +199,7 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
                     grown.setdefault(_class_key(child), child)
         current = grown
         found.update((key, c) for key, c in current.items() if _pick_counts(c)[1] == g)
-    return _canonical_classes(found)
-
-
-def _edge_steps(cycle: tuple[Point2, ...]) -> tuple[list[int], list[Point2]]:
-    """Lattice length and primitive direction of each edge cycle[j] -> cycle[j+1]."""
-    steps = [(v[0] - u[0], v[1] - u[1]) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-    lengths = [gcd(abs(x), abs(y)) for x, y in steps]
-    return lengths, [(x // n, y // n) for (x, y), n in zip(steps, lengths)]
+    return set(_canonical_classes(found))
 
 
 def _vertex_keys(lengths: list[int], dirs: list[Point2]) -> list[tuple[int, int, int]]:
@@ -419,7 +423,7 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
             if start[0] > bound or abs(start[1]) > bound:
                 break
             extend([(0, 0), start], fd, fi, 0, length, length, min(0, start[1]), max(0, start[1]))
-    return _canonical_classes(found)
+    return set(_canonical_classes(found))
 
 
 def enumerate_classes(
@@ -438,9 +442,9 @@ def enumerate_classes(
     at g = 0 it is max(3, n_max - 2), as every genus-0 class with n points
     is twice the unit triangle or lies in a height-1 strip of width <= n - 2.
     Both methods tell classes apart by `_class_key` and canonicalise each
-    class they find once; two keys with one canonical form are an
-    InvariantViolation.  Each class is rebuilt by _build_polygon, and one
-    whose interior count is not g is an InvariantViolation.
+    class they find once, and neither returns a class above n_max points:
+    the inductive levels stop at min(n_max, 3g + 7) points, and the box
+    walk bounds twice the area, g + n - 2 by Pick's formula, by g + n_max - 2.
     """
     if g < 0:
         raise PreconditionError(f"g must be >= 0, got {g}")
@@ -453,11 +457,7 @@ def enumerate_classes(
         cycles = _box_cycles(g, max(3, 2 * g + 2 if g else cap - 2), cap)
     else:
         raise ValueError(f"unknown method {method!r}")
-    polys = sorted(map(_build_polygon, cycles), key=lambda p: (p.n, p.vertices))
-    for poly in polys:
-        if poly.i != g:
-            raise InvariantViolation(f"class {poly.vertices} has {poly.i} interior points, not {g}")
-    return tuple(p for p in polys if p.n <= cap)
+    return _class_polygons(cycles, g)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,16 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _edge_steps(cycle: tuple[Point2, ...]) -> tuple[list[int], list[Point2]]:
+    """Lattice length and primitive direction of each edge cycle[j] -> cycle[j+1]."""
+    lengths, dirs = [], []
+    for (ux, uy), (vx, vy) in zip(cycle, cycle[1:] + cycle[:1]):
+        length = gcd(vx - ux, vy - uy)
+        lengths.append(length)
+        dirs.append(((vx - ux) // length, (vy - uy) // length))
+    return lengths, dirs
+
+
 def _class_key(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int, int], ...]:
     """Complete invariant of a strictly convex CCW cycle under affine
     unimodular maps, reflections included: the least rotation of its
@@ -280,12 +290,7 @@ def _class_key(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int, int], ..
     vertices from vertex i.  So cycles with equal keys are equivalent.
     """
     k = len(cycle)
-    lengths: list[int] = []
-    dirs: list[Point2] = []
-    for (ux, uy), (vx, vy) in zip(cycle, cycle[1:] + cycle[:1]):
-        length = gcd(vx - ux, vy - uy)
-        lengths.append(length)
-        dirs.append(((vx - ux) // length, (vy - uy) // length))
+    lengths, dirs = _edge_steps(cycle)
     bezout = [_egcd(px, py)[1:] for px, py in dirs]
     word: list[tuple[int, int, int, int]] = []
     mirror: list[tuple[int, int, int, int]] = []
@@ -319,20 +324,14 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
     so the least listing and its first winner, hence the map, are those of
     the full pass.
     """
-    k = len(vertices)
-    shortest = min(
-        gcd(vx - ux, vy - uy) for (ux, uy), (vx, vy) in zip(vertices, vertices[1:] + vertices[:1])
-    )
+    shortest = min(_edge_steps(vertices)[0])
     mirrored = tuple((x, -y) for x, y in reversed(vertices))
     best: tuple[Point2, ...] | None = None
     for mirror, cycle in ((False, vertices), (True, mirrored)):
-        for j in range(k):
-            ux, uy = cycle[j]
-            vx, vy = cycle[(j + 1) % k]
-            g = gcd(vx - ux, vy - uy)
-            if g != shortest:
+        for j, (length, (px, py)) in enumerate(zip(*_edge_steps(cycle))):
+            if length != shortest:
                 continue
-            px, py = (vx - ux) // g, (vy - uy) // g
+            ux, uy = cycle[j]
             _, s, t = _egcd(px, py)
             pts = [(s * (x - ux) + t * (y - uy), px * (y - uy) - py * (x - ux))
                    for x, y in cycle[j:] + cycle[:j]]

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -112,9 +113,45 @@ def test_atlas_bytes_golden(g):
     assert digest == ATLAS_240_SHA256[g]
 
 
-@pytest.mark.parametrize("g", range(1, 5))
+@pytest.mark.parametrize("g", range(1, 7))
 def test_atlas_matches_the_memo_free_oracle(g):
+    # the oracle groups by canonical form, so a class key that merged two
+    # classes would show here
     assert group_by_class(g, 240).to_json_bytes() == atlas_oracle(g, 240).to_json_bytes()
+
+
+def test_atlas_keeps_no_hull_past_its_member(monkeypatch):
+    # the memo keeps counts and a class key per point set, not the hull
+    # with its point inventory: each hull is gone when the next is made
+    made = []
+    images_hull = classify._images_hull
+
+    def tracked(q, images):
+        assert all(ref() is None for ref in made)
+        poly = images_hull(q, images)
+        made.append(weakref.ref(poly))
+        return poly
+
+    monkeypatch.setattr(classify, "_images_hull", tracked)
+    group_by_class(2, 120)
+    assert len(made) > 1 and all(ref() is None for ref in made)
+
+
+@pytest.mark.parametrize(
+    "genera, d_max, calls", [((2,), 10**4, 14), ((1, 2, 3), 120, 48)], ids=["g2-d10000", "g1-3-d120"]
+)
+def test_atlas_canonicalises_once_per_class(monkeypatch, genera, d_max, calls):
+    # one canonical form per class, not per projected point set (84 sets
+    # for g = 1..3 at d_max 120)
+    count = []
+
+    def canonical(cycle):
+        count.append(cycle)
+        return _canonical_cycle(cycle)
+
+    monkeypatch.setattr(classify, "_canonical_cycle", canonical)
+    classes = sum(len(group_by_class(g, d_max).classes) for g in genera)
+    assert len(count) == classes == calls
 
 
 def test_memo_hit_still_checks_the_projected_interior(monkeypatch):
@@ -449,15 +486,30 @@ def test_box_walk_canonicalises_once_per_class(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["inductive", "box"])
-def test_a_key_that_splits_a_class_is_a_bug(monkeypatch, capsys, method):
+def test_a_key_that_splits_a_class_is_a_bug(monkeypatch, capsys, tmp_path, method):
     # a key that also holds the listing gives one class as many keys as it
     # has listings; their canonical forms then coincide, which the
-    # enumerators must report, not list as several classes
+    # enumerators and the atlas must report, not list as several classes
     monkeypatch.setattr(classify, "_class_key", lambda cycle: (_class_key(cycle), cycle))
     with pytest.raises(InvariantViolation, match=r"^class .* has two class keys$"):
         enumerate_classes(1, method)
     assert main(["polygons", "enum", "--genus", "1", "--method", method]) == 2
     assert "invariant violation: class" in capsys.readouterr().err
+    with pytest.raises(InvariantViolation, match=r"^class .* has two class keys$"):
+        group_by_class(1, 30)
+    atlas_dir = tmp_path / "atlas"
+    assert main(["classify", "--genus", "1", "--dmax", "30", "--atlas-dir", str(atlas_dir)]) == 2
+    assert "invariant violation: class" in capsys.readouterr().err
+    assert not atlas_dir.exists() or not any(atlas_dir.iterdir())
+
+
+def test_a_key_that_merges_classes_is_a_bug_in_the_atlas(monkeypatch):
+    # one key for every hull puts all members in the class of the first
+    # hull; the point sets of other sizes must be reported
+    monkeypatch.setattr(classify, "_class_key", lambda cycle: ())
+    message = r"^class .* has 10 points, its point sets \[4, 5, 6, 7, 8, 9, 10\]$"
+    with pytest.raises(InvariantViolation, match=message):
+        group_by_class(1, 30)
 
 
 def test_splice_recount_catches_a_miscounted_child(monkeypatch):
@@ -475,6 +527,17 @@ def test_splice_recount_catches_a_miscounted_child(monkeypatch):
     monkeypatch.setattr(classify, "_pick_counts", miscount)
     with pytest.raises(InvariantViolation, match="miscounts"):
         _inductive_cycles(1, 10)
+
+
+@pytest.mark.parametrize(
+    "g, method", [(g, "inductive") for g in (1, 2, 3)] + [(g, "box") for g in (1, 2)]
+)
+def test_n_max_cuts_the_default_listing(g, method):
+    # the enumerators return no class above n_max, so no filter is needed
+    default = enumerate_classes(g, method)
+    for n_max in range(4, 3 * g + 6):
+        cut = tuple(p for p in default if p.n <= n_max)
+        assert enumerate_classes(g, method, n_max=n_max) == cut
 
 
 @pytest.mark.parametrize("g", [1, 2])
