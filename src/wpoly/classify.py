@@ -189,16 +189,16 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
       carries the largest key of phi(C), and the filter keeps phi(C).
     """
     start = ((0, 0), (1, 0), (0, 1))
-    current = {_class_key(start): start}
-    found = dict(current) if g == 0 else {}
+    current = {_class_key(start): (start, 0)}  # key: (cycle, interior count)
+    found = {key: start for key in current} if g == 0 else {}
     for level_n in range(3, min(n_max, 3 * g + 7) if g else n_max):
-        grown: dict[tuple, tuple[Point2, ...]] = {}
-        for parent in current.values():
-            for _, _, child in _splices(parent, level_n, g):
+        grown: dict[tuple, tuple[tuple[Point2, ...], int]] = {}
+        for parent, _ in current.values():
+            for _, (_, interior, _), child in _splices(parent, level_n, g):
                 if child is not None:
-                    grown.setdefault(_class_key(child), child)
+                    grown.setdefault(_class_key(child), (child, interior))
         current = grown
-        found.update((key, c) for key, c in current.items() if _pick_counts(c)[1] == g)
+        found.update((key, c) for key, (c, interior) in current.items() if interior == g)
     return set(_canonical_classes(found))
 
 

@@ -1,10 +1,12 @@
 """Exact lattice polygon geometry in the plane.
 
-Everything here runs on integers: convex hulls by monotone chain; one
-row scan that lists the lattice points from the exact edge crossings and
-marks the boundary ones, its counts checked against the edge gcds and
-the area/boundary identity 2*area = 2i + b - 2 (Pick's formula); and a
-canonical form under affine unimodular equivalence, reflections
+Everything here runs on integers.  Hulls come from a monotone chain.  A
+hull's lattice inventory comes from one walk over its edges, which gives
+each row its two ends from the exact edge crossings and marks the
+boundary points; its counts are checked against the edge gcds and the
+area/boundary identity 2*area = 2i + b - 2 (Pick's formula).
+
+The canonical form under affine unimodular equivalence, reflections
 included: anchor each directed edge u->v of the cycle and of its mirror
 image by (x, y) -> (s(x-ux) + t(y-uy), px(y-uy) - py(x-ux)), for
 (px, py) the edge's primitive direction and s*px + t*py = 1, which puts
@@ -12,14 +14,20 @@ the polygon in 0 <= y <= h, shear by (x, y) -> (x - c*y, y) with
 c = m // h, the one shear putting the top row's least x, m, in [0, h),
 and take the least vertex listing.  Each listing starts (0, 0), (L, 0),
 L the anchored edge's lattice length, so only the shortest edges are
-anchored.  `_class_key` is a cheaper complete invariant of the same
-classes, a cyclic word of edge lengths and determinants, for telling
-classes apart without listing a canonical form.
+anchored.  The canonical polygon is not scanned again: the map to the
+winning listing, checked on the vertices and against Pick's counts,
+carries the source polygon's inventory over.  `_class_key` is a cheaper
+complete invariant of the same classes, a cyclic word of edge lengths
+and determinants, for telling classes apart without listing a canonical
+form.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
+from operator import itemgetter
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 
@@ -116,24 +124,29 @@ class UnimodularAffineMap:
 
 
 _MIRROR = UnimodularAffineMap(((1, 0), (0, -1)), (0, 0))
+_ROW_MAJOR = itemgetter(1, 0)  # sort key (y, x) of a point
 
 
-def _hull_cycle(points: list[Point2]) -> tuple[Point2, ...]:
+def _half_hull(pts: Iterable[Point2]) -> list[Point2]:
+    """One monotone chain over sorted points: keep only left turns."""
+    chain: list[Point2] = []
+    for p in pts:
+        x, y = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _hull_cycle(points: Iterable[Point2]) -> tuple[Point2, ...]:
     """Monotone-chain hull; counterclockwise from the lex-least vertex."""
     pts = sorted(set(points))
     if len(pts) < 3:
         raise DegenerateInputError("need at least 3 distinct points")
-    lower: list[Point2] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point2] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    cycle = tuple(lower[:-1] + upper[:-1])
+    cycle = tuple(_half_hull(pts)[:-1] + _half_hull(reversed(pts))[:-1])
     if len(cycle) < 3:
         raise DegenerateInputError("points are collinear")
     return cycle
@@ -145,48 +158,58 @@ def _hull_lattice_points(
     """All lattice points of the closed polygon row by row, its interior
     points in the same order, and its boundary point count.
 
-    Each non-horizontal edge, taken upward from (px, py) to (qx, qy),
-    crosses row y at x = (c + y*dx) / dy with dx = qx - px, dy = qy - py > 0
-    and c = px*dy - py*dx.  Per row the slice runs from the least ceiling
-    to the greatest floor of the crossings (every vertex of a strictly
-    convex cycle ends such an edge), so this stays correct for thin
-    slanted shapes.  The top and bottom rows lie on the boundary; in any
-    other row the boundary meets the slice only at its two crossings, so a
-    point there is a boundary point exactly when some edge crosses the row
-    at it, that is when the crossing's ceiling equals its floor.
+    The edges are walked once each.  An edge from (px, py) to (qx, qy)
+    meets row y at x = px + (y - py)*dx/dy, dx = qx - px, dy = qy - py.
+    A counterclockwise cycle rises (dy > 0) along its right side and
+    falls (dy < 0) along its left side, and each side covers every row
+    from the lowest vertex to the highest, so the rising edges give each
+    row its right end, the floor of their crossing, and the falling edges
+    its left end, the ceiling of theirs.  A row shared by two edges of one
+    side sits at their common vertex, where both crossings are that
+    vertex.  The top and bottom rows lie on the boundary; in any other row
+    the boundary meets the row only at its two crossings, so an end is a
+    boundary point exactly when its crossing is a lattice point, and the
+    interior points lie strictly between those.
     """
     ys = [p[1] for p in cycle]
     y_min, y_max = min(ys), max(ys)
-    slanted: list[tuple[int, int, int, int, int]] = []
+    # each row's (left end, least x right of the left boundary) and
+    # (right end, greatest x left of the right boundary)
+    left: list[tuple[int, int]] = [(0, 0)] * (y_max - y_min + 1)
+    right = left.copy()
     for (px, py), (qx, qy) in zip(cycle, cycle[1:] + cycle[:1]):
-        if py > qy:
-            px, py, qx, qy = qx, qy, px, py
-        if py != qy:
-            slanted.append((py, qy, px * (qy - py) - py * (qx - px), qx - px, qy - py))
+        dx, dy = qx - px, qy - py
+        if dy > 0:
+            for y in range(py, qy + 1):
+                x, rem = divmod(px * dy + (y - py) * dx, dy)
+                right[y - y_min] = (x, x - (rem == 0))
+        elif dy < 0:
+            for y in range(qy, py + 1):
+                x, rem = divmod(px * dy + (y - py) * dx, dy)
+                left[y - y_min] = (x + (rem != 0), x + 1)
     points: list[Point2] = []
     interior: list[Point2] = []
     b = 0
-    for y in range(y_min, y_max + 1):
-        ceils: list[int] = []
-        floors: list[int] = []
-        exact: set[int] = set()
-        for y0, y1, c, dx, dy in slanted:
-            if y0 <= y <= y1:
-                floor, rem = divmod(c + y * dx, dy)
-                floors.append(floor)
-                if rem:
-                    ceils.append(floor + 1)
-                else:
-                    ceils.append(floor)
-                    exact.add(floor)
-        row = range(min(ceils), max(floors) + 1)
-        points.extend((x, y) for x in row)
+    for y, (lo, in_lo), (hi, in_hi) in zip(range(y_min, y_max + 1), left, right):
+        points.extend(zip(range(lo, hi + 1), repeat(y)))
         if y == y_min or y == y_max:
-            b += len(row)
+            b += hi - lo + 1
         else:
-            b += len(exact)
-            interior.extend((x, y) for x in row if x not in exact)
+            b += in_lo - lo + hi - in_hi
+            interior.extend(zip(range(in_lo, in_hi + 1), repeat(y)))
     return tuple(points), tuple(interior), b
+
+
+def _check_turns(cycle: tuple[Point2, ...], error: type[Exception] = DegenerateInputError) -> None:
+    """Raise `error` on a cycle that is not strictly convex counterclockwise."""
+    if len(cycle) < 3:
+        raise error("polygon needs at least 3 vertices")
+    k = len(cycle)
+    for idx in range(k):
+        if _cross(cycle[idx], cycle[(idx + 1) % k], cycle[(idx + 2) % k]) <= 0:
+            raise error(
+                f"vertex cycle is not strictly convex counterclockwise at {cycle[(idx + 1) % k]}"
+            )
 
 
 def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
@@ -196,15 +219,7 @@ def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
     2*area = 2i + b - 2 are verified against the row scan's own
     classification of the points it lists.
     """
-    if len(cycle) < 3:
-        raise DegenerateInputError("polygon needs at least 3 vertices")
-    k = len(cycle)
-    for idx in range(k):
-        turn = _cross(cycle[idx], cycle[(idx + 1) % k], cycle[(idx + 2) % k])
-        if turn <= 0:
-            raise DegenerateInputError(
-                f"vertex cycle is not strictly convex counterclockwise at {cycle[(idx + 1) % k]}"
-            )
+    _check_turns(cycle)
     _, i_pick, b_gcd = _pick_counts(cycle)
     points, interior, b_direct = _hull_lattice_points(cycle)
     i_direct = len(interior)
@@ -324,11 +339,16 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
     so the least listing and its first winner, hence the map, are those of
     the full pass.
     """
-    shortest = min(_edge_steps(vertices)[0])
+    lengths, dirs = _edge_steps(vertices)
+    shortest = min(lengths)
+    k = len(vertices)
     mirrored = tuple((x, -y) for x, y in reversed(vertices))
+    # the mirror's edge j is the vertices' edge k-2-j run backwards and mirrored
+    mirrored_steps = [(lengths[e], (-dirs[e][0], dirs[e][1])) for e in range(k - 2, -2, -1)]
     best: tuple[Point2, ...] | None = None
-    for mirror, cycle in ((False, vertices), (True, mirrored)):
-        for j, (length, (px, py)) in enumerate(zip(*_edge_steps(cycle))):
+    for mirror, cycle, steps in ((False, vertices, zip(lengths, dirs)),
+                                 (True, mirrored, mirrored_steps)):
+        for j, (length, (px, py)) in enumerate(steps):
             if length != shortest:
                 continue
             ux, uy = cycle[j]
@@ -349,9 +369,46 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
 
 
 def canonical_form(poly: LatticePolygon) -> LatticePolygon:
-    """Canonical representative of the polygon's equivalence class."""
-    cycle, _ = _canonical_cycle(poly.vertices)
-    return _build_polygon(cycle)
+    """Canonical representative of the polygon's equivalence class, with
+    the polygon's lattice inventory carried over by the canonical map.
+
+    A unimodular affine map m is a bijection of Z^2 that sends conv(V)
+    onto conv(m(V)), its boundary onto the boundary and its interior onto
+    the interior.  So once m is checked to send the vertices exactly onto
+    the canonical cycle, the images of poly's lattice and interior points
+    are exactly the canonical polygon's, and sorting them by (y, x) lists
+    them in the row scan's order.  The cycle must pass the strictly convex
+    counterclockwise turn test, and its Pick counts must equal poly's,
+    which ties the form's counts to its source.
+    """
+    cycle, m = _canonical_cycle(poly.vertices)
+    if set(map(m.apply, poly.vertices)) != set(cycle):
+        raise InvariantViolation(f"canonical map does not send {poly.vertices} onto {cycle}")
+    _check_turns(cycle, InvariantViolation)
+    _, i, b_count = _pick_counts(cycle)
+    if (i, b_count) != (poly.i, poly.b):
+        raise InvariantViolation(
+            f"canonical cycle {cycle} has (i={i}, b={b_count}), its source (i={poly.i}, b={poly.b})"
+        )
+    if (len(poly.lattice_points), len(poly.interior_points)) != (i + b_count, i):
+        raise InvariantViolation(f"{poly.vertices} does not list {i + b_count} points, {i} interior")
+    (a, b), (c, d) = m.linear
+    tx, ty = m.translation
+    points = [(a * x + b * y + tx, c * x + d * y + ty) for x, y in poly.lattice_points]
+    # the interior images are the same point objects, not copies
+    image = dict(zip(poly.lattice_points, points))
+    interior = [image[p] for p in poly.interior_points]
+    del image
+    points.sort(key=_ROW_MAJOR)
+    interior.sort(key=_ROW_MAJOR)
+    return LatticePolygon(
+        vertices=cycle,
+        lattice_points=tuple(points),
+        interior_points=tuple(interior),
+        i=i,
+        b=b_count,
+        n=i + b_count,
+    )
 
 
 def equivalent(p1: LatticePolygon, p2: LatticePolygon) -> tuple[bool, UnimodularAffineMap | None]:

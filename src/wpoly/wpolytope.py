@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
-from .polygon2d import LatticePolygon, Point2, convex_hull
+from .polygon2d import LatticePolygon, Point2, _build_polygon, _hull_cycle
 from .quadruples import GENUS_CAP, Quadruple, _condition_i_witness, validate
 
 Point3 = tuple[int, int, int]
@@ -360,9 +360,10 @@ def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> Latti
 
 def _images_hull(q: Quadruple, images: Iterable[Point2]) -> LatticePolygon:
     """Hull of the projected rows of q, checked to hold exactly those
-    lattice points.  It depends on the point set alone."""
+    lattice points.  It depends on the point set alone.  The images are
+    exact integer solves, so the input checks of `convex_hull` are skipped."""
     images = set(images)
-    poly = convex_hull(list(images))
+    poly = _build_polygon(_hull_cycle(images))
     if images != set(poly.lattice_points):
         raise InvariantViolation(f"{q}: projection gained or lost lattice points")
     return poly

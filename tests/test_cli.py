@@ -80,17 +80,26 @@ def _words(q):
     return [str(x) for x in (*q.weights, q.d)]
 
 
+# sha256 of every (argv, exit code, stdout) of the sweep below, plain and
+# --json; the output bytes of `poly analyze` are part of the contract
+ANALYZE_SWEEP_SHA256 = "6ed25162e515349ef6c07af2af137c0b9bb01ef506a4a3cc01b61544d6bfbac6"
+
+
 def test_poly_analyze_never_exits_2_on_good_quadruples(capsys, small_good_quadruples):
     # exit 2 is reserved for broken invariants, so no good quadruple may
     # reach it; genus-0 ones may exit 1 when their distinguished points
     # coincide, and (1,1,4;5) (n = 8 > 3*0 + 7) must pass
     bad = []
+    digest = hashlib.sha256()
     for q, genus in small_good_quadruples:
         words = _words(q)
-        code, _, err = run(capsys, "poly", "analyze", *words)
-        if code == 2 or (code == 1 and (genus >= 1 or "distinguished points coincide" not in err)):
-            bad.append((words, code, err.strip()))
+        for argv in (["poly", "analyze", *words], ["poly", "analyze", *words, "--json"]):
+            code, out, err = run(capsys, *argv)
+            digest.update(repr((argv, code, out)).encode())
+            if code == 2 or (code == 1 and (genus >= 1 or "distinguished points coincide" not in err)):
+                bad.append((argv, code, err.strip()))
     assert bad == []
+    assert digest.hexdigest() == ANALYZE_SWEEP_SHA256
     assert run(capsys, "poly", "analyze", "1", "1", "4", "5")[0] == 0
 
 

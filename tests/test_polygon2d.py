@@ -21,6 +21,7 @@ from wpoly import (
     projection_coordinates,
 )
 from wpoly import polygon2d, wpolytope
+from wpoly.cli import main
 from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
 from wpoly.polygon2d import _MIRROR, _canonical_cycle, _class_key, _egcd, _hull_cycle, _pick_counts
 
@@ -483,3 +484,104 @@ def test_row_scan_matches_box_oracle(pts):
     except DegenerateInputError:
         return
     assert p.lattice_points == _box_oracle(p.vertices)
+
+
+def _slanted(h):
+    """Triangles and quadrilaterals h rows high with 3 or 4 edges, some with
+    a horizontal bottom or top edge, none with a vertical one."""
+    return [
+        [(0, 0), (1, 0), (7, h)],
+        [(0, 0), (3, 0), (h // 5, h)],
+        [(0, 0), (-5, h), (-4, h)],
+        [(0, 0), (h // 3, h), (h // 3 - 2, h)],
+        [(0, 0), (2, 1), (11, h)],
+        [(0, 0), (4, 1), (-3, h)],
+        [(0, 0), (2, 0), (9, h), (8, h)],
+        [(0, 0), (1, 0), (h // 7 + 1, h - 1), (h // 7, h)],
+    ]
+
+
+@pytest.mark.parametrize("pts", [pts for h in (37, 128, 211, 300) for pts in _slanted(h)])
+def test_row_scan_matches_box_oracle_on_tall_shapes(pts):
+    # many more rows than edges: each edge is walked over its whole height
+    p = convex_hull(pts)
+    assert p.lattice_points == _box_oracle(p.vertices)
+    assert p.interior_points == tuple(q for q in p.lattice_points if not on_boundary(q, p.vertices))
+    assert p.b == sum(gcd(b[0] - a[0], b[1] - a[1])
+                      for a, b in zip(p.vertices, p.vertices[1:] + p.vertices[:1]))
+
+
+def _assert_carried_form_matches_rescan(p):
+    form = canonical_form(p)
+    rescan = polygon2d._build_polygon(_canonical_cycle(p.vertices)[0])
+    for field in dataclasses.fields(rescan):
+        assert getattr(form, field.name) == getattr(rescan, field.name), field.name
+
+
+SYMMETRIC = [
+    [(0, 0), (1, 0), (1, 1), (0, 1)],
+    [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)],
+    [(0, 0), (2, 0), (0, 2)],
+    [(-1, -1), (1, -1), (1, 1), (-1, 1)],
+    [(0, 0), (3, 0), (0, 3)],
+]
+
+
+@pytest.mark.parametrize(
+    "pts", SYMMETRIC + [[(0, 0), (2, 0), (0, 3)], [(0, 0), (3, 0), (0, 2)], [(0, 0), (1, 0), (3, 6)]]
+)
+def test_canonical_form_carries_the_rescanned_inventory(pts):
+    # symmetric shapes tie between anchorings; (0,0),(2,0),(0,3) is won by
+    # the mirror image, so its map has det -1
+    _assert_carried_form_matches_rescan(convex_hull(pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=9),
+        st.sampled_from(SYMMETRIC),
+    ),
+    st.integers(0, 10**6),
+    st.integers(0, 4),
+    st.booleans(),
+)
+def test_canonical_form_carries_the_rescanned_inventory_of_random_hulls(pts, seed, size, mirror):
+    m = random_unimodular_map(seed, size)
+    if mirror:
+        m = m.compose(_MIRROR)
+    try:
+        p = convex_hull([m.apply(q) for q in pts])
+    except DegenerateInputError:
+        return
+    _assert_carried_form_matches_rescan(p)
+
+
+def _off_by_a_translation(vertices):
+    cycle, m = _canonical_cycle(vertices)
+    return cycle, UnimodularAffineMap(m.linear, (m.translation[0] + 1, m.translation[1]))
+
+
+def _off_by_one_vertex(vertices):
+    cycle, m = _canonical_cycle(vertices)
+    (x, y), rest = cycle[-1], cycle[:-1]
+    return rest + ((x + 1, y),), m
+
+
+@pytest.mark.parametrize("fault", [_off_by_a_translation, _off_by_one_vertex])
+def test_canonical_form_refuses_a_wrong_canonical_map(monkeypatch, capsys, fault):
+    # the carried inventory is only as good as the map, so a map that
+    # misses the cycle is a bug: exit 2, not a wrong polygon
+    monkeypatch.setattr(polygon2d, "_canonical_cycle", fault)
+    with pytest.raises(InvariantViolation, match="canonical map does not send"):
+        canonical_form(convex_hull([(0, 0), (3, 0), (1, 4)]))
+    assert main(["poly", "analyze", "1", "3", "2", "7"]) == 2
+    assert "canonical map does not send" in capsys.readouterr().err
+
+
+def test_canonical_form_refuses_a_source_whose_counts_disagree():
+    p = convex_hull([(0, 0), (3, 0), (1, 4)])
+    with pytest.raises(InvariantViolation, match="its source"):
+        canonical_form(dataclasses.replace(p, i=p.i + 1, n=p.n + 1))
+    with pytest.raises(InvariantViolation, match="does not list"):
+        canonical_form(dataclasses.replace(p, lattice_points=p.lattice_points[1:]))
