@@ -21,6 +21,7 @@ from .polygon2d import (
     Point2,
     _build_polygon,
     _canonical_cycle,
+    _check_turns,
     _class_key,
     _edge_steps,
     _egcd,
@@ -162,7 +163,11 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
     by re-adding a vertex, and only the points of `_growth_points` can be
     re-added, so each level extends every class rep by each of them whose
     hull gains exactly that point; `_splices` forms each such hull by
-    splicing the point into the parent's cycle.  Classes keep at most g
+    splicing the point into the parent's cycle.  It walks only the run of
+    edges the point sees, and splices the point once, from the first edge
+    of that run it lies one step beyond.  It skips whole every edge whose
+    inner lattice points would, as interior points of any hull beyond it,
+    raise the parent's interior count past g.  Classes keep at most g
     interior points along the way.  Completeness rests on this argument,
     not on a search box.  For g >= 1 the levels stop at 3g + 7 points, as
     by Scott's bound no class with g >= 1 interior points has more; the
@@ -185,8 +190,11 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
       representative phi(P*) of its class is in `current`;
     - growth points, splices and vertex keys are equivariant under affine
       unimodular maps, so phi(v*) is a growth point of phi(P*) by the
-      argument of `_growth_points`, `_splices` accepts it, phi(v*)
-      carries the largest key of phi(C), and the filter keeps phi(C).
+      argument of `_growth_points`, and it comes with the first edge of
+      its run; that edge is not skipped, as its inner points are interior
+      points of phi(C), which has at most g.  `_splices` accepts it,
+      phi(v*) carries the largest key of phi(C), and the filter keeps
+      phi(C).
     """
     start = ((0, 0), (1, 0), (0, 1))
     current = {_class_key(start): (start, 0)}  # key: (cycle, interior count)
@@ -195,8 +203,7 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
         grown: dict[tuple, tuple[tuple[Point2, ...], int]] = {}
         for parent, _ in current.values():
             for _, (_, interior, _), child in _splices(parent, level_n, g):
-                if child is not None:
-                    grown.setdefault(_class_key(child), (child, interior))
+                grown.setdefault(_class_key(child), (child, interior))
         current = grown
         found.update((key, c) for key, (c, interior) in current.items() if interior == g)
     return set(_canonical_classes(found))
@@ -225,10 +232,12 @@ def _key(l_in: int, p_in: Point2, l_out: int, p_out: Point2) -> tuple[int, int, 
 
 
 def _growth_points(
-    cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Point2]
-) -> set[Point2]:
-    """Every point q whose hull with the cycle can gain exactly q, given
-    the cycle's `_edge_steps`.
+    cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Point2], longest: int | None = None
+):
+    """(j, q) for every point q whose hull with the cycle can gain exactly
+    q and every edge j that q lies one lattice step beyond, given the
+    cycle's `_edge_steps`; edges longer than `longest`, when given, are
+    left out.
 
     Such a q lies beyond the line of some edge e = (u, v) of lattice
     length l.  The triangle conv(e + q) meets the cycle only in e, so its
@@ -239,57 +248,100 @@ def _growth_points(
     which holds u + (t, -s) + m*p for s*px + t*py = 1.  The same holds at
     every other edge q lies beyond, so the f of both neighbouring edges is
     >= -1 at q; as the cycle turns left at u and at v, these bound m below
-    and above.
+    and above.  Each such q thus comes once with every edge j that it lies
+    beyond, and f_j(q) = -1 there.
     """
-    points: set[Point2] = set()
     for j, ((ux, uy), (px, py)) in enumerate(zip(cycle, dirs)):
+        if longest is not None and lengths[j] > longest:
+            continue
         (ax, ay), (bx, by) = dirs[j - 1], dirs[(j + 1) % len(dirs)]
         _, s, t = _egcd(px, py)
         lo = -((1 - ax * s - ay * t) // (ax * py - ay * px))
         hi = lengths[j] + (1 - bx * s - by * t) // (px * by - py * bx)
-        points.update((ux + t + m * px, uy - s + m * py) for m in range(lo, hi + 1))
-    return points
+        for m in range(lo, hi + 1):
+            yield j, (ux + t + m * px, uy - s + m * py)
 
 
 def _splices(cycle: tuple[Point2, ...], n: int, g: int):
-    """For each growth point q of a strictly convex CCW cycle with n
-    lattice points: q, the counts (twice the area, interior, boundary) of
-    hull(cycle + q), and that hull's cycle, starting at q, when it gains
-    exactly q (interior + boundary = n + 1), has at most g interior points
-    and q carries its largest vertex key; else None.
+    """(q, counts, child) for each growth point q of a strictly convex CCW
+    cycle with n lattice points whose hull(cycle + q) gains exactly q
+    (interior + boundary = n + 1), has at most g interior points and
+    carries its largest vertex key at q: the counts are (twice the area,
+    interior, boundary) of that hull and the child is its cycle, starting
+    at q.
 
-    q lies outside the cycle.  Let f_j = cross(p_j, q - v_j), p_j the
-    primitive direction of the edge e_j = v_j -> v_{j+1} of lattice
-    length l_j.  Of a convex polygon a point outside sees one contiguous
-    chain of edges, those with f_j < 0.  An edge with f_j = 0 has q on its
-    line, past one end, and the cycle turns left there, so the neighbour
-    edge at that end has f < 0: such edges sit only at the ends of the
-    run of edges with f <= 0, a -> ... -> z.  The hull replaces the run by
-    a -> q -> z and drops the run's inner vertices (on an end edge with
-    f = 0 the dropped vertex lies on a segment to q).  The triangles
+    Let f_j = cross(p_j, q - v_j), p_j the primitive direction of the edge
+    e_j = v_j -> v_{j+1} of lattice length l_j.  Of a strictly convex
+    polygon a point outside sees one contiguous chain of edges, those with
+    f_j < 0.  An edge with f_j = 0 has q on its line, past one end, and
+    the cycle turns left there, so the neighbour edge at that end has
+    f < 0: such edges sit only at the ends of the run of edges with
+    f <= 0, a -> ... -> z, and that run is unique.  The hull replaces the
+    run by a -> q -> z and drops the run's inner vertices (on an end edge
+    with f = 0 the dropped vertex lies on a segment to q).  The triangles
     (v_j, v_{j+1}, q) over the run tile the added region, each of twice
     area -l_j*f_j, and the boundary swaps the run's lattice length for
     gcd(q - a) + gcd(q - z); Pick gives the interior.  A vertex key
     depends on its two edges alone, so only a, q and z get new keys.
 
+    Each (j, q) of `_growth_points` has f_j(q) = -1, so edge j is in q's
+    run, and the run is found by walking back from j and forward from
+    j + 1 while f <= 0: only the run's edges and the two that bound it are
+    evaluated.  The one-run argument needs strict convexity, which is
+    checked once per cycle: every turn is strictly left, and the edge
+    directions pass the positive x-axis once (left turns alone allow a
+    cycle that winds twice, as a pentagram does).  A back walk that comes
+    round to j again would mean q sees every edge, and raises; the forward
+    walk stops at latest at the edge with f > 0 that ended the back walk.
+
+    q is spliced only from the first edge of its run with f = -1, so it is
+    spliced once without a set of seen points.  A q that can gain exactly
+    q has f >= -1 at every edge (the argument of `_growth_points`), so it
+    comes with each of its f = -1 edges and the first one is among them;
+    the back walk from that edge crosses only edges with f = 0.
+
+    An edge j with i + l_j - 1 > g, i the cycle's interior count, is
+    skipped whole: the hull of the cycle and a q beyond the edge's line
+    no longer has the edge on its boundary, so the edge's l_j - 1 inner
+    lattice points become interior points, next to the cycle's i, and no
+    such q is kept.
+
     The edge steps and keys are taken once per cycle, and a child is
     built only when kept; each built child is recounted by
     `_pick_counts` and must agree.
     """
+    _check_turns(cycle, InvariantViolation)
     k = len(cycle)
     lengths, dirs = _edge_steps(cycle)
+    up = [py > 0 or (py == 0 and px > 0) for px, py in dirs]
+    if sum(u and not up[j - 1] for j, u in enumerate(up)) != 1:
+        raise InvariantViolation(f"vertex cycle {cycle} winds more than once")
     keys = _vertex_keys(lengths, dirs)
-    area2, _, b = _pick_counts(cycle)
-    for q in _growth_points(cycle, lengths, dirs):
+    area2, inner, b = _pick_counts(cycle)
+    for j, q in _growth_points(cycle, lengths, dirs, g - inner + 1):
         qx, qy = q
-        f = [px * (qy - uy) - py * (qx - ux) for (ux, uy), (px, py) in zip(cycle, dirs)]
-        starts = [j for j in range(k) if f[j] <= 0 < f[j - 1]]
-        if len(starts) != 1:
-            raise InvariantViolation(f"{q} does not see one chain of edges of {cycle}")
-        a = z = starts[0]
-        child_area2, child_b = area2, b
-        while f[z] <= 0:
-            child_area2 -= lengths[z] * f[z]
+        child_area2, child_b = area2 + lengths[j], b - lengths[j]
+        a = j
+        while True:
+            a = (a - 1) % k
+            if a == j:
+                raise InvariantViolation(f"{q} sees every edge of {cycle}")
+            (ux, uy), (px, py) = cycle[a], dirs[a]
+            f = px * (qy - uy) - py * (qx - ux)
+            if f > 0 or f == -1:
+                break
+            child_area2 -= lengths[a] * f
+            child_b -= lengths[a]
+        if f == -1:
+            continue  # spliced from the earlier edge
+        a = (a + 1) % k
+        z = (j + 1) % k
+        while True:
+            (ux, uy), (px, py) = cycle[z], dirs[z]
+            f = px * (qy - uy) - py * (qx - ux)
+            if f > 0:
+                break
+            child_area2 -= lengths[z] * f
             child_b -= lengths[z]
             z = (z + 1) % k
         (ax, ay), (zx, zy) = cycle[a], cycle[z]
@@ -298,9 +350,7 @@ def _splices(cycle: tuple[Point2, ...], n: int, g: int):
         if (child_area2 - child_b) % 2 != 0:
             raise InvariantViolation(f"area/boundary parity fails growing {cycle} by {q}")
         interior = (child_area2 - child_b + 2) // 2
-        counts = (child_area2, interior, child_b)
         if interior + child_b != n + 1 or interior > g:
-            yield q, counts, None
             continue
         p_aq = ((qx - ax) // l_aq, (qy - ay) // l_aq)
         p_qz = ((zx - qx) // l_qz, (zy - qy) // l_qz)
@@ -311,9 +361,9 @@ def _splices(cycle: tuple[Point2, ...], n: int, g: int):
             or key_q < _key(l_qz, p_qz, lengths[z], dirs[z])
             or any(key_q < keys[(z + t) % k] for t in range(1, retained - 1))
         ):
-            yield q, counts, None
             continue
         child = (q,) + (cycle[z:] + cycle[:z])[:retained]
+        counts = (child_area2, interior, child_b)
         if _pick_counts(child) != counts:
             raise InvariantViolation(f"splicing {q} into {cycle} miscounts {child}")
         yield q, counts, child

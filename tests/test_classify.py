@@ -322,7 +322,7 @@ def test_growth_points_cover_margin_oracle(pts):
         poly = convex_hull(pts)
     except DegenerateInputError:
         return
-    growth = _growth_points(poly.vertices, *_edge_steps(poly.vertices))
+    growth = {q for _, q in _growth_points(poly.vertices, *_edge_steps(poly.vertices))}
     assert _margin_growth_points(poly.vertices, 2 * poly.n + 4) <= growth
     assert not growth & set(poly.lattice_points)
 
@@ -331,21 +331,27 @@ def _rotations(cycle):
     return {cycle[j:] + cycle[:j] for j in range(len(cycle))}
 
 
+def _growth_set(cycle):
+    return {q for _, q in _growth_points(cycle, *_edge_steps(cycle))}
+
+
 def _assert_splices_match_oracles(cycle, g):
-    """Every growth point of the cycle: the splice's counts equal those of
-    the re-hulled cycle + q, and it builds a child exactly when the oracle
-    grows one whose largest vertex key sits at q, equal up to rotation."""
+    """The splices are exactly the growth points q whose re-hulled cycle + q
+    the oracle grows and keeps, each once, with the re-hulled counts and a
+    child equal to the re-hulled cycle up to rotation, starting at q."""
     n = sum(_pick_counts(cycle)[1:])
     spliced = list(_splices(cycle, n, g))
-    assert {q for q, _, _ in spliced} == _growth_points(cycle, *_edge_steps(cycle))
-    for q, counts, child in spliced:
-        assert counts == _pick_counts(_hull_cycle(list(cycle) + [q]))
+    kept = set()
+    for q in _growth_set(cycle):
         grown = grow_cycle(cycle, q, n, g)
         if grown is not None and keeps(grown, q):
-            assert child is not None and child[0] == q
-            assert child in _rotations(grown)
-        else:
-            assert child is None
+            kept.add(q)
+    assert sorted(q for q, _, _ in spliced) == sorted(kept)
+    for q, counts, child in spliced:
+        grown = _hull_cycle(list(cycle) + [q])
+        assert counts == _pick_counts(grown)
+        assert child[0] == q
+        assert child in _rotations(grown)
 
 
 @settings(max_examples=150, deadline=None)
@@ -378,16 +384,70 @@ def test_splice_pinned_cases(cycle, q, g, child):
     _assert_splices_match_oracles(cycle, g)
 
 
+def test_an_edge_too_long_for_g_is_skipped_whole():
+    # this cycle has i = 1: a point beyond its bottom edge, of length 2,
+    # makes (1,0) interior too, so at g = 1 nothing is spliced below it,
+    # while (-1,0), beyond the left edge, is
+    cycle = ((0, 0), (2, 0), (1, 2), (0, 1))
+    assert _pick_counts(cycle) == (5, 1, 5)
+    below = {q for j, q in _growth_points(cycle, *_edge_steps(cycle)) if j == 0}
+    assert below and all(qy == -1 for _, qy in below)
+    assert [q for q, _, _ in _splices(cycle, 6, 1)] == [(-1, 0)]
+    assert all(grow_cycle(cycle, q, 6, 1) is None for q in below)
+    _assert_splices_match_oracles(cycle, 1)
+
+
+def test_a_point_beyond_two_edges_is_spliced_once():
+    # (-1,-1) lies one step beyond both legs of the unit triangle, so it
+    # comes from both edges and is spliced from the first of its run only
+    cycle = ((0, 0), (1, 0), (0, 1))
+    assert [j for j, q in _growth_points(cycle, *_edge_steps(cycle)) if q == (-1, -1)] == [0, 2]
+    spliced = [(q, counts, child) for q, counts, child in _splices(cycle, 3, 1) if q == (-1, -1)]
+    assert spliced == [((-1, -1), (3, 1, 3), ((-1, -1), (1, 0), (0, 1)))]
+    _assert_splices_match_oracles(cycle, 1)
+
+
 def test_growth_points_reach_the_far_apex():
     # the class g = 6 needs conv{(0,0),(1,0),(4,13)}: its apex lies 4 rows
     # above the hull of its other 8 points, beyond a bounding-box margin of 2
     rest = [p for p in convex_hull([(0, 0), (1, 0), (4, 13)]).lattice_points if p != (4, 13)]
     cycle = convex_hull(rest).vertices
     assert cycle == ((0, 0), (1, 0), (3, 9))
-    assert (4, 13) in _growth_points(cycle, *_edge_steps(cycle))
+    assert (4, 13) in _growth_set(cycle)
     assert (4, 13) not in _margin_growth_points(cycle, 2)
     spliced = {q: (counts, child) for q, counts, child in _splices(cycle, 8, 6)}
     assert spliced[(4, 13)] == ((13, 6, 3), ((4, 13), (0, 0), (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "cycle, message",
+    [
+        # a collinear vertex at (1, 0)
+        (((0, 0), (1, 0), (2, 0), (0, 1)), "not strictly convex"),
+        # a pentagram: it turns left at every vertex but winds twice
+        (((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)), "winds more than once"),
+    ],
+)
+def test_splices_refuse_a_parent_that_is_not_strictly_convex(cycle, message):
+    # a point sees one run of edges of a strictly convex cycle, so that is
+    # checked once per parent rather than per growth point
+    with pytest.raises(InvariantViolation, match=message):
+        list(_splices(cycle, sum(_pick_counts(cycle)[1:]), 3))
+
+
+def test_a_level_representative_that_is_not_strictly_convex_is_a_bug(monkeypatch, capsys):
+    # every representative of the 5-point level is handed on with its
+    # first vertex doubled
+    real = classify._splices
+    monkeypatch.setattr(
+        classify, "_splices", lambda cycle, n, g: real(cycle[:1] + cycle if n == 5 else cycle, n, g)
+    )
+    with pytest.raises(InvariantViolation, match="not strictly convex"):
+        enumerate_classes(1)
+    assert main(["polygons", "enum", "--genus", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: vertex cycle is not strictly convex")
 
 
 def _unfiltered_inductive_cycles(g, n_max):
@@ -399,7 +459,7 @@ def _unfiltered_inductive_cycles(g, n_max):
         grown = (
             grow_cycle(c, q, level_n, g)
             for c in current
-            for q in _growth_points(c, *_edge_steps(c))
+            for q in _growth_set(c)
         )
         current = {_canonical_cycle(c)[0] for c in grown if c is not None}
         found |= {c for c in current if _pick_counts(c)[1] == g}
@@ -455,9 +515,8 @@ def test_inductive_filter_canonicalises_fewer_than_accepted_growths(monkeypatch)
         return _canonical_cycle(cycle)
 
     def splices(cycle, n, g):
-        for q, (area2, interior, b), child in _splices(cycle, n, g):
-            calls["accepted"] += interior + b == n + 1 and interior <= g
-            yield q, (area2, interior, b), child
+        calls["accepted"] += sum(grow_cycle(cycle, q, n, g) is not None for q in _growth_set(cycle))
+        yield from _splices(cycle, n, g)
 
     monkeypatch.setattr(classify, "_canonical_cycle", canonical)
     monkeypatch.setattr(classify, "_splices", splices)

@@ -197,6 +197,25 @@ def test_polygons_enum_g0(capsys):
     assert json.loads(lines[0]) == {"n": 3, "vertices": [[0, 0], [1, 0], [0, 1]]}
 
 
+# sha256 of every (argv, exit code, stdout) of the `polygons enum` runs
+# below, recorded at c1087fd, before the splice walk was rewritten; the
+# listing bytes are part of the contract
+ENUM_SHA256 = "99c02ffcd57da3a663da42c79938bf030806dfe476c3cad4803a853b8d0796ea"
+
+
+def test_polygons_enum_bytes_are_pinned(capsys):
+    argvs = (
+        [["polygons", "enum", "--genus", str(g)] for g in range(7)]
+        + [["polygons", "enum", "--genus", str(g), "--method", "box"] for g in range(3)]
+        + [["polygons", "enum", "--genus", "0", "--nmax", "9"]]
+    )
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        digest.update(repr((argv, code, out)).encode())
+    assert digest.hexdigest() == ENUM_SHA256
+
+
 def test_polygons_enum_cross_check_ok(capsys):
     code, out, _ = run(capsys, "polygons", "enum", "--genus", "1", "--cross-check")
     assert code == 0
