@@ -32,6 +32,7 @@ from .polygon2d import (
     canonical_form,
     convex_hull,
     equivalent,
+    lattice_inventory,
 )
 from .quadruples import (
     D_MAX_CAP,
@@ -83,6 +84,7 @@ __all__ = [
     "family_quadruple",
     "find_unimodular_triple",
     "group_by_class",
+    "lattice_inventory",
     "make_curve",
     "map_curve",
     "minor_det",

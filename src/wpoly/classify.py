@@ -27,6 +27,7 @@ from .polygon2d import (
     _egcd,
     _pick_counts,
     equivalent,
+    lattice_inventory,
 )
 from .quadruples import Quadruple, enumerate_g_good
 from .wpolytope import (
@@ -148,9 +149,12 @@ def _canonical_classes(reps: dict[tuple, tuple[Point2, ...]]) -> dict[tuple[Poin
 
 
 def _class_polygons(cycles, g: int) -> tuple[LatticePolygon, ...]:
-    """The cycles rebuilt, checked to have g interior points, and sorted by (n, vertices)."""
+    """The cycles rebuilt, checked to have g interior points, and sorted by
+    (n, vertices).  Each class's points are listed once and dropped: the
+    row scan's counts check Pick's, which the splices also use."""
     polys = tuple(sorted(map(_build_polygon, cycles), key=lambda p: (p.n, p.vertices)))
     for poly in polys:
+        lattice_inventory(poly)
         if poly.i != g:
             raise InvariantViolation(f"class {poly.vertices} has {poly.i} interior points, not {g}")
     return polys
@@ -287,12 +291,11 @@ def _splices(cycle: tuple[Point2, ...], n: int, g: int):
     Each (j, q) of `_growth_points` has f_j(q) = -1, so edge j is in q's
     run, and the run is found by walking back from j and forward from
     j + 1 while f <= 0: only the run's edges and the two that bound it are
-    evaluated.  The one-run argument needs strict convexity, which is
-    checked once per cycle: every turn is strictly left, and the edge
-    directions pass the positive x-axis once (left turns alone allow a
-    cycle that winds twice, as a pentagram does).  A back walk that comes
-    round to j again would mean q sees every edge, and raises; the forward
-    walk stops at latest at the edge with f > 0 that ended the back walk.
+    evaluated.  The one-run argument needs strict convexity, which
+    `_check_turns` checks once per cycle, winding included.  A back walk
+    that comes round to j again would mean q sees every edge, and raises;
+    the forward walk stops at latest at the edge with f > 0 that ended the
+    back walk.
 
     q is spliced only from the first edge of its run with f = -1, so it is
     spliced once without a set of seen points.  A q that can gain exactly
@@ -313,9 +316,6 @@ def _splices(cycle: tuple[Point2, ...], n: int, g: int):
     _check_turns(cycle, InvariantViolation)
     k = len(cycle)
     lengths, dirs = _edge_steps(cycle)
-    up = [py > 0 or (py == 0 and px > 0) for px, py in dirs]
-    if sum(u and not up[j - 1] for j, u in enumerate(up)) != 1:
-        raise InvariantViolation(f"vertex cycle {cycle} winds more than once")
     keys = _vertex_keys(lengths, dirs)
     area2, inner, b = _pick_counts(cycle)
     for j, q in _growth_points(cycle, lengths, dirs, g - inner + 1):

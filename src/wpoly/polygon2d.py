@@ -1,10 +1,12 @@
 """Exact lattice polygon geometry in the plane.
 
 Everything here runs on integers.  Hulls come from a monotone chain.  A
-hull's lattice inventory comes from one walk over its edges, which gives
-each row its two ends from the exact edge crossings and marks the
-boundary points; its counts are checked against the edge gcds and the
-area/boundary identity 2*area = 2i + b - 2 (Pick's formula).
+polygon is its vertex cycle and its counts, taken from the edge gcds and
+the area/boundary identity 2*area = 2i + b - 2 (Pick's formula).  Its
+lattice points are listed only on request, by `lattice_inventory`: one
+walk over its edges gives each row its two ends from the exact edge
+crossings and marks the boundary points, and the walk's counts are
+checked against those.
 
 The canonical form under affine unimodular equivalence, reflections
 included: anchor each directed edge u->v of the cycle and of its mirror
@@ -14,12 +16,10 @@ the polygon in 0 <= y <= h, shear by (x, y) -> (x - c*y, y) with
 c = m // h, the one shear putting the top row's least x, m, in [0, h),
 and take the least vertex listing.  Each listing starts (0, 0), (L, 0),
 L the anchored edge's lattice length, so only the shortest edges are
-anchored.  The canonical polygon is not scanned again: the map to the
-winning listing, checked on the vertices and against Pick's counts,
-carries the source polygon's inventory over.  `_class_key` is a cheaper
-complete invariant of the same classes, a cyclic word of edge lengths
-and determinants, for telling classes apart without listing a canonical
-form.
+anchored.  The canonical polygon is the winning listing, checked on the
+vertices and against Pick's counts.  `_class_key` is a cheaper complete
+invariant of the same classes, a cyclic word of edge lengths and
+determinants, for telling classes apart without listing a canonical form.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
-from operator import itemgetter
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 
@@ -59,18 +58,14 @@ def _pick_counts(cycle: tuple[Point2, ...]) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class LatticePolygon:
-    """Convex lattice polygon with its full lattice point inventory.
+    """Convex lattice polygon: its vertex cycle and its lattice counts.
 
-    vertices is a counterclockwise cycle with no three consecutive
-    collinear points.  lattice_points lists every lattice point of the
-    closed polygon in row-major order, and interior_points the interior
-    ones in the same order; i and b are the interior and boundary counts,
-    n = i + b.
+    vertices is a strictly convex counterclockwise cycle; i and b are the
+    interior and boundary counts from Pick's formula and the edge gcds,
+    n = i + b.  The points themselves are listed by `lattice_inventory`.
     """
 
     vertices: tuple[Point2, ...]
-    lattice_points: tuple[Point2, ...]
-    interior_points: tuple[Point2, ...]
     i: int
     b: int
     n: int
@@ -124,7 +119,6 @@ class UnimodularAffineMap:
 
 
 _MIRROR = UnimodularAffineMap(((1, 0), (0, -1)), (0, 0))
-_ROW_MAJOR = itemgetter(1, 0)  # sort key (y, x) of a point
 
 
 def _half_hull(pts: Iterable[Point2]) -> list[Point2]:
@@ -201,7 +195,12 @@ def _hull_lattice_points(
 
 
 def _check_turns(cycle: tuple[Point2, ...], error: type[Exception] = DegenerateInputError) -> None:
-    """Raise `error` on a cycle that is not strictly convex counterclockwise."""
+    """Raise `error` on a cycle that is not strictly convex counterclockwise.
+
+    Every turn must be strictly left, and the edge directions must pass
+    the positive x-axis once: left turns alone allow a cycle that winds
+    twice, as a pentagram does.
+    """
     if len(cycle) < 3:
         raise error("polygon needs at least 3 vertices")
     k = len(cycle)
@@ -210,32 +209,35 @@ def _check_turns(cycle: tuple[Point2, ...], error: type[Exception] = DegenerateI
             raise error(
                 f"vertex cycle is not strictly convex counterclockwise at {cycle[(idx + 1) % k]}"
             )
+    up = [qy > py or (qy == py and qx > px)
+          for (px, py), (qx, qy) in zip(cycle, cycle[1:] + cycle[:1])]
+    if sum(u and not up[j - 1] for j, u in enumerate(up)) != 1:
+        raise error(f"vertex cycle {cycle} winds more than once")
 
 
 def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
-    """Validate a CCW strictly convex cycle and take its lattice inventory.
-
-    The boundary count from the edge gcds and the interior count from
-    2*area = 2i + b - 2 are verified against the row scan's own
-    classification of the points it lists.
-    """
+    """Validate a CCW strictly convex cycle and count its lattice points by Pick."""
     _check_turns(cycle)
-    _, i_pick, b_gcd = _pick_counts(cycle)
-    points, interior, b_direct = _hull_lattice_points(cycle)
+    _, i, b = _pick_counts(cycle)
+    return LatticePolygon(vertices=cycle, i=i, b=b, n=i + b)
+
+
+def lattice_inventory(poly: LatticePolygon) -> tuple[tuple[Point2, ...], tuple[Point2, ...]]:
+    """Every lattice point of the closed polygon in row-major order, and
+    its interior points in the same order.
+
+    The row scan classifies the points it lists itself; its boundary count
+    must equal poly.b, from the edge gcds, and its interior count poly.i,
+    from 2*area = 2i + b - 2.
+    """
+    points, interior, b_direct = _hull_lattice_points(poly.vertices)
     i_direct = len(interior)
-    if b_direct != b_gcd or i_direct != i_pick:
+    if b_direct != poly.b or i_direct != poly.i:
         raise InvariantViolation(
-            f"lattice counts disagree for {cycle}: "
-            f"direct (i={i_direct}, b={b_direct}) vs derived (i={i_pick}, b={b_gcd})"
+            f"lattice counts disagree for {poly.vertices}: "
+            f"direct (i={i_direct}, b={b_direct}) vs derived (i={poly.i}, b={poly.b})"
         )
-    return LatticePolygon(
-        vertices=cycle,
-        lattice_points=points,
-        interior_points=interior,
-        i=i_pick,
-        b=b_gcd,
-        n=i_pick + b_gcd,
-    )
+    return points, interior
 
 
 def convex_hull(points: list[Point2] | tuple[Point2, ...]) -> LatticePolygon:
@@ -369,15 +371,10 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
 
 
 def canonical_form(poly: LatticePolygon) -> LatticePolygon:
-    """Canonical representative of the polygon's equivalence class, with
-    the polygon's lattice inventory carried over by the canonical map.
+    """Canonical representative of the polygon's equivalence class.
 
-    A unimodular affine map m is a bijection of Z^2 that sends conv(V)
-    onto conv(m(V)), its boundary onto the boundary and its interior onto
-    the interior.  So once m is checked to send the vertices exactly onto
-    the canonical cycle, the images of poly's lattice and interior points
-    are exactly the canonical polygon's, and sorting them by (y, x) lists
-    them in the row scan's order.  The cycle must pass the strictly convex
+    The map from `_canonical_cycle` must send poly's vertices exactly onto
+    the canonical cycle, the cycle must pass the strictly convex
     counterclockwise turn test, and its Pick counts must equal poly's,
     which ties the form's counts to its source.
     """
@@ -385,40 +382,26 @@ def canonical_form(poly: LatticePolygon) -> LatticePolygon:
     if set(map(m.apply, poly.vertices)) != set(cycle):
         raise InvariantViolation(f"canonical map does not send {poly.vertices} onto {cycle}")
     _check_turns(cycle, InvariantViolation)
-    _, i, b_count = _pick_counts(cycle)
-    if (i, b_count) != (poly.i, poly.b):
+    _, i, b = _pick_counts(cycle)
+    if (i, b) != (poly.i, poly.b):
         raise InvariantViolation(
-            f"canonical cycle {cycle} has (i={i}, b={b_count}), its source (i={poly.i}, b={poly.b})"
+            f"canonical cycle {cycle} has (i={i}, b={b}), its source (i={poly.i}, b={poly.b})"
         )
-    if (len(poly.lattice_points), len(poly.interior_points)) != (i + b_count, i):
-        raise InvariantViolation(f"{poly.vertices} does not list {i + b_count} points, {i} interior")
-    (a, b), (c, d) = m.linear
-    tx, ty = m.translation
-    points = [(a * x + b * y + tx, c * x + d * y + ty) for x, y in poly.lattice_points]
-    # the interior images are the same point objects, not copies
-    image = dict(zip(poly.lattice_points, points))
-    interior = [image[p] for p in poly.interior_points]
-    del image
-    points.sort(key=_ROW_MAJOR)
-    interior.sort(key=_ROW_MAJOR)
-    return LatticePolygon(
-        vertices=cycle,
-        lattice_points=tuple(points),
-        interior_points=tuple(interior),
-        i=i,
-        b=b_count,
-        n=i + b_count,
-    )
+    return LatticePolygon(vertices=cycle, i=i, b=b, n=i + b)
 
 
 def equivalent(p1: LatticePolygon, p2: LatticePolygon) -> tuple[bool, UnimodularAffineMap | None]:
-    """Equivalence test with a verified witness map sending p1 onto p2."""
+    """Equivalence test with a verified witness map sending p1 onto p2.
+
+    A unimodular affine map is a bijection of Z^2 sending conv(V) onto
+    conv(m(V)), so a witness that sends p1's vertices onto p2's sends
+    p1's lattice points onto p2's.
+    """
     c1, m1 = _canonical_cycle(p1.vertices)
     c2, m2 = _canonical_cycle(p2.vertices)
     if c1 != c2:
         return (False, None)
     witness = m2.inverse().compose(m1)
-    image = {witness.apply(p) for p in p1.lattice_points}
-    if image != set(p2.lattice_points):
-        raise InvariantViolation("equivalence witness does not map point sets")
+    if set(map(witness.apply, p1.vertices)) != set(p2.vertices):
+        raise InvariantViolation("equivalence witness does not map the vertices")
     return (True, witness)

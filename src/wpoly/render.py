@@ -6,7 +6,7 @@ produce identical files and goldens can be diffed byte for byte.
 """
 from __future__ import annotations
 
-from .polygon2d import LatticePolygon
+from .polygon2d import LatticePolygon, lattice_inventory
 
 _GRID = "#cccccc"
 _OUTLINE = "#1f3a5f"
@@ -42,8 +42,9 @@ def render_polygon_svg(poly: LatticePolygon) -> str:
     out.append(
         f'<polygon points="{corners}" fill="{_FILL}" stroke="{_OUTLINE}" stroke-width="2"/>'
     )
-    interior = set(poly.interior_points)
-    for p in poly.lattice_points:
+    points, interior = lattice_inventory(poly)
+    interior = set(interior)
+    for p in points:
         cx, cy = px(p)
         color = _INTERIOR if p in interior else _BOUNDARY
         out.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="{color}"/>')

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
-from .polygon2d import LatticePolygon, Point2, _build_polygon, _hull_cycle
+from .polygon2d import LatticePolygon, Point2, _build_polygon, _hull_cycle, lattice_inventory
 from .quadruples import GENUS_CAP, Quadruple, _condition_i_witness, validate
 
 Point3 = tuple[int, int, int]
@@ -361,10 +361,13 @@ def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> Latti
 def _images_hull(q: Quadruple, images: Iterable[Point2]) -> LatticePolygon:
     """Hull of the projected rows of q, checked to hold exactly those
     lattice points.  It depends on the point set alone.  The images are
-    exact integer solves, so the input checks of `convex_hull` are skipped."""
+    exact integer solves, so the input checks of `convex_hull` are skipped.
+    The row scan lists distinct points, so equal sizes and containment
+    make the two sets equal."""
     images = set(images)
     poly = _build_polygon(_hull_cycle(images))
-    if images != set(poly.lattice_points):
+    points = lattice_inventory(poly)[0]
+    if len(points) != len(images) or not all(p in images for p in points):
         raise InvariantViolation(f"{q}: projection gained or lost lattice points")
     return poly
 

@@ -20,6 +20,7 @@ from wpoly import (
     convex_hull,
     enumerate_g_good,
     find_unimodular_triple,
+    lattice_inventory,
     project,
 )
 from wpoly.classify import _edge_steps, _vertex_keys
@@ -52,8 +53,9 @@ def tiling_faults(poly, tris):
     reverse used by exactly one other piece."""
     faults = []
     corners = {p for t in tris for p in t}
-    if corners != set(poly.lattice_points):
-        faults.append(f"piece corners differ from the lattice points by {corners ^ set(poly.lattice_points)}")
+    points = set(lattice_inventory(poly)[0])
+    if corners != points:
+        faults.append(f"piece corners differ from the lattice points by {corners ^ points}")
     boundary = set()
     for (px, py), (qx, qy) in _edges(poly.vertices):
         g = gcd(abs(qx - px), abs(qy - py))
@@ -96,8 +98,9 @@ def triangulate(poly) -> tuple[Triangle, ...]:
     triangles, each of twice-area 1.
     """
     verts = poly.vertices
+    points = lattice_inventory(poly)[0]
     stack = [
-        ((verts[0], verts[s], verts[s + 1]), poly.lattice_points)
+        ((verts[0], verts[s], verts[s + 1]), points)
         for s in range(1, len(verts) - 1)
     ]
     tris: list[Triangle] = []

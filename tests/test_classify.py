@@ -50,6 +50,7 @@ from wpoly.polygon2d import (
     _hull_cycle,
     _pick_counts,
     convex_hull,
+    lattice_inventory,
 )
 
 from lattice_oracles import atlas_oracle, grow_cycle, keeps, random_unimodular_map, vertex_dropped
@@ -324,7 +325,7 @@ def test_growth_points_cover_margin_oracle(pts):
         return
     growth = {q for _, q in _growth_points(poly.vertices, *_edge_steps(poly.vertices))}
     assert _margin_growth_points(poly.vertices, 2 * poly.n + 4) <= growth
-    assert not growth & set(poly.lattice_points)
+    assert not growth & set(lattice_inventory(poly)[0])
 
 
 def _rotations(cycle):
@@ -410,7 +411,7 @@ def test_a_point_beyond_two_edges_is_spliced_once():
 def test_growth_points_reach_the_far_apex():
     # the class g = 6 needs conv{(0,0),(1,0),(4,13)}: its apex lies 4 rows
     # above the hull of its other 8 points, beyond a bounding-box margin of 2
-    rest = [p for p in convex_hull([(0, 0), (1, 0), (4, 13)]).lattice_points if p != (4, 13)]
+    rest = [p for p in lattice_inventory(convex_hull([(0, 0), (1, 0), (4, 13)]))[0] if p != (4, 13)]
     cycle = convex_hull(rest).vertices
     assert cycle == ((0, 0), (1, 0), (3, 9))
     assert (4, 13) in _growth_set(cycle)

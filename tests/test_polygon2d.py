@@ -17,6 +17,7 @@ from wpoly import (
     convex_hull,
     equivalent,
     find_unimodular_triple,
+    lattice_inventory,
     project,
     projection_coordinates,
 )
@@ -37,6 +38,10 @@ from lattice_oracles import (
 UNIT = [(0, 0), (1, 0), (0, 1)]
 BIG_TRIANGLE = [(0, 0), (3, 0), (0, 3)]
 SQUARE2 = [(0, 0), (2, 0), (2, 2), (0, 2)]
+
+
+def _point_set(poly):
+    return set(lattice_inventory(poly)[0])
 
 
 def test_hull_unit_triangle():
@@ -74,7 +79,8 @@ def test_lattice_points_of_thin_slanted_triangle():
     # tall skinny shape: per-row interval scan must stay exact
     p = convex_hull([(0, 0), (1, 0), (3, 6)])
     assert p.n == 7
-    assert (2, 3) in p.lattice_points and (1, 1) in p.lattice_points
+    points = lattice_inventory(p)[0]
+    assert (2, 3) in points and (1, 1) in points
     assert p.i == 1 and p.b == 6
 
 
@@ -168,7 +174,7 @@ def test_equivalent_gives_verified_witness():
     q = apply_map(p, m)
     same, witness = equivalent(p, q)
     assert same and witness is not None
-    assert {witness.apply(x) for x in p.lattice_points} == set(q.lattice_points)
+    assert set(map(witness.apply, _point_set(p))) == _point_set(q)
 
 
 def test_equivalent_distinguishes_classes():
@@ -195,17 +201,17 @@ def test_equivalence_relation_properties():
 
     same, w_self = equivalent(base, base)
     assert same
-    assert {w_self.apply(x) for x in base.lattice_points} == set(base.lattice_points)
+    assert set(map(w_self.apply, _point_set(base))) == _point_set(base)
 
     fwd, w_fwd = equivalent(base, left)
     back, w_back = equivalent(left, base)
     assert fwd and back
-    assert {w_back.apply(x) for x in left.lattice_points} == set(base.lattice_points)
+    assert set(map(w_back.apply, _point_set(left))) == _point_set(base)
 
     hop, w_hop = equivalent(left, right)
     assert hop
     chained = w_hop.compose(w_fwd)
-    assert {chained.apply(x) for x in base.lattice_points} == set(right.lattice_points)
+    assert set(map(chained.apply, _point_set(base))) == _point_set(right)
 
 
 def test_mirror_detection():
@@ -434,13 +440,14 @@ def test_hull_of_random_points_obeys_pick(pts):
     except DegenerateInputError:
         return
     # i and b recounted point by point against every edge
-    boundary = [q for q in p.lattice_points if on_boundary(q, p.vertices)]
-    interior = tuple(q for q in p.lattice_points if not on_boundary(q, p.vertices))
+    points, listed_interior = lattice_inventory(p)
+    boundary = [q for q in points if on_boundary(q, p.vertices)]
+    interior = tuple(q for q in points if not on_boundary(q, p.vertices))
     assert len(boundary) == p.b
-    assert interior == p.interior_points
+    assert interior == listed_interior
     assert _pick_counts(p.vertices)[0] == 2 * len(interior) + len(boundary) - 2
     assert p.n == p.i + p.b
-    assert set(p.vertices) <= set(p.lattice_points)
+    assert set(p.vertices) <= set(points)
 
 
 def _box_oracle(vertices):
@@ -467,7 +474,7 @@ def _box_oracle(vertices):
 )
 def test_row_scan_matches_box_oracle_on_thin_shapes(pts):
     p = convex_hull(pts)
-    assert p.lattice_points == _box_oracle(p.vertices)
+    assert lattice_inventory(p)[0] == _box_oracle(p.vertices)
 
 
 @settings(max_examples=150, deadline=None)
@@ -483,7 +490,7 @@ def test_row_scan_matches_box_oracle(pts):
         p = convex_hull(pts)
     except DegenerateInputError:
         return
-    assert p.lattice_points == _box_oracle(p.vertices)
+    assert lattice_inventory(p)[0] == _box_oracle(p.vertices)
 
 
 def _slanted(h):
@@ -505,17 +512,11 @@ def _slanted(h):
 def test_row_scan_matches_box_oracle_on_tall_shapes(pts):
     # many more rows than edges: each edge is walked over its whole height
     p = convex_hull(pts)
-    assert p.lattice_points == _box_oracle(p.vertices)
-    assert p.interior_points == tuple(q for q in p.lattice_points if not on_boundary(q, p.vertices))
+    assert lattice_inventory(p)[0] == _box_oracle(p.vertices)
+    points, interior = lattice_inventory(p)
+    assert interior == tuple(q for q in points if not on_boundary(q, p.vertices))
     assert p.b == sum(gcd(b[0] - a[0], b[1] - a[1])
                       for a, b in zip(p.vertices, p.vertices[1:] + p.vertices[:1]))
-
-
-def _assert_carried_form_matches_rescan(p):
-    form = canonical_form(p)
-    rescan = polygon2d._build_polygon(_canonical_cycle(p.vertices)[0])
-    for field in dataclasses.fields(rescan):
-        assert getattr(form, field.name) == getattr(rescan, field.name), field.name
 
 
 SYMMETRIC = [
@@ -527,13 +528,28 @@ SYMMETRIC = [
 ]
 
 
+def _row_major(points):
+    return tuple(sorted(points, key=lambda q: (q[1], q[0])))
+
+
+def _assert_form_lists_the_mapped_inventory(p):
+    # the canonical polygon's points are its source's, carried by the
+    # canonical map and listed in the row scan's order
+    to_canonical = _canonical_cycle(p.vertices)[1]
+    points, interior = lattice_inventory(p)
+    assert lattice_inventory(canonical_form(p)) == (
+        _row_major(map(to_canonical.apply, points)),
+        _row_major(map(to_canonical.apply, interior)),
+    )
+
+
 @pytest.mark.parametrize(
     "pts", SYMMETRIC + [[(0, 0), (2, 0), (0, 3)], [(0, 0), (3, 0), (0, 2)], [(0, 0), (1, 0), (3, 6)]]
 )
 def test_canonical_form_carries_the_rescanned_inventory(pts):
     # symmetric shapes tie between anchorings; (0,0),(2,0),(0,3) is won by
     # the mirror image, so its map has det -1
-    _assert_carried_form_matches_rescan(convex_hull(pts))
+    _assert_form_lists_the_mapped_inventory(convex_hull(pts))
 
 
 @settings(max_examples=200, deadline=None)
@@ -554,7 +570,7 @@ def test_canonical_form_carries_the_rescanned_inventory_of_random_hulls(pts, see
         p = convex_hull([m.apply(q) for q in pts])
     except DegenerateInputError:
         return
-    _assert_carried_form_matches_rescan(p)
+    _assert_form_lists_the_mapped_inventory(p)
 
 
 def _off_by_a_translation(vertices):
@@ -583,5 +599,30 @@ def test_canonical_form_refuses_a_source_whose_counts_disagree():
     p = convex_hull([(0, 0), (3, 0), (1, 4)])
     with pytest.raises(InvariantViolation, match="its source"):
         canonical_form(dataclasses.replace(p, i=p.i + 1, n=p.n + 1))
-    with pytest.raises(InvariantViolation, match="does not list"):
-        canonical_form(dataclasses.replace(p, lattice_points=p.lattice_points[1:]))
+
+
+def test_equivalent_refuses_a_witness_that_misses_the_vertices(monkeypatch):
+    # only p's canonical map is off by a translation, so the witness sends
+    # p's vertices one step right of q's
+    p = convex_hull([(0, 0), (3, 0), (1, 4)])
+    q = convex_hull([(5, 7), (8, 7), (6, 11)])
+
+    def fault(vertices):
+        return (_off_by_a_translation if vertices == p.vertices else _canonical_cycle)(vertices)
+
+    monkeypatch.setattr(polygon2d, "_canonical_cycle", fault)
+    with pytest.raises(InvariantViolation, match="witness does not map the vertices"):
+        equivalent(p, q)
+
+
+def test_lattice_inventory_refuses_counts_that_disagree_with_the_scan():
+    p = convex_hull([(0, 0), (3, 0), (1, 4)])
+    for wrong in (dataclasses.replace(p, i=p.i + 1), dataclasses.replace(p, b=p.b - 1)):
+        with pytest.raises(InvariantViolation, match="lattice counts disagree"):
+            lattice_inventory(wrong)
+
+
+def test_build_polygon_refuses_a_cycle_that_winds_twice():
+    # a pentagram turns left at every vertex
+    with pytest.raises(DegenerateInputError, match="winds more than once"):
+        polygon2d._build_polygon(((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)))

@@ -38,6 +38,7 @@ def test_readme_library_example_states_its_values():
     assert checked == [
         "validate(q).genus",
         "canonical_form(poly).vertices",
+        "[len(s) for s in lattice_inventory(poly)]",
         'len(enumerate_classes(1, "inductive"))',
         "bc.matrix",
         "mapped.terms",
@@ -55,13 +56,14 @@ def test_public_surface_is_pinned():
         "WeightedPolytope", "basis_change", "build", "canonical_form",
         "convex_hull", "enumerate_classes", "enumerate_g_good", "equivalent",
         "family_quadruple", "find_unimodular_triple", "group_by_class",
-        "make_curve", "map_curve", "minor_det", "project",
+        "lattice_inventory", "make_curve", "map_curve", "minor_det", "project",
         "projection_coordinates", "raw_genus", "render_polygon_svg", "validate",
         "verify_case_identities",
     ]
     assert all(hasattr(wpoly, name) for name in wpoly.__all__)
     assert "box_bound" not in inspect.signature(wpoly.enumerate_classes).parameters
     assert not hasattr(wpoly.LatticePolygon, "area2")
+    assert not hasattr(wpoly.LatticePolygon, "lattice_points")
     assert not hasattr(wpoly.StabilizationReport, "to_dict")
 
 
