@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .errors import InvariantViolation, PreconditionError
 from .polygon2d import (
@@ -89,13 +88,6 @@ class ClassAtlas:
         return "\n".join(lines) + "\n"
 
 
-class _PointSet(NamedTuple):
-    """A point set's hull as `group_by_class` keeps it; `_check_projected_counts` reads n, i."""
-    n: int
-    i: int
-    key: tuple
-
-
 def group_by_class(g: int, d_max: int) -> ClassAtlas:
     """Atlas of genus-g quadruples up to d_max, grouped by polygon class.
 
@@ -103,24 +95,25 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
     in enumeration order.  Each quadruple's polytope comes from
     _build(q, g), as enumerate_g_good has validated it, and is projected
     through its det-d triple.  The hull of each distinct point set is made
-    once and only its `_PointSet` is kept; its counts are checked against
-    every polytope projecting to the set.  The first hull of each class
-    key is canonicalised by `_canonical_classes`, as in the enumerators.
+    once and kept, as its cycle and counts, with its class key; its counts
+    are checked against every polytope projecting to the set.  The first
+    hull of each class key is canonicalised by `_canonical_classes`, as in
+    the enumerators.
     """
-    seen: dict[frozenset[Point2], _PointSet] = {}
+    seen: dict[frozenset[Point2], tuple[LatticePolygon, tuple]] = {}
     classes: dict[tuple, tuple[tuple[Point2, ...], set[int], list[Quadruple]]] = {}
     for q in enumerate_g_good(g, d_max):
         p = _build(q, g)
         images = frozenset(projection_coordinates(p, find_unimodular_triple(p)))
         if images not in seen:
             hull = _images_hull(q, images)
-            seen[images] = _PointSet(hull.n, hull.i, _class_key(hull.vertices))
-            _, ns, _ = classes.setdefault(seen[images].key, (hull.vertices, set(), []))
-            ns.add(hull.n)
-            del hull  # its point inventory is not kept
-        _, _, members = classes[_check_projected_counts(p, seen[images]).key]
-        members.append(q)
-    del seen  # nor are the point sets, while the canonical polygons are built
+            key = _class_key(hull.vertices)
+            seen[images] = hull, key
+            classes.setdefault(key, (hull.vertices, set(), []))[1].add(hull.n)
+        hull, key = seen[images]
+        _check_projected_counts(p, hull)
+        classes[key][2].append(q)
+    del seen  # the point sets are not kept while the canonical polygons are built
     canonical = _canonical_classes({key: rep for key, (rep, _, _) in classes.items()})
     entries = []
     for poly in _class_polygons(canonical, g):
@@ -199,17 +192,22 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
       points of phi(C), which has at most g.  `_splices` accepts it,
       phi(v*) carries the largest key of phi(C), and the filter keeps
       phi(C).
+
+    Each class rep is kept with its counts (twice the area, interior,
+    boundary), which are handed to `_splices` with it: the start
+    triangle's from `_pick_counts`, every child's those that `_splices`
+    has just checked against `_pick_counts(child)`.
     """
     start = ((0, 0), (1, 0), (0, 1))
-    current = {_class_key(start): (start, 0)}  # key: (cycle, interior count)
+    current = {_class_key(start): (start, _pick_counts(start))}  # key: (cycle, counts)
     found = {key: start for key in current} if g == 0 else {}
-    for level_n in range(3, min(n_max, 3 * g + 7) if g else n_max):
-        grown: dict[tuple, tuple[tuple[Point2, ...], int]] = {}
-        for parent, _ in current.values():
-            for _, (_, interior, _), child in _splices(parent, level_n, g):
-                grown.setdefault(_class_key(child), (child, interior))
+    for _ in range(3, min(n_max, 3 * g + 7) if g else n_max):
+        grown: dict[tuple, tuple[tuple[Point2, ...], tuple[int, int, int]]] = {}
+        for parent, counts in current.values():
+            for _, child_counts, child in _splices(parent, counts, g):
+                grown.setdefault(_class_key(child), (child, child_counts))
         current = grown
-        found.update((key, c) for key, (c, interior) in current.items() if interior == g)
+        found.update((key, c) for key, (c, (_, interior, _)) in current.items() if interior == g)
     return set(_canonical_classes(found))
 
 
@@ -235,13 +233,10 @@ def _key(l_in: int, p_in: Point2, l_out: int, p_out: Point2) -> tuple[int, int, 
     return (min(l_in, l_out), max(l_in, l_out), p_in[0] * p_out[1] - p_in[1] * p_out[0])
 
 
-def _growth_points(
-    cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Point2], longest: int | None = None
-):
+def _growth_points(cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Point2], longest: int):
     """(j, q) for every point q whose hull with the cycle can gain exactly
     q and every edge j that q lies one lattice step beyond, given the
-    cycle's `_edge_steps`; edges longer than `longest`, when given, are
-    left out.
+    cycle's `_edge_steps`; edges longer than `longest` are left out.
 
     Such a q lies beyond the line of some edge e = (u, v) of lattice
     length l.  The triangle conv(e + q) meets the cycle only in e, so its
@@ -256,7 +251,7 @@ def _growth_points(
     beyond, and f_j(q) = -1 there.
     """
     for j, ((ux, uy), (px, py)) in enumerate(zip(cycle, dirs)):
-        if longest is not None and lengths[j] > longest:
+        if lengths[j] > longest:
             continue
         (ax, ay), (bx, by) = dirs[j - 1], dirs[(j + 1) % len(dirs)]
         _, s, t = _egcd(px, py)
@@ -266,13 +261,13 @@ def _growth_points(
             yield j, (ux + t + m * px, uy - s + m * py)
 
 
-def _splices(cycle: tuple[Point2, ...], n: int, g: int):
-    """(q, counts, child) for each growth point q of a strictly convex CCW
-    cycle with n lattice points whose hull(cycle + q) gains exactly q
-    (interior + boundary = n + 1), has at most g interior points and
-    carries its largest vertex key at q: the counts are (twice the area,
-    interior, boundary) of that hull and the child is its cycle, starting
-    at q.
+def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int], g: int):
+    """(q, child counts, child) for each growth point q of a strictly
+    convex CCW cycle with the given counts (twice the area, interior i,
+    boundary b), so with n = i + b lattice points, whose hull(cycle + q)
+    gains exactly q (interior + boundary = n + 1), has at most g interior
+    points and carries its largest vertex key at q: the child counts are
+    those of that hull and the child is its cycle, starting at q.
 
     Let f_j = cross(p_j, q - v_j), p_j the primitive direction of the edge
     e_j = v_j -> v_{j+1} of lattice length l_j.  Of a strictly convex
@@ -311,13 +306,15 @@ def _splices(cycle: tuple[Point2, ...], n: int, g: int):
 
     The edge steps and keys are taken once per cycle, and a child is
     built only when kept; each built child is recounted by
-    `_pick_counts` and must agree.
+    `_pick_counts` and must agree.  The cycle's own counts come with it
+    and are not recounted: `_inductive_cycles` hands on only counts that
+    such a recount has checked, or the start triangle's.
     """
-    _check_turns(cycle, InvariantViolation)
+    _check_turns(cycle)
     k = len(cycle)
     lengths, dirs = _edge_steps(cycle)
     keys = _vertex_keys(lengths, dirs)
-    area2, inner, b = _pick_counts(cycle)
+    area2, inner, b = counts
     for j, q in _growth_points(cycle, lengths, dirs, g - inner + 1):
         qx, qy = q
         child_area2, child_b = area2 + lengths[j], b - lengths[j]
@@ -350,7 +347,7 @@ def _splices(cycle: tuple[Point2, ...], n: int, g: int):
         if (child_area2 - child_b) % 2 != 0:
             raise InvariantViolation(f"area/boundary parity fails growing {cycle} by {q}")
         interior = (child_area2 - child_b + 2) // 2
-        if interior + child_b != n + 1 or interior > g:
+        if interior + child_b != inner + b + 1 or interior > g:
             continue
         p_aq = ((qx - ax) // l_aq, (qy - ay) // l_aq)
         p_qz = ((zx - qx) // l_qz, (zy - qy) // l_qz)
@@ -363,10 +360,10 @@ def _splices(cycle: tuple[Point2, ...], n: int, g: int):
         ):
             continue
         child = (q,) + (cycle[z:] + cycle[:z])[:retained]
-        counts = (child_area2, interior, child_b)
-        if _pick_counts(child) != counts:
+        child_counts = (child_area2, interior, child_b)
+        if _pick_counts(child) != child_counts:
             raise InvariantViolation(f"splicing {q} into {cycle} miscounts {child}")
-        yield q, counts, child
+        yield q, child_counts, child
 
 
 def _angular_directions(bound: int) -> list[Point2]:

@@ -146,11 +146,40 @@ def _hull_cycle(points: Iterable[Point2]) -> tuple[Point2, ...]:
     return cycle
 
 
-def _hull_lattice_points(
-    cycle: tuple[Point2, ...],
-) -> tuple[tuple[Point2, ...], tuple[Point2, ...], int]:
-    """All lattice points of the closed polygon row by row, its interior
-    points in the same order, and its boundary point count.
+def _check_turns(cycle: tuple[Point2, ...]) -> None:
+    """Raise InvariantViolation on a cycle that is not strictly convex
+    counterclockwise.
+
+    Every turn must be strictly left, and the edge directions must pass
+    the positive x-axis once: left turns alone allow a cycle that winds
+    twice, as a pentagram does.  Every cycle tested here is one the
+    program built (a hull, a splice or a canonical map's image), so a
+    failure is a bug; `_hull_cycle` refuses degenerate input before.
+    """
+    if len(cycle) < 3:
+        raise InvariantViolation("polygon needs at least 3 vertices")
+    k = len(cycle)
+    for idx in range(k):
+        if _cross(cycle[idx], cycle[(idx + 1) % k], cycle[(idx + 2) % k]) <= 0:
+            raise InvariantViolation(
+                f"vertex cycle is not strictly convex counterclockwise at {cycle[(idx + 1) % k]}"
+            )
+    up = [qy > py or (qy == py and qx > px)
+          for (px, py), (qx, qy) in zip(cycle, cycle[1:] + cycle[:1])]
+    if sum(u and not up[j - 1] for j, u in enumerate(up)) != 1:
+        raise InvariantViolation(f"vertex cycle {cycle} winds more than once")
+
+
+def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
+    """Validate a CCW strictly convex cycle and count its lattice points by Pick."""
+    _check_turns(cycle)
+    _, i, b = _pick_counts(cycle)
+    return LatticePolygon(vertices=cycle, i=i, b=b, n=i + b)
+
+
+def lattice_inventory(poly: LatticePolygon) -> tuple[tuple[Point2, ...], tuple[Point2, ...]]:
+    """Every lattice point of the closed polygon in row-major order, and
+    its interior points in the same order.
 
     The edges are walked once each.  An edge from (px, py) to (qx, qy)
     meets row y at x = px + (y - py)*dx/dy, dx = qx - px, dy = qy - py.
@@ -163,8 +192,14 @@ def _hull_lattice_points(
     vertex.  The top and bottom rows lie on the boundary; in any other row
     the boundary meets the row only at its two crossings, so an end is a
     boundary point exactly when its crossing is a lattice point, and the
-    interior points lie strictly between those.
+    interior points lie strictly between those.  A row's interior points
+    are a slice of its points, so each is listed as one tuple.
+
+    The scan classifies the points it lists itself; its boundary count
+    must equal poly.b, from the edge gcds, and its interior count poly.i,
+    from 2*area = 2i + b - 2.
     """
+    cycle = poly.vertices
     ys = [p[1] for p in cycle]
     y_min, y_max = min(ys), max(ys)
     # each row's (left end, least x right of the left boundary) and
@@ -185,59 +220,19 @@ def _hull_lattice_points(
     interior: list[Point2] = []
     b = 0
     for y, (lo, in_lo), (hi, in_hi) in zip(range(y_min, y_max + 1), left, right):
+        start = len(points) - lo  # points[start + x] is (x, y)
         points.extend(zip(range(lo, hi + 1), repeat(y)))
         if y == y_min or y == y_max:
             b += hi - lo + 1
         else:
             b += in_lo - lo + hi - in_hi
-            interior.extend(zip(range(in_lo, in_hi + 1), repeat(y)))
-    return tuple(points), tuple(interior), b
-
-
-def _check_turns(cycle: tuple[Point2, ...], error: type[Exception] = DegenerateInputError) -> None:
-    """Raise `error` on a cycle that is not strictly convex counterclockwise.
-
-    Every turn must be strictly left, and the edge directions must pass
-    the positive x-axis once: left turns alone allow a cycle that winds
-    twice, as a pentagram does.
-    """
-    if len(cycle) < 3:
-        raise error("polygon needs at least 3 vertices")
-    k = len(cycle)
-    for idx in range(k):
-        if _cross(cycle[idx], cycle[(idx + 1) % k], cycle[(idx + 2) % k]) <= 0:
-            raise error(
-                f"vertex cycle is not strictly convex counterclockwise at {cycle[(idx + 1) % k]}"
-            )
-    up = [qy > py or (qy == py and qx > px)
-          for (px, py), (qx, qy) in zip(cycle, cycle[1:] + cycle[:1])]
-    if sum(u and not up[j - 1] for j, u in enumerate(up)) != 1:
-        raise error(f"vertex cycle {cycle} winds more than once")
-
-
-def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
-    """Validate a CCW strictly convex cycle and count its lattice points by Pick."""
-    _check_turns(cycle)
-    _, i, b = _pick_counts(cycle)
-    return LatticePolygon(vertices=cycle, i=i, b=b, n=i + b)
-
-
-def lattice_inventory(poly: LatticePolygon) -> tuple[tuple[Point2, ...], tuple[Point2, ...]]:
-    """Every lattice point of the closed polygon in row-major order, and
-    its interior points in the same order.
-
-    The row scan classifies the points it lists itself; its boundary count
-    must equal poly.b, from the edge gcds, and its interior count poly.i,
-    from 2*area = 2i + b - 2.
-    """
-    points, interior, b_direct = _hull_lattice_points(poly.vertices)
-    i_direct = len(interior)
-    if b_direct != poly.b or i_direct != poly.i:
+            interior += points[start + in_lo:start + in_hi + 1]
+    if b != poly.b or len(interior) != poly.i:
         raise InvariantViolation(
-            f"lattice counts disagree for {poly.vertices}: "
-            f"direct (i={i_direct}, b={b_direct}) vs derived (i={poly.i}, b={poly.b})"
+            f"lattice counts disagree for {cycle}: "
+            f"direct (i={len(interior)}, b={b}) vs derived (i={poly.i}, b={poly.b})"
         )
-    return points, interior
+    return tuple(points), tuple(interior)
 
 
 def convex_hull(points: list[Point2] | tuple[Point2, ...]) -> LatticePolygon:
@@ -374,20 +369,20 @@ def canonical_form(poly: LatticePolygon) -> LatticePolygon:
     """Canonical representative of the polygon's equivalence class.
 
     The map from `_canonical_cycle` must send poly's vertices exactly onto
-    the canonical cycle, the cycle must pass the strictly convex
-    counterclockwise turn test, and its Pick counts must equal poly's,
-    which ties the form's counts to its source.
+    the canonical cycle, `_build_polygon` must pass the cycle's strictly
+    convex counterclockwise turn test, and the Pick counts it takes must
+    equal poly's, which ties the form's counts to its source.
     """
     cycle, m = _canonical_cycle(poly.vertices)
     if set(map(m.apply, poly.vertices)) != set(cycle):
         raise InvariantViolation(f"canonical map does not send {poly.vertices} onto {cycle}")
-    _check_turns(cycle, InvariantViolation)
-    _, i, b = _pick_counts(cycle)
-    if (i, b) != (poly.i, poly.b):
+    form = _build_polygon(cycle)
+    if (form.i, form.b) != (poly.i, poly.b):
         raise InvariantViolation(
-            f"canonical cycle {cycle} has (i={i}, b={b}), its source (i={poly.i}, b={poly.b})"
+            f"canonical cycle {cycle} has (i={form.i}, b={form.b}), "
+            f"its source (i={poly.i}, b={poly.b})"
         )
-    return LatticePolygon(vertices=cycle, i=i, b=b, n=i + b)
+    return form
 
 
 def equivalent(p1: LatticePolygon, p2: LatticePolygon) -> tuple[bool, UnimodularAffineMap | None]:

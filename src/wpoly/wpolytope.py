@@ -295,8 +295,9 @@ def verify_case_identities(p: WeightedPolytope) -> CaseReport:
 def _triple_solver(q: Quadruple, triple: tuple[Point3, Point3, Point3]):
     """Invert the row triple T once, in integers: (adj, det, solve).
 
-    adj*T = det*I and |det| = d is checked, so T^-1 = adj/det; solve(target)
-    is alpha = target*adj/det, checked to be integral and to rebuild alpha*T = target.
+    adj is T's adjugate, so adj*T = det*I, and |det| = d is checked, so
+    T^-1 = adj/det; solve(target) is alpha = target*adj/det, checked to be
+    integral; the checks of `projection_coordinates` imply alpha*T = target.
     """
     (a, b, c), (d, e, f), (g, h, i) = triple
     adj = (
@@ -317,11 +318,6 @@ def _triple_solver(q: Quadruple, triple: tuple[Point3, Point3, Point3]):
         a2, r2 = divmod(x * c02 + y * c12 + z * c22, det)
         if r0 or r1 or r2:
             raise InvariantViolation(f"{q}: non-integral decomposition of {target} over {triple}")
-        rebuilt = (a0 * a + a1 * d + a2 * g, a0 * b + a1 * e + a2 * h, a0 * c + a1 * f + a2 * i)
-        if rebuilt != (x, y, z):
-            raise InvariantViolation(
-                f"{q}: decomposition of {target} does not reconstruct the target"
-            )
         return (a0, a1, a2)
 
     return adj, det, solve
@@ -336,6 +332,15 @@ def projection_coordinates(
     alpha1 + alpha2 + alpha3 = 1, so the first two coefficients identify
     the row; they are the row's coordinates after projection.  The triple
     is inverted once, as adj/det with |det| = d, for all the rows.
+
+    Three checks hold every solve to that: each row's division by det is
+    exact, each row's coefficients sum to 1, and the triple rows t1, t2, t3
+    project to (1, 0), (0, 1) and (0, 0).  They imply alpha*T = row for
+    every row.  The triple rows are rows of p, so the sum check fixes
+    their third coefficient and the triple check the first two: solve
+    sends T to I.  Its three linear forms, as the columns of a matrix A,
+    thus satisfy T*A = det*I, so A = det*T^-1 = adj, and every row whose
+    division is exact has alpha*T = row*A*T/det = row.
     """
     solve = _triple_solver(p.quadruple, triple)[2]
     images: list[Point2] = []

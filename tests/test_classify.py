@@ -4,7 +4,6 @@ import itertools
 import math
 import re
 import sys
-import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -121,21 +120,21 @@ def test_atlas_matches_the_memo_free_oracle(g):
     assert group_by_class(g, 240).to_json_bytes() == atlas_oracle(g, 240).to_json_bytes()
 
 
-def test_atlas_keeps_no_hull_past_its_member(monkeypatch):
-    # the memo keeps counts and a class key per point set, not the hull
-    # with its point inventory: each hull is gone when the next is made
+def test_atlas_makes_one_hull_per_point_set(monkeypatch):
+    # the memo keeps each point set's hull, so the 589 members of
+    # g = 1..3 at d_max 120 need only the hulls of their 84 point sets
     made = []
     images_hull = classify._images_hull
 
-    def tracked(q, images):
-        assert all(ref() is None for ref in made)
-        poly = images_hull(q, images)
-        made.append(weakref.ref(poly))
-        return poly
+    def counted(q, images):
+        made.append(images)
+        return images_hull(q, images)
 
-    monkeypatch.setattr(classify, "_images_hull", tracked)
-    group_by_class(2, 120)
-    assert len(made) > 1 and all(ref() is None for ref in made)
+    monkeypatch.setattr(classify, "_images_hull", counted)
+    members = sum(
+        len(entry.members) for g in (1, 2, 3) for entry in group_by_class(g, 120).classes
+    )
+    assert (members, len(made), len(set(made))) == (589, 84, 84)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +322,7 @@ def test_growth_points_cover_margin_oracle(pts):
         poly = convex_hull(pts)
     except DegenerateInputError:
         return
-    growth = {q for _, q in _growth_points(poly.vertices, *_edge_steps(poly.vertices))}
+    growth = {q for _, q in _every_growth_point(poly.vertices)}
     assert _margin_growth_points(poly.vertices, 2 * poly.n + 4) <= growth
     assert not growth & set(lattice_inventory(poly)[0])
 
@@ -332,8 +331,14 @@ def _rotations(cycle):
     return {cycle[j:] + cycle[:j] for j in range(len(cycle))}
 
 
+def _every_growth_point(cycle):
+    """`_growth_points` with no edge left out."""
+    lengths, dirs = _edge_steps(cycle)
+    return _growth_points(cycle, lengths, dirs, max(lengths))
+
+
 def _growth_set(cycle):
-    return {q for _, q in _growth_points(cycle, *_edge_steps(cycle))}
+    return {q for _, q in _every_growth_point(cycle)}
 
 
 def _assert_splices_match_oracles(cycle, g):
@@ -341,7 +346,7 @@ def _assert_splices_match_oracles(cycle, g):
     the oracle grows and keeps, each once, with the re-hulled counts and a
     child equal to the re-hulled cycle up to rotation, starting at q."""
     n = sum(_pick_counts(cycle)[1:])
-    spliced = list(_splices(cycle, n, g))
+    spliced = list(_splices(cycle, _pick_counts(cycle), g))
     kept = set()
     for q in _growth_set(cycle):
         grown = grow_cycle(cycle, q, n, g)
@@ -379,8 +384,7 @@ def test_splices_match_rehull_and_key_oracles(pts):
     ],
 )
 def test_splice_pinned_cases(cycle, q, g, child):
-    n = sum(_pick_counts(cycle)[1:])
-    spliced = {p: c for p, _, c in _splices(cycle, n, g)}
+    spliced = {p: c for p, _, c in _splices(cycle, _pick_counts(cycle), g)}
     assert spliced[q] in _rotations(child)
     _assert_splices_match_oracles(cycle, g)
 
@@ -391,9 +395,9 @@ def test_an_edge_too_long_for_g_is_skipped_whole():
     # while (-1,0), beyond the left edge, is
     cycle = ((0, 0), (2, 0), (1, 2), (0, 1))
     assert _pick_counts(cycle) == (5, 1, 5)
-    below = {q for j, q in _growth_points(cycle, *_edge_steps(cycle)) if j == 0}
+    below = {q for j, q in _every_growth_point(cycle) if j == 0}
     assert below and all(qy == -1 for _, qy in below)
-    assert [q for q, _, _ in _splices(cycle, 6, 1)] == [(-1, 0)]
+    assert [q for q, _, _ in _splices(cycle, (5, 1, 5), 1)] == [(-1, 0)]
     assert all(grow_cycle(cycle, q, 6, 1) is None for q in below)
     _assert_splices_match_oracles(cycle, 1)
 
@@ -402,8 +406,10 @@ def test_a_point_beyond_two_edges_is_spliced_once():
     # (-1,-1) lies one step beyond both legs of the unit triangle, so it
     # comes from both edges and is spliced from the first of its run only
     cycle = ((0, 0), (1, 0), (0, 1))
-    assert [j for j, q in _growth_points(cycle, *_edge_steps(cycle)) if q == (-1, -1)] == [0, 2]
-    spliced = [(q, counts, child) for q, counts, child in _splices(cycle, 3, 1) if q == (-1, -1)]
+    assert [j for j, q in _every_growth_point(cycle) if q == (-1, -1)] == [0, 2]
+    spliced = [
+        (q, counts, child) for q, counts, child in _splices(cycle, (1, 0, 3), 1) if q == (-1, -1)
+    ]
     assert spliced == [((-1, -1), (3, 1, 3), ((-1, -1), (1, 0), (0, 1)))]
     _assert_splices_match_oracles(cycle, 1)
 
@@ -416,7 +422,7 @@ def test_growth_points_reach_the_far_apex():
     assert cycle == ((0, 0), (1, 0), (3, 9))
     assert (4, 13) in _growth_set(cycle)
     assert (4, 13) not in _margin_growth_points(cycle, 2)
-    spliced = {q: (counts, child) for q, counts, child in _splices(cycle, 8, 6)}
+    spliced = {q: (counts, child) for q, counts, child in _splices(cycle, _pick_counts(cycle), 6)}
     assert spliced[(4, 13)] == ((13, 6, 3), ((4, 13), (0, 0), (1, 0)))
 
 
@@ -433,16 +439,17 @@ def test_splices_refuse_a_parent_that_is_not_strictly_convex(cycle, message):
     # a point sees one run of edges of a strictly convex cycle, so that is
     # checked once per parent rather than per growth point
     with pytest.raises(InvariantViolation, match=message):
-        list(_splices(cycle, sum(_pick_counts(cycle)[1:]), 3))
+        list(_splices(cycle, _pick_counts(cycle), 3))
 
 
 def test_a_level_representative_that_is_not_strictly_convex_is_a_bug(monkeypatch, capsys):
     # every representative of the 5-point level is handed on with its
     # first vertex doubled
     real = classify._splices
-    monkeypatch.setattr(
-        classify, "_splices", lambda cycle, n, g: real(cycle[:1] + cycle if n == 5 else cycle, n, g)
-    )
+    def doubled(cycle, counts, g):
+        return real(cycle[:1] + cycle if sum(counts[1:]) == 5 else cycle, counts, g)
+
+    monkeypatch.setattr(classify, "_splices", doubled)
     with pytest.raises(InvariantViolation, match="not strictly convex"):
         enumerate_classes(1)
     assert main(["polygons", "enum", "--genus", "1"]) == 2
@@ -515,9 +522,10 @@ def test_inductive_filter_canonicalises_fewer_than_accepted_growths(monkeypatch)
         calls["canonical"] += 1
         return _canonical_cycle(cycle)
 
-    def splices(cycle, n, g):
+    def splices(cycle, counts, g):
+        n = sum(counts[1:])
         calls["accepted"] += sum(grow_cycle(cycle, q, n, g) is not None for q in _growth_set(cycle))
-        yield from _splices(cycle, n, g)
+        yield from _splices(cycle, counts, g)
 
     monkeypatch.setattr(classify, "_canonical_cycle", canonical)
     monkeypatch.setattr(classify, "_splices", splices)
@@ -587,6 +595,23 @@ def test_splice_recount_catches_a_miscounted_child(monkeypatch):
     monkeypatch.setattr(classify, "_pick_counts", miscount)
     with pytest.raises(InvariantViolation, match="miscounts"):
         _inductive_cycles(1, 10)
+
+
+@pytest.mark.parametrize("g", range(5))
+def test_every_parent_comes_with_its_own_counts(monkeypatch, g):
+    # `_splices` does not recount its parent, so the counts each level
+    # hands on with a representative must be that representative's
+    parents = []
+    real = classify._splices
+
+    def checked(cycle, counts, g):
+        parents.append(cycle)
+        assert counts == _pick_counts(cycle)
+        return real(cycle, counts, g)
+
+    monkeypatch.setattr(classify, "_splices", checked)
+    enumerate_classes(g)
+    assert len(parents) > 1 and parents[0] == ((0, 0), (1, 0), (0, 1))
 
 
 @pytest.mark.parametrize(

@@ -623,6 +623,7 @@ def test_lattice_inventory_refuses_counts_that_disagree_with_the_scan():
 
 
 def test_build_polygon_refuses_a_cycle_that_winds_twice():
-    # a pentagram turns left at every vertex
-    with pytest.raises(DegenerateInputError, match="winds more than once"):
+    # a pentagram turns left at every vertex; every cycle built into a
+    # polygon is the program's own, so this is a bug, not bad input
+    with pytest.raises(InvariantViolation, match="winds more than once"):
         polygon2d._build_polygon(((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)))
