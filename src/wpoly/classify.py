@@ -396,7 +396,7 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
     twice-area > g + n_max - 2, which by Pick's formula no class with
     n <= n_max exceeds.
 
-    Two more prunes cut only chains that cannot close with g interior
+    Three more cuts drop only chains that cannot close with g interior
     points.  Let C be a convex cycle that completes the partial chain
     (0,0), c1, ..., ck.  The chain's points are vertices of C in C's
     cyclic order, so closing the chain by the chord ck -> (0,0) gives a
@@ -412,9 +412,21 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
        the chord's glen - 1 inner lattice points become interior points of
        C too.  interior(P') + glen - 1 > g reads area2 - blen + glen > 2g,
        and then the chain is only closed, never extended.
+    3. C is strictly convex, so (0,0) lies strictly left of the line of
+       each edge not incident to it.  That line does not depend on the
+       edge's length, so a step from ck in direction d is cut when
+       cross(d, -ck) <= 0.  Every later direction is cut too: by
+       induction (0,0) is strictly left of the last edge, of direction l,
+       so -ck lies in the half-turn after l.  The directions after l
+       sweep that half-turn in increasing angle, so cross(d, -ck) > 0
+       holds on a first run of them and fails on all later ones.
+       At the first step ck is a multiple of l, and the cut is the turn
+       test cross(l, d) > 0.  After it the cut implies the turn test and
+       keeps every step off (0,0).  It also makes the chord direction
+       -ck/glen a grid direction after l and left of it, so a chain
+       closes once the chord turns left into the first edge.
     """
     dirs = _angular_directions(bound)
-    index = {d: i for i, d in enumerate(dirs)}
     area_bound = g + n_max - 2
     found: dict[tuple, tuple[Point2, ...]] = {}
 
@@ -426,12 +438,10 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
         of the chain closed by its chord, of lattice length glen; ylo..yhi
         is the chain's y-range."""
         px, py = chain[-1]
-        lx, ly = dirs[last_idx]
         if len(chain) >= 3:
             cx, cy = -px // glen, -py // glen
-            ci = index.get((cx, cy))
             fx, fy = first_dir
-            if ci is not None and ci > last_idx and lx * cy - ly * cx > 0 and cx * fy - cy * fx > 0:
+            if cx * fy - cy * fx > 0:
                 if (area2 - (blen + glen)) % 2 != 0:
                     raise InvariantViolation(f"parity failure closing chain {chain}")
                 if area2 - (blen + glen) + 2 == 2 * g:
@@ -441,12 +451,10 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
                 return
         for ni in range(last_idx + 1, len(dirs)):
             dx, dy = dirs[ni]
-            if lx * dy - ly * dx <= 0:
+            if dy * px - dx * py <= 0:
                 break
             for length in range(1, 2 * bound + 2):
                 nx, ny = px + length * dx, py + length * dy
-                if nx == 0 and ny == 0:
-                    break
                 if nx < 0 or nx > bound or (nx == 0 and ny < 0):
                     break
                 lo, hi = min(ylo, ny), max(yhi, ny)
@@ -488,6 +496,9 @@ def enumerate_classes(
     g >= 1 (the widest, the hull of (0,0),(2,0),(0,2g+2), needs width 2g + 2);
     at g = 0 it is max(3, n_max - 2), as every genus-0 class with n points
     is twice the unit triangle or lies in a height-1 strip of width <= n - 2.
+    The box walk cuts a chain once it would hold more than g interior
+    points or has turned past its start (see `_box_cycles`), so it lists
+    g = 5 in a few seconds.
     Both methods tell classes apart by `_class_key` and canonicalise each
     class they find once, and neither returns a class above n_max points:
     the inductive levels stop at min(n_max, 3g + 7) points, and the box

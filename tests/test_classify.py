@@ -292,6 +292,13 @@ def test_enum_inductive_counts_match_castryck(g):
     assert len(enumerate_classes(g, "inductive")) == CASTRYCK_COUNTS[g]
 
 
+@pytest.mark.parametrize("g", [3, 4])
+def test_enum_box_counts_match_castryck(g):
+    box = enumerate_classes(g, "box")
+    assert len(box) == CASTRYCK_COUNTS[g]
+    assert box == enumerate_classes(g, "inductive")
+
+
 @pytest.mark.parametrize("g", range(9))
 def test_class_keys_tell_every_enumerated_class_apart(g):
     # the classes of g = 1..8 are complete by Castryck's counts above, so
@@ -534,8 +541,9 @@ def test_inductive_filter_canonicalises_fewer_than_accepted_growths(monkeypatch)
 
 
 def test_box_walk_canonicalises_once_per_class(monkeypatch):
-    # the g = 2 walk closes about 2600 cycles with 2 interior points, and
-    # canonicalises only the first one of each of the 45 classes
+    # the g = 2 walk closes 2598 cycles with 2 interior points, keys each
+    # one, and canonicalises only the first one of each of the 45 classes;
+    # the counts pin the closures, which no cut of the walk may lose
     calls = {"canonical": 0, "keyed": 0}
 
     def canonical(cycle):
@@ -550,7 +558,9 @@ def test_box_walk_canonicalises_once_per_class(monkeypatch):
     monkeypatch.setattr(classify, "_class_key", class_key)
     assert len(enumerate_classes(2, "box")) == G2_CLASS_COUNT
     assert calls["canonical"] == G2_CLASS_COUNT
-    assert calls["keyed"] > 2000
+    assert calls["keyed"] == 2598
+    assert len(enumerate_classes(1, "box")) == CASTRYCK_COUNTS[1]
+    assert calls["keyed"] == 3010
 
 
 @pytest.mark.parametrize("method", ["inductive", "box"])
@@ -714,8 +724,9 @@ def test_box_cycles_match_unpruned_walk(g, bound, n_max):
 def test_box_walk_enters_no_chain_its_prunes_exclude(g, bound, n_max):
     # equal cycle sets cannot show a prune that cuts too little, so watch
     # the walk: every chain it enters, closed by its chord, has at most g
-    # interior points (prune 1), and every chain it extends past its chord
-    # keeps interior + the chord's inner points at most g (prune 2)
+    # interior points (prune 1), every chain it extends past its chord
+    # keeps interior + the chord's inner points at most g (prune 2), and
+    # every chain it enters has (0,0) strictly left of its last edge (cut 3)
     entered = extended = 0
 
     def watch(frame, event, arg):
@@ -727,6 +738,8 @@ def test_box_walk_enters_no_chain_its_prunes_exclude(g, bound, n_max):
         if len(here["chain"]) >= 3:
             entered += 1
             assert here["area2"] - (here["blen"] + here["glen"]) + 2 <= 2 * g
+            (ax, ay), (bx, by) = here["chain"][-2:]
+            assert (by - ay) * bx - (bx - ax) * by > 0
         parent = frame.f_back.f_locals
         if frame.f_back.f_code is code and len(parent["chain"]) >= 4:
             extended += 1
