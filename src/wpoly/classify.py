@@ -18,8 +18,7 @@ from .errors import InvariantViolation, PreconditionError
 from .polygon2d import (
     LatticePolygon,
     Point2,
-    _build_polygon,
-    _canonical_cycle,
+    _canonical_polygon,
     _check_turns,
     _class_key,
     _edge_steps,
@@ -70,6 +69,8 @@ class ClassAtlas:
         this equals group_by_class(g, d_max)."""
         if d_max > self.d_max:
             raise PreconditionError(f"cannot extend an atlas at d_max {self.d_max} to {d_max}")
+        if d_max == self.d_max:
+            return self
         entries = []
         for entry in self.classes:
             members = tuple(q for q in entry.members if q.d <= d_max)
@@ -97,8 +98,8 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
     through its det-d triple.  The hull of each distinct point set is made
     once and kept, as its cycle and counts, with its class key; its counts
     are checked against every polytope projecting to the set.  The first
-    hull of each class key is canonicalised by `_canonical_classes`, as in
-    the enumerators.
+    hull of each class key is canonicalised by `_class_polygons`, as in
+    the enumerators, and each class's members are found by its key.
     """
     seen: dict[frozenset[Point2], tuple[LatticePolygon, tuple]] = {}
     classes: dict[tuple, tuple[tuple[Point2, ...], set[int], list[Quadruple]]] = {}
@@ -114,10 +115,9 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
         _check_projected_counts(p, hull)
         classes[key][2].append(q)
     del seen  # the point sets are not kept while the canonical polygons are built
-    canonical = _canonical_classes({key: rep for key, (rep, _, _) in classes.items()})
     entries = []
-    for poly in _class_polygons(canonical, g):
-        _, ns, members = classes[canonical[poly.vertices]]
+    for poly, key in _class_polygons({k: rep for k, (rep, _, _) in classes.items()}, g):
+        _, ns, members = classes[key]
         if ns != {poly.n}:
             raise InvariantViolation(
                 f"class {poly.vertices} has {poly.n} points, its point sets {sorted(ns)}"
@@ -130,30 +130,27 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
 # enumeration of polygon classes with a fixed interior count
 
 
-def _canonical_classes(reps: dict[tuple, tuple[Point2, ...]]) -> dict[tuple[Point2, ...], tuple]:
-    """{canonical cycle: key} of a {`_class_key`: representative} dict; the
-    key is complete, so two keys with one canonical cycle are a bug."""
-    classes: dict[tuple[Point2, ...], tuple] = {}
+def _class_polygons(reps: dict[tuple, tuple[Point2, ...]], g: int) -> list[tuple[LatticePolygon, tuple]]:
+    """(polygon, key) of each class of a {`_class_key`: representative}
+    dict, sorted by (n, vertices); each representative is canonicalised
+    once, by `_canonical_polygon`, and must have g interior points.  The
+    key is complete, so two keys with one polygon are a bug.  Each class's
+    points are listed once and dropped: the row scan's counts check
+    Pick's, which the splices also use."""
+    classes: dict[tuple[Point2, ...], tuple[LatticePolygon, tuple]] = {}
     for key, rep in reps.items():
-        cycle = _canonical_cycle(rep)[0]
-        if classes.setdefault(cycle, key) != key:
-            raise InvariantViolation(f"class {cycle} has two class keys")
-    return classes
-
-
-def _class_polygons(cycles, g: int) -> tuple[LatticePolygon, ...]:
-    """The cycles rebuilt, checked to have g interior points, and sorted by
-    (n, vertices).  Each class's points are listed once and dropped: the
-    row scan's counts check Pick's, which the splices also use."""
-    polys = tuple(sorted(map(_build_polygon, cycles), key=lambda p: (p.n, p.vertices)))
-    for poly in polys:
+        poly = _canonical_polygon(rep)
+        if classes.setdefault(poly.vertices, (poly, key))[1] != key:
+            raise InvariantViolation(f"class {poly.vertices} has two class keys")
+    pairs = sorted(classes.values(), key=lambda pair: (pair[0].n, pair[0].vertices))
+    for poly, _ in pairs:
         lattice_inventory(poly)
         if poly.i != g:
             raise InvariantViolation(f"class {poly.vertices} has {poly.i} interior points, not {g}")
-    return polys
+    return pairs
 
 
-def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
+def _inductive_cycles(g: int, n_max: int) -> dict[tuple, tuple[Point2, ...]]:
     """Grow classes point by point from the unit triangle up to n_max points.
 
     A class with n+1 lattice points is reachable from one with n points
@@ -174,9 +171,9 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
     `_vertex_keys` key of C (canonical augmentation, McKay 1998), so most
     classes are grown from one parent, not from each.  Keys can tie, so a
     class may still come from several parents; each level keeps the first
-    child of each `_class_key`, and only the classes found are
-    canonicalised, once each, at the end.  This loses no class C with n+1
-    points and at most g interior points:
+    child of each `_class_key`, and the {key: cycle} of those with g
+    interior points is returned.  This loses no class C with n+1 points
+    and at most g interior points:
 
     - let v* be a vertex of C with the largest key.  P* = conv(C's lattice
       points other than v*) is 2-dimensional: it is a segment only when C
@@ -208,7 +205,7 @@ def _inductive_cycles(g: int, n_max: int) -> set[tuple[Point2, ...]]:
                 grown.setdefault(_class_key(child), (child, child_counts))
         current = grown
         found.update((key, c) for key, (c, (_, interior, _)) in current.items() if interior == g)
-    return set(_canonical_classes(found))
+    return found
 
 
 def _vertex_keys(lengths: list[int], dirs: list[Point2]) -> list[tuple[int, int, int]]:
@@ -384,17 +381,15 @@ def _angular_directions(bound: int) -> list[Point2]:
     )
 
 
-def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
-    """All classes with g interior points realizable inside a bound x bound
-    grid (up to translation), by direct enumeration of convex vertex cycles.
+def _box_cycles(g: int, bound: int, n_max: int) -> dict[tuple, tuple[Point2, ...]]:
+    """{`_class_key`: first cycle} of all classes with g interior points
+    realizable in a bound x bound grid, by enumeration of vertex cycles.
 
     Cycles are walked counterclockwise from the lex-least vertex with
     angularly increasing primitive edge directions; a cycle is kept when
     its interior count is exactly g and no cycle kept before has its
-    `_class_key`.  A class closes as many cycles, so only the classes
-    found are canonicalised, once each, at the end.  The search prunes on
-    twice-area > g + n_max - 2, which by Pick's formula no class with
-    n <= n_max exceeds.
+    `_class_key`.  The search prunes on twice-area > g + n_max - 2, which
+    by Pick's formula no class with n <= n_max exceeds.
 
     Three more cuts drop only chains that cannot close with g interior
     points.  Let C be a convex cycle that completes the partial chain
@@ -478,7 +473,7 @@ def _box_cycles(g: int, bound: int, n_max: int) -> set[tuple[Point2, ...]]:
             if start[0] > bound or abs(start[1]) > bound:
                 break
             extend([(0, 0), start], fd, fi, 0, length, length, min(0, start[1]), max(0, start[1]))
-    return set(_canonical_classes(found))
+    return found
 
 
 def enumerate_classes(
@@ -499,10 +494,11 @@ def enumerate_classes(
     The box walk cuts a chain once it would hold more than g interior
     points or has turned past its start (see `_box_cycles`), so it lists
     g = 5 in a few seconds.
-    Both methods tell classes apart by `_class_key` and canonicalise each
-    class they find once, and neither returns a class above n_max points:
-    the inductive levels stop at min(n_max, 3g + 7) points, and the box
-    walk bounds twice the area, g + n - 2 by Pick's formula, by g + n_max - 2.
+    Both methods tell classes apart by `_class_key`; `_class_polygons`
+    canonicalises each class once, checking its canonical map.  Neither
+    returns a class above n_max points: the inductive levels stop at
+    min(n_max, 3g + 7) points, and the box walk bounds twice the area,
+    g + n - 2 by Pick's formula, by g + n_max - 2.
     """
     if g < 0:
         raise PreconditionError(f"g must be >= 0, got {g}")
@@ -510,12 +506,12 @@ def enumerate_classes(
     if cap < 3:
         raise PreconditionError(f"n_max must be >= 3, got {cap}")
     if method == "inductive":
-        cycles = _inductive_cycles(g, cap)
+        reps = _inductive_cycles(g, cap)
     elif method == "box":
-        cycles = _box_cycles(g, max(3, 2 * g + 2 if g else cap - 2), cap)
+        reps = _box_cycles(g, max(3, 2 * g + 2 if g else cap - 2), cap)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _class_polygons(cycles, g)
+    return tuple(poly for poly, _ in _class_polygons(reps, g))
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +553,8 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     images_from = projection_coordinates(p_from, t_from)
     images_to = projection_coordinates(p_to, t_to)
     same, witness = equivalent(
-        _check_projected_counts(p_from, _images_hull(q_from, images_from)),
-        _check_projected_counts(p_to, _images_hull(q_to, images_to)),
+        _check_projected_counts(p_from, _images_hull(q_from, set(images_from))),
+        _check_projected_counts(p_to, _images_hull(q_to, set(images_to))),
     )
     if not same:
         raise PreconditionError(

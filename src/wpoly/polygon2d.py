@@ -136,8 +136,8 @@ def _half_hull(pts: Iterable[Point2]) -> list[Point2]:
 
 
 def _hull_cycle(points: Iterable[Point2]) -> tuple[Point2, ...]:
-    """Monotone-chain hull; counterclockwise from the lex-least vertex."""
-    pts = sorted(set(points))
+    """Monotone-chain hull of distinct points, CCW from the lex-least vertex."""
+    pts = sorted(points)
     if len(pts) < 3:
         raise DegenerateInputError("need at least 3 distinct points")
     cycle = tuple(_half_hull(pts)[:-1] + _half_hull(reversed(pts))[:-1])
@@ -240,7 +240,7 @@ def convex_hull(points: list[Point2] | tuple[Point2, ...]) -> LatticePolygon:
     for p in points:
         if len(p) != 2 or not all(isinstance(c, int) and not isinstance(c, bool) for c in p):
             raise DegenerateInputError(f"not a lattice point: {p!r}")
-    return _build_polygon(_hull_cycle([tuple(p) for p in points]))
+    return _build_polygon(_hull_cycle({tuple(p) for p in points}))
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +365,24 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
     return best, m.compose(_MIRROR) if mirror else m
 
 
-def canonical_form(poly: LatticePolygon) -> LatticePolygon:
-    """Canonical representative of the polygon's equivalence class.
+def _canonical_polygon(vertices: tuple[Point2, ...]) -> LatticePolygon:
+    """The polygon of the `_canonical_cycle` of a vertex cycle, whose map
+    must send the vertices exactly onto it; every class and form listed
+    is made here."""
+    cycle, m = _canonical_cycle(vertices)
+    if set(map(m.apply, vertices)) != set(cycle):
+        raise InvariantViolation(f"canonical map does not send {vertices} onto {cycle}")
+    return _build_polygon(cycle)
 
-    The map from `_canonical_cycle` must send poly's vertices exactly onto
-    the canonical cycle, `_build_polygon` must pass the cycle's strictly
-    convex counterclockwise turn test, and the Pick counts it takes must
-    equal poly's, which ties the form's counts to its source.
-    """
-    cycle, m = _canonical_cycle(poly.vertices)
-    if set(map(m.apply, poly.vertices)) != set(cycle):
-        raise InvariantViolation(f"canonical map does not send {poly.vertices} onto {cycle}")
-    form = _build_polygon(cycle)
+
+def canonical_form(poly: LatticePolygon) -> LatticePolygon:
+    """Canonical representative of the polygon's equivalence class: the
+    `_canonical_polygon` of its vertices, whose Pick counts must equal
+    poly's, which ties the form's counts to its source."""
+    form = _canonical_polygon(poly.vertices)
     if (form.i, form.b) != (poly.i, poly.b):
         raise InvariantViolation(
-            f"canonical cycle {cycle} has (i={form.i}, b={form.b}), "
+            f"canonical cycle {form.vertices} has (i={form.i}, b={form.b}), "
             f"its source (i={poly.i}, b={poly.b})"
         )
     return form

@@ -3,8 +3,9 @@
 None of these is on a program path: the triangulation, the random
 unimodular maps, the shifted interior recount, Cramer's rule, the
 looping condition (ii) witness, the double-loop point list, the
-memo-free atlas and the re-hulled growth step only check what the
-package computes, and the vertex-dropping projection only breaks it.
+memo-free atlas, the re-hulled growth step and the canonical cycles of
+an enumerator's classes only check what the package computes, and the
+vertex-dropping projection only breaks it.
 """
 import random
 from collections import Counter
@@ -25,7 +26,7 @@ from wpoly import (
 )
 from wpoly.classify import _edge_steps, _vertex_keys
 from wpoly.errors import InvariantViolation, PreconditionError
-from wpoly.polygon2d import _hull_cycle, _pick_counts
+from wpoly.polygon2d import _canonical_cycle, _hull_cycle, _pick_counts
 
 
 def _cross(o, a, b):
@@ -249,6 +250,14 @@ def grow_cycle(cycle, q, n, g):
     if interior + b != n + 1 or interior > g:
         return None
     return grown
+
+
+def canonical_cycles(reps):
+    """The set of canonical cycles of an enumerator's {class key: cycle}
+    dict; the key is complete, so no two keys share a canonical cycle."""
+    cycles = {_canonical_cycle(rep)[0] for rep in reps.values()}
+    assert len(cycles) == len(reps), "two class keys share a canonical cycle"
+    return cycles
 
 
 def keeps(cycle, q):

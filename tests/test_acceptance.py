@@ -33,6 +33,7 @@ from wpoly.polygon2d import _pick_counts
 
 from lattice_oracles import (
     apply_map,
+    canonical_cycles,
     interior_count,
     random_unimodular_map,
     tiling_faults,
@@ -196,7 +197,7 @@ def test_criterion_5_cross_validation(g1_classes, g2_classes, record_criterion):
                 continue
             if hull.i == 1:
                 oracle3.add(canonical_form(hull).vertices)
-    box3 = classify._box_cycles(1, 3, 10)
+    box3 = canonical_cycles(classify._box_cycles(1, 3, 10))
     ind2 = {p.vertices for p in g2_classes}
     box2 = {p.vertices for p in enumerate_classes(2, "box")}
     ok = (

@@ -52,7 +52,9 @@ from wpoly.polygon2d import (
     lattice_inventory,
 )
 
-from lattice_oracles import atlas_oracle, grow_cycle, keeps, random_unimodular_map, vertex_dropped
+from lattice_oracles import (
+    atlas_oracle, canonical_cycles, grow_cycle, keeps, random_unimodular_map, vertex_dropped,
+)
 
 G1_CLASS_COUNT = 16
 G2_CLASS_COUNT = 45
@@ -149,7 +151,7 @@ def test_atlas_canonicalises_once_per_class(monkeypatch, genera, d_max, calls):
         count.append(cycle)
         return _canonical_cycle(cycle)
 
-    monkeypatch.setattr(classify, "_canonical_cycle", canonical)
+    monkeypatch.setattr(polygon2d, "_canonical_cycle", canonical)
     classes = sum(len(group_by_class(g, d_max).classes) for g in genera)
     assert len(count) == classes == calls
 
@@ -250,7 +252,7 @@ def test_enum_box_g1_default_bound_matches_inductive():
 def test_enum_box_bound3_misses_exactly_the_wide_triangle():
     # the triangle hull of (0,0),(2,0),(0,4) has width 4 in every
     # direction independent of x, so no 3x3 grid contains it
-    box3 = _box_cycles(1, 3, 10)
+    box3 = canonical_cycles(_box_cycles(1, 3, 10))
     ind = {p.vertices for p in enumerate_classes(1, "inductive")}
     assert len(box3) == 15
     assert ind - box3 == {((0, 0), (2, 0), (0, 4))}
@@ -258,10 +260,13 @@ def test_enum_box_bound3_misses_exactly_the_wide_triangle():
 
 def test_enum_checks_the_interior_count_of_every_class(monkeypatch):
     # a closed chain the walk wrongly accepts, here with i = 2 and n = 10,
-    # must not come back as a genus-1 class
+    # must not come back as a genus-1 class; it is given as the canonical
+    # listing of conv{(0,0),(5,0),(0,2)}, which the message names
     box_cycles = classify._box_cycles
-    wrong = ((0, 0), (5, 0), (0, 2))
-    monkeypatch.setattr(classify, "_box_cycles", lambda *args: box_cycles(*args) | {wrong})
+    wrong = ((0, 0), (1, 0), (5, 10))
+    monkeypatch.setattr(
+        classify, "_box_cycles", lambda *args: {**box_cycles(*args), _class_key(wrong): wrong}
+    )
     message = rf"^class {re.escape(str(wrong))} has 2 interior points, not 1$"
     with pytest.raises(InvariantViolation, match=message):
         enumerate_classes(1, "box")
@@ -485,7 +490,7 @@ def _unfiltered_inductive_cycles(g, n_max):
     "g, n_max", [(g, 3 * g + 7) for g in range(1, 6)] + [(0, n) for n in range(3, 12)]
 )
 def test_inductive_filter_matches_unfiltered_growth(g, n_max):
-    filtered = _inductive_cycles(g, n_max)
+    filtered = canonical_cycles(_inductive_cycles(g, n_max))
     assert filtered == _unfiltered_inductive_cycles(g, n_max)
     assert filtered
 
@@ -534,9 +539,9 @@ def test_inductive_filter_canonicalises_fewer_than_accepted_growths(monkeypatch)
         calls["accepted"] += sum(grow_cycle(cycle, q, n, g) is not None for q in _growth_set(cycle))
         yield from _splices(cycle, counts, g)
 
-    monkeypatch.setattr(classify, "_canonical_cycle", canonical)
+    monkeypatch.setattr(polygon2d, "_canonical_cycle", canonical)
     monkeypatch.setattr(classify, "_splices", splices)
-    assert len(_inductive_cycles(2, 13)) == G2_CLASS_COUNT
+    assert len(enumerate_classes(2)) == G2_CLASS_COUNT
     assert calls["canonical"] == G2_CLASS_COUNT < calls["accepted"]
 
 
@@ -554,13 +559,43 @@ def test_box_walk_canonicalises_once_per_class(monkeypatch):
         calls["keyed"] += 1
         return _class_key(cycle)
 
-    monkeypatch.setattr(classify, "_canonical_cycle", canonical)
+    monkeypatch.setattr(polygon2d, "_canonical_cycle", canonical)
     monkeypatch.setattr(classify, "_class_key", class_key)
     assert len(enumerate_classes(2, "box")) == G2_CLASS_COUNT
     assert calls["canonical"] == G2_CLASS_COUNT
     assert calls["keyed"] == 2598
     assert len(enumerate_classes(1, "box")) == CASTRYCK_COUNTS[1]
     assert calls["keyed"] == 3010
+
+
+def _shifted_triangle_listing(vertices):
+    # the true map, but the listing of the class of (1,1,1;3) one step right
+    cycle, m = _canonical_cycle(vertices)
+    if cycle == ((0, 0), (3, 0), (0, 3)):
+        cycle = tuple((x + 1, y) for x, y in cycle)
+    return cycle, m
+
+
+def test_every_listed_class_passes_the_canonical_map_check(monkeypatch, capsys, tmp_path):
+    # a listing its map does not reach is a bug in the enumerators and the
+    # atlas alike: exit 2, not a shifted class
+    monkeypatch.setattr(polygon2d, "_canonical_cycle", _shifted_triangle_listing)
+    message = r"^canonical map does not send .* onto \(\(1, 0\), \(4, 0\), \(1, 3\)\)$"
+    for method in ("inductive", "box"):
+        with pytest.raises(InvariantViolation, match=message):
+            enumerate_classes(1, method)
+    assert main(["polygons", "enum", "--genus", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: canonical map does not send")
+    with pytest.raises(InvariantViolation, match=message):
+        group_by_class(1, 30)
+    atlas_dir = tmp_path / "atlas"
+    assert main(["classify", "--genus", "1", "--dmax", "30", "--atlas-dir", str(atlas_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: canonical map does not send")
+    assert not atlas_dir.exists()
 
 
 @pytest.mark.parametrize("method", ["inductive", "box"])
@@ -715,7 +750,7 @@ def _unpruned_box_cycles(g, bound, n_max):
 @pytest.mark.parametrize("g, n_max", [(0, 7), (0, 5), (0, 9), (1, 10), (1, 8), (2, 13), (2, 11)])
 def test_box_cycles_match_unpruned_walk(g, bound, n_max):
     # n_max is the default 3g + 7, two less, and 9 at g = 0
-    pruned = _box_cycles(g, bound, n_max)
+    pruned = canonical_cycles(_box_cycles(g, bound, n_max))
     assert pruned == _unpruned_box_cycles(g, bound, n_max)
     assert pruned
 

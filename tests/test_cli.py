@@ -258,13 +258,15 @@ def test_polygons_enum_class_with_wrong_interior_count_exits_2(capsys, monkeypat
     import wpoly.classify
 
     box_cycles = wpoly.classify._box_cycles
+    wrong = ((0, 0), (1, 0), (5, 10))  # the canonical listing of conv{(0,0),(5,0),(0,2)}
     monkeypatch.setattr(
-        wpoly.classify, "_box_cycles", lambda *args: box_cycles(*args) | {((0, 0), (5, 0), (0, 2))}
+        wpoly.classify, "_box_cycles",
+        lambda *args: {**box_cycles(*args), wpoly.classify._class_key(wrong): wrong},
     )
     code, out, err = run(capsys, "polygons", "enum", "--genus", "1", "--method", "box")
     assert (code, out) == (2, "")
     assert err == (
-        "invariant violation: class ((0, 0), (5, 0), (0, 2)) has 2 interior points, not 1\n"
+        "invariant violation: class ((0, 0), (1, 0), (5, 10)) has 2 interior points, not 1\n"
     )
 
 

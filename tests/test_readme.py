@@ -47,7 +47,8 @@ def test_readme_library_example_states_its_values():
 
 def test_public_surface_is_pinned():
     # README's Library section: every exported name has a caller in the
-    # CLI or the library, except family_quadruple, the paper's witness
+    # CLI or the library, except convex_hull, the checked hull of a
+    # caller's points, and family_quadruple, the paper's witness
     assert sorted(wpoly.__all__) == [
         "BasisChange", "CaseReport", "ClassAtlas", "ClassEntry", "D_MAX_CAP",
         "DegenerateInputError", "InvariantViolation", "LatticePolygon",
