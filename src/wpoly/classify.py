@@ -69,8 +69,6 @@ class ClassAtlas:
         this equals group_by_class(g, d_max)."""
         if d_max > self.d_max:
             raise PreconditionError(f"cannot extend an atlas at d_max {self.d_max} to {d_max}")
-        if d_max == self.d_max:
-            return self
         entries = []
         for entry in self.classes:
             members = tuple(q for q in entry.members if q.d <= d_max)
@@ -553,8 +551,8 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     images_from = projection_coordinates(p_from, t_from)
     images_to = projection_coordinates(p_to, t_to)
     same, witness = equivalent(
-        _check_projected_counts(p_from, _images_hull(q_from, set(images_from))),
-        _check_projected_counts(p_to, _images_hull(q_to, set(images_to))),
+        _check_projected_counts(p_from, _images_hull(q_from, images_from)),
+        _check_projected_counts(p_to, _images_hull(q_to, images_to)),
     )
     if not same:
         raise PreconditionError(

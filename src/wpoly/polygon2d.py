@@ -136,8 +136,8 @@ def _half_hull(pts: Iterable[Point2]) -> list[Point2]:
 
 
 def _hull_cycle(points: Iterable[Point2]) -> tuple[Point2, ...]:
-    """Monotone-chain hull of distinct points, CCW from the lex-least vertex."""
-    pts = sorted(points)
+    """Monotone-chain hull; counterclockwise from the lex-least vertex."""
+    pts = sorted(set(points))
     if len(pts) < 3:
         raise DegenerateInputError("need at least 3 distinct points")
     cycle = tuple(_half_hull(pts)[:-1] + _half_hull(reversed(pts))[:-1])
@@ -240,7 +240,7 @@ def convex_hull(points: list[Point2] | tuple[Point2, ...]) -> LatticePolygon:
     for p in points:
         if len(p) != 2 or not all(isinstance(c, int) and not isinstance(c, bool) for c in p):
             raise DegenerateInputError(f"not a lattice point: {p!r}")
-    return _build_polygon(_hull_cycle({tuple(p) for p in points}))
+    return _build_polygon(_hull_cycle([tuple(p) for p in points]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ a plane polygon with as many interior points (project).
 """
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -360,15 +360,16 @@ def projection_coordinates(
 def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> LatticePolygon:
     """Projected polygon; point count and interior count must be preserved."""
     images = projection_coordinates(p, triple)
-    return _check_projected_counts(p, _images_hull(p.quadruple, set(images)))
+    return _check_projected_counts(p, _images_hull(p.quadruple, images))
 
 
-def _images_hull(q: Quadruple, images: AbstractSet[Point2]) -> LatticePolygon:
-    """Hull of the set of projected rows of q, checked to hold exactly
-    those lattice points.  It depends on the point set alone.  The images
-    are exact integer solves, so the input checks of `convex_hull` are
-    skipped.  The row scan lists distinct points, so equal sizes and
-    containment make the two sets equal."""
+def _images_hull(q: Quadruple, images: Iterable[Point2]) -> LatticePolygon:
+    """Hull of the projected rows of q, checked to hold exactly those
+    lattice points.  It depends on the point set alone.  The images are
+    exact integer solves, so the input checks of `convex_hull` are skipped.
+    The row scan lists distinct points, so equal sizes and containment
+    make the two sets equal."""
+    images = set(images)
     poly = _build_polygon(_hull_cycle(images))
     points = lattice_inventory(poly)[0]
     if len(points) != len(images) or not all(p in images for p in points):
