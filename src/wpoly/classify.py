@@ -30,7 +30,7 @@ from .polygon2d import (
 from .quadruples import Quadruple, enumerate_g_good
 from .wpolytope import (
     Point3, _build, _check_projected_counts, _images_hull, _triple_solver, build,
-    find_unimodular_triple, projection_coordinates,
+    find_unimodular_triple, project, projection_coordinates,
 )
 
 
@@ -137,7 +137,7 @@ def _class_polygons(reps: dict[tuple, tuple[Point2, ...]], g: int) -> list[tuple
     Pick's, which the splices also use."""
     classes: dict[tuple[Point2, ...], tuple[LatticePolygon, tuple]] = {}
     for key, rep in reps.items():
-        poly = _canonical_polygon(rep)
+        poly = _canonical_polygon(rep)[0]
         if classes.setdefault(poly.vertices, (poly, key))[1] != key:
             raise InvariantViolation(f"class {poly.vertices} has two class keys")
     pairs = sorted(classes.values(), key=lambda pair: (pair[0].n, pair[0].vertices))
@@ -535,42 +535,29 @@ class BasisChange:
 def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     """Coordinate change between two quadruples of one polygon class.
 
-    Both quadruples are projected through their first determinant-d
-    triples, and the witness from `equivalent`, which carries the first
-    projected polygon onto the second, pairs their rows.  Quadruples of
-    different classes are a precondition failure.  The source triple T is
-    inverted once more, as its adjugate adj over its determinant, for the
-    matrix T^-1 * R_to = adj * R_to / det, R_to the rows paired with T; its
-    denominators divide d because |det| = d.  Each row is verified in
-    integers: row * (adj * R_to) = det * paired row.
+    Both quadruples are projected by `project` through their first
+    determinant-d triples, and `equivalent` gives the witness carrying the
+    first polygon onto the second; quadruples of different classes are a
+    precondition failure.  The source triple T projects to (1, 0), (0, 1)
+    and (0, 0), so its partner rows R_to are the witness images u of those
+    points lifted through the target triple: u0*t0 + u1*t1 + (1-u0-u1)*t2.
+    With T inverted once more as adj/det, the matrix is adj * R_to / det,
+    and its denominators divide d because |det| = d.  The row map is read
+    off the check of every row in integers: row * (adj * R_to) must be det
+    times a target row, each target row hit once.
     """
-    p_from = build(q_from)
-    p_to = build(q_to)
-    t_from = find_unimodular_triple(p_from)
-    t_to = find_unimodular_triple(p_to)
-    images_from = projection_coordinates(p_from, t_from)
-    images_to = projection_coordinates(p_to, t_to)
-    same, witness = equivalent(
-        _check_projected_counts(p_from, _images_hull(q_from, images_from)),
-        _check_projected_counts(p_to, _images_hull(q_to, images_to)),
-    )
+    p_from, p_to = build(q_from), build(q_to)
+    t_from, t_to = find_unimodular_triple(p_from), find_unimodular_triple(p_to)
+    same, witness = equivalent(project(p_from, t_from), project(p_to, t_to))
     if not same:
         raise PreconditionError(
             f"{q_from} and {q_to} do not share a polygon class; nothing to map"
         )
-    pos_to = {pt: idx for idx, pt in enumerate(images_to)}
-    row_map = []
-    for a in images_from:
-        j = pos_to.get(witness.apply(a))
-        if j is None:
-            raise InvariantViolation(
-                "witness does not map the projected polygon onto the target"
-            )
-        row_map.append(j)
-    if len(set(row_map)) != p_from.n:
-        raise InvariantViolation("witness-induced row correspondence is not bijective")
+    rows_to = [
+        [u0 * a + u1 * b + (1 - u0 - u1) * c for a, b, c in zip(*t_to)]
+        for u0, u1 in map(witness.apply, ((1, 0), (0, 1), (0, 0)))
+    ]
     adj, det, _ = _triple_solver(q_from, t_from)
-    rows_to = [p_to.points[row_map[p_from.points.index(t)]] for t in t_from]
     scaled = [
         [sum(a * r[c] for a, r in zip(adj_row, rows_to)) for c in range(3)] for adj_row in adj
     ]
@@ -579,17 +566,16 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     bad = [entry for row in matrix for entry in row if d % entry.denominator]
     if bad:
         raise InvariantViolation(f"basis change entry {bad[0]} has denominator not dividing {d}")
-    for row, j in zip(p_from.points, row_map):
-        image = [sum(x * s[c] for x, s in zip(row, scaled)) for c in range(3)]
-        if image != [det * x for x in p_to.points[j]]:
-            raise InvariantViolation(f"basis change does not carry row {row} to {p_to.points[j]}")
-    return BasisChange(
-        q_from=q_from,
-        q_to=q_to,
-        matrix=matrix,
-        row_map=tuple(row_map),
-        rows=p_from.points,
-    )
+    target = {tuple(det * x for x in row): j for j, row in enumerate(p_to.points)}
+    row_map = []
+    for row in p_from.points:
+        j = target.get(tuple(sum(x * s[c] for x, s in zip(row, scaled)) for c in range(3)))
+        if j is None:
+            raise InvariantViolation(f"basis change does not carry row {row} to a row of {q_to}")
+        row_map.append(j)
+    if sorted(row_map) != list(range(p_to.n)):
+        raise InvariantViolation(f"basis change does not pair the rows of {q_from} and {q_to}")
+    return BasisChange(q_from, q_to, matrix, tuple(row_map), p_from.points)
 
 
 @dataclass(frozen=True)

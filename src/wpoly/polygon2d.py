@@ -365,21 +365,21 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
     return best, m.compose(_MIRROR) if mirror else m
 
 
-def _canonical_polygon(vertices: tuple[Point2, ...]) -> LatticePolygon:
-    """The polygon of the `_canonical_cycle` of a vertex cycle, whose map
-    must send the vertices exactly onto it; every class and form listed
-    is made here."""
+def _canonical_polygon(vertices: tuple[Point2, ...]) -> tuple[LatticePolygon, UnimodularAffineMap]:
+    """The polygon of the `_canonical_cycle` of a vertex cycle, and the
+    map, checked to send the vertices exactly onto it; every class, form
+    and equivalence witness is made from these."""
     cycle, m = _canonical_cycle(vertices)
     if set(map(m.apply, vertices)) != set(cycle):
         raise InvariantViolation(f"canonical map does not send {vertices} onto {cycle}")
-    return _build_polygon(cycle)
+    return _build_polygon(cycle), m
 
 
 def canonical_form(poly: LatticePolygon) -> LatticePolygon:
     """Canonical representative of the polygon's equivalence class: the
     `_canonical_polygon` of its vertices, whose Pick counts must equal
     poly's, which ties the form's counts to its source."""
-    form = _canonical_polygon(poly.vertices)
+    form = _canonical_polygon(poly.vertices)[0]
     if (form.i, form.b) != (poly.i, poly.b):
         raise InvariantViolation(
             f"canonical cycle {form.vertices} has (i={form.i}, b={form.b}), "
@@ -389,17 +389,17 @@ def canonical_form(poly: LatticePolygon) -> LatticePolygon:
 
 
 def equivalent(p1: LatticePolygon, p2: LatticePolygon) -> tuple[bool, UnimodularAffineMap | None]:
-    """Equivalence test with a verified witness map sending p1 onto p2.
+    """Equivalence test with a witness map sending p1 onto p2.
 
-    A unimodular affine map is a bijection of Z^2 sending conv(V) onto
-    conv(m(V)), so a witness that sends p1's vertices onto p2's sends
-    p1's lattice points onto p2's.
+    The polygons are equivalent when their canonical cycles agree.  Then
+    `_canonical_polygon` has checked that m1 sends p1's vertices onto that
+    one cycle and m2 sends p2's onto it, so m2^-1 * m1 sends p1's vertices
+    onto p2's.  A unimodular affine map is a bijection of Z^2 sending
+    conv(V) onto conv(m(V)), so the witness sends p1's lattice points onto
+    p2's.
     """
-    c1, m1 = _canonical_cycle(p1.vertices)
-    c2, m2 = _canonical_cycle(p2.vertices)
-    if c1 != c2:
+    form1, m1 = _canonical_polygon(p1.vertices)
+    form2, m2 = _canonical_polygon(p2.vertices)
+    if form1.vertices != form2.vertices:
         return (False, None)
-    witness = m2.inverse().compose(m1)
-    if set(map(witness.apply, p1.vertices)) != set(p2.vertices):
-        raise InvariantViolation("equivalence witness does not map the vertices")
-    return (True, witness)
+    return (True, m2.inverse().compose(m1))

@@ -358,7 +358,9 @@ def projection_coordinates(
 
 
 def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> LatticePolygon:
-    """Projected polygon; point count and interior count must be preserved."""
+    """Projected polygon: its lattice points are exactly the row images,
+    the triple's at (1, 0), (0, 1) and (0, 0), and its point and interior
+    counts must be the polytope's."""
     images = projection_coordinates(p, triple)
     return _check_projected_counts(p, _images_hull(p.quadruple, images))
 

@@ -827,6 +827,27 @@ def test_basis_change_identity_pair():
     assert bc.row_map == tuple(range(7))
 
 
+# sha256 over every ordered same-class pair of the g = 1, 2 atlases at
+# dmax 40 (540 pairs) of repr((a, b, matrix, row_map, mapped terms,
+# warnings)), each pair mapping the curve with every source row as a term
+TRANSPORT_SHA256 = "0ba7a3abc4b5b184d1a6d9a46f032bb49b5b40884ffbe12f5a5bd67fe2d34b9e"
+
+
+def test_transport_outputs_are_pinned():
+    digest = hashlib.sha256()
+    pairs = 0
+    for g in (1, 2):
+        for entry in group_by_class(g, 40).classes:
+            for x, y in itertools.combinations(entry.members, 2):
+                for a, b in ((x, y), (y, x)):
+                    bc = basis_change(a, b)
+                    mapped, warnings = map_curve(make_curve(a, [(1, r) for r in bc.rows]), bc)
+                    digest.update(repr((a, b, bc.matrix, bc.row_map, mapped.terms, warnings)).encode())
+                    pairs += 1
+    assert pairs == 540
+    assert digest.hexdigest() == TRANSPORT_SHA256
+
+
 def test_basis_change_denominators_divide_d():
     qa, qb = Quadruple(1, 1, 2, 4), Quadruple(1, 1, 2, 4)
     bc = basis_change(qa, qb)
@@ -857,7 +878,20 @@ def test_basis_change_witness_missing_a_row_is_a_bug(monkeypatch):
         return same, shift.compose(witness)
 
     monkeypatch.setattr(wpoly.classify, "equivalent", shifted_witness)
-    with pytest.raises(InvariantViolation, match="witness does not map"):
+    with pytest.raises(InvariantViolation, match="does not carry row"):
+        basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
+
+
+def test_basis_change_refuses_rows_that_are_not_hit_once(monkeypatch):
+    # a witness sending the whole source triple to one point lifts it to
+    # one target row r three times; as every row has weighted degree d,
+    # each row then maps to r, so every row is carried but not one to one
+    class Collapse:
+        def apply(self, point):
+            return (0, 0)
+
+    monkeypatch.setattr(classify, "equivalent", lambda p1, p2: (True, Collapse()))
+    with pytest.raises(InvariantViolation, match="does not pair the rows"):
         basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
 
 

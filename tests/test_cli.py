@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wpoly import enumerate_classes, group_by_class, wpolytope
+from wpoly import classify, enumerate_classes, group_by_class, wpolytope
 from wpoly.classify import atlas_stabilization
 from wpoly.cli import main
 
@@ -278,9 +278,19 @@ def test_polygons_enum_class_with_wrong_interior_count_exits_2(capsys, monkeypat
 def test_genus_above_the_cap_exits_1_at_once(capsys, tmp_path, monkeypatch, argv, message):
     # refused before any polytope point is listed or any file is written
     monkeypatch.chdir(tmp_path)
+    built = []
+    checked_build = wpolytope._build
+
+    def counted(q, g):
+        built.append(q)
+        return checked_build(q, g)
+
+    monkeypatch.setattr(wpolytope, "_build", counted)
+    monkeypatch.setattr(classify, "_build", counted)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
+    assert built == []
     assert (code, out) == (1, "")
     assert err == f"error: {message} exceeds the genus cap 100000\n"
     assert list(tmp_path.iterdir()) == []

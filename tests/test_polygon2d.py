@@ -601,18 +601,24 @@ def test_canonical_form_refuses_a_source_whose_counts_disagree():
         canonical_form(dataclasses.replace(p, i=p.i + 1, n=p.n + 1))
 
 
-def test_equivalent_refuses_a_witness_that_misses_the_vertices(monkeypatch):
-    # only p's canonical map is off by a translation, so the witness sends
-    # p's vertices one step right of q's
+def test_equivalent_refuses_a_witness_that_misses_the_vertices(monkeypatch, capsys):
+    # only p's canonical map is off by a translation, so the witness would
+    # send p's vertices one step right of q's; the map is refused where it
+    # is made, and so is the source's when `map curve` transports a curve
     p = convex_hull([(0, 0), (3, 0), (1, 4)])
     q = convex_hull([(5, 7), (8, 7), (6, 11)])
+    source = build(Quadruple(1, 3, 2, 7))
+    shifted = {p.vertices, project(source, find_unimodular_triple(source)).vertices}
 
     def fault(vertices):
-        return (_off_by_a_translation if vertices == p.vertices else _canonical_cycle)(vertices)
+        return (_off_by_a_translation if vertices in shifted else _canonical_cycle)(vertices)
 
     monkeypatch.setattr(polygon2d, "_canonical_cycle", fault)
-    with pytest.raises(InvariantViolation, match="witness does not map the vertices"):
+    with pytest.raises(InvariantViolation, match="canonical map does not send"):
         equivalent(p, q)
+    assert main(["map", "curve", "1", "3", "2", "7", "1", "2", "3", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "canonical map does not send" in err
 
 
 def test_lattice_inventory_refuses_counts_that_disagree_with_the_scan():

@@ -324,17 +324,27 @@ def test_enumerate_rejects_bad_args():
         enumerate_g_good(GENUS_CAP + 1, 10)
 
 
-def test_enumerate_is_empty_above_the_triangle_genus(small_good_quadruples):
+def test_enumerate_is_empty_above_the_triangle_genus(small_good_quadruples, monkeypatch):
     # the interior points (a, b, c) >= 1 map injectively to the pairs (a, b)
     # with a + b <= d - 1, so g <= (d - 1)(d - 2)/2, with equality at
-    # (1,1,1;d); above it the walk, bounded by d_max, finds nothing
+    # (1,1,1;d); above it the walk, bounded by d_max, finds nothing and
+    # yields no candidate to validate
     assert all(2 * g <= (q.d - 1) * (q.d - 2) for q, g in small_good_quadruples)
     assert enumerate_g_good(36, 10) == [Quadruple(1, 1, 1, 10)]
     assert enumerate_g_good(37, 10) == []
     assert enumerate_g_good(10000, 10) == []
+    validated = []
+    checked_validate = quadruples.validate
+
+    def counted(q):
+        validated.append(q)
+        return checked_validate(q)
+
+    monkeypatch.setattr(quadruples, "validate", counted)
     start = time.perf_counter()
     assert enumerate_g_good(GENUS_CAP, 10) == []
     assert time.perf_counter() - start < 1
+    assert validated == []
 
 
 def test_case_walk_is_bounded_by_the_degree(monkeypatch):
