@@ -9,7 +9,6 @@ quadruples in the same class through an exact rational basis change.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -24,10 +23,11 @@ from .polygon2d import (
     _edge_steps,
     _egcd,
     _pick_counts,
+    _row_ends,
     equivalent,
-    lattice_inventory,
 )
 from .quadruples import Quadruple, enumerate_g_good
+from .render import json_text
 from .wpolytope import (
     Point3, _build, _check_projected_counts, _images_hull, _triple_solver, build,
     find_unimodular_triple, project, projection_coordinates,
@@ -77,7 +77,7 @@ class ClassAtlas:
         return ClassAtlas(g=self.g, d_max=d_max, classes=tuple(entries))
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_json_dict(), indent=2) + "\n").encode("utf-8")
+        return (json_text(self.to_json_dict()) + "\n").encode("utf-8")
 
     def to_csv_text(self) -> str:
         lines = ["w0,w1,w2,d,n,class_index"]
@@ -133,8 +133,8 @@ def _class_polygons(reps: dict[tuple, tuple[Point2, ...]], g: int) -> list[tuple
     dict, sorted by (n, vertices); each representative is canonicalised
     once, by `_canonical_polygon`, and must have g interior points.  The
     key is complete, so two keys with one polygon are a bug.  Each class's
-    points are listed once and dropped: the row scan's counts check
-    Pick's, which the splices also use."""
+    row ends are checked against Pick's counts, which the splices also
+    use; no point is listed."""
     classes: dict[tuple[Point2, ...], tuple[LatticePolygon, tuple]] = {}
     for key, rep in reps.items():
         poly = _canonical_polygon(rep)[0]
@@ -142,7 +142,7 @@ def _class_polygons(reps: dict[tuple, tuple[Point2, ...]], g: int) -> list[tuple
             raise InvariantViolation(f"class {poly.vertices} has two class keys")
     pairs = sorted(classes.values(), key=lambda pair: (pair[0].n, pair[0].vertices))
     for poly, _ in pairs:
-        lattice_inventory(poly)
+        _row_ends(poly)
         if poly.i != g:
             raise InvariantViolation(f"class {poly.vertices} has {poly.i} interior points, not {g}")
     return pairs

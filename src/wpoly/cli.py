@@ -37,7 +37,7 @@ from .classify import (
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 from .polygon2d import canonical_form
 from .quadruples import D_MAX_CAP, Quadruple, validate
-from .render import render_polygon_svg
+from .render import json_text, render_polygon_svg
 from .wpolytope import build, find_unimodular_triple, project, verify_case_identities
 
 
@@ -62,7 +62,7 @@ def quad_check(w0: int, w1: int, w2: int, d: int, as_json: bool) -> None:
     q = Quadruple(w0, w1, w2, d)
     report = validate(q)
     if as_json:
-        click.echo(json.dumps(report.to_dict(), indent=2))
+        click.echo(json_text(report.to_dict()))
         return
     click.echo(f"quadruple        {q}")
     click.echo(f"pairwise coprime {report.pairwise_coprime}")
@@ -109,7 +109,7 @@ def poly_analyze(w0: int, w1: int, w2: int, d: int, as_json: bool, svg_path: str
     if svg_path is not None:
         Path(svg_path).write_text(render_polygon_svg(polygon), encoding="utf-8")
     if as_json:
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json_text(payload))
         return
     click.echo(f"quadruple   {q}")
     click.echo(f"genus       {p.genus}")
@@ -293,7 +293,7 @@ def map_curve_cmd(w0: int, w1: int, w2: int, d: int, v0: int, v1: int, v2: int, 
         ],
         "warnings": list(warnings),
     }
-    click.echo(json.dumps(payload, indent=2))
+    click.echo(json_text(payload))
 
 
 def main(argv: list[str] | None = None) -> int:

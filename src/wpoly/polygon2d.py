@@ -177,9 +177,11 @@ def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
     return LatticePolygon(vertices=cycle, i=i, b=b, n=i + b)
 
 
-def lattice_inventory(poly: LatticePolygon) -> tuple[tuple[Point2, ...], tuple[Point2, ...]]:
-    """Every lattice point of the closed polygon in row-major order, and
-    its interior points in the same order.
+def _row_ends(poly: LatticePolygon) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
+    """(y_min, left, right): row y_min + r of the polygon holds the
+    lattice points from x = left[r][0] to x = right[r][0], and, in a row
+    other than the bottom and the top one, its interior points from
+    left[r][1] to right[r][1].
 
     The edges are walked once each.  An edge from (px, py) to (qx, qy)
     meets row y at x = px + (y - py)*dx/dy, dx = qx - px, dy = qy - py.
@@ -192,18 +194,15 @@ def lattice_inventory(poly: LatticePolygon) -> tuple[tuple[Point2, ...], tuple[P
     vertex.  The top and bottom rows lie on the boundary; in any other row
     the boundary meets the row only at its two crossings, so an end is a
     boundary point exactly when its crossing is a lattice point, and the
-    interior points lie strictly between those.  A row's interior points
-    are a slice of its points, so each is listed as one tuple.
+    interior points lie strictly between those.
 
-    The scan classifies the points it lists itself; its boundary count
-    must equal poly.b, from the edge gcds, and its interior count poly.i,
-    from 2*area = 2i + b - 2.
+    The ends are checked against Pick's counts: the rows must hold
+    poly.n = b + i points, poly.i of them interior, for b from the edge
+    gcds and i from 2*area = 2i + b - 2.
     """
     cycle = poly.vertices
     ys = [p[1] for p in cycle]
     y_min, y_max = min(ys), max(ys)
-    # each row's (left end, least x right of the left boundary) and
-    # (right end, greatest x left of the right boundary)
     left: list[tuple[int, int]] = [(0, 0)] * (y_max - y_min + 1)
     right = left.copy()
     for (px, py), (qx, qy) in zip(cycle, cycle[1:] + cycle[:1]):
@@ -216,22 +215,29 @@ def lattice_inventory(poly: LatticePolygon) -> tuple[tuple[Point2, ...], tuple[P
             for y in range(qy, py + 1):
                 x, rem = divmod(px * dy + (y - py) * dx, dy)
                 left[y - y_min] = (x + (rem != 0), x + 1)
+    i = sum(in_hi - in_lo + 1 for (_, in_lo), (_, in_hi) in zip(left[1:-1], right[1:-1]))
+    b = sum(hi - lo + 1 for (lo, _), (hi, _) in zip(left, right)) - i
+    if b != poly.b or i != poly.i:
+        raise InvariantViolation(
+            f"lattice counts disagree for {cycle}: "
+            f"direct (i={i}, b={b}) vs derived (i={poly.i}, b={poly.b})"
+        )
+    return y_min, left, right
+
+
+def lattice_inventory(poly: LatticePolygon) -> tuple[tuple[Point2, ...], tuple[Point2, ...]]:
+    """Every lattice point of the closed polygon in row-major order, and
+    its interior points in the same order, listed from the checked ends
+    of `_row_ends`; a row's interior points are a slice of its points."""
+    y_min, left, right = _row_ends(poly)
+    y_max = y_min + len(left) - 1
     points: list[Point2] = []
     interior: list[Point2] = []
-    b = 0
     for y, (lo, in_lo), (hi, in_hi) in zip(range(y_min, y_max + 1), left, right):
         start = len(points) - lo  # points[start + x] is (x, y)
         points.extend(zip(range(lo, hi + 1), repeat(y)))
-        if y == y_min or y == y_max:
-            b += hi - lo + 1
-        else:
-            b += in_lo - lo + hi - in_hi
+        if y_min < y < y_max:
             interior += points[start + in_lo:start + in_hi + 1]
-    if b != poly.b or len(interior) != poly.i:
-        raise InvariantViolation(
-            f"lattice counts disagree for {cycle}: "
-            f"direct (i={len(interior)}, b={b}) vs derived (i={poly.i}, b={poly.b})"
-        )
     return tuple(points), tuple(interior)
 
 

@@ -1,10 +1,13 @@
-"""Byte-stable SVG figures for lattice polygons.
+"""Byte-stable outputs: SVG figures of lattice polygons, and JSON text.
 
 Figures are built by plain string assembly with integer coordinates
 only (24 px per lattice unit), so identical polygons always
 produce identical files and goldens can be diffed byte for byte.
 """
 from __future__ import annotations
+
+import json
+from json.encoder import encode_basestring_ascii
 
 from .polygon2d import LatticePolygon, lattice_inventory
 
@@ -50,3 +53,41 @@ def render_polygon_svg(poly: LatticePolygon) -> str:
         out.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="{color}"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def json_text(value) -> str:
+    """The text `json.dumps(value)` gives at an indent of 2, for the dicts
+    with str keys, lists, tuples, ints, bools, None, strs and floats that
+    wpoly emits.  CPython's C encoder serves no indent, so the text is
+    built here in one pass: plain ints through `str`, keys as `json.dumps`
+    escapes strs, and other scalars through `json.dumps`.  A non-str key,
+    or a scalar JSON cannot hold such as a Fraction, raises TypeError."""
+    parts: list[str] = []
+    _json_parts(value, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(value, newline: str, parts: list[str]) -> None:
+    """Append the text of value, nested behind newline, to parts."""
+    if type(value) is int:
+        parts.append(str(value))
+    elif not isinstance(value, (list, tuple, dict)):
+        parts.append(json.dumps(value))
+    elif not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_parts(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _json_parts(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
-from .polygon2d import LatticePolygon, Point2, _build_polygon, _hull_cycle, lattice_inventory
+from .polygon2d import LatticePolygon, Point2, _build_polygon, _hull_cycle, _row_ends
 from .quadruples import GENUS_CAP, Quadruple, _condition_i_witness, validate
 
 Point3 = tuple[int, int, int]
@@ -369,12 +369,14 @@ def _images_hull(q: Quadruple, images: Iterable[Point2]) -> LatticePolygon:
     """Hull of the projected rows of q, checked to hold exactly those
     lattice points.  It depends on the point set alone.  The images are
     exact integer solves, so the input checks of `convex_hull` are skipped.
-    The row scan lists distinct points, so equal sizes and containment
-    make the two sets equal."""
+    The hull's rows, as `_row_ends` checks them, hold its poly.n lattice
+    points.  The images are poly.n distinct lattice points, each between
+    the ends of its row, so they are exactly those points."""
     images = set(images)
     poly = _build_polygon(_hull_cycle(images))
-    points = lattice_inventory(poly)[0]
-    if len(points) != len(images) or not all(p in images for p in points):
+    y_min, left, right = _row_ends(poly)
+    rows = {y: range(lo, hi + 1) for y, (lo, _), (hi, _) in zip(count(y_min), left, right)}
+    if len(images) != poly.n or not all(x in rows.get(y, ()) for x, y in images):
         raise InvariantViolation(f"{q}: projection gained or lost lattice points")
     return poly
 

@@ -71,6 +71,7 @@ def test_criterion_1_polytope_identity_suite(record_criterion):
     t0 = time.time()
     violations = []
     total = 0
+    minors = 0
     case_tags = set()
     for g in GENERA:
         for q in enumerate_g_good(g, D_CORPUS):
@@ -79,6 +80,7 @@ def test_criterion_1_polytope_identity_suite(record_criterion):
             if not (len(p.interior) == g == interior_count(p)):
                 violations.append(f"{q}: interior {len(p.interior)} != {g}")
             for a, b, c in combinations(p.points, 3):
+                minors += 1
                 if minor_det(a, b, c) % q.d != 0:
                     violations.append(f"{q}: minor {a},{b},{c} not divisible")
                     break
@@ -90,7 +92,9 @@ def test_criterion_1_polytope_identity_suite(record_criterion):
             if rep.actual_det != rep.predicted_det:
                 violations.append(f"{q}: case {rep.case_tag} det mismatch")
     elapsed = time.time() - t0
-    ok = not violations and elapsed < 60 and total > 0
+    # the work behind the clock: every quadruple built and every minor
+    # checked, sum(C(n, 3)) over the corpus
+    ok = not violations and elapsed < 60 and (total, minors) == (313, 59605)
     record_criterion(
         1,
         ok,
@@ -98,7 +102,7 @@ def test_criterion_1_polytope_identity_suite(record_criterion):
         f"interior counts, minor divisibility, det-d triples, case identities; "
         f"cases seen {sorted(case_tags)}; {elapsed:.1f}s",
     )
-    assert ok, violations[:5]
+    assert ok, (violations[:5], elapsed, total, minors)
 
 
 def test_criterion_2_projection_suite(corpus, record_criterion):

@@ -2,13 +2,19 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpoly import classify, enumerate_classes, group_by_class, wpolytope
 from wpoly.classify import atlas_stabilization
 from wpoly.cli import main
+from wpoly.polygon2d import _build_polygon
+from wpoly.render import json_text
 
 from lattice_oracles import vertex_dropped
 
@@ -38,6 +44,43 @@ def test_quad_check_json(capsys):
     payload = json.loads(out)
     assert payload["is_good"] is True
     assert payload["genus"] == 1
+
+
+# sha256 of every (argv, exit code, stdout) of the sweep below; the report
+# bytes, nulls and bools included, are part of the contract
+QUAD_CHECK_JSON_SHA256 = "ec61f7cf3c0e3278c5d041aff77423222b1afaad5c42942a09b1b34b3657c201"
+
+
+def test_quad_check_json_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for w0, w1, w2, d in product(range(1, 7), range(1, 7), range(1, 7), range(1, 25)):
+        argv = ["quad", "check", str(w0), str(w1), str(w2), str(d), "--json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(repr((argv, code, out)).encode())
+    assert digest.hexdigest() == QUAD_CHECK_JSON_SHA256
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_is_the_indented_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), [1, Fraction(1, 3)], {"coef": Fraction(1, 3)}])
+def test_json_text_refuses_a_fraction_as_json_dumps_does(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
 
 
 def test_quad_check_rejects_zero_weight(capsys):
@@ -303,6 +346,44 @@ def test_poly_analyze_projection_that_loses_a_point_exits_2(capsys, monkeypatch)
     code, out, err = run(capsys, "poly", "analyze", "1", "1", "1", "3")
     assert (code, out) == (2, "")
     assert err == "invariant violation: (1,1,1;3): projected point count 9 != 10\n"
+
+
+def test_poly_analyze_projection_that_repeats_an_image_exits_2(capsys, monkeypatch):
+    # an interior row's image is replaced by another row's: the hull and its
+    # counts stay, and one image fewer is left, so the count check fails
+    real = wpolytope.projection_coordinates
+    distinct = []
+
+    def repeated(p, triple):
+        images = real(p, triple)
+        j = p.points.index(p.interior[0])
+        images[j] = images[j - 1]
+        distinct.append((len(set(images)), p.n))
+        return images
+
+    monkeypatch.setattr(wpolytope, "projection_coordinates", repeated)
+    code, out, err = run(capsys, "poly", "analyze", "2", "3", "7", "42", "--json")
+    assert distinct == [(27, 28)]
+    assert (code, out) == (2, "")
+    assert err == "invariant violation: (2,3,7;42): projection gained or lost lattice points\n"
+
+
+def test_poly_analyze_hull_off_its_points_exits_2(capsys, monkeypatch):
+    # the true hull moved one step right keeps its Pick counts, so only the
+    # check that each image lies between its row's ends fails
+    real = wpolytope._hull_cycle
+    counts = []
+
+    def shifted(points):
+        cycle = tuple((x + 1, y) for x, y in real(points))
+        counts.append((_build_polygon(cycle).n, len(set(points))))
+        return cycle
+
+    monkeypatch.setattr(wpolytope, "_hull_cycle", shifted)
+    code, out, err = run(capsys, "poly", "analyze", "2", "3", "7", "42", "--json")
+    assert counts == [(28, 28)]
+    assert (code, out) == (2, "")
+    assert err == "invariant violation: (2,3,7;42): projection gained or lost lattice points\n"
 
 
 def test_genus_at_the_cap_is_analyzed_as_before(capsys):
