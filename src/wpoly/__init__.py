@@ -51,7 +51,6 @@ from .wpolytope import (
     find_unimodular_triple,
     minor_det,
     project,
-    projection_coordinates,
     verify_case_identities,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "map_curve",
     "minor_det",
     "project",
-    "projection_coordinates",
     "raw_genus",
     "render_polygon_svg",
     "validate",

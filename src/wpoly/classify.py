@@ -29,8 +29,8 @@ from .polygon2d import (
 from .quadruples import Quadruple, enumerate_g_good
 from .render import json_text
 from .wpolytope import (
-    Point3, _build, _check_projected_counts, _images_hull, _triple_solver, build,
-    find_unimodular_triple, project, projection_coordinates,
+    Point3, _build, _check_projected_counts, _row_images, _rows_hull, _triple_solver, build,
+    find_unimodular_triple, project,
 )
 
 
@@ -92,27 +92,30 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
 
     Classes are sorted by (point count, canonical vertices); members stay
     in enumeration order.  Each quadruple's polytope comes from
-    _build(q, g), as enumerate_g_good has validated it, and is projected
-    through its det-d triple.  The hull of each distinct point set is made
-    once and kept, as its cycle and counts, with its class key; its counts
-    are checked against every polytope projecting to the set.  The first
-    hull of each class key is canonicalised by `_class_polygons`, as in
-    the enumerators, and each class's members are found by its key.
+    _build(q, g), as enumerate_g_good has validated it, and its rows are
+    projected through its det-d triple by `_row_images`.  The projected
+    rows, (sigma, rows), key a memo: equal keys hold equal point sets (the
+    589 members of g = 1..3 at d_max 120 give 98 keys for 84 point sets).
+    The hull of each key is made once by `_rows_hull` and kept, as its
+    cycle and counts, with its class key; its counts are checked against
+    every polytope projecting to the key.  The first hull of each class
+    key is canonicalised by `_class_polygons`, as in the enumerators, and
+    each class's members are found by its key.
     """
-    seen: dict[frozenset[Point2], tuple[LatticePolygon, tuple]] = {}
+    seen: dict[tuple, tuple[LatticePolygon, tuple]] = {}
     classes: dict[tuple, tuple[tuple[Point2, ...], set[int], list[Quadruple]]] = {}
     for q in enumerate_g_good(g, d_max):
         p = _build(q, g)
-        images = frozenset(projection_coordinates(p, find_unimodular_triple(p)))
-        if images not in seen:
-            hull = _images_hull(q, images)
+        projected = _row_images(p, find_unimodular_triple(p))
+        if projected not in seen:
+            hull = _rows_hull(q, *projected)
             key = _class_key(hull.vertices)
-            seen[images] = hull, key
+            seen[projected] = hull, key
             classes.setdefault(key, (hull.vertices, set(), []))[1].add(hull.n)
-        hull, key = seen[images]
+        hull, key = seen[projected]
         _check_projected_counts(p, hull)
         classes[key][2].append(q)
-    del seen  # the point sets are not kept while the canonical polygons are built
+    del seen  # the projected rows are not kept while the canonical polygons are built
     entries = []
     for poly, key in _class_polygons({k: rep for k, (rep, _, _) in classes.items()}, g):
         _, ns, members = classes[key]

@@ -12,19 +12,21 @@ reports) fall into one of seven cases with a predictable determinant.
 The case is read off where each axis's row points (CASE_MAPS): to the
 one other axis the row uses, or to itself for a pure power.  Written
 over a triple of |det| = d, the rows project onto the lattice points of
-a plane polygon with as many interior points (project).
+a plane polygon with as many interior points (project).  The enumeration
+walks the polytope as parallel rows, start + t*step for one common step,
+and the projection solves each row's start and the step once.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations, count, permutations
+from itertools import combinations, permutations
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
-from .polygon2d import LatticePolygon, Point2, _build_polygon, _hull_cycle, _row_ends
+from .polygon2d import LatticePolygon, Point2, _build_polygon, _hull_cycle
 from .quadruples import GENUS_CAP, Quadruple, _condition_i_witness, validate
 
 Point3 = tuple[int, int, int]
+Row = tuple[Point3, int]  # (start, count): the points start + t*step, 0 <= t < count
 
 # Hard bound on the point count: n <= 3g + 7, where only one shape per
 # genus class may reach 3g + 7 (the soft bound is 3g + 6).  The bound
@@ -38,12 +40,18 @@ def _soft_bound(g: int) -> int:
 
 @dataclass(frozen=True)
 class WeightedPolytope:
+    """The polytope's points in ascending lex order, its interior points,
+    and the walk that listed them: every point is start + t*step for
+    exactly one row (start, count) of rows and one 0 <= t < count."""
+
     quadruple: Quadruple
     points: tuple[Point3, ...]
     interior: tuple[Point3, ...]
     n: int
     genus: int
     exceptional_bound: bool
+    step: Point3
+    rows: tuple[Row, ...]
 
 
 @dataclass(frozen=True)
@@ -113,11 +121,14 @@ def _build(q: Quadruple, g: int) -> WeightedPolytope:
     that leave a remainder divisible by the third weight form one residue
     class mod that weight, stepped from its least member (the weights are
     pairwise coprime, so the second weight is invertible), so each inner
-    step yields a point.  The points are then sorted into ascending lex
-    order.  The interior points, those with every coordinate >= 1, must
-    number exactly g.  For g >= 1 the point count is checked against the
-    hard bound n <= 3g + 7; hitting 3g + 7 itself is legal but flagged as
-    exceptional.
+    step yields a point.  Each value of x with a point is one row: its
+    least point and its point count.  Stepping y by wz takes z down by wy,
+    so every row shares the step (0, wz, -wy) of degree 0, and that walk
+    is the one source of the rows and the points.  The points are then
+    sorted into ascending lex order.  The interior points, those with
+    every coordinate >= 1, must number exactly g.  For g >= 1 the point
+    count is checked against the hard bound n <= 3g + 7; hitting 3g + 7
+    itself is legal but flagged as exceptional.
     """
     w = q.weights
     d = q.d
@@ -127,11 +138,19 @@ def _build(q: Quadruple, g: int) -> WeightedPolytope:
     slot = tuple((outer, second, third).index(axis) for axis in range(3))
     inverse = pow(wy, -1, wz)
     points: list[Point3] = []
+    rows: list[Row] = []
     for x in range(d // wx + 1):
         rest = d - x * wx
-        for y in range(rest * inverse % wz, rest // wy + 1, wz):
+        ys = range(rest * inverse % wz, rest // wy + 1, wz)
+        if not ys:
+            continue
+        start = len(points)
+        for y in ys:
             xyz = (x, y, (rest - y * wy) // wz)
             points.append((xyz[slot[0]], xyz[slot[1]], xyz[slot[2]]))
+        rows.append((points[start], len(ys)))
+    walk_step = (0, wz, -wy)
+    step = (walk_step[slot[0]], walk_step[slot[1]], walk_step[slot[2]])
     points.sort()
     interior = tuple(p for p in points if p[0] >= 1 and p[1] >= 1 and p[2] >= 1)
     n = len(points)
@@ -150,6 +169,8 @@ def _build(q: Quadruple, g: int) -> WeightedPolytope:
         n=n,
         genus=g,
         exceptional_bound=g >= 1 and n > _soft_bound(g),
+        step=step,
+        rows=tuple(rows),
     )
 
 
@@ -297,7 +318,7 @@ def _triple_solver(q: Quadruple, triple: tuple[Point3, Point3, Point3]):
 
     adj is T's adjugate, so adj*T = det*I, and |det| = d is checked, so
     T^-1 = adj/det; solve(target) is alpha = target*adj/det, checked to be
-    integral; the checks of `projection_coordinates` imply alpha*T = target.
+    integral; the checks of `_row_images` imply alpha*T = target.
     """
     (a, b, c), (d, e, f), (g, h, i) = triple
     adj = (
@@ -323,61 +344,85 @@ def _triple_solver(q: Quadruple, triple: tuple[Point3, Point3, Point3]):
     return adj, det, solve
 
 
-def projection_coordinates(
+def _row_images(
     p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]
-) -> list[Point2]:
-    """Coefficients (alpha1, alpha2) of every row over the triple.
+) -> tuple[Point2, tuple[tuple[Point2, int], ...]]:
+    """(sigma, rows): the image of p's step, and each row's start image
+    and count, over the triple.
 
-    Writing a row as alpha1*t1 + alpha2*t2 + alpha3*t3 forces
+    Writing a point as alpha1*t1 + alpha2*t2 + alpha3*t3 forces
     alpha1 + alpha2 + alpha3 = 1, so the first two coefficients identify
-    the row; they are the row's coordinates after projection.  The triple
-    is inverted once, as adj/det with |det| = d, for all the rows.
+    the point; they are its coordinates after projection.  The triple is
+    inverted once, as adj/det with |det| = d, and only each row's start,
+    the step and the triple are solved.
 
-    Three checks hold every solve to that: each row's division by det is
-    exact, each row's coefficients sum to 1, and the triple rows t1, t2, t3
-    project to (1, 0), (0, 1) and (0, 0).  They imply alpha*T = row for
-    every row.  The triple rows are rows of p, so the sum check fixes
-    their third coefficient and the triple check the first two: solve
-    sends T to I.  Its three linear forms, as the columns of a matrix A,
-    thus satisfy T*A = det*I, so A = det*T^-1 = adj, and every row whose
-    division is exact has alpha*T = row*A*T/det = row.
+    The checks: each division by det is exact, each start's coefficients
+    sum to 1 and the step's to 0, and the triple rows t1, t2, t3 solve to
+    (1, 0, 0), (0, 1, 0) and (0, 0, 1).  So solve sends T to I: its three
+    linear forms, as the columns of a matrix A, satisfy T*A = det*I, so
+    A = det*T^-1 = adj, and every target whose division is exact has
+    alpha*T = target*A*T/det = target.  By linearity the point
+    start + t*step solves exactly to alpha(start) + t*alpha(step), whose
+    coefficients sum to 1, so its image is e0 + t*sigma, e0 the start's.
     """
-    solve = _triple_solver(p.quadruple, triple)[2]
-    images: list[Point2] = []
-    for row in p.points:
-        a1, a2, a3 = solve(row)
+    q = p.quadruple
+    solve = _triple_solver(q, triple)[2]
+    for row, expected in zip(triple, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        if solve(row) != expected:
+            raise InvariantViolation(f"triple row {row} did not project to {expected[:2]}")
+    s1, s2, s3 = solve(p.step)
+    if s1 + s2 + s3 != 0:
+        raise InvariantViolation(
+            f"{q}: affine coefficients of the step {p.step} sum to {s1 + s2 + s3}"
+        )
+    rows = []
+    for start, n in p.rows:
+        a1, a2, a3 = solve(start)
         if a1 + a2 + a3 != 1:
-            raise InvariantViolation(
-                f"{p.quadruple}: affine coefficients of {row} sum to {a1 + a2 + a3}"
-            )
-        images.append((a1, a2))
-    for pt, expected in zip(triple, ((1, 0), (0, 1), (0, 0))):
-        if images[p.points.index(pt)] != expected:
-            raise InvariantViolation(f"triple row {pt} did not project to {expected}")
-    return images
+            raise InvariantViolation(f"{q}: affine coefficients of {start} sum to {a1 + a2 + a3}")
+        rows.append(((a1, a2), n))
+    return (s1, s2), tuple(rows)
 
 
 def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> LatticePolygon:
-    """Projected polygon: its lattice points are exactly the row images,
-    the triple's at (1, 0), (0, 1) and (0, 0), and its point and interior
-    counts must be the polytope's."""
-    images = projection_coordinates(p, triple)
-    return _check_projected_counts(p, _images_hull(p.quadruple, images))
+    """Projected polygon: its lattice points are exactly the images of
+    p's points, the triple's at (1, 0), (0, 1) and (0, 0), and its point
+    and interior counts must be the polytope's.  Each row is solved once
+    (`_row_images`) and only the row ends are hulled (`_rows_hull`)."""
+    return _check_projected_counts(p, _rows_hull(p.quadruple, *_row_images(p, triple)))
 
 
-def _images_hull(q: Quadruple, images: Iterable[Point2]) -> LatticePolygon:
-    """Hull of the projected rows of q, checked to hold exactly those
-    lattice points.  It depends on the point set alone.  The images are
-    exact integer solves, so the input checks of `convex_hull` are skipped.
-    The hull's rows, as `_row_ends` checks them, hold its poly.n lattice
-    points.  The images are poly.n distinct lattice points, each between
-    the ends of its row, so they are exactly those points."""
-    images = set(images)
-    poly = _build_polygon(_hull_cycle(images))
-    y_min, left, right = _row_ends(poly)
-    rows = {y: range(lo, hi + 1) for y, (lo, _), (hi, _) in zip(count(y_min), left, right)}
-    if len(images) != poly.n or not all(x in rows.get(y, ()) for x, y in images):
-        raise InvariantViolation(f"{q}: projection gained or lost lattice points")
+_LOST = "projection gained or lost lattice points"
+
+
+def _rows_hull(q: Quadruple, sigma: Point2, rows: tuple[tuple[Point2, int], ...]) -> LatticePolygon:
+    """Hull of the projected rows of q, checked to hold exactly their
+    points.  Row (e0, c) holds the images e0 + t*sigma, 0 <= t < c, so it
+    depends on sigma and the rows alone.  Only a row's two ends can be
+    hull vertices, so the hull is taken over the ends, and as exact
+    integer solves they skip the input checks of `convex_hull`.
+
+    Every end is checked to lie in the hull, in the half-plane of each
+    edge; by convexity each whole row then lies in it.  The rows must lie
+    on pairwise distinct lines of direction sigma (distinct
+    det(sigma, e0)).  `_hull_cycle` refuses collinear ends, so there are
+    two rows at least, distinct lines also give sigma != (0, 0), and the
+    images are pairwise distinct lattice points.  The row counts must sum
+    to the hull's Pick count poly.n, so the images are exactly the hull's
+    lattice points."""
+    sx, sy = sigma
+    ends = [end for (x, y), c in rows for end in ((x, y), (x + (c - 1) * sx, y + (c - 1) * sy))]
+    poly = _build_polygon(_hull_cycle(ends))
+    cycle = poly.vertices
+    for (ux, uy), (vx, vy) in zip(cycle, cycle[1:] + cycle[:1]):
+        dx, dy = vx - ux, vy - uy
+        if any(dx * (y - uy) < dy * (x - ux) for x, y in ends):
+            raise InvariantViolation(f"{q}: {_LOST}: a row leaves the hull")
+    if len({sx * y - sy * x for (x, y), _ in rows}) != len(rows):
+        raise InvariantViolation(f"{q}: {_LOST}: two rows share a line")
+    held = sum(c for _, c in rows)
+    if held != poly.n:
+        raise InvariantViolation(f"{q}: {_LOST}: the rows hold {held}, the hull {poly.n}")
     return poly
 
 

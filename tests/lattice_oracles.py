@@ -2,10 +2,10 @@
 
 None of these is on a program path: the triangulation, the random
 unimodular maps, the shifted interior recount, Cramer's rule, the
-looping condition (ii) witness, the double-loop point list, the
-memo-free atlas, the re-hulled growth step and the canonical cycles of
-an enumerator's classes only check what the package computes, and the
-vertex-dropping projection only breaks it.
+per-point projection, the looping condition (ii) witness, the
+double-loop point list, the memo-free atlas, the re-hulled growth step
+and the canonical cycles of an enumerator's classes only check what the
+package computes, and the vertex-dropping row projection only breaks it.
 """
 import random
 from collections import Counter
@@ -27,6 +27,7 @@ from wpoly import (
 from wpoly.classify import _edge_steps, _vertex_keys
 from wpoly.errors import InvariantViolation, PreconditionError
 from wpoly.polygon2d import _canonical_cycle, _hull_cycle, _pick_counts
+from wpoly.wpolytope import _triple_solver
 
 
 def _cross(o, a, b):
@@ -267,20 +268,67 @@ def keeps(cycle, q):
     return keys[cycle.index(q)] == max(keys)
 
 
-def vertex_dropped(projection):
-    """projection_coordinates, but with one hull vertex's image moved onto
-    another image.  The vertex is one whose removal keeps the interior
-    count, and the hull of the remaining images holds exactly them, so
-    only the projected point count goes wrong; a projection without such
-    a vertex is left as it is."""
+def projection_coordinates(p, triple):
+    """Coefficients (alpha1, alpha2) of every point of p over the triple,
+    in p.points order, each point solved on its own.
+
+    Writing a point as alpha1*t1 + alpha2*t2 + alpha3*t3 forces
+    alpha1 + alpha2 + alpha3 = 1, so the first two coefficients identify
+    the point.  Each point's division by det must be exact and its
+    coefficients must sum to 1, and the triple rows must project to
+    (1, 0), (0, 1) and (0, 0): then alpha*T = point for every point.
+    """
+    solve = _triple_solver(p.quadruple, triple)[2]
+    images = []
+    for row in p.points:
+        a1, a2, a3 = solve(row)
+        if a1 + a2 + a3 != 1:
+            raise InvariantViolation(
+                f"{p.quadruple}: affine coefficients of {row} sum to {a1 + a2 + a3}"
+            )
+        images.append((a1, a2))
+    for pt, expected in zip(triple, ((1, 0), (0, 1), (0, 0))):
+        if images[p.points.index(pt)] != expected:
+            raise InvariantViolation(f"triple row {pt} did not project to {expected}")
+    return images
+
+
+def row_points(p):
+    """Every point start + t*step of p's rows, in walk order."""
+    return [
+        tuple(a + t * s for a, s in zip(start, p.step)) for start, c in p.rows for t in range(c)
+    ]
+
+
+def row_image_list(sigma, rows):
+    """Every image e0 + t*sigma of the projected rows, in row order."""
+    return [(x + t * sigma[0], y + t * sigma[1]) for (x, y), c in rows for t in range(c)]
+
+
+def vertex_dropped(row_images):
+    """`_row_images`, but with one hull vertex taken off the end of its
+    row (the row dropped if it held only that point).  The vertex is one
+    whose removal keeps the interior count, and the hull of the remaining
+    images holds exactly them, so only the projected point count goes
+    wrong; a projection without such a vertex is left as it is."""
 
     def dropped(p, triple):
-        images = projection(p, triple)
-        hull = convex_hull(list(set(images)))
+        sigma, rows = row_images(p, triple)
+        images = row_image_list(sigma, rows)
+        hull = convex_hull(images)
         for v in hull.vertices:
-            rest = [pt for pt in images if pt != v]
-            if convex_hull(list(set(rest))).i == hull.i:
-                return [rest[0] if pt == v else pt for pt in images]
-        return images
+            if convex_hull([pt for pt in images if pt != v]).i != hull.i:
+                continue
+            kept = []
+            for (x, y), c in rows:
+                last = (x + (c - 1) * sigma[0], y + (c - 1) * sigma[1])
+                if v == (x, y) and c > 1:
+                    kept.append(((x + sigma[0], y + sigma[1]), c - 1))
+                elif v == last and c > 1:
+                    kept.append(((x, y), c - 1))
+                elif v != (x, y):
+                    kept.append(((x, y), c))
+            return sigma, tuple(kept)
+        return sigma, rows
 
     return dropped

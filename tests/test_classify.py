@@ -26,7 +26,6 @@ from wpoly import (
     make_curve,
     map_curve,
     project,
-    projection_coordinates,
 )
 from wpoly import classify, polygon2d, wpolytope
 from wpoly.classify import (
@@ -53,7 +52,8 @@ from wpoly.polygon2d import (
 )
 
 from lattice_oracles import (
-    atlas_oracle, canonical_cycles, grow_cycle, keeps, random_unimodular_map, vertex_dropped,
+    atlas_oracle, canonical_cycles, grow_cycle, keeps, random_unimodular_map, row_image_list,
+    vertex_dropped,
 )
 
 G1_CLASS_COUNT = 16
@@ -122,21 +122,23 @@ def test_atlas_matches_the_memo_free_oracle(g):
     assert group_by_class(g, 240).to_json_bytes() == atlas_oracle(g, 240).to_json_bytes()
 
 
-def test_atlas_makes_one_hull_per_point_set(monkeypatch):
-    # the memo keeps each point set's hull, so the 589 members of
-    # g = 1..3 at d_max 120 need only the hulls of their 84 point sets
+def test_atlas_makes_one_hull_per_row_key(monkeypatch):
+    # the memo keeps each projected-rows key's hull, so the 589 members of
+    # g = 1..3 at d_max 120 need only the hulls of their 98 keys, which
+    # hold 84 point sets
     made = []
-    images_hull = classify._images_hull
+    rows_hull = classify._rows_hull
 
-    def counted(q, images):
-        made.append(images)
-        return images_hull(q, images)
+    def counted(q, sigma, rows):
+        made.append((sigma, rows))
+        return rows_hull(q, sigma, rows)
 
-    monkeypatch.setattr(classify, "_images_hull", counted)
+    monkeypatch.setattr(classify, "_rows_hull", counted)
     members = sum(
         len(entry.members) for g in (1, 2, 3) for entry in group_by_class(g, 120).classes
     )
-    assert (members, len(made), len(set(made))) == (589, 84, 84)
+    point_sets = {frozenset(row_image_list(*key)) for key in made}
+    assert (members, len(made), len(set(made)), len(point_sets)) == (589, 98, 98, 84)
 
 
 @pytest.mark.parametrize(
@@ -157,28 +159,28 @@ def test_atlas_canonicalises_once_per_class(monkeypatch, genera, d_max, calls):
 
 
 def test_memo_hit_still_checks_the_projected_interior(monkeypatch):
-    # a quadruple whose point set an earlier one already projected to
-    # reuses that hull, but its own interior count is still checked
+    # a quadruple whose projected rows an earlier one already had reuses
+    # that hull, but its own interior count is still checked
     seen = set()
     for hit in enumerate_g_good(1, 30):
         p = build(hit)
-        key = frozenset(projection_coordinates(p, find_unimodular_triple(p)))
+        key = wpolytope._row_images(p, find_unimodular_triple(p))
         if key in seen:
             break
         seen.add(key)
     hulls = []
-    images_hull = classify._images_hull
+    rows_hull = classify._rows_hull
     build_checked = classify._build
 
-    def counted(q, images):
+    def counted(q, sigma, rows):
         hulls.append(q)
-        return images_hull(q, images)
+        return rows_hull(q, sigma, rows)
 
     def corrupted(q, g):
         p = build_checked(q, g)
         return replace(p, interior=p.interior[1:]) if q == hit else p
 
-    monkeypatch.setattr(classify, "_images_hull", counted)
+    monkeypatch.setattr(classify, "_rows_hull", counted)
     monkeypatch.setattr(classify, "_build", corrupted)
     message = rf"^{re.escape(str(hit))}: projected interior count 1 != 0$"
     with pytest.raises(InvariantViolation, match=message):
@@ -187,9 +189,9 @@ def test_memo_hit_still_checks_the_projected_interior(monkeypatch):
 
 
 def test_projection_that_loses_a_point_is_caught(monkeypatch):
-    # the hull of the projected rows holds exactly them and keeps the
-    # interior count, but has one point fewer than the polytope
-    monkeypatch.setattr(classify, "projection_coordinates", vertex_dropped(projection_coordinates))
+    # the hull of the projected rows holds exactly their images and keeps
+    # the interior count, but has one point fewer than the polytope
+    monkeypatch.setattr(classify, "_row_images", vertex_dropped(wpolytope._row_images))
     with pytest.raises(InvariantViolation, match=r"^\(1,1,1;3\): projected point count 9 != 10$"):
         group_by_class(1, 30)
 
@@ -936,7 +938,9 @@ def test_make_curve_validates_terms():
 
 def test_basis_change_decomposes_each_row_once(monkeypatch):
     # one triple inverse per projection and one more for the source
-    # triple's matrix, then one solve per row
+    # triple's matrix; each projection solves its triple, its step and the
+    # start of each of its rows once, and the matrix checks every row
+    # without a solve
     inverses = solves = 0
     triple_solver = wpolytope._triple_solver
 
@@ -957,7 +961,9 @@ def test_basis_change_decomposes_each_row_once(monkeypatch):
     bc = basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
     assert len(bc.row_map) == 8
     assert inverses == 3
-    assert solves == 2 * 8
+    walks = [len(build(q).rows) for q in (Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))]
+    assert walks == [3, 3]
+    assert solves == sum(3 + 1 + rows for rows in walks)
 
 
 def test_map_curve_permutation_pair():

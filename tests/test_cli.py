@@ -16,7 +16,7 @@ from wpoly.cli import main
 from wpoly.polygon2d import _build_polygon
 from wpoly.render import json_text
 
-from lattice_oracles import vertex_dropped
+from lattice_oracles import row_image_list, vertex_dropped
 
 
 def run(capsys, *argv):
@@ -340,37 +340,40 @@ def test_genus_above_the_cap_exits_1_at_once(capsys, tmp_path, monkeypatch, argv
 
 
 def test_poly_analyze_projection_that_loses_a_point_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(
-        wpolytope, "projection_coordinates", vertex_dropped(wpolytope.projection_coordinates)
-    )
+    monkeypatch.setattr(wpolytope, "_row_images", vertex_dropped(wpolytope._row_images))
     code, out, err = run(capsys, "poly", "analyze", "1", "1", "1", "3")
     assert (code, out) == (2, "")
     assert err == "invariant violation: (1,1,1;3): projected point count 9 != 10\n"
 
 
 def test_poly_analyze_projection_that_repeats_an_image_exits_2(capsys, monkeypatch):
-    # an interior row's image is replaced by another row's: the hull and its
-    # counts stay, and one image fewer is left, so the count check fails
-    real = wpolytope.projection_coordinates
+    # the row through an interior point is moved onto its neighbour's start:
+    # its images repeat some of the neighbour's, so the two rows share a line
+    real = wpolytope._row_images
     distinct = []
 
     def repeated(p, triple):
-        images = real(p, triple)
-        j = p.points.index(p.interior[0])
-        images[j] = images[j - 1]
-        distinct.append((len(set(images)), p.n))
-        return images
+        sigma, rows = real(p, triple)
+        j = next(k for k, (start, c) in enumerate(p.rows) if any(
+            tuple(a + t * s for a, s in zip(start, p.step)) == p.interior[0] for t in range(c)
+        ))
+        rows = rows[:j] + ((rows[j - 1][0], rows[j][1]),) + rows[j + 1:]
+        distinct.append((len(set(row_image_list(sigma, rows))), p.n))
+        return sigma, rows
 
-    monkeypatch.setattr(wpolytope, "projection_coordinates", repeated)
+    monkeypatch.setattr(wpolytope, "_row_images", repeated)
     code, out, err = run(capsys, "poly", "analyze", "2", "3", "7", "42", "--json")
-    assert distinct == [(27, 28)]
+    assert distinct == [(25, 28)]
     assert (code, out) == (2, "")
-    assert err == "invariant violation: (2,3,7;42): projection gained or lost lattice points\n"
+    assert err == (
+        "invariant violation: (2,3,7;42): projection gained or lost lattice points: "
+        "two rows share a line\n"
+    )
 
 
 def test_poly_analyze_hull_off_its_points_exits_2(capsys, monkeypatch):
-    # the true hull moved one step right keeps its Pick counts, so only the
-    # check that each image lies between its row's ends fails
+    # the true hull of the row ends moved one step right keeps its Pick
+    # counts, so only the check that each end lies in the hull fails
     real = wpolytope._hull_cycle
     counts = []
 
@@ -381,9 +384,12 @@ def test_poly_analyze_hull_off_its_points_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(wpolytope, "_hull_cycle", shifted)
     code, out, err = run(capsys, "poly", "analyze", "2", "3", "7", "42", "--json")
-    assert counts == [(28, 28)]
+    assert counts == [(28, 12)]
     assert (code, out) == (2, "")
-    assert err == "invariant violation: (2,3,7;42): projection gained or lost lattice points\n"
+    assert err == (
+        "invariant violation: (2,3,7;42): projection gained or lost lattice points: "
+        "a row leaves the hull\n"
+    )
 
 
 def test_genus_at_the_cap_is_analyzed_as_before(capsys):

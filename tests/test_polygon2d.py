@@ -19,7 +19,6 @@ from wpoly import (
     find_unimodular_triple,
     lattice_inventory,
     project,
-    projection_coordinates,
 )
 from wpoly import polygon2d, wpolytope
 from wpoly.cli import main
@@ -30,7 +29,10 @@ from lattice_oracles import (
     IDENTITY,
     apply_map,
     on_boundary,
+    projection_coordinates,
     random_unimodular_map,
+    row_image_list,
+    row_points,
     tiling_faults,
     triangulate,
 )
@@ -363,22 +365,23 @@ def test_random_map_deterministic_per_seed():
 def test_projection_coordinates_frozen():
     p = build(Quadruple(1, 3, 2, 7))
     triple = find_unimodular_triple(p)
-    coords = projection_coordinates(p, triple)
-    assert len(coords) == p.n
-    # the triple rows themselves land on the coordinate triangle
-    idx = [p.points.index(row) for row in triple]
-    assert coords[idx[0]] == (1, 0)
-    assert coords[idx[1]] == (0, 1)
-    assert coords[idx[2]] == (0, 0)
+    sigma, rows = wpolytope._row_images(p, triple)
+    assert (p.step, p.rows) == ((2, 0, -1), (((1, 0, 3), 4), ((0, 1, 2), 3), ((1, 2, 0), 1)))
+    assert (sigma, rows) == ((-2, 1), (((0, 1), 4), ((1, 0), 3), ((0, 0), 1)))
+    # point by point the rows' images are the per-point oracle's, and the
+    # triple rows themselves land on the coordinate triangle
+    coords = dict(zip(p.points, projection_coordinates(p, triple)))
+    assert dict(zip(row_points(p), row_image_list(sigma, rows))) == coords
+    assert [coords[row] for row in triple] == [(1, 0), (0, 1), (0, 0)]
 
 
 def test_projection_coordinates_checks_rows_and_triple(monkeypatch):
     p = build(Quadruple(1, 3, 2, 7))
     triple = find_unimodular_triple(p)
-    # a row of degree 2d has coefficients summing to 2
-    doubled = dataclasses.replace(p, points=p.points + ((14, 0, 0),))
+    # a row starting at a point of degree 2d has coefficients summing to 2
+    doubled = dataclasses.replace(p, rows=p.rows + (((14, 0, 0), 1),))
     with pytest.raises(InvariantViolation, match="sum to 2"):
-        projection_coordinates(doubled, triple)
+        project(doubled, triple)
     # a solve that swaps alpha1 and alpha2 keeps the sums but moves the triple
     triple_solver = wpolytope._triple_solver
 
@@ -393,7 +396,7 @@ def test_projection_coordinates_checks_rows_and_triple(monkeypatch):
 
     monkeypatch.setattr(wpolytope, "_triple_solver", swapped)
     with pytest.raises(InvariantViolation, match="did not project to"):
-        projection_coordinates(p, triple)
+        project(p, triple)
 
 
 def test_plane_layer_imports_only_the_errors():

@@ -58,8 +58,7 @@ def test_public_surface_is_pinned():
         "convex_hull", "enumerate_classes", "enumerate_g_good", "equivalent",
         "family_quadruple", "find_unimodular_triple", "group_by_class",
         "lattice_inventory", "make_curve", "map_curve", "minor_det", "project",
-        "projection_coordinates", "raw_genus", "render_polygon_svg", "validate",
-        "verify_case_identities",
+        "raw_genus", "render_polygon_svg", "validate", "verify_case_identities",
     ]
     assert all(hasattr(wpoly, name) for name in wpoly.__all__)
     assert "box_bound" not in inspect.signature(wpoly.enumerate_classes).parameters

@@ -5,9 +5,10 @@ import hashlib
 import json
 import re
 from itertools import combinations, permutations, product
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wpoly import (
@@ -17,16 +18,23 @@ from wpoly import (
     find_unimodular_triple,
     group_by_class,
     minor_det,
-    projection_coordinates,
+    project,
     validate,
     verify_case_identities,
 )
-from wpoly import classify, wpolytope
+from wpoly import classify, convex_hull, wpolytope
 from wpoly.cli import main
 from wpoly.errors import InvariantViolation, PreconditionError
-from wpoly.wpolytope import _build
+from wpoly.wpolytope import _build, _row_images, _rows_hull
 
-from lattice_oracles import cramer_decompose, interior_count, polytope_points_loop
+from lattice_oracles import (
+    cramer_decompose,
+    interior_count,
+    polytope_points_loop,
+    projection_coordinates,
+    row_image_list,
+    row_points,
+)
 
 
 def solve_over(p, triple, target):
@@ -325,11 +333,11 @@ def test_decompose_and_projection_match_cramer(data):
     p = build(q)
     triples = [t for t in combinations(p.points, 3) if abs(minor_det(*t)) == q.d]
     triple = tuple(data.draw(st.sampled_from(triples).flatmap(st.permutations), label="triple"))
-    coords = projection_coordinates(p, triple)
-    for row, image in zip(p.points, coords):
+    images = dict(zip(row_points(p), row_image_list(*_row_images(p, triple))))
+    for row in p.points:
         expected = cramer_decompose(triple, row)
         assert solve_over(p, triple, row) == expected, (q, triple, row)
-        assert image == expected[:2]
+        assert images[row] == expected[:2]
     i = data.draw(st.integers(0, p.n - 1))
     j = data.draw(st.integers(0, p.n - 1))
     target = tuple(x + y for x, y in zip(p.points[i], p.points[j]))
@@ -392,7 +400,8 @@ def test_atlas_path_checks_interior_count_against_the_genus(monkeypatch, tmp_pat
 @pytest.mark.parametrize("g", range(1, 5))
 def test_build_points_match_the_double_loop(g):
     # the residue-stepped loop over the heaviest axis, sorted, lists the
-    # same points as trying every (a, b), in every order of the weights
+    # same points as trying every (a, b), in every order of the weights,
+    # and its rows, each start + t*step for a step of degree 0, hold them
     quads = enumerate_g_good(g, 120)
     if g == 1:
         assert Quadruple(1, 1, 1, 3) in quads
@@ -402,3 +411,135 @@ def test_build_points_match_the_double_loop(g):
             p = _build(permuted, g)
             assert p.points == polytope_points_loop(permuted), permuted
             assert build(permuted) == p
+            assert sum(w * x for w, x in zip(permuted.weights, p.step)) == 0
+            assert all(c >= 1 for _, c in p.rows)
+            assert sorted(row_points(p)) == list(p.points), permuted
+
+
+def _point_oracle_polygon(p, triple):
+    """The hull of every point's own solve, and the images as a multiset
+    against the expanded rows; the row route must give the same polygon."""
+    images = projection_coordinates(p, triple)
+    assert sorted(images) == sorted(row_image_list(*_row_images(p, triple))), p.quadruple
+    return convex_hull(images)
+
+
+ANALYZE_GENUS0 = (
+    (1, 1, 4, 5), (1, 1, 5, 6), (1, 1, 6, 7), (1, 2, 9, 11), (1, 2, 11, 12), (1, 2, 13, 15),
+)
+
+
+def test_row_route_matches_the_point_oracle():
+    # every good quadruple of the analyze population (1 <= g <= 40, d <=
+    # 150), its six genus-0 items, and the 101003 points at the genus cap
+    quads = [q for g in range(1, 41) for q in enumerate_g_good(g, 150)]
+    assert len(quads) == 3149
+    quads += [Quadruple(*t) for t in ANALYZE_GENUS0] + [Quadruple(1, 4, 5, 2005)]
+    for q in quads:
+        p = build(q)
+        triple = find_unimodular_triple(p)
+        assert project(p, triple) == _point_oracle_polygon(p, triple), q
+
+
+@functools.cache
+def _good_degrees(weights):
+    return tuple(
+        d for d in range(max(weights) + 1, 601)
+        if (report := validate(Quadruple(*weights, d))).is_good and report.genus <= 2000
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_route_matches_the_point_oracle_on_random_quadruples(data):
+    # random pairwise coprime weights in any order, and a good degree up to
+    # 600 of genus at most 2000
+    w0 = data.draw(st.integers(1, 40), label="w0")
+    w1 = data.draw(st.integers(1, 40).filter(lambda w: gcd(w, w0) == 1), label="w1")
+    w2 = data.draw(st.integers(1, 40).filter(lambda w: gcd(w, w0 * w1) == 1), label="w2")
+    degrees = _good_degrees((w0, w1, w2))
+    assume(degrees)
+    q = Quadruple(w0, w1, w2, data.draw(st.sampled_from(degrees), label="d"))
+    p = build(q)
+    assume(p.n >= 3)
+    triple = find_unimodular_triple(p)
+    assert project(p, triple) == _point_oracle_polygon(p, triple)
+
+
+def _plus(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda p, t: {"rows": ((_plus(p.rows[0][0], (1, 0, 0)), p.rows[0][1]),) + p.rows[1:]},
+     r"non-integral decomposition of \(1, 14, 0\)"),
+    (lambda p, t: {"step": _plus(p.step, (1, 0, 0))},
+     r"non-integral decomposition of \(4, -2, 0\)"),
+    (lambda p, t: {"rows": ((_plus(p.rows[0][0], t[0]), p.rows[0][1]),) + p.rows[1:]},
+     r"affine coefficients of \(0, 14, 6\) sum to 2$"),
+    (lambda p, t: {"step": _plus(p.step, t[0])},
+     r"affine coefficients of the step \(3, -2, 6\) sum to 1$"),
+], ids=["inexact-start", "inexact-step", "start-sum", "step-sum"])
+def test_row_solve_faults_are_caught(corrupt, message):
+    p = build(Quadruple(2, 3, 7, 42))
+    triple = find_unimodular_triple(p)
+    with pytest.raises(InvariantViolation, match=message):
+        project(dataclasses.replace(p, **corrupt(p, triple)), triple)
+
+
+def _shared_line(sigma, rows, monkeypatch):
+    # the second row moved onto the first row's start
+    return rows[:1] + ((rows[0][0], rows[1][1]),) + rows[2:]
+
+
+def _hull_moved(sigma, rows, monkeypatch):
+    # the true hull one step right keeps its Pick counts
+    real = wpolytope._hull_cycle
+    monkeypatch.setattr(wpolytope, "_hull_cycle", lambda pts: tuple((x + 1, y) for x, y in real(pts)))
+    return rows
+
+
+def _count_short(sigma, rows, monkeypatch):
+    # the first row whose last end is no hull vertex, one point shorter:
+    # the hull stays and the rows hold one point fewer than it
+    vertices = convex_hull(row_image_list(sigma, rows)).vertices
+    j = next(k for k, ((x, y), c) in enumerate(rows)
+             if c > 1 and (x + (c - 1) * sigma[0], y + (c - 1) * sigma[1]) not in vertices)
+    return rows[:j] + ((rows[j][0], rows[j][1] - 1),) + rows[j + 1:]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_shared_line, "two rows share a line$"),
+    (_hull_moved, "a row leaves the hull$"),
+    (_count_short, "the rows hold 27, the hull 28$"),
+], ids=["shared-line", "end-outside", "count-off-by-one"])
+def test_row_hull_faults_are_caught(monkeypatch, corrupt, message):
+    q = Quadruple(2, 3, 7, 42)
+    p = build(q)
+    sigma, rows = _row_images(p, find_unimodular_triple(p))
+    rows = corrupt(sigma, rows, monkeypatch)
+    with pytest.raises(InvariantViolation, match=rf"^\(2,3,7;42\): projection gained or lost lattice points: {message}"):
+        _rows_hull(q, sigma, rows)
+
+
+def test_triple_search_work_is_pinned(monkeypatch):
+    # a regression count, not the bound's argument: over every member of
+    # the g = 1..4 atlases at d_max 300, find_unimodular_triple computes
+    # at most 4 minors before the first with |det| = d
+    calls = 0
+    minor = wpolytope.minor_det
+
+    def counted(*rows):
+        nonlocal calls
+        calls += 1
+        return minor(*rows)
+
+    monkeypatch.setattr(wpolytope, "minor_det", counted)
+    most = members = 0
+    for g in range(1, 5):
+        for q in enumerate_g_good(g, 300):
+            p = _build(q, g)
+            calls = 0
+            find_unimodular_triple(p)
+            most, members = max(most, calls), members + 1
+    assert (members, most) == (2235, 4)
