@@ -29,15 +29,16 @@ from .polygon2d import (
 from .quadruples import Quadruple, enumerate_g_good
 from .render import json_text
 from .wpolytope import (
-    Point3, _build, _check_projected_counts, _row_images, _rows_hull, _triple_solver, build,
-    find_unimodular_triple, project,
+    Point3, _build, _row_images, _rows_hull, _triple_solver, build, find_unimodular_triple,
+    project,
 )
 
 
 @dataclass(frozen=True)
 class ClassEntry:
+    """A class's canonical polygon, which holds its point count n, and its members."""
+
     canonical: LatticePolygon
-    n: int
     members: tuple[Quadruple, ...]
 
 
@@ -55,7 +56,7 @@ class ClassAtlas:
             "classes": [
                 {
                     "canonical": [[x, y] for x, y in entry.canonical.vertices],
-                    "n": entry.n,
+                    "n": entry.canonical.n,
                     "members": [[*q.weights, q.d] for q in entry.members],
                 }
                 for entry in self.classes
@@ -73,7 +74,7 @@ class ClassAtlas:
         for entry in self.classes:
             members = tuple(q for q in entry.members if q.d <= d_max)
             if members:
-                entries.append(ClassEntry(canonical=entry.canonical, n=entry.n, members=members))
+                entries.append(ClassEntry(canonical=entry.canonical, members=members))
         return ClassAtlas(g=self.g, d_max=d_max, classes=tuple(entries))
 
     def to_json_bytes(self) -> bytes:
@@ -83,7 +84,7 @@ class ClassAtlas:
         lines = ["w0,w1,w2,d,n,class_index"]
         for index, entry in enumerate(self.classes):
             for q in entry.members:
-                lines.append(f"{q.w0},{q.w1},{q.w2},{q.d},{entry.n},{index}")
+                lines.append(f"{q.w0},{q.w1},{q.w2},{q.d},{entry.canonical.n},{index}")
         return "\n".join(lines) + "\n"
 
 
@@ -94,27 +95,26 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
     in enumeration order.  Each quadruple's polytope comes from
     _build(q, g), as enumerate_g_good has validated it, and its rows are
     projected through its det-d triple by `_row_images`.  The projected
-    rows, (sigma, rows), key a memo: equal keys hold equal point sets (the
-    589 members of g = 1..3 at d_max 120 give 98 keys for 84 point sets).
-    The hull of each key is made once by `_rows_hull` and kept, as its
-    cycle and counts, with its class key; its counts are checked against
-    every polytope projecting to the key.  The first hull of each class
-    key is canonicalised by `_class_polygons`, as in the enumerators, and
-    each class's members are found by its key.
+    rows, (sigma, rows), key a memo of class keys: equal keys hold equal
+    point sets (the 589 members of g = 1..3 at d_max 120 give 98 keys for
+    84 point sets).  On a miss, `_rows_hull` checks the hull against that
+    member's n and genus.  A hit needs no recheck: the member's own
+    `_row_images` passed every solve check and produced the key's rows;
+    its n is the total of those rows, because `_build` builds both from
+    one loop; and its genus is g, which `_build` checked.  The first hull
+    of each class key is canonicalised by `_class_polygons`, as in the
+    enumerators, and each class's members are found by its key.
     """
-    seen: dict[tuple, tuple[LatticePolygon, tuple]] = {}
+    seen: dict[tuple, tuple] = {}
     classes: dict[tuple, tuple[tuple[Point2, ...], set[int], list[Quadruple]]] = {}
     for q in enumerate_g_good(g, d_max):
         p = _build(q, g)
         projected = _row_images(p, find_unimodular_triple(p))
         if projected not in seen:
-            hull = _rows_hull(q, *projected)
-            key = _class_key(hull.vertices)
-            seen[projected] = hull, key
+            hull = _rows_hull(p, *projected)
+            seen[projected] = key = _class_key(hull.vertices)
             classes.setdefault(key, (hull.vertices, set(), []))[1].add(hull.n)
-        hull, key = seen[projected]
-        _check_projected_counts(p, hull)
-        classes[key][2].append(q)
+        classes[seen[projected]][2].append(q)
     del seen  # the projected rows are not kept while the canonical polygons are built
     entries = []
     for poly, key in _class_polygons({k: rep for k, (rep, _, _) in classes.items()}, g):
@@ -123,7 +123,7 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
             raise InvariantViolation(
                 f"class {poly.vertices} has {poly.n} points, its point sets {sorted(ns)}"
             )
-        entries.append(ClassEntry(canonical=poly, n=poly.n, members=tuple(members)))
+        entries.append(ClassEntry(canonical=poly, members=tuple(members)))
     return ClassAtlas(g=g, d_max=d_max, classes=tuple(entries))
 
 

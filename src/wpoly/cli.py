@@ -99,7 +99,7 @@ def poly_analyze(w0: int, w1: int, w2: int, d: int, as_json: bool, svg_path: str
         "quadruple": [*q.weights, q.d],
         "genus": p.genus,
         "n": p.n,
-        "interior": len(p.interior),
+        "interior": p.genus,
         "exceptional_bound": p.exceptional_bound,
         "case": case.to_dict(),
         "triple": [list(row) for row in triple],
@@ -114,7 +114,7 @@ def poly_analyze(w0: int, w1: int, w2: int, d: int, as_json: bool, svg_path: str
     click.echo(f"quadruple   {q}")
     click.echo(f"genus       {p.genus}")
     click.echo(f"points      {p.n}" + ("  (exceeds soft bound 3g+6)" if p.exceptional_bound else ""))
-    click.echo(f"interior    {len(p.interior)}")
+    click.echo(f"interior    {p.genus}")
     click.echo(f"case        {case.case_tag}")
     click.echo(f"determinant {case.actual_det} (predicted {case.predicted_det})")
     click.echo(f"triple      {[list(row) for row in triple]}")
@@ -299,9 +299,8 @@ def map_curve_cmd(w0: int, w1: int, w2: int, d: int, v0: int, v1: int, v2: int, 
 def main(argv: list[str] | None = None) -> int:
     """Entry point mapping failures to the documented exit codes."""
     try:
+        # click itself returns the code of an Exit (only --help's 0 here)
         cli.main(args=argv, prog_name="wpoly", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1

@@ -40,13 +40,13 @@ def _soft_bound(g: int) -> int:
 
 @dataclass(frozen=True)
 class WeightedPolytope:
-    """The polytope's points in ascending lex order, its interior points,
+    """The polytope's points in ascending lex order, their count n, the
+    genus, which `_build` checked to be the count of interior points,
     and the walk that listed them: every point is start + t*step for
     exactly one row (start, count) of rows and one 0 <= t < count."""
 
     quadruple: Quadruple
     points: tuple[Point3, ...]
-    interior: tuple[Point3, ...]
     n: int
     genus: int
     exceptional_bound: bool
@@ -126,9 +126,9 @@ def _build(q: Quadruple, g: int) -> WeightedPolytope:
     so every row shares the step (0, wz, -wy) of degree 0, and that walk
     is the one source of the rows and the points.  The points are then
     sorted into ascending lex order.  The interior points, those with
-    every coordinate >= 1, must number exactly g.  For g >= 1 the point
-    count is checked against the hard bound n <= 3g + 7; hitting 3g + 7
-    itself is legal but flagged as exceptional.
+    every coordinate >= 1, are counted, not kept, and must number exactly
+    g.  For g >= 1 the point count is checked against the hard bound
+    n <= 3g + 7; hitting 3g + 7 itself is legal but flagged as exceptional.
     """
     w = q.weights
     d = q.d
@@ -152,12 +152,10 @@ def _build(q: Quadruple, g: int) -> WeightedPolytope:
     walk_step = (0, wz, -wy)
     step = (walk_step[slot[0]], walk_step[slot[1]], walk_step[slot[2]])
     points.sort()
-    interior = tuple(p for p in points if p[0] >= 1 and p[1] >= 1 and p[2] >= 1)
+    interior = sum(1 for a, b, c in points if a >= 1 and b >= 1 and c >= 1)
     n = len(points)
-    if len(interior) != g:
-        raise InvariantViolation(
-            f"{q}: {len(interior)} interior points but genus {g}"
-        )
+    if interior != g:
+        raise InvariantViolation(f"{q}: {interior} interior points but genus {g}")
     if g >= 1 and n > _soft_bound(g) + 1:
         raise InvariantViolation(
             f"{q}: point count {n} exceeds the hard bound {_soft_bound(g) + 1}"
@@ -165,7 +163,6 @@ def _build(q: Quadruple, g: int) -> WeightedPolytope:
     return WeightedPolytope(
         quadruple=q,
         points=tuple(points),
-        interior=interior,
         n=n,
         genus=g,
         exceptional_bound=g >= 1 and n > _soft_bound(g),
@@ -387,20 +384,24 @@ def _row_images(
 def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> LatticePolygon:
     """Projected polygon: its lattice points are exactly the images of
     p's points, the triple's at (1, 0), (0, 1) and (0, 0), and its point
-    and interior counts must be the polytope's.  Each row is solved once
-    (`_row_images`) and only the row ends are hulled (`_rows_hull`)."""
-    return _check_projected_counts(p, _rows_hull(p.quadruple, *_row_images(p, triple)))
+    and interior counts are the polytope's n and genus.  Each row is
+    solved once (`_row_images`), and only the row ends are hulled and
+    checked (`_rows_hull`)."""
+    return _rows_hull(p, *_row_images(p, triple))
 
 
 _LOST = "projection gained or lost lattice points"
 
 
-def _rows_hull(q: Quadruple, sigma: Point2, rows: tuple[tuple[Point2, int], ...]) -> LatticePolygon:
-    """Hull of the projected rows of q, checked to hold exactly their
-    points.  Row (e0, c) holds the images e0 + t*sigma, 0 <= t < c, so it
-    depends on sigma and the rows alone.  Only a row's two ends can be
-    hull vertices, so the hull is taken over the ends, and as exact
-    integer solves they skip the input checks of `convex_hull`.
+def _rows_hull(
+    p: WeightedPolytope, sigma: Point2, rows: tuple[tuple[Point2, int], ...]
+) -> LatticePolygon:
+    """Hull of p's projected rows, checked to hold exactly their points
+    and as many points and interior points as p.  Row (e0, c) holds the
+    images e0 + t*sigma, 0 <= t < c, so it depends on sigma and the rows
+    alone.  Only a row's two ends can be hull vertices, so the hull is
+    taken over the ends, and as exact integer solves they skip the input
+    checks of `convex_hull`.
 
     Every end is checked to lie in the hull, in the half-plane of each
     edge; by convexity each whole row then lies in it.  The rows must lie
@@ -409,7 +410,9 @@ def _rows_hull(q: Quadruple, sigma: Point2, rows: tuple[tuple[Point2, int], ...]
     two rows at least, distinct lines also give sigma != (0, 0), and the
     images are pairwise distinct lattice points.  The row counts must sum
     to the hull's Pick count poly.n, so the images are exactly the hull's
-    lattice points."""
+    lattice points.  Last, poly.n must be p.n and poly.i the genus g that
+    `_build` counted, so the projection keeps both counts."""
+    q = p.quadruple
     sx, sy = sigma
     ends = [end for (x, y), c in rows for end in ((x, y), (x + (c - 1) * sx, y + (c - 1) * sy))]
     poly = _build_polygon(_hull_cycle(ends))
@@ -423,15 +426,8 @@ def _rows_hull(q: Quadruple, sigma: Point2, rows: tuple[tuple[Point2, int], ...]
     held = sum(c for _, c in rows)
     if held != poly.n:
         raise InvariantViolation(f"{q}: {_LOST}: the rows hold {held}, the hull {poly.n}")
-    return poly
-
-
-def _check_projected_counts(p: WeightedPolytope, poly: LatticePolygon) -> LatticePolygon:
-    """poly, checked to have as many points and interior points as the polytope p."""
     if poly.n != p.n:
-        raise InvariantViolation(f"{p.quadruple}: projected point count {poly.n} != {p.n}")
-    if poly.i != len(p.interior):
-        raise InvariantViolation(
-            f"{p.quadruple}: projected interior count {poly.i} != {len(p.interior)}"
-        )
+        raise InvariantViolation(f"{q}: projected point count {poly.n} != {p.n}")
+    if poly.i != p.genus:
+        raise InvariantViolation(f"{q}: projected interior count {poly.i} != {p.genus}")
     return poly

@@ -160,8 +160,8 @@ def apply_map(poly, m: UnimodularAffineMap):
 
 
 def interior_count(p) -> int:
-    """Interior point count of a polytope, verified by an independent
-    shifted count.
+    """Interior point count of a polytope's listed points, verified by an
+    independent shifted count; neither reads the genus that build checked.
 
     A point is interior exactly when all coordinates are >= 1, i.e. when
     (a-1, b-1, c-1) >= 0 solves the degree equation with right side
@@ -176,7 +176,7 @@ def interior_count(p) -> int:
             for b in range(rest_a // w1 + 1):
                 if (rest_a - b * w1) % w2 == 0:
                     shifted += 1
-    direct = len(p.interior)
+    direct = sum(1 for point in p.points if min(point) >= 1)
     if shifted != direct:
         raise InvariantViolation(
             f"{p.quadruple}: interior counts disagree ({direct} direct, {shifted} shifted)"
@@ -236,7 +236,7 @@ def atlas_oracle(g, d_max):
         canon = canonical_form(project(p, find_unimodular_triple(p)))
         grouped.setdefault(canon.vertices, (canon, []))[1].append(q)
     entries = [
-        ClassEntry(canonical=canon, n=canon.n, members=tuple(members))
+        ClassEntry(canonical=canon, members=tuple(members))
         for canon, members in sorted(grouped.values(), key=lambda e: (e[0].n, e[0].vertices))
     ]
     return ClassAtlas(g=g, d_max=d_max, classes=tuple(entries))

@@ -77,8 +77,9 @@ def test_criterion_1_polytope_identity_suite(record_criterion):
         for q in enumerate_g_good(g, D_CORPUS):
             p = build(q)
             total += 1
-            if not (len(p.interior) == g == interior_count(p)):
-                violations.append(f"{q}: interior {len(p.interior)} != {g}")
+            interior = interior_count(p)
+            if not (p.genus == g == interior):
+                violations.append(f"{q}: interior {interior}, genus {p.genus} != {g}")
             for a, b, c in combinations(p.points, 3):
                 minors += 1
                 if minor_det(a, b, c) % q.d != 0:

@@ -77,7 +77,7 @@ def _projected(q):
 def test_atlas_g1_d7_structure():
     atlas = group_by_class(1, 7)
     assert atlas.g == 1 and atlas.d_max == 7
-    rows = [([*q.weights, q.d], e.n) for e in atlas.classes for q in e.members]
+    rows = [([*q.weights, q.d], e.canonical.n) for e in atlas.classes for q in e.members]
     assert rows == [
         ([1, 2, 3, 6], 7),
         ([1, 2, 3, 7], 8),
@@ -88,7 +88,7 @@ def test_atlas_g1_d7_structure():
 
 def test_atlas_classes_sorted_by_point_count():
     atlas = group_by_class(1, 30)
-    ns = [e.n for e in atlas.classes]
+    ns = [e.canonical.n for e in atlas.classes]
     assert ns == sorted(ns)
     assert len(atlas.classes) == 8
 
@@ -123,15 +123,15 @@ def test_atlas_matches_the_memo_free_oracle(g):
 
 
 def test_atlas_makes_one_hull_per_row_key(monkeypatch):
-    # the memo keeps each projected-rows key's hull, so the 589 members of
-    # g = 1..3 at d_max 120 need only the hulls of their 98 keys, which
-    # hold 84 point sets
+    # the memo keeps each projected-rows key's class key, so the 589
+    # members of g = 1..3 at d_max 120 need only the hulls of their 98
+    # keys, which hold 84 point sets
     made = []
     rows_hull = classify._rows_hull
 
-    def counted(q, sigma, rows):
+    def counted(p, sigma, rows):
         made.append((sigma, rows))
-        return rows_hull(q, sigma, rows)
+        return rows_hull(p, sigma, rows)
 
     monkeypatch.setattr(classify, "_rows_hull", counted)
     members = sum(
@@ -158,34 +158,28 @@ def test_atlas_canonicalises_once_per_class(monkeypatch, genera, d_max, calls):
     assert len(count) == classes == calls
 
 
-def test_memo_hit_still_checks_the_projected_interior(monkeypatch):
-    # a quadruple whose projected rows an earlier one already had reuses
-    # that hull, but its own interior count is still checked
+def test_first_member_of_a_row_key_checks_the_projected_interior(monkeypatch):
+    # the hull of each projected-rows key is checked against the polytope
+    # of the key's first member, here the last key's, whose genus is
+    # handed on one short
     seen = set()
-    for hit in enumerate_g_good(1, 30):
-        p = build(hit)
+    for q in enumerate_g_good(1, 30):
+        p = build(q)
         key = wpolytope._row_images(p, find_unimodular_triple(p))
-        if key in seen:
-            break
-        seen.add(key)
-    hulls = []
-    rows_hull = classify._rows_hull
+        if key not in seen:
+            seen.add(key)
+            first = q
     build_checked = classify._build
-
-    def counted(q, sigma, rows):
-        hulls.append(q)
-        return rows_hull(q, sigma, rows)
 
     def corrupted(q, g):
         p = build_checked(q, g)
-        return replace(p, interior=p.interior[1:]) if q == hit else p
+        return replace(p, genus=p.genus - 1) if q == first else p
 
-    monkeypatch.setattr(classify, "_rows_hull", counted)
     monkeypatch.setattr(classify, "_build", corrupted)
-    message = rf"^{re.escape(str(hit))}: projected interior count 1 != 0$"
-    with pytest.raises(InvariantViolation, match=message):
+    message = rf"^{re.escape(str(first))}: projected interior count 1 != 0$"
+    with pytest.raises(InvariantViolation, match=message) as excinfo:
         group_by_class(1, 30)
-    assert len(hulls) == len(seen) and hit not in hulls
+    assert excinfo.traceback[-1].name == "_rows_hull"
 
 
 def test_projection_that_loses_a_point_is_caught(monkeypatch):

@@ -354,8 +354,9 @@ def test_poly_analyze_projection_that_repeats_an_image_exits_2(capsys, monkeypat
 
     def repeated(p, triple):
         sigma, rows = real(p, triple)
+        inner = next(point for point in p.points if min(point) >= 1)
         j = next(k for k, (start, c) in enumerate(p.rows) if any(
-            tuple(a + t * s for a, s in zip(start, p.step)) == p.interior[0] for t in range(c)
+            tuple(a + t * s for a, s in zip(start, p.step)) == inner for t in range(c)
         ))
         rows = rows[:j] + ((rows[j - 1][0], rows[j][1]),) + rows[j + 1:]
         distinct.append((len(set(row_image_list(sigma, rows))), p.n))
@@ -650,3 +651,16 @@ def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "quad" in out and "classify" in out
+
+
+def test_interrupt_inside_a_command_exits_1(capsys, monkeypatch):
+    import wpoly.cli
+
+    def interrupted(q):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(wpoly.cli, "validate", interrupted)
+    code, out, err = run(capsys, "quad", "check", "1", "3", "2", "7")
+    # click ends the line and raises Abort, which main reports
+    assert (code, out) == (1, "")
+    assert err == "\naborted\n"

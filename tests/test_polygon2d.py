@@ -2,6 +2,7 @@
 triangulation oracle."""
 import ast
 import dataclasses
+import re
 from math import gcd
 from pathlib import Path
 
@@ -68,6 +69,12 @@ def test_hull_rejects_degenerate_input():
         convex_hull([(0, 0), (1, 1)])
     with pytest.raises(DegenerateInputError):
         convex_hull([(0, 0), (1, 1), (2, 2), (3, 3)])
+
+
+@pytest.mark.parametrize("point", [(0.5, 1), (0, 1.0), (1, 2, 3)], ids=["fraction", "float", "3-tuple"])
+def test_hull_refuses_a_point_off_the_lattice(point):
+    with pytest.raises(DegenerateInputError, match=rf"^not a lattice point: {re.escape(repr(point))}$"):
+        convex_hull([(0, 0), (2, 0), point, (0, 2)])
 
 
 def test_counts_frozen():

@@ -136,6 +136,12 @@ def test_quadruple_rejects_degree_over_cap():
         Quadruple(1, 1, 1, D_MAX_CAP + 1)
 
 
+@pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+def test_quadruple_refuses_a_non_int_entry(value):
+    with pytest.raises(ValueError, match=rf"^w1 must be an int, got {value!r}$"):
+        Quadruple(1, value, 1, 3)
+
+
 def test_str():
     assert str(Quadruple(2, 3, 5, 17)) == "(2,3,5;17)"
 
@@ -322,6 +328,8 @@ def test_enumerate_rejects_bad_args():
         enumerate_g_good(1, 0)
     with pytest.raises(PreconditionError, match=r"^g=100001 exceeds the genus cap 100000$"):
         enumerate_g_good(GENUS_CAP + 1, 10)
+    with pytest.raises(PreconditionError, match=r"^d_max=200001 exceeds the cap 200000$"):
+        enumerate_g_good(1, D_MAX_CAP + 1)
 
 
 def test_enumerate_is_empty_above_the_triangle_genus(small_good_quadruples, monkeypatch):
@@ -407,6 +415,13 @@ def test_family_quadruples_are_good_with_right_genus():
             report = validate(q)
             assert report.is_good, q
             assert report.genus == g, q
+
+
+def test_family_refuses_a_nonpositive_index():
+    with pytest.raises(PreconditionError, match=r"^g must be >= 1, got 0$"):
+        family_quadruple(0, 1)
+    with pytest.raises(PreconditionError, match=r"^m must be >= 1, got 0$"):
+        family_quadruple(1, 0)
 
 
 def test_family_frozen_members():

@@ -65,7 +65,7 @@ def test_build_point_list_frozen():
         (7, 0, 0),
     )
     assert p.n == 8
-    assert p.interior == ((2, 1, 1),)
+    assert p.genus == 1 and [pt for pt in p.points if min(pt) >= 1] == [(2, 1, 1)]
     assert not p.exceptional_bound
 
 
@@ -77,7 +77,7 @@ def test_build_rejects_non_good():
 def test_interior_matches_genus_and_shifted_count():
     for tup in [(1, 1, 1, 3), (1, 2, 3, 7), (1, 2, 1, 5), (1, 1, 1, 4)]:
         p = build(Quadruple(*tup))
-        assert len(p.interior) == p.genus == interior_count(p)
+        assert p.genus == interior_count(p)
 
 
 def test_exceptional_bound_only_for_cubic():
@@ -361,8 +361,7 @@ def test_point_count_bound_holds_everywhere(w0, w1, w2, d):
     if p.genus >= 1:
         assert p.n <= 3 * p.genus + 7
     else:
-        assert p.interior == ()
-        assert interior_count(p) == 0
+        assert p.genus == interior_count(p) == 0
 
 
 def test_build_checks_interior_count_against_the_genus(monkeypatch):
@@ -519,7 +518,16 @@ def test_row_hull_faults_are_caught(monkeypatch, corrupt, message):
     sigma, rows = _row_images(p, find_unimodular_triple(p))
     rows = corrupt(sigma, rows, monkeypatch)
     with pytest.raises(InvariantViolation, match=rf"^\(2,3,7;42\): projection gained or lost lattice points: {message}"):
-        _rows_hull(q, sigma, rows)
+        _rows_hull(p, sigma, rows)
+
+
+def test_projection_checks_the_interior_count_against_the_genus():
+    # a polytope whose genus is one short of the count _build checked
+    p = build(Quadruple(2, 3, 7, 42))
+    triple = find_unimodular_triple(p)
+    message = r"^\(2,3,7;42\): projected interior count 16 != 15$"
+    with pytest.raises(InvariantViolation, match=message):
+        project(dataclasses.replace(p, genus=p.genus - 1), triple)
 
 
 def test_triple_search_work_is_pinned(monkeypatch):
