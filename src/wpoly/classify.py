@@ -233,8 +233,10 @@ def _key(l_in: int, p_in: Point2, l_out: int, p_out: Point2) -> tuple[int, int, 
 
 def _growth_points(cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Point2], longest: int):
     """(j, q) for every point q whose hull with the cycle can gain exactly
-    q and every edge j that q lies one lattice step beyond, given the
-    cycle's `_edge_steps`; edges longer than `longest` are left out.
+    q, with j the first edge of the run of edges that q lies one lattice
+    step beyond, given the cycle's `_edge_steps`; edges longer than
+    `longest` are left out, and with them the points whose run starts
+    there.
 
     Such a q lies beyond the line of some edge e = (u, v) of lattice
     length l.  The triangle conv(e + q) meets the cycle only in e, so its
@@ -243,17 +245,19 @@ def _growth_points(cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Poi
     line: h = 1.  With p = (px, py) the primitive direction of e and
     f(x) = cross(p, x - u) >= 0 on the cycle, q lies on the line f = -1,
     which holds u + (t, -s) + m*p for s*px + t*py = 1.  The same holds at
-    every other edge q lies beyond, so the f of both neighbouring edges is
-    >= -1 at q; as the cycle turns left at u and at v, these bound m below
-    and above.  Each such q thus comes once with every edge j that it lies
-    beyond, and f_j(q) = -1 there.
+    every other edge q lies beyond, so f >= -1 at q on every edge, and
+    the edges with f(q) = -1 are those q sees, one run of them.  At the
+    first edge j of that run f_{j-1}(q) >= 0 and f_{j+1}(q) >= -1; as the
+    cycle turns left at u and at v, these bound m below and above.  Any
+    point outside sees one run of edges, which has one first edge, so
+    each q comes once, with f_j(q) = -1 and f_{j-1}(q) >= 0.
     """
     for j, ((ux, uy), (px, py)) in enumerate(zip(cycle, dirs)):
         if lengths[j] > longest:
             continue
         (ax, ay), (bx, by) = dirs[j - 1], dirs[(j + 1) % len(dirs)]
         _, s, t = _egcd(px, py)
-        lo = -((1 - ax * s - ay * t) // (ax * py - ay * px))
+        lo = -(-(ax * s + ay * t) // (ax * py - ay * px))
         hi = lengths[j] + (1 - bx * s - by * t) // (px * by - py * bx)
         for m in range(lo, hi + 1):
             yield j, (ux + t + m * px, uy - s + m * py)
@@ -290,11 +294,10 @@ def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int], g: int):
     the forward walk stops at latest at the edge with f > 0 that ended the
     back walk.
 
-    q is spliced only from the first edge of its run with f = -1, so it is
-    spliced once without a set of seen points.  A q that can gain exactly
-    q has f >= -1 at every edge (the argument of `_growth_points`), so it
-    comes with each of its f = -1 edges and the first one is among them;
-    the back walk from that edge crosses only edges with f = 0.
+    `_growth_points` gives each q once, with the first edge j of its run
+    of edges with f = -1, so q is spliced once without a set of seen
+    points.  The back walk from j crosses at most one edge, one with
+    f = 0 on which the run of edges with f <= 0 begins.
 
     An edge j with i + l_j - 1 > g, i the cycle's interior count, is
     skipped whole: the hull of the cycle and a q beyond the edge's line
@@ -323,12 +326,10 @@ def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int], g: int):
                 raise InvariantViolation(f"{q} sees every edge of {cycle}")
             (ux, uy), (px, py) = cycle[a], dirs[a]
             f = px * (qy - uy) - py * (qx - ux)
-            if f > 0 or f == -1:
+            if f > 0:
                 break
             child_area2 -= lengths[a] * f
             child_b -= lengths[a]
-        if f == -1:
-            continue  # spliced from the earlier edge
         a = (a + 1) % k
         z = (j + 1) % k
         while True:

@@ -16,10 +16,13 @@ the polygon in 0 <= y <= h, shear by (x, y) -> (x - c*y, y) with
 c = m // h, the one shear putting the top row's least x, m, in [0, h),
 and take the least vertex listing.  Each listing starts (0, 0), (L, 0),
 L the anchored edge's lattice length, so only the shortest edges are
-anchored.  The canonical polygon is the winning listing, checked on the
-vertices and against Pick's counts.  `_class_key` is a cheaper complete
-invariant of the same classes, a cyclic word of edge lengths and
-determinants, for telling classes apart without listing a canonical form.
+anchored, and anchorings are compared by their third vertex before a
+listing is built.  Rotating calipers give each anchoring its h and m
+with one pointer per pass round the cycle.  The canonical polygon is the
+winning listing, checked on the vertices and against Pick's counts.
+`_class_key` is a cheaper complete invariant of the same classes, a
+cyclic word of edge lengths and determinants, for telling classes apart
+without listing a canonical form.
 """
 from __future__ import annotations
 
@@ -289,14 +292,17 @@ def _class_key(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int, int], ..
     does not depend on u, as u + t*r_{i-1} moves det(r_i, u) by -t*d_i.
     The mirror image, read the other way round, has at vertex i the letter
     (l_{i-1}, d_i, det(r_{i-2}, r_i), det(r_{i-1}, u_i) mod d_i) with
-    det(r_i, u_i) = 1.  One extended gcd s*px + t*py = 1 per edge
-    r = (px, py) gives that edge's u = (-t, s) with det(r, u) = 1 for
-    both words.
+    det(r_i, u_i) = 1.  The last entry is taken mod d_i, so it is 0 at a
+    vertex with d_i = 1; at any other, an extended gcd s*px + t*py = 1 of
+    r = (px, py) gives u = (-t, s) with det(r, u) = 1, for r = r_{i-1} in
+    the word and r = r_i in the mirror's.
 
     Invariance: translations move no edge; a map of det 1 keeps lattice
     lengths and determinants and carries a valid u to a valid u; a map of
     det -1 also reverses the cycle and negates each determinant, which
-    swaps the two words.  The least rotation forgets the first vertex.
+    swaps the two words.  The least rotation forgets the first vertex; it
+    starts at the least letter of the two words, so only the rotations
+    starting there are formed.
 
     Completeness: send r_{i-1} to (1, 0) by an SL2(Z) map.  Then
     r_i = (a, d_i) and u = (x, 1) for some x, so the last entry is
@@ -309,19 +315,23 @@ def _class_key(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int, int], ..
     """
     k = len(cycle)
     lengths, dirs = _edge_steps(cycle)
-    bezout = [_egcd(px, py)[1:] for px, py in dirs]
     word: list[tuple[int, int, int, int]] = []
     mirror: list[tuple[int, int, int, int]] = []
     for i in range(k):
         (ax, ay), (bx, by), (cx, cy) = dirs[i - 2], dirs[i - 1], dirs[i]
         nx, ny = dirs[(i + 1) % k]
         d = bx * cy - by * cx
-        s, t = bezout[i - 1]
-        word.append((lengths[i], d, bx * ny - by * nx, (cx * s + cy * t) % d))
-        s, t = bezout[i]
-        mirror.append((lengths[i - 1], d, ax * cy - ay * cx, (bx * s + by * t) % d))
+        w = m = 0
+        if d > 1:
+            _, s, t = _egcd(bx, by)
+            w = (cx * s + cy * t) % d
+            _, s, t = _egcd(cx, cy)
+            m = (bx * s + by * t) % d
+        word.append((lengths[i], d, bx * ny - by * nx, w))
+        mirror.append((lengths[i - 1], d, ax * cy - ay * cx, m))
     words = (tuple(word), tuple(reversed(mirror)))
-    return min(w[j:] + w[:j] for w in words for j in range(k))
+    least = min(min(words[0]), min(words[1]))
+    return min(w[j:] + w[:j] for w in words for j in range(k) if w[j] == least)
 
 
 def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], UnimodularAffineMap]:
@@ -340,7 +350,24 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
     the anchored edge, so only edges of the least length L can win and the
     others are skipped.  A skipped listing is larger than every kept one,
     so the least listing and its first winner, hence the map, are those of
-    the full pass.
+    the full pass.  For the same reason the anchorings are compared by
+    their third vertex: one whose third vertex is larger than the best
+    listing's loses, and a full listing is built only on a tie or a
+    smaller third vertex.
+
+    h and m come from rotating calipers (Toussaint 1983).  Over the edge
+    j = u->v the heights px(y-uy) - py(x-ux) of the strictly convex cycle
+    rise from vertex j+1 to the top row, which is one vertex or two joined
+    by an edge along -x, and fall back to 0 at vertex j.  So a pointer put
+    at vertex j+2 and moved on while the next height is not smaller stops
+    at the top row's last vertex, the one with the least x.  For a later
+    edge j', each edge from j'+1 up to that stop turns from j' by less
+    than from j, so by less than a half turn: it still rises, and the
+    pointer goes on from there (from j'+2 if it lies before).  It moves at
+    most twice round the cycle per pass instead of listing every vertex
+    for every anchoring.  The pointer stops before coming back to u, and
+    a cycle that is not counterclockwise gets h < 1 and raises, as does a
+    built listing that does not have min y = 0.
     """
     lengths, dirs = _edge_steps(vertices)
     shortest = min(lengths)
@@ -351,22 +378,37 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
     best: tuple[Point2, ...] | None = None
     for mirror, cycle, steps in ((False, vertices, zip(lengths, dirs)),
                                  (True, mirrored, mirrored_steps)):
+        top = 0  # the last vertex of greatest height over the anchored edge, unwrapped
         for j, (length, (px, py)) in enumerate(steps):
             if length != shortest:
                 continue
             ux, uy = cycle[j]
-            _, s, t = _egcd(px, py)
-            pts = [(s * (x - ux) + t * (y - uy), px * (y - uy) - py * (x - ux))
-                   for x, y in cycle[j:] + cycle[:j]]
-            h = max(y for _, y in pts)
-            if h < 1 or min(y for _, y in pts) != 0:
+            top = max(top, j + 2)
+            x, y = cycle[top % k]
+            h = px * (y - uy) - py * (x - ux)
+            while top < j + k - 1:
+                x, y = cycle[(top + 1) % k]
+                f = px * (y - uy) - py * (x - ux)
+                if f < h:
+                    break
+                top, h = top + 1, f
+            if h < 1:
                 raise InvariantViolation("edge anchoring left the polygon outside y >= 0")
-            c = min(x for x, y in pts if y == h) // h
-            cand = tuple((x - c * y, y) for x, y in pts)
+            _, s, t = _egcd(px, py)
+            x, y = cycle[top % k]
+            c = (s * (x - ux) + t * (y - uy)) // h
+            a, b = s + c * py, t - c * px
+            if best is not None:
+                x, y = cycle[(j + 2) % k]
+                if (a * (x - ux) + b * (y - uy), px * (y - uy) - py * (x - ux)) > best[2]:
+                    continue
+            cand = tuple((a * (x - ux) + b * (y - uy), px * (y - uy) - py * (x - ux))
+                         for x, y in cycle[j:] + cycle[:j])
+            if min(y for _, y in cand) != 0:
+                raise InvariantViolation("edge anchoring left the polygon outside y >= 0")
             if best is None or cand < best:
-                best, won = cand, (mirror, s, t, px, py, c, ux, uy)
-    mirror, s, t, px, py, c, ux, uy = won
-    a, b = s + c * py, t - c * px
+                best, won = cand, (mirror, a, b, px, py, ux, uy)
+    mirror, a, b, px, py, ux, uy = won
     m = UnimodularAffineMap(((a, b), (-py, px)), (-(a * ux + b * uy), py * ux - px * uy))
     return best, m.compose(_MIRROR) if mirror else m
 

@@ -3,9 +3,12 @@
 None of these is on a program path: the triangulation, the random
 unimodular maps, the shifted interior recount, Cramer's rule, the
 per-point projection, the looping condition (ii) witness, the
-double-loop point list, the memo-free atlas, the re-hulled growth step
-and the canonical cycles of an enumerator's classes only check what the
-package computes, and the vertex-dropping row projection only breaks it.
+double-loop point list, the memo-free atlas, the re-hulled growth step,
+the canonical cycles of an enumerator's classes, and the class key,
+canonical cycle and splice kernels as first written (every rotation,
+every shortest-edge listing in full, every edge a growth point lies
+beyond) only check what the package computes, and the vertex-dropping
+row projection only breaks it.
 """
 import random
 from collections import Counter
@@ -24,9 +27,12 @@ from wpoly import (
     lattice_inventory,
     project,
 )
-from wpoly.classify import _edge_steps, _vertex_keys
+from wpoly.classify import _key, _vertex_keys
 from wpoly.errors import InvariantViolation, PreconditionError
-from wpoly.polygon2d import _canonical_cycle, _hull_cycle, _pick_counts
+from wpoly.polygon2d import (
+    _MIRROR, Point2, _canonical_cycle, _check_turns, _edge_steps, _egcd, _hull_cycle,
+    _pick_counts,
+)
 from wpoly.wpolytope import _triple_solver
 
 
@@ -332,3 +338,131 @@ def vertex_dropped(row_images):
         return sigma, rows
 
     return dropped
+
+
+def class_key_oracle(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """`_class_key` with a Bezout pair at every edge and every rotation of
+    both words formed: the least rotation of the cycle's word and of its
+    mirror image's (see `_class_key` for the letters and the proof)."""
+    k = len(cycle)
+    lengths, dirs = _edge_steps(cycle)
+    bezout = [_egcd(px, py)[1:] for px, py in dirs]
+    word: list[tuple[int, int, int, int]] = []
+    mirror: list[tuple[int, int, int, int]] = []
+    for i in range(k):
+        (ax, ay), (bx, by), (cx, cy) = dirs[i - 2], dirs[i - 1], dirs[i]
+        nx, ny = dirs[(i + 1) % k]
+        d = bx * cy - by * cx
+        s, t = bezout[i - 1]
+        word.append((lengths[i], d, bx * ny - by * nx, (cx * s + cy * t) % d))
+        s, t = bezout[i]
+        mirror.append((lengths[i - 1], d, ax * cy - ay * cx, (bx * s + by * t) % d))
+    words = (tuple(word), tuple(reversed(mirror)))
+    return min(w[j:] + w[:j] for w in words for j in range(k))
+
+
+def canonical_cycle_oracle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], UnimodularAffineMap]:
+    """`_canonical_cycle` with every shortest-edge anchoring listed in full:
+    each anchoring's height and top row come from all of its vertices, and
+    the least listing wins, the first one on ties (cycle edges, then the
+    mirror's), which fixes the map."""
+    lengths, dirs = _edge_steps(vertices)
+    shortest = min(lengths)
+    k = len(vertices)
+    mirrored = tuple((x, -y) for x, y in reversed(vertices))
+    # the mirror's edge j is the vertices' edge k-2-j run backwards and mirrored
+    mirrored_steps = [(lengths[e], (-dirs[e][0], dirs[e][1])) for e in range(k - 2, -2, -1)]
+    best: tuple[Point2, ...] | None = None
+    for mirror, cycle, steps in ((False, vertices, zip(lengths, dirs)),
+                                 (True, mirrored, mirrored_steps)):
+        for j, (length, (px, py)) in enumerate(steps):
+            if length != shortest:
+                continue
+            ux, uy = cycle[j]
+            _, s, t = _egcd(px, py)
+            pts = [(s * (x - ux) + t * (y - uy), px * (y - uy) - py * (x - ux))
+                   for x, y in cycle[j:] + cycle[:j]]
+            h = max(y for _, y in pts)
+            if h < 1 or min(y for _, y in pts) != 0:
+                raise InvariantViolation("edge anchoring left the polygon outside y >= 0")
+            c = min(x for x, y in pts if y == h) // h
+            cand = tuple((x - c * y, y) for x, y in pts)
+            if best is None or cand < best:
+                best, won = cand, (mirror, s, t, px, py, c, ux, uy)
+    mirror, s, t, px, py, c, ux, uy = won
+    a, b = s + c * py, t - c * px
+    m = UnimodularAffineMap(((a, b), (-py, px)), (-(a * ux + b * uy), py * ux - px * uy))
+    return best, m.compose(_MIRROR) if mirror else m
+
+
+def splices_under_old_bound(cycle, counts, g):
+    """`_splices` as first written: its growth points bound m below by
+    f_{j-1}(q) >= -1, so a point comes once with every edge it lies one
+    step beyond, and the back walk drops it at any edge but the first of
+    its run ("spliced from the earlier edge")."""
+    _check_turns(cycle)
+    k = len(cycle)
+    lengths, dirs = _edge_steps(cycle)
+    keys = _vertex_keys(lengths, dirs)
+    area2, inner, b = counts
+
+    def growth_points():
+        for j, ((ux, uy), (px, py)) in enumerate(zip(cycle, dirs)):
+            if lengths[j] > g - inner + 1:
+                continue
+            (ax, ay), (bx, by) = dirs[j - 1], dirs[(j + 1) % len(dirs)]
+            _, s, t = _egcd(px, py)
+            lo = -((1 - ax * s - ay * t) // (ax * py - ay * px))
+            hi = lengths[j] + (1 - bx * s - by * t) // (px * by - py * bx)
+            for m in range(lo, hi + 1):
+                yield j, (ux + t + m * px, uy - s + m * py)
+
+    for j, q in growth_points():
+        qx, qy = q
+        child_area2, child_b = area2 + lengths[j], b - lengths[j]
+        a = j
+        while True:
+            a = (a - 1) % k
+            if a == j:
+                raise InvariantViolation(f"{q} sees every edge of {cycle}")
+            (ux, uy), (px, py) = cycle[a], dirs[a]
+            f = px * (qy - uy) - py * (qx - ux)
+            if f > 0 or f == -1:
+                break
+            child_area2 -= lengths[a] * f
+            child_b -= lengths[a]
+        if f == -1:
+            continue  # spliced from the earlier edge
+        a = (a + 1) % k
+        z = (j + 1) % k
+        while True:
+            (ux, uy), (px, py) = cycle[z], dirs[z]
+            f = px * (qy - uy) - py * (qx - ux)
+            if f > 0:
+                break
+            child_area2 -= lengths[z] * f
+            child_b -= lengths[z]
+            z = (z + 1) % k
+        (ax, ay), (zx, zy) = cycle[a], cycle[z]
+        l_aq, l_qz = gcd(qx - ax, qy - ay), gcd(zx - qx, zy - qy)
+        child_b += l_aq + l_qz
+        if (child_area2 - child_b) % 2 != 0:
+            raise InvariantViolation(f"area/boundary parity fails growing {cycle} by {q}")
+        interior = (child_area2 - child_b + 2) // 2
+        if interior + child_b != inner + b + 1 or interior > g:
+            continue
+        p_aq = ((qx - ax) // l_aq, (qy - ay) // l_aq)
+        p_qz = ((zx - qx) // l_qz, (zy - qy) // l_qz)
+        key_q = _key(l_aq, p_aq, l_qz, p_qz)
+        retained = k - (z - a) % k + 1
+        if (
+            key_q < _key(lengths[a - 1], dirs[a - 1], l_aq, p_aq)
+            or key_q < _key(l_qz, p_qz, lengths[z], dirs[z])
+            or any(key_q < keys[(z + t) % k] for t in range(1, retained - 1))
+        ):
+            continue
+        child = (q,) + (cycle[z:] + cycle[:z])[:retained]
+        child_counts = (child_area2, interior, child_b)
+        if _pick_counts(child) != child_counts:
+            raise InvariantViolation(f"splicing {q} into {cycle} miscounts {child}")
+        yield q, child_counts, child

@@ -53,7 +53,7 @@ from wpoly.polygon2d import (
 
 from lattice_oracles import (
     atlas_oracle, canonical_cycles, grow_cycle, keeps, random_unimodular_map, row_image_list,
-    vertex_dropped,
+    splices_under_old_bound, vertex_dropped,
 )
 
 G1_CLASS_COUNT = 16
@@ -411,15 +411,68 @@ def test_an_edge_too_long_for_g_is_skipped_whole():
 
 
 def test_a_point_beyond_two_edges_is_spliced_once():
-    # (-1,-1) lies one step beyond both legs of the unit triangle, so it
-    # comes from both edges and is spliced from the first of its run only
+    # (-1,-1) lies one step beyond both legs of the unit triangle, edges 2
+    # and 0 of one run; it comes only with edge 2, the first of that run,
+    # and is spliced once
     cycle = ((0, 0), (1, 0), (0, 1))
-    assert [j for j, q in _every_growth_point(cycle) if q == (-1, -1)] == [0, 2]
+    assert [j for j, q in _every_growth_point(cycle) if q == (-1, -1)] == [2]
     spliced = [
         (q, counts, child) for q, counts, child in _splices(cycle, (1, 0, 3), 1) if q == (-1, -1)
     ]
     assert spliced == [((-1, -1), (3, 1, 3), ((-1, -1), (1, 0), (0, 1)))]
     _assert_splices_match_oracles(cycle, 1)
+
+
+def _assert_growth_points_start_their_runs(cycle):
+    # each point comes with the first edge of its run only: one step
+    # beyond edge j, f_j(q) = cross(p_j, q - v_j) = -1, and on or inside
+    # the line of edge j - 1
+    dirs = _edge_steps(cycle)[1]
+
+    def f(e, q):
+        (ux, uy), (px, py) = cycle[e], dirs[e]
+        return px * (q[1] - uy) - py * (q[0] - ux)
+
+    for j, q in _every_growth_point(cycle):
+        assert f(j, q) == -1 and f(j - 1, q) >= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10))
+def test_no_growth_point_lies_beyond_the_edge_before_its_own(pts):
+    try:
+        cycle = _hull_cycle(pts)
+    except DegenerateInputError:
+        return
+    _assert_growth_points_start_their_runs(cycle)
+
+
+def _parents_met(genera):
+    """(cycle, counts, g) of every `_splices` call of the inductive
+    enumeration at each of the genera."""
+    met = []
+    real = classify._splices
+
+    def recording(cycle, counts, g):
+        met.append((cycle, counts, g))
+        return real(cycle, counts, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "_splices", recording)
+        for g in genera:
+            enumerate_classes(g)
+    return met
+
+
+def test_splices_match_the_old_bound_on_every_parent_up_to_genus_6():
+    # the bound f_{j-1}(q) >= 0 leaves out exactly the points the old
+    # back walk dropped as spliced from an earlier edge, so every parent
+    # the enumerations of g <= 6 meet gives the same splices in order
+    parents = _parents_met(range(7))
+    assert len(parents) > 3000
+    for cycle, counts, g in parents:
+        _assert_growth_points_start_their_runs(cycle)
+        assert list(_splices(cycle, counts, g)) == list(splices_under_old_bound(cycle, counts, g))
 
 
 def test_growth_points_reach_the_far_apex():

@@ -16,12 +16,15 @@ from wpoly import (
     build,
     canonical_form,
     convex_hull,
+    enumerate_classes,
+    enumerate_g_good,
     equivalent,
     find_unimodular_triple,
     lattice_inventory,
     project,
 )
 from wpoly import polygon2d, wpolytope
+from wpoly.classify import _inductive_cycles
 from wpoly.cli import main
 from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
 from wpoly.polygon2d import _MIRROR, _canonical_cycle, _class_key, _egcd, _hull_cycle, _pick_counts
@@ -29,6 +32,8 @@ from wpoly.polygon2d import _MIRROR, _canonical_cycle, _class_key, _egcd, _hull_
 from lattice_oracles import (
     IDENTITY,
     apply_map,
+    canonical_cycle_oracle,
+    class_key_oracle,
     on_boundary,
     projection_coordinates,
     random_unimodular_map,
@@ -316,20 +321,94 @@ def test_canonical_prune_on_mixed_edge_lengths(vertices, det):
     assert m.det == det
 
 
-@settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize(
+    "pts",
+    [
+        UNIT,
+        SQUARE2,
+        # mixed edge lengths, so only some edges are anchored
+        [(0, 0), (3, 0), (4, 1), (4, 3), (1, 3), (0, 1)],
+        [(0, 0), (1, 0), (3, 6)],
+    ],
+)
+def test_canonical_cycle_refuses_a_clockwise_cycle(pts):
+    # every anchoring of a clockwise cycle puts it in y <= 0, so its
+    # height is 0; the kernel is handed only counterclockwise hulls, so
+    # this is a bug and must not yield a listing
+    clockwise = tuple(reversed(convex_hull(pts).vertices))
+    with pytest.raises(InvariantViolation, match=r"edge anchoring left the polygon outside y >= 0"):
+        _canonical_cycle(clockwise)
+
+
+def _assert_kernels_match_oracles(cycle):
+    # the calipers kernel and the lean class key against the kernels as
+    # first written: listing and map, and key
+    assert _canonical_cycle(cycle) == canonical_cycle_oracle(cycle)
+    assert _class_key(cycle) == class_key_oracle(cycle)
+
+
+# a symmetry of Z^2 applied to every point, so that a share of the hulls
+# are symmetric and several anchorings tie for the least listing
+SYMMETRIES = [None, lambda x, y: (-x, -y), lambda x, y: (-x, y), lambda x, y: (y, x)]
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     st.lists(
         st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
         min_size=3,
-        max_size=9,
-    )
+        max_size=14,
+    ),
+    st.sampled_from(SYMMETRIES),
 )
-def test_canonical_kernel_matches_reference(pts):
+def test_canonical_kernel_matches_reference(pts, symmetry):
+    if symmetry is not None:
+        pts = pts + [symmetry(x, y) for x, y in pts]
     try:
         p = convex_hull(pts)
     except DegenerateInputError:
         return
     _assert_kernel_matches_reference(p.vertices)
+    _assert_kernels_match_oracles(p.vertices)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        # shortest edges 0 and 3: the top over edge 3 is vertex 1, which
+        # comes before the top over edge 0, vertex 2, so the calipers
+        # restart two vertices past edge 3's start rather than go on from
+        # vertex 2
+        ((-1, 1), (0, -4), (2, 4), (0, 4)),
+        # shortest edges 1 and 4, tops at vertices 3 and 2 (wrapped)
+        ((-4, 0), (0, -2), (4, -1), (0, 3), (-4, 1)),
+    ],
+)
+def test_calipers_restart_after_a_far_anchored_edge(vertices):
+    _assert_kernels_match_oracles(vertices)
+    _assert_kernel_matches_reference(vertices)
+
+
+def test_kernels_match_oracles_on_every_class_up_to_genus_6():
+    # each class as the inductive walk first meets it and as its
+    # canonical form; g = 0 lists its classes with at most 7 points
+    cycles = 0
+    for g in range(7):
+        reps = list(_inductive_cycles(g, 3 * g + 7).values())
+        forms = [p.vertices for p in enumerate_classes(g)]
+        assert len(reps) == len(forms)
+        for cycle in reps + forms:
+            _assert_kernels_match_oracles(cycle)
+        cycles += len(reps) + len(forms)
+    assert cycles == 2 * (12 + 16 + 45 + 120 + 211 + 403 + 714)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_kernels_match_oracles_on_every_projected_polygon(g):
+    # the polygons `classify` meets in the atlases of g = 1..3 at dmax 120
+    for q in enumerate_g_good(g, 120):
+        p = build(q)
+        _assert_kernels_match_oracles(project(p, find_unimodular_triple(p)).vertices)
 
 
 POINTS = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10)
