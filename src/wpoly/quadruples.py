@@ -105,14 +105,36 @@ def _condition_ii_witness(weights: tuple[int, int, int], d: int, axis: int) -> W
     """Smallest-e_j witness monomial of degree d using only the other two
     axes j < k.
 
-    e_j*w_j + e_k*w_k = d holds for the e_j in [0, d/w_j] with
-    e_j*w_j = d (mod w_k), the least of which _congruent gives first.
+    e_j*w_j + e_k*w_k = d with e_k >= 0 asks for e_j*w_j = d (mod w_k)
+    and e_j*w_j <= d.  The congruence is solvable only when h =
+    gcd(w_j, w_k) divides d, and then exactly by the class of
+    e = (d/h)(w_j/h)^-1 mod w_k/h; e, taken in [0, w_k/h), is its least
+    member >= 0.  Every other solution is larger, so it is the least e_j
+    of a witness, and there is a witness iff e*w_j <= d.
     """
-    j, k = [a for a in range(3) if a != axis]
+    j, k = (1, 2) if axis == 0 else (0, 2) if axis == 1 else (0, 1)
     wj, wk = weights[j], weights[k]
-    for ej in _congruent(wj, d, wk, 0, d // wj):
-        return ((j, ej), (k, (d - ej * wj) // wk))
-    return None
+    h = gcd(wj, wk)
+    if d % h:
+        return None
+    step = wk // h
+    ej = d // h * pow(wj // h, -1, step) % step
+    if ej * wj > d:
+        return None
+    return ((j, ej), (k, (d - ej * wj) // wk))
+
+
+def _genus_parts(w0: int, w1: int, w2: int, d: int) -> tuple[int, int]:
+    """raw_genus's formula as (numerator, 2*w0*w1*w2), not reduced."""
+    prod = w0 * w1 * w2
+    numerator = (
+        d * (d - w0 - w1 - w2)
+        + gcd(w0, d) * w1 * w2
+        + gcd(w1, d) * w0 * w2
+        + gcd(w2, d) * w0 * w1
+        - prod
+    )
+    return numerator, 2 * prod
 
 
 def raw_genus(q: Quadruple) -> Fraction:
@@ -121,49 +143,50 @@ def raw_genus(q: Quadruple) -> Fraction:
     Returns ((d(d - w0 - w1 - w2)) / (w0 w1 w2)
              + sum_i gcd(w_i, d)/w_i - 1) / 2.
     """
-    w0, w1, w2 = q.weights
-    d = q.d
-    prod = w0 * w1 * w2
-    numerator = d * (d - w0 - w1 - w2)
-    numerator += gcd(w0, d) * (prod // w0)
-    numerator += gcd(w1, d) * (prod // w1)
-    numerator += gcd(w2, d) * (prod // w2)
-    numerator -= prod
-    return Fraction(numerator, 2 * prod)
+    return Fraction(*_genus_parts(q.w0, q.w1, q.w2, q.d))
 
 
 def validate(q: Quadruple) -> ValidityReport:
-    """Run every goodness test and collect witnesses."""
-    w = q.weights
-    d = q.d
-    coprime = (
-        gcd(w[0], w[1]) == 1 and gcd(w[0], w[2]) == 1 and gcd(w[1], w[2]) == 1
+    """Run every goodness test and collect witnesses.
+
+    The tests: the weights are pairwise coprime; d exceeds each weight
+    (degree_dominates); each axis i has a condition (i) witness x_i^k*x_j
+    and a condition (ii) witness avoiding x_i; and, for the report, which
+    weights divide d.  A quadruple that passes the first three is good,
+    and its genus is the integer quotient of _genus_parts; a remainder
+    raises InvariantViolation, since a good quadruple's genus is integral.
+    """
+    w0, w1, w2, d = q.w0, q.w1, q.w2, q.d
+    w = (w0, w1, w2)
+    coprime = gcd(w0, w1) == 1 and gcd(w0, w2) == 1 and gcd(w1, w2) == 1
+    dominates = d > w0 and d > w1 and d > w2
+    cond_i = (
+        _condition_i_witness(w, d, 0),
+        _condition_i_witness(w, d, 1),
+        _condition_i_witness(w, d, 2),
     )
-    dominates = all(d > wi for wi in w)
-    cond_i = tuple(_condition_i_witness(w, d, i) for i in range(3))
-    cond_ii = tuple(_condition_ii_witness(w, d, i) for i in range(3))
-    divides = tuple(d % wi == 0 for wi in w)
-    good = (
-        coprime
-        and dominates
-        and all(x is not None for x in cond_i)
-        and all(x is not None for x in cond_ii)
+    cond_ii = (
+        _condition_ii_witness(w, d, 0),
+        _condition_ii_witness(w, d, 1),
+        _condition_ii_witness(w, d, 2),
     )
+    good = coprime and dominates and None not in cond_i and None not in cond_ii
     g: int | None = None
     if good:
-        value = raw_genus(q)
-        if value.denominator != 1:
+        numerator, denominator = _genus_parts(w0, w1, w2, d)
+        g, rest = divmod(numerator, denominator)
+        if rest:
             raise InvariantViolation(
-                f"genus of good quadruple {q} is not an integer: {value}"
+                f"genus of good quadruple {q} is not an integer: "
+                f"{Fraction(numerator, denominator)}"
             )
-        g = int(value)
     return ValidityReport(
         quadruple=q,
         pairwise_coprime=coprime,
         degree_dominates=dominates,
         condition_i=cond_i,
         condition_ii=cond_ii,
-        divides=divides,
+        divides=(d % w0 == 0, d % w1 == 0, d % w2 == 0),
         is_good=good,
         genus=g,
     )
@@ -311,12 +334,13 @@ def enumerate_g_good(g: int, d_max: int) -> list[Quadruple]:
 
     For fixed g there are O(d_max log^2 d_max) candidates, most of them
     from cases a.i, a.ii, b.i, b.ii and c, and the walk is one serial
-    pass: g = 1, 2, 3 together take about 0.02 s at d_max = 120 and
-    0.04 s at d_max = 240, and g = 1 alone about 0.06 s at d_max = 800.
+    pass: g = 1, 2, 3 together take about 0.007 s at d_max = 120 and
+    0.017 s at d_max = 240, and g = 1 alone about 0.025 s at d_max = 800.
     Every loop is bounded by d_max and each free parameter walks only its
     residue class (_congruent), so a large g costs little more: g = 2000
-    takes about 0.5 s at d_max = 100000, and g = GENUS_CAP, above which g
-    is refused, 0.1 ms at d_max = 10 and 2 s at 200000 (Python 3.11, Xeon).
+    takes about 0.33 s at d_max = 100000, and g = GENUS_CAP, above which g
+    is refused, 0.1 ms at d_max = 10 and 1.4 s at 200000 (best of 2-20
+    in-process runs; Python 3.11, 2-core Xeon).
     """
     if g < 1:
         raise PreconditionError(f"g must be >= 1, got {g}")

@@ -3,8 +3,9 @@
 None of these is on a program path: the triangulation, the random
 unimodular maps, the shifted interior recount, Cramer's rule, the
 per-point projection, the looping condition (ii) witness, the
-double-loop point list, the memo-free atlas, the re-hulled growth step,
-the canonical cycles of an enumerator's classes, and the class key,
+goodness test as first written (a _congruent range per condition (ii)
+witness and a Fraction genus), the double-loop point list, the
+memo-free atlas, the re-hulled growth step, the canonical cycles of an enumerator's classes, and the class key,
 canonical cycle and splice kernels as first written (every rotation,
 every shortest-edge listing in full, every edge a growth point lies
 beyond) only check what the package computes, and the vertex-dropping
@@ -33,6 +34,7 @@ from wpoly.polygon2d import (
     _MIRROR, Point2, _canonical_cycle, _check_turns, _edge_steps, _egcd, _hull_cycle,
     _pick_counts,
 )
+from wpoly.quadruples import ValidityReport, _condition_i_witness, _congruent
 from wpoly.wpolytope import _triple_solver
 
 
@@ -217,6 +219,65 @@ def condition_ii_witness_loop(weights, d, axis):
         if rest % wk == 0:
             return ((j, ej), (k, rest // wk))
     return None
+
+
+def _condition_ii_witness_oracle(weights, d, axis):
+    j, k = [a for a in range(3) if a != axis]
+    wj, wk = weights[j], weights[k]
+    for ej in _congruent(wj, d, wk, 0, d // wj):
+        return ((j, ej), (k, (d - ej * wj) // wk))
+    return None
+
+
+def _raw_genus_oracle(q):
+    w0, w1, w2 = q.weights
+    d = q.d
+    prod = w0 * w1 * w2
+    numerator = d * (d - w0 - w1 - w2)
+    numerator += gcd(w0, d) * (prod // w0)
+    numerator += gcd(w1, d) * (prod // w1)
+    numerator += gcd(w2, d) * (prod // w2)
+    numerator -= prod
+    return Fraction(numerator, 2 * prod)
+
+
+def validate_oracle(q):
+    """validate as first written: generator expressions over the axes,
+    each condition (ii) witness as the first of a _congruent range, and
+    the genus as an exact Fraction."""
+    w = q.weights
+    d = q.d
+    coprime = (
+        gcd(w[0], w[1]) == 1 and gcd(w[0], w[2]) == 1 and gcd(w[1], w[2]) == 1
+    )
+    dominates = all(d > wi for wi in w)
+    cond_i = tuple(_condition_i_witness(w, d, i) for i in range(3))
+    cond_ii = tuple(_condition_ii_witness_oracle(w, d, i) for i in range(3))
+    divides = tuple(d % wi == 0 for wi in w)
+    good = (
+        coprime
+        and dominates
+        and all(x is not None for x in cond_i)
+        and all(x is not None for x in cond_ii)
+    )
+    g = None
+    if good:
+        value = _raw_genus_oracle(q)
+        if value.denominator != 1:
+            raise InvariantViolation(
+                f"genus of good quadruple {q} is not an integer: {value}"
+            )
+        g = int(value)
+    return ValidityReport(
+        quadruple=q,
+        pairwise_coprime=coprime,
+        degree_dominates=dominates,
+        condition_i=cond_i,
+        condition_ii=cond_ii,
+        divides=divides,
+        is_good=good,
+        genus=g,
+    )
 
 
 def polytope_points_loop(q):

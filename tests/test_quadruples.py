@@ -19,7 +19,7 @@ from wpoly import (
     validate,
 )
 from wpoly import quadruples
-from wpoly.errors import PreconditionError
+from wpoly.errors import InvariantViolation, PreconditionError
 from wpoly.quadruples import (
     GENUS_CAP,
     _case_candidates,
@@ -29,7 +29,7 @@ from wpoly.quadruples import (
 )
 from wpoly.wpolytope import _case_report, build
 
-from lattice_oracles import condition_ii_witness_loop
+from lattice_oracles import condition_ii_witness_loop, validate_oracle
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,6 +186,47 @@ def test_condition_ii_witness_matches_the_loop(weights, d, axis):
     # the direct formula finds the loop's smallest-e_j witness, or none,
     # for any weights, coprime or not
     assert _condition_ii_witness(weights, d, axis) == condition_ii_witness_loop(weights, d, axis)
+
+
+def test_validate_matches_the_oracle_on_a_box():
+    # the whole frozen report, witnesses, flags and genus, on every
+    # quadruple of small entries, coprime or not, good or not
+    good = 0
+    for w0, w1, w2 in itertools.product(range(1, 11), repeat=3):
+        for d in range(1, 61):
+            q = Quadruple(w0, w1, w2, d)
+            report = validate(q)
+            assert report == validate_oracle(q), q
+            good += report.is_good
+    assert 0 < good < 10 * 10 * 10 * 60
+
+
+@st.composite
+def _large_quadruples(draw):
+    # two of the weights share a drawn factor, so common factors come up
+    # however large the weights are
+    factor = draw(st.integers(1, 12))
+    free = draw(st.integers(0, 2))
+    weights = [draw(st.integers(1, 10**4 // factor)) for _ in range(3)]
+    for axis in range(3):
+        if axis != free:
+            weights[axis] *= factor
+    return Quadruple(*weights, draw(st.integers(1, D_MAX_CAP)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_large_quadruples())
+def test_validate_matches_the_oracle_on_large_weights(q):
+    assert validate(q) == validate_oracle(q)
+
+
+def test_validate_refuses_a_non_integral_genus(monkeypatch):
+    # no good quadruple reaches this branch; a genus formula that leaves
+    # a remainder must stop validate, not be rounded
+    monkeypatch.setattr(quadruples, "_genus_parts", lambda w0, w1, w2, d: (3, 2))
+    with pytest.raises(InvariantViolation) as info:
+        validate(Quadruple(1, 3, 2, 7))
+    assert str(info.value) == "genus of good quadruple (1,3,2;7) is not an integer: 3/2"
 
 
 def test_raw_genus_fractional_for_non_good():
