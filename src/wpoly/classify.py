@@ -1,8 +1,8 @@
 """Grouping quadruples by projected polygon class, and class enumeration.
 
-Every good quadruple of genus g projects (through a determinant-d row
-triple) to a lattice polygon with exactly g interior points, pinned down
-up to affine unimodular equivalence.  This module groups quadruples by
+Every good quadruple of genus g projects, through a det-d row triple or
+a lattice chart of its plane, to a lattice polygon with g interior
+points, unique up to affine unimodular maps.  This module groups them by
 the canonical form of that polygon, enumerates all candidate classes for
 a genus by two independent methods, and transports curves between
 quadruples in the same class through an exact rational basis change.
@@ -29,7 +29,7 @@ from .polygon2d import (
 from .quadruples import Quadruple, enumerate_g_good
 from .render import json_text
 from .wpolytope import (
-    Point3, _build, _row_images, _rows_hull, _triple_solver, build, find_unimodular_triple,
+    Point3, _build, _chart_rows, _rows_hull, _triple_solver, build, find_unimodular_triple,
     project,
 )
 
@@ -94,28 +94,29 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
     Classes are sorted by (point count, canonical vertices); members stay
     in enumeration order.  Each quadruple's polytope comes from
     _build(q, g), as enumerate_g_good has validated it, and its rows are
-    projected through its det-d triple by `_row_images`.  The projected
-    rows, (sigma, rows), key a memo of class keys: equal keys hold equal
-    point sets (the 589 members of g = 1..3 at d_max 120 give 98 keys for
-    84 point sets).  On a miss, `_rows_hull` checks the hull against that
-    member's n and genus.  A hit needs no recheck: the member's own
-    `_row_images` passed every solve check and produced the key's rows;
-    its n is the total of those rows, because `_build` builds both from
-    one loop; and its genus is g, which `_build` checked.  The first hull
-    of each class key is canonicalised by `_class_polygons`, as in the
-    enumerators, and each class's members are found by its key.
+    written in the lattice chart of its plane (`_chart_rows`): the class
+    needs some lattice chart, not a det-d triple.  The charted rows key a
+    memo of class keys: equal keys hold equal point sets (the 589 members
+    of g = 1..3 at d_max 120 give 73 keys for 73 point sets).  On a miss,
+    `_rows_hull` checks the hull against that member's n and genus.  A
+    hit needs no recheck: the member's own chart checked every row start
+    and produced the key's rows; its n is the total of those rows,
+    because `_build` builds both from one loop; and its genus is g, which
+    `_build` checked.  The first hull of each class key is canonicalised
+    by `_class_polygons`, as in the enumerators, and each class's members
+    are found by its key.
     """
     seen: dict[tuple, tuple] = {}
     classes: dict[tuple, tuple[tuple[Point2, ...], set[int], list[Quadruple]]] = {}
     for q in enumerate_g_good(g, d_max):
         p = _build(q, g)
-        projected = _row_images(p, find_unimodular_triple(p))
-        if projected not in seen:
-            hull = _rows_hull(p, *projected)
-            seen[projected] = key = _class_key(hull.vertices)
+        rows = _chart_rows(p)
+        if rows not in seen:
+            hull = _rows_hull(p, (1, 0), rows)
+            seen[rows] = key = _class_key(hull.vertices)
             classes.setdefault(key, (hull.vertices, set(), []))[1].add(hull.n)
-        classes[seen[projected]][2].append(q)
-    del seen  # the projected rows are not kept while the canonical polygons are built
+        classes[seen[rows]][2].append(q)
+    del seen  # the charted rows are not kept while the canonical polygons are built
     entries = []
     for poly, key in _class_polygons({k: rep for k, (rep, _, _) in classes.items()}, g):
         _, ns, members = classes[key]
@@ -545,8 +546,8 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     precondition failure.  The source triple T projects to (1, 0), (0, 1)
     and (0, 0), so its partner rows R_to are the witness images u of those
     points lifted through the target triple: u0*t0 + u1*t1 + (1-u0-u1)*t2.
-    With T inverted once more as adj/det, the matrix is adj * R_to / det,
-    and its denominators divide d because |det| = d.  The row map is read
+    With T inverted once, as adj/det, the matrix is adj * R_to / det, and
+    its denominators divide d because |det| = d.  The row map is read
     off the check of every row in integers: row * (adj * R_to) must be det
     times a target row, each target row hit once.
     """
@@ -561,7 +562,7 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
         [u0 * a + u1 * b + (1 - u0 - u1) * c for a, b, c in zip(*t_to)]
         for u0, u1 in map(witness.apply, ((1, 0), (0, 1), (0, 0)))
     ]
-    adj, det, _ = _triple_solver(q_from, t_from)
+    adj, det = _triple_solver(q_from, t_from)
     scaled = [
         [sum(a * r[c] for a, r in zip(adj_row, rows_to)) for c in range(3)] for adj_row in adj
     ]

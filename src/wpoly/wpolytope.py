@@ -10,11 +10,11 @@ distinguished rows (axis i's is the pure power x_i^(d/w_i) when w_i
 divides d, else the condition-(i) witness x_i^k * x_j that validate
 reports) fall into one of seven cases with a predictable determinant.
 The case is read off where each axis's row points (CASE_MAPS): to the
-one other axis the row uses, or to itself for a pure power.  Written
-over a triple of |det| = d, the rows project onto the lattice points of
-a plane polygon with as many interior points (project).  The enumeration
-walks the polytope as parallel rows, start + t*step for one common step,
-and the projection solves each row's start and the step once.
+one other axis the row uses, or to itself for a pure power.  The
+enumeration walks the polytope as rows, one per exponent of the heaviest
+axis, which a closed-form lattice chart of the plane (`_chart`) sends to
+runs of Z^2; over a triple of |det| = d they project onto the lattice
+points of a plane polygon with as many interior points (project).
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .polygon2d import LatticePolygon, Point2, _build_polygon, _hull_cycle
 from .quadruples import GENUS_CAP, Quadruple, _condition_i_witness, validate
 
 Point3 = tuple[int, int, int]
-Row = tuple[Point3, int]  # (start, count): the points start + t*step, 0 <= t < count
+Row = tuple[Point3, int]  # (start, count): the row's least point and its point count
 
 # Hard bound on the point count: n <= 3g + 7, where only one shape per
 # genus class may reach 3g + 7 (the soft bound is 3g + 6).  The bound
@@ -42,15 +42,14 @@ def _soft_bound(g: int) -> int:
 class WeightedPolytope:
     """The polytope's points in ascending lex order, their count n, the
     genus, which `_build` checked to be the count of interior points,
-    and the walk that listed them: every point is start + t*step for
-    exactly one row (start, count) of rows and one 0 <= t < count."""
+    and the walk that listed them: rows (start, count), each the points
+    with one exponent of the heaviest axis, charted (`_chart_rows`)."""
 
     quadruple: Quadruple
     points: tuple[Point3, ...]
     n: int
     genus: int
     exceptional_bound: bool
-    step: Point3
     rows: tuple[Row, ...]
 
 
@@ -122,13 +121,12 @@ def _build(q: Quadruple, g: int) -> WeightedPolytope:
     class mod that weight, stepped from its least member (the weights are
     pairwise coprime, so the second weight is invertible), so each inner
     step yields a point.  Each value of x with a point is one row: its
-    least point and its point count.  Stepping y by wz takes z down by wy,
-    so every row shares the step (0, wz, -wy) of degree 0, and that walk
-    is the one source of the rows and the points.  The points are then
-    sorted into ascending lex order.  The interior points, those with
-    every coordinate >= 1, are counted, not kept, and must number exactly
-    g.  For g >= 1 the point count is checked against the hard bound
-    n <= 3g + 7; hitting 3g + 7 itself is legal but flagged as exceptional.
+    least point and its point count; `_chart` sends it to a run of
+    (1, 0) steps.  The walk is the one source of the rows and the points,
+    which are then sorted into ascending lex order.  The interior points,
+    those with every coordinate >= 1, are counted, not kept, and must
+    number exactly g.  For g >= 1 the point count is checked against the
+    hard bound n <= 3g + 7; 3g + 7 itself is legal but flagged exceptional.
     """
     w = q.weights
     d = q.d
@@ -149,8 +147,6 @@ def _build(q: Quadruple, g: int) -> WeightedPolytope:
             xyz = (x, y, (rest - y * wy) // wz)
             points.append((xyz[slot[0]], xyz[slot[1]], xyz[slot[2]]))
         rows.append((points[start], len(ys)))
-    walk_step = (0, wz, -wy)
-    step = (walk_step[slot[0]], walk_step[slot[1]], walk_step[slot[2]])
     points.sort()
     interior = sum(1 for a, b, c in points if a >= 1 and b >= 1 and c >= 1)
     n = len(points)
@@ -166,7 +162,6 @@ def _build(q: Quadruple, g: int) -> WeightedPolytope:
         n=n,
         genus=g,
         exceptional_bound=g >= 1 and n > _soft_bound(g),
-        step=step,
         rows=tuple(rows),
     )
 
@@ -311,11 +306,10 @@ def verify_case_identities(p: WeightedPolytope) -> CaseReport:
 
 
 def _triple_solver(q: Quadruple, triple: tuple[Point3, Point3, Point3]):
-    """Invert the row triple T once, in integers: (adj, det, solve).
+    """Invert the row triple T once, in integers: (adj, det).
 
     adj is T's adjugate, so adj*T = det*I, and |det| = d is checked, so
-    T^-1 = adj/det; solve(target) is alpha = target*adj/det, checked to be
-    integral; the checks of `_row_images` imply alpha*T = target.
+    T^-1 = adj/det.
     """
     (a, b, c), (d, e, f), (g, h, i) = triple
     adj = (
@@ -326,68 +320,72 @@ def _triple_solver(q: Quadruple, triple: tuple[Point3, Point3, Point3]):
     det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
     if abs(det) != q.d:
         raise PreconditionError(f"triple determinant {det} does not have |det| == d = {q.d}")
-
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = adj
-
-    def solve(target: Point3) -> tuple[int, int, int]:
-        x, y, z = target
-        a0, r0 = divmod(x * c00 + y * c10 + z * c20, det)
-        a1, r1 = divmod(x * c01 + y * c11 + z * c21, det)
-        a2, r2 = divmod(x * c02 + y * c12 + z * c22, det)
-        if r0 or r1 or r2:
-            raise InvariantViolation(f"{q}: non-integral decomposition of {target} over {triple}")
-        return (a0, a1, a2)
-
-    return adj, det, solve
+    return adj, det
 
 
-def _row_images(
-    p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]
-) -> tuple[Point2, tuple[tuple[Point2, int], ...]]:
-    """(sigma, rows): the image of p's step, and each row's start image
-    and count, over the triple.
+def _chart(q: Quadruple, points) -> list[Point2]:
+    """Chart coordinates u = (s, x) of points P of q's plane w.P = d.
 
-    Writing a point as alpha1*t1 + alpha2*t2 + alpha3*t3 forces
-    alpha1 + alpha2 + alpha3 = 1, so the first two coefficients identify
-    the point; they are its coordinates after projection.  The triple is
-    inverted once, as adj/det with |det| = d, and only each row's start,
-    the step and the triple are solved.
+    With `_build`'s axes outer, second, third, of weights wx, wy, wz, and
+    inv = wy^-1, beta = -wx*inv, y0 = d*inv mod wz: x = P[outer] and
+    s = (P[second] - beta*x - y0)/wz, exact as wy*P[second] = d - wx*x
+    (mod wz); a P off that lattice or of degree other than d is an
+    InvariantViolation.  Conversely u charts P[outer] = x, P[second] =
+    y0 + beta*x + wz*s, P[third] = (d - wy*y0)/wz - ((wx + wy*beta)/wz)*x
+    - wy*s, integral by the choice of y0 and beta.  As P[i] = <a_i, u> +
+    b_i, the minors det(a_second, a_third), det(a_third, a_outer) and
+    det(a_outer, a_second) are -wx, -wy, -wz, coprime and of one sign, so
+    the a_i span the degree-0 lattice and the chart is unimodular.  It
+    sends `_build`'s step to (1, 0)."""
+    w, d = q.weights, q.d
+    outer = w.index(max(w))
+    second, third = (axis for axis in range(3) if axis != outer)
+    wx, wy, wz = w[outer], w[second], w[third]
+    inv = pow(wy, -1, wz)
+    beta, y0 = -wx * inv % wz, d * inv % wz
+    charted = []
+    for point in points:
+        x, y = point[outer], point[second]
+        s, off = divmod(y - beta * x - y0, wz)
+        if off or wx * x + wy * y + wz * point[third] != d:
+            raise InvariantViolation(f"{q}: {point} is no lattice point of the plane of degree {d}")
+        charted.append((s, x))
+    return charted
 
-    The checks: each division by det is exact, each start's coefficients
-    sum to 1 and the step's to 0, and the triple rows t1, t2, t3 solve to
-    (1, 0, 0), (0, 1, 0) and (0, 0, 1).  So solve sends T to I: its three
-    linear forms, as the columns of a matrix A, satisfy T*A = det*I, so
-    A = det*T^-1 = adj, and every target whose division is exact has
-    alpha*T = target*A*T/det = target.  By linearity the point
-    start + t*step solves exactly to alpha(start) + t*alpha(step), whose
-    coefficients sum to 1, so its image is e0 + t*sigma, e0 the start's.
-    """
-    q = p.quadruple
-    solve = _triple_solver(q, triple)[2]
-    for row, expected in zip(triple, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        if solve(row) != expected:
-            raise InvariantViolation(f"triple row {row} did not project to {expected[:2]}")
-    s1, s2, s3 = solve(p.step)
-    if s1 + s2 + s3 != 0:
-        raise InvariantViolation(
-            f"{q}: affine coefficients of the step {p.step} sum to {s1 + s2 + s3}"
-        )
-    rows = []
-    for start, n in p.rows:
-        a1, a2, a3 = solve(start)
-        if a1 + a2 + a3 != 1:
-            raise InvariantViolation(f"{q}: affine coefficients of {start} sum to {a1 + a2 + a3}")
-        rows.append(((a1, a2), n))
-    return (s1, s2), tuple(rows)
+
+def _chart_rows(p: WeightedPolytope) -> tuple[tuple[Point2, int], ...]:
+    """p's rows in `_chart` coordinates: ((s, x), count) holds the points
+    charted (s + t, x), 0 <= t < count."""
+    starts = _chart(p.quadruple, [start for start, _ in p.rows])
+    return tuple((u, c) for u, (_, c) in zip(starts, p.rows))
 
 
 def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> LatticePolygon:
     """Projected polygon: its lattice points are exactly the images of
     p's points, the triple's at (1, 0), (0, 1) and (0, 0), and its point
-    and interior counts are the polytope's n and genus.  Each row is
-    solved once (`_row_images`), and only the row ends are hulled and
-    checked (`_rows_hull`)."""
-    return _rows_hull(p, *_row_images(p, triple))
+    and interior counts are the polytope's n and genus.
+
+    The point alpha1*t1 + alpha2*t2 + alpha3*t3, alphas summing to 1, has
+    the image (alpha1, alpha2) and the chart u3 + B*(alpha1, alpha2), B =
+    [u1 - u3 | u2 - u3] for the triple's charts u1, u2, u3.  By the
+    chart's minors det T = +-d*det B, so |det T| = d gives det B = +-1,
+    which is checked.  The charted rows (`_chart_rows`) are carried by
+    B^-1*(u - u3), and only their ends are hulled and checked
+    (`_rows_hull`)."""
+    q = p.quadruple
+    det = minor_det(*triple)
+    if abs(det) != q.d:
+        raise PreconditionError(f"triple determinant {det} does not have |det| == d = {q.d}")
+    (s1, x1), (s2, x2), (s3, x3) = _chart(q, triple)
+    a, b, c, e = s1 - s3, s2 - s3, x1 - x3, x2 - x3  # B = [[a, b], [c, e]]
+    unit = a * e - b * c
+    if unit not in (1, -1):
+        raise InvariantViolation(f"{q}: the triple's chart has determinant {unit}, not +-1")
+    rows = tuple(
+        ((unit * (e * (s - s3) - b * (x - x3)), unit * (a * (x - x3) - c * (s - s3))), n)
+        for (s, x), n in _chart_rows(p)
+    )
+    return _rows_hull(p, (unit * e, -unit * c), rows)
 
 
 _LOST = "projection gained or lost lattice points"
@@ -400,7 +398,7 @@ def _rows_hull(
     and as many points and interior points as p.  Row (e0, c) holds the
     images e0 + t*sigma, 0 <= t < c, so it depends on sigma and the rows
     alone.  Only a row's two ends can be hull vertices, so the hull is
-    taken over the ends, and as exact integer solves they skip the input
+    taken over the ends, and as exact integer images they skip the input
     checks of `convex_hull`.
 
     Every end is checked to lie in the hull, in the half-plane of each

@@ -9,7 +9,7 @@ memo-free atlas, the re-hulled growth step, the canonical cycles of an enumerato
 canonical cycle and splice kernels as first written (every rotation,
 every shortest-edge listing in full, every edge a growth point lies
 beyond) only check what the package computes, and the vertex-dropping
-row projection only breaks it.
+row chart only breaks it.
 """
 import random
 from collections import Counter
@@ -35,7 +35,7 @@ from wpoly.polygon2d import (
     _pick_counts,
 )
 from wpoly.quadruples import ValidityReport, _condition_i_witness, _congruent
-from wpoly.wpolytope import _triple_solver
+from wpoly.wpolytope import _chart_rows
 
 
 def _cross(o, a, b):
@@ -200,13 +200,15 @@ def _det3(r0, r1, r2):
 def cramer_decompose(triple, target):
     """The exact alphas with target = sum alpha_i * triple_i, by Cramer's
     rule: alpha_i is the determinant of the triple with row i replaced by
-    the target, over the triple's own determinant."""
+    the target, over the triple's own determinant; an int when that
+    division is exact, else a Fraction."""
     det = _det3(*triple)
     alphas = []
     for i in range(3):
         replaced = list(triple)
         replaced[i] = target
-        alphas.append(Fraction(_det3(*replaced), det))
+        num = _det3(*replaced)
+        alphas.append(num // det if num % det == 0 else Fraction(num, det))
     return tuple(alphas)
 
 
@@ -337,34 +339,59 @@ def keeps(cycle, q):
 
 def projection_coordinates(p, triple):
     """Coefficients (alpha1, alpha2) of every point of p over the triple,
-    in p.points order, each point solved on its own.
+    in p.points order, each point decomposed on its own by Cramer's rule.
 
     Writing a point as alpha1*t1 + alpha2*t2 + alpha3*t3 forces
     alpha1 + alpha2 + alpha3 = 1, so the first two coefficients identify
-    the point.  Each point's division by det must be exact and its
-    coefficients must sum to 1, and the triple rows must project to
-    (1, 0), (0, 1) and (0, 0): then alpha*T = point for every point.
+    the point.  Each point's coefficients must be integers summing to 1,
+    and the triple rows must project to (1, 0), (0, 1) and (0, 0).
     """
-    solve = _triple_solver(p.quadruple, triple)[2]
     images = []
     for row in p.points:
-        a1, a2, a3 = solve(row)
-        if a1 + a2 + a3 != 1:
-            raise InvariantViolation(
-                f"{p.quadruple}: affine coefficients of {row} sum to {a1 + a2 + a3}"
-            )
-        images.append((a1, a2))
+        alphas = cramer_decompose(triple, row)
+        if any(a.denominator != 1 for a in alphas):
+            raise InvariantViolation(f"{p.quadruple}: non-integral decomposition of {row}")
+        if sum(alphas) != 1:
+            raise InvariantViolation(f"{p.quadruple}: affine coefficients of {row} sum to {sum(alphas)}")
+        images.append(alphas[:2])
     for pt, expected in zip(triple, ((1, 0), (0, 1), (0, 0))):
         if images[p.points.index(pt)] != expected:
             raise InvariantViolation(f"triple row {pt} did not project to {expected}")
     return images
 
 
+def chart_forms(q):
+    """The chart of q's plane as the affine forms of its lattice triangle:
+    (a_i, b_i) for each axis i in index order, with point[i] = <a_i, u> +
+    b_i at the chart coordinates u = (s, x).  Written out from the
+    weights: the outer axis is the first heaviest, second and third the
+    others in index order, inv is found by trial, beta = -wx*inv and
+    y0 = d*inv mod wz."""
+    w, d = q.weights, q.d
+    outer = w.index(max(w))
+    second, third = [axis for axis in range(3) if axis != outer]
+    wx, wy, wz = w[outer], w[second], w[third]
+    inv = next(k for k in range(wz) if (k * wy - 1) % wz == 0)
+    beta, y0 = -wx * inv % wz, d * inv % wz
+    (gamma, r1), (b3, r2) = divmod(wx + wy * beta, wz), divmod(d - wy * y0, wz)
+    assert r1 == r2 == 0, q
+    forms = [None, None, None]
+    forms[outer] = ((0, 1), 0)
+    forms[second] = ((wz, beta), y0)
+    forms[third] = ((-wy, -gamma), b3)
+    return forms
+
+
+def chart_point(forms, u):
+    """The point at chart coordinates u under `chart_forms`."""
+    return tuple(a0 * u[0] + a1 * u[1] + b for (a0, a1), b in forms)
+
+
 def row_points(p):
-    """Every point start + t*step of p's rows, in walk order."""
-    return [
-        tuple(a + t * s for a, s in zip(start, p.step)) for start, c in p.rows for t in range(c)
-    ]
+    """Every point of p's charted rows, (s + t, x) for 0 <= t < count,
+    carried back by `chart_forms`, in walk order."""
+    forms = chart_forms(p.quadruple)
+    return [chart_point(forms, u) for u in row_image_list((1, 0), _chart_rows(p))]
 
 
 def row_image_list(sigma, rows):
@@ -372,31 +399,31 @@ def row_image_list(sigma, rows):
     return [(x + t * sigma[0], y + t * sigma[1]) for (x, y), c in rows for t in range(c)]
 
 
-def vertex_dropped(row_images):
-    """`_row_images`, but with one hull vertex taken off the end of its
+def vertex_dropped(chart_rows):
+    """`_chart_rows`, but with one hull vertex taken off the end of its
     row (the row dropped if it held only that point).  The vertex is one
     whose removal keeps the interior count, and the hull of the remaining
-    images holds exactly them, so only the projected point count goes
-    wrong; a projection without such a vertex is left as it is."""
+    points holds exactly them, so only the projected point count goes
+    wrong; a polytope without such a vertex is left as it is."""
 
-    def dropped(p, triple):
-        sigma, rows = row_images(p, triple)
-        images = row_image_list(sigma, rows)
+    def dropped(p):
+        rows = chart_rows(p)
+        images = row_image_list((1, 0), rows)
         hull = convex_hull(images)
         for v in hull.vertices:
             if convex_hull([pt for pt in images if pt != v]).i != hull.i:
                 continue
             kept = []
-            for (x, y), c in rows:
-                last = (x + (c - 1) * sigma[0], y + (c - 1) * sigma[1])
-                if v == (x, y) and c > 1:
-                    kept.append(((x + sigma[0], y + sigma[1]), c - 1))
+            for (s, x), c in rows:
+                last = (s + c - 1, x)
+                if v == (s, x) and c > 1:
+                    kept.append(((s + 1, x), c - 1))
                 elif v == last and c > 1:
-                    kept.append(((x, y), c - 1))
-                elif v != (x, y):
-                    kept.append(((x, y), c))
-            return sigma, tuple(kept)
-        return sigma, rows
+                    kept.append(((s, x), c - 1))
+                elif v != (s, x):
+                    kept.append(((s, x), c))
+            return tuple(kept)
+        return rows
 
     return dropped
 

@@ -26,7 +26,7 @@ from wpoly import (
     render_polygon_svg,
     verify_case_identities,
 )
-from wpoly import classify, wpolytope
+from wpoly import classify
 from wpoly.cli import main
 from wpoly.errors import DegenerateInputError, PreconditionError
 from wpoly.polygon2d import _pick_counts
@@ -34,6 +34,7 @@ from wpoly.polygon2d import _pick_counts
 from lattice_oracles import (
     apply_map,
     canonical_cycles,
+    cramer_decompose,
     interior_count,
     random_unimodular_map,
     tiling_faults,
@@ -113,14 +114,14 @@ def test_criterion_2_projection_suite(corpus, record_criterion):
         for q, p in pairs:
             total += 1
             triple = find_unimodular_triple(p)
-            poly = project(p, triple)  # integral Cramer + point-set match inside
+            poly = project(p, triple)  # chart, unimodular map and point-set match inside
             if poly.n != p.n or poly.i != g:
                 violations.append(f"{q}: projection changed counts")
     multiples_checked = 0
     for tup in [(1, 1, 1, 3), (1, 3, 2, 7), (1, 2, 3, 11)]:
         q = Quadruple(*tup)
         p = build(q)
-        solve = wpolytope._triple_solver(q, find_unimodular_triple(p))[2]
+        triple = find_unimodular_triple(p)
         for mult in (2, 3):
             target_degree = mult * q.d
             for a in range(target_degree // q.w0 + 1):
@@ -128,7 +129,8 @@ def test_criterion_2_projection_suite(corpus, record_criterion):
                     rem = target_degree - a * q.w0 - b * q.w1
                     if rem % q.w2 != 0:
                         continue
-                    if sum(solve((a, b, rem // q.w2))) != mult:
+                    alphas = cramer_decompose(triple, (a, b, rem // q.w2))
+                    if any(x.denominator != 1 for x in alphas) or sum(alphas) != mult:
                         violations.append(f"{q}: alpha sum for degree {mult}d")
                     multiples_checked += 1
     ok = not violations

@@ -123,22 +123,23 @@ def test_atlas_matches_the_memo_free_oracle(g):
 
 
 def test_atlas_makes_one_hull_per_row_key(monkeypatch):
-    # the memo keeps each projected-rows key's class key, so the 589
-    # members of g = 1..3 at d_max 120 need only the hulls of their 98
-    # keys, which hold 84 point sets
+    # the memo keeps each charted-rows key's class key, so the 589 members
+    # of g = 1..3 at d_max 120 need only the hulls of their 73 keys, which
+    # hold 73 point sets; each hull takes the chart's step (1, 0)
     made = []
     rows_hull = classify._rows_hull
 
     def counted(p, sigma, rows):
-        made.append((sigma, rows))
+        assert sigma == (1, 0)
+        made.append(rows)
         return rows_hull(p, sigma, rows)
 
     monkeypatch.setattr(classify, "_rows_hull", counted)
     members = sum(
         len(entry.members) for g in (1, 2, 3) for entry in group_by_class(g, 120).classes
     )
-    point_sets = {frozenset(row_image_list(*key)) for key in made}
-    assert (members, len(made), len(set(made)), len(point_sets)) == (589, 98, 98, 84)
+    point_sets = {frozenset(row_image_list((1, 0), key)) for key in made}
+    assert (members, len(made), len(set(made)), len(point_sets)) == (589, 73, 73, 73)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +166,7 @@ def test_first_member_of_a_row_key_checks_the_projected_interior(monkeypatch):
     seen = set()
     for q in enumerate_g_good(1, 30):
         p = build(q)
-        key = wpolytope._row_images(p, find_unimodular_triple(p))
+        key = wpolytope._chart_rows(p)
         if key not in seen:
             seen.add(key)
             first = q
@@ -185,7 +186,7 @@ def test_first_member_of_a_row_key_checks_the_projected_interior(monkeypatch):
 def test_projection_that_loses_a_point_is_caught(monkeypatch):
     # the hull of the projected rows holds exactly their images and keeps
     # the interior count, but has one point fewer than the polytope
-    monkeypatch.setattr(classify, "_row_images", vertex_dropped(wpolytope._row_images))
+    monkeypatch.setattr(classify, "_chart_rows", vertex_dropped(wpolytope._chart_rows))
     with pytest.raises(InvariantViolation, match=r"^\(1,1,1;3\): projected point count 9 != 10$"):
         group_by_class(1, 30)
 
@@ -950,13 +951,12 @@ def test_basis_change_refuses_rows_that_are_not_hit_once(monkeypatch):
     (lambda adj, det: (adj, 2 * det), "denominator not dividing 7"),
 ], ids=["adjugate-entry", "doubled-determinant"])
 def test_basis_change_checks_a_corrupted_inverse(monkeypatch, corrupt, message):
-    # the matrix is checked on its own: a wrong adjugate or determinant
-    # handed over with a correct row solve must still be caught
+    # the matrix is checked on its own: a wrong adjugate or determinant,
+    # with both projections still correct, must be caught
     triple_solver = wpolytope._triple_solver
 
     def corrupted(*args):
-        adj, det, solve = triple_solver(*args)
-        return (*corrupt(adj, det), solve)
+        return corrupt(*triple_solver(*args))
 
     monkeypatch.setattr(classify, "_triple_solver", corrupted)
     with pytest.raises(InvariantViolation, match=message):
@@ -984,33 +984,31 @@ def test_make_curve_validates_terms():
 
 
 def test_basis_change_decomposes_each_row_once(monkeypatch):
-    # one triple inverse per projection and one more for the source
-    # triple's matrix; each projection solves its triple, its step and the
-    # start of each of its rows once, and the matrix checks every row
-    # without a solve
-    inverses = solves = 0
+    # one triple inverse, for the source triple's matrix; each projection
+    # charts its triple and the start of each of its rows once, and the
+    # matrix checks every row without a solve
+    inverses = charted = 0
     triple_solver = wpolytope._triple_solver
+    chart = wpolytope._chart
 
-    def counted(*args):
+    def counted_inverse(*args):
         nonlocal inverses
         inverses += 1
-        adj, det, solve = triple_solver(*args)
+        return triple_solver(*args)
 
-        def counted_solve(target):
-            nonlocal solves
-            solves += 1
-            return solve(target)
+    def counted_chart(q, points):
+        nonlocal charted
+        charted += len(points)
+        return chart(q, points)
 
-        return adj, det, counted_solve
-
-    monkeypatch.setattr(wpolytope, "_triple_solver", counted)
-    monkeypatch.setattr(classify, "_triple_solver", counted)
+    monkeypatch.setattr(classify, "_triple_solver", counted_inverse)
+    monkeypatch.setattr(wpolytope, "_chart", counted_chart)
     bc = basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
     assert len(bc.row_map) == 8
-    assert inverses == 3
+    assert inverses == 1
     walks = [len(build(q).rows) for q in (Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))]
     assert walks == [3, 3]
-    assert solves == sum(3 + 1 + rows for rows in walks)
+    assert charted == sum(3 + rows for rows in walks)
 
 
 def test_map_curve_permutation_pair():

@@ -340,7 +340,7 @@ def test_genus_above_the_cap_exits_1_at_once(capsys, tmp_path, monkeypatch, argv
 
 
 def test_poly_analyze_projection_that_loses_a_point_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(wpolytope, "_row_images", vertex_dropped(wpolytope._row_images))
+    monkeypatch.setattr(wpolytope, "_chart_rows", vertex_dropped(wpolytope._chart_rows))
     code, out, err = run(capsys, "poly", "analyze", "1", "1", "1", "3")
     assert (code, out) == (2, "")
     assert err == "invariant violation: (1,1,1;3): projected point count 9 != 10\n"
@@ -349,20 +349,19 @@ def test_poly_analyze_projection_that_loses_a_point_exits_2(capsys, monkeypatch)
 def test_poly_analyze_projection_that_repeats_an_image_exits_2(capsys, monkeypatch):
     # the row through an interior point is moved onto its neighbour's start:
     # its images repeat some of the neighbour's, so the two rows share a line
-    real = wpolytope._row_images
+    real = wpolytope._chart_rows
     distinct = []
 
-    def repeated(p, triple):
-        sigma, rows = real(p, triple)
+    def repeated(p):
+        rows = real(p)
         inner = next(point for point in p.points if min(point) >= 1)
-        j = next(k for k, (start, c) in enumerate(p.rows) if any(
-            tuple(a + t * s for a, s in zip(start, p.step)) == inner for t in range(c)
-        ))
+        (_, x), = wpolytope._chart(p.quadruple, [inner])
+        j = next(k for k, ((_, row_x), _) in enumerate(rows) if row_x == x)
         rows = rows[:j] + ((rows[j - 1][0], rows[j][1]),) + rows[j + 1:]
-        distinct.append((len(set(row_image_list(sigma, rows))), p.n))
-        return sigma, rows
+        distinct.append((len(set(row_image_list((1, 0), rows))), p.n))
+        return rows
 
-    monkeypatch.setattr(wpolytope, "_row_images", repeated)
+    monkeypatch.setattr(wpolytope, "_chart_rows", repeated)
     code, out, err = run(capsys, "poly", "analyze", "2", "3", "7", "42", "--json")
     assert distinct == [(25, 28)]
     assert (code, out) == (2, "")

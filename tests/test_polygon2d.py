@@ -449,39 +449,39 @@ def test_random_map_deterministic_per_seed():
 
 
 def test_projection_coordinates_frozen():
+    # (1,3,2;7): the outer axis is 1, second 0 and third 2, so wz = 2 and
+    # beta = y0 = 1, and the point (a, b, c) has the chart ((a - b - 1)/2, b)
     p = build(Quadruple(1, 3, 2, 7))
     triple = find_unimodular_triple(p)
-    sigma, rows = wpolytope._row_images(p, triple)
-    assert (p.step, p.rows) == ((2, 0, -1), (((1, 0, 3), 4), ((0, 1, 2), 3), ((1, 2, 0), 1)))
-    assert (sigma, rows) == ((-2, 1), (((0, 1), 4), ((1, 0), 3), ((0, 0), 1)))
-    # point by point the rows' images are the per-point oracle's, and the
-    # triple rows themselves land on the coordinate triangle
+    rows = wpolytope._chart_rows(p)
+    assert p.rows == (((1, 0, 3), 4), ((0, 1, 2), 3), ((1, 2, 0), 1))
+    assert rows == (((0, 0), 4), ((-1, 1), 3), ((-1, 2), 1))
+    assert wpolytope._chart(p.quadruple, triple) == [(-1, 1), (0, 0), (-1, 2)]
+    # the triple's map B^-1 (u - u3), B^-1 = [[-2, -1], [1, 0]], sends the
+    # step (1, 0) to (-2, 1) and the row starts to (0, 1), (1, 0), (0, 0);
+    # point by point that is the per-point oracle's image, and the triple
+    # rows themselves land on the coordinate triangle
     coords = dict(zip(p.points, projection_coordinates(p, triple)))
-    assert dict(zip(row_points(p), row_image_list(sigma, rows))) == coords
+    images = [(-2 * (s + 1) - (x - 2), s + 1) for s, x in row_image_list((1, 0), rows)]
+    assert dict(zip(row_points(p), images)) == coords
     assert [coords[row] for row in triple] == [(1, 0), (0, 1), (0, 0)]
+    assert project(p, triple) == convex_hull(images)
 
 
 def test_projection_coordinates_checks_rows_and_triple(monkeypatch):
     p = build(Quadruple(1, 3, 2, 7))
     triple = find_unimodular_triple(p)
-    # a row starting at a point of degree 2d has coefficients summing to 2
+    # a row starting at a point of degree 2d is off the plane
     doubled = dataclasses.replace(p, rows=p.rows + (((14, 0, 0), 1),))
-    with pytest.raises(InvariantViolation, match="sum to 2"):
+    with pytest.raises(InvariantViolation, match=r"\(14, 0, 0\) is no lattice point of the"):
         project(doubled, triple)
-    # a solve that swaps alpha1 and alpha2 keeps the sums but moves the triple
-    triple_solver = wpolytope._triple_solver
-
-    def swapped(*args):
-        adj, det, solve = triple_solver(*args)
-
-        def solve_swapped(row):
-            a1, a2, a3 = solve(row)
-            return a2, a1, a3
-
-        return adj, det, solve_swapped
-
-    monkeypatch.setattr(wpolytope, "_triple_solver", swapped)
-    with pytest.raises(InvariantViolation, match="did not project to"):
+    # a chart of determinant 2, the true one with s doubled, gives the
+    # triple a chart that is no lattice basis, which the projection refuses
+    chart = wpolytope._chart
+    monkeypatch.setattr(
+        wpolytope, "_chart", lambda q, points: [(2 * s, x) for s, x in chart(q, points)]
+    )
+    with pytest.raises(InvariantViolation, match=r"the triple's chart has determinant 2, not \+-1$"):
         project(p, triple)
 
 

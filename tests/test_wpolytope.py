@@ -25,9 +25,12 @@ from wpoly import (
 from wpoly import classify, convex_hull, wpolytope
 from wpoly.cli import main
 from wpoly.errors import InvariantViolation, PreconditionError
-from wpoly.wpolytope import _build, _row_images, _rows_hull
+from wpoly.classify import _class_key
+from wpoly.wpolytope import _build, _chart, _chart_rows, _rows_hull
 
 from lattice_oracles import (
+    chart_forms,
+    chart_point,
     cramer_decompose,
     interior_count,
     polytope_points_loop,
@@ -37,8 +40,10 @@ from lattice_oracles import (
 )
 
 
-def solve_over(p, triple, target):
-    return wpolytope._triple_solver(p.quadruple, triple)[2](target)
+def integral(alphas):
+    """The Cramer coefficients as integers, asserting that they are."""
+    assert all(a.denominator == 1 for a in alphas), alphas
+    return tuple(int(a) for a in alphas)
 
 # one hand-checked instance per case tag
 CASE_INSTANCES = {
@@ -273,17 +278,17 @@ def test_decompose_frozen_values():
     p = build(Quadruple(1, 3, 2, 7))
     t = find_unimodular_triple(p)
     assert t == ((0, 1, 2), (1, 0, 3), (1, 2, 0))
-    assert solve_over(p, t, (7, 0, 0)) == (-6, 4, 3)
+    assert integral(cramer_decompose(t, (7, 0, 0))) == (-6, 4, 3)
     p3 = build(Quadruple(1, 1, 1, 3))
     t3 = find_unimodular_triple(p3)
-    assert solve_over(p3, t3, (2, 2, 2)) == (-2, 2, 2)
+    assert integral(cramer_decompose(t3, (2, 2, 2))) == (-2, 2, 2)
 
 
 def test_decompose_over_alternative_triple():
     # any row triple with |det| = d works, not just the lex-first one
-    p = build(Quadruple(1, 3, 2, 7))
     t = ((4, 1, 0), (2, 1, 1), (1, 2, 0))
-    assert solve_over(p, t, (7, 0, 0)) == (2, 0, -1)
+    assert abs(minor_det(*t)) == 7
+    assert integral(cramer_decompose(t, (7, 0, 0))) == (2, 0, -1)
 
 
 def test_decompose_alpha_sum_equals_degree_multiple():
@@ -292,22 +297,15 @@ def test_decompose_alpha_sum_equals_degree_multiple():
     t = find_unimodular_triple(p)
     for mult in (1, 2, 3):
         target = (mult * q.d, 0, 0)
-        assert sum(solve_over(p, t, target)) == mult
+        assert sum(integral(cramer_decompose(t, target))) == mult
 
 
 def test_decompose_rejects_bad_inputs():
+    # a triple of |det| = 2d is refused before any row is charted
     p = build(Quadruple(1, 3, 2, 7))
-    with pytest.raises(PreconditionError):
-        solve_over(p, ((1, 2, 0), (3, 0, 2), (5, 0, 1)), (7, 0, 0))  # |det| = 14
-
-
-def test_triple_solver_checks_divisibility():
-    # a target whose degree is not a multiple of d has no integral solution
-    p = build(Quadruple(1, 3, 2, 7))
-    _, det, solve = wpolytope._triple_solver(p.quadruple, find_unimodular_triple(p))
-    assert abs(det) == 7
-    with pytest.raises(InvariantViolation, match="non-integral decomposition"):
-        solve((1, 0, 0))
+    message = r"^triple determinant 14 does not have \|det\| == d = 7$"
+    with pytest.raises(PreconditionError, match=message):
+        project(p, ((1, 2, 0), (3, 0, 2), (5, 0, 1)))
 
 
 def test_every_point_decomposes_over_lex_triple():
@@ -316,7 +314,7 @@ def test_every_point_decomposes_over_lex_triple():
             p = build(q)
             t = find_unimodular_triple(p)
             for pt in p.points:
-                assert sum(solve_over(p, t, pt)) == 1, (q, pt)
+                assert sum(integral(cramer_decompose(t, pt))) == 1, (q, pt)
 
 
 @functools.cache
@@ -327,22 +325,21 @@ def _good_quadruples():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_decompose_and_projection_match_cramer(data):
-    # any det-d triple, in any row order, against the replaced-row oracle:
-    # every row, and one target of degree 2d (a sum of two rows)
+    # any det-d triple, in any row order: every row decomposes over it in
+    # integers, the projection is the hull of the rows' Cramer images, and
+    # one target of degree 2d (a sum of two rows) decomposes in integers
+    # summing to 2
     q = data.draw(st.sampled_from(_good_quadruples()), label="quadruple")
     p = build(q)
     triples = [t for t in combinations(p.points, 3) if abs(minor_det(*t)) == q.d]
     triple = tuple(data.draw(st.sampled_from(triples).flatmap(st.permutations), label="triple"))
-    images = dict(zip(row_points(p), row_image_list(*_row_images(p, triple))))
     for row in p.points:
-        expected = cramer_decompose(triple, row)
-        assert solve_over(p, triple, row) == expected, (q, triple, row)
-        assert images[row] == expected[:2]
+        assert sum(integral(cramer_decompose(triple, row))) == 1, (q, triple, row)
+    assert project(p, triple) == _point_oracle_polygon(p, triple)
     i = data.draw(st.integers(0, p.n - 1))
     j = data.draw(st.integers(0, p.n - 1))
     target = tuple(x + y for x, y in zip(p.points[i], p.points[j]))
-    alphas = solve_over(p, triple, target)
-    assert alphas == cramer_decompose(triple, target) and sum(alphas) == 2
+    assert sum(integral(cramer_decompose(triple, target))) == 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -400,7 +397,8 @@ def test_atlas_path_checks_interior_count_against_the_genus(monkeypatch, tmp_pat
 def test_build_points_match_the_double_loop(g):
     # the residue-stepped loop over the heaviest axis, sorted, lists the
     # same points as trying every (a, b), in every order of the weights,
-    # and its rows, each start + t*step for a step of degree 0, hold them
+    # and its rows, charted and carried back by the chart's affine forms,
+    # hold them
     quads = enumerate_g_good(g, 120)
     if g == 1:
         assert Quadruple(1, 1, 1, 3) in quads
@@ -410,16 +408,50 @@ def test_build_points_match_the_double_loop(g):
             p = _build(permuted, g)
             assert p.points == polytope_points_loop(permuted), permuted
             assert build(permuted) == p
-            assert sum(w * x for w, x in zip(permuted.weights, p.step)) == 0
             assert all(c >= 1 for _, c in p.rows)
             assert sorted(row_points(p)) == list(p.points), permuted
 
 
+def test_chart_is_the_lattice_triangle_of_every_member():
+    # the chart's affine forms, written out from the weights, carry the
+    # chart of every point of every member of g = 1..6 at d_max 300 back
+    # to the point, and their minors det(a_(i+1), a_(i+2)) are the
+    # weights w_i, all with one sign
+    members = 0
+    for g in range(1, 7):
+        for q in enumerate_g_good(g, 300):
+            p = _build(q, g)
+            forms = chart_forms(q)
+            for point, u in zip(p.points, _chart(q, p.points)):
+                assert chart_point(forms, u) == point, (q, point)
+            a = [a_i for a_i, _ in forms]
+            minors = [a[j][0] * a[k][1] - a[j][1] * a[k][0] for j, k in ((1, 2), (2, 0), (0, 1))]
+            assert minors in ([*q.weights], [-w for w in q.weights]), q
+            members += 1
+    assert members == 3080
+
+
+def test_every_atlas_member_has_a_det_d_triple_of_its_chart_class():
+    # group_by_class projects through the chart alone; for every member of
+    # the g = 1..3 atlases at d_max 240 a det-d triple still exists, and
+    # the projection through it has the class key of the chart's hull
+    members = 0
+    for g in (1, 2, 3):
+        for q in enumerate_g_good(g, 240):
+            p = _build(q, g)
+            triple = find_unimodular_triple(p)
+            assert abs(minor_det(*triple)) == q.d
+            chart_hull = _rows_hull(p, (1, 0), _chart_rows(p))
+            assert _class_key(project(p, triple).vertices) == _class_key(chart_hull.vertices), q
+            members += 1
+    assert members == 1415
+
+
 def _point_oracle_polygon(p, triple):
-    """The hull of every point's own solve, and the images as a multiset
-    against the expanded rows; the row route must give the same polygon."""
+    """The hull of every point's own Cramer decomposition, whose images
+    must be pairwise distinct; the row route must give the same polygon."""
     images = projection_coordinates(p, triple)
-    assert sorted(images) == sorted(row_image_list(*_row_images(p, triple))), p.quadruple
+    assert len(set(images)) == p.n, p.quadruple
     return convex_hull(images)
 
 
@@ -451,39 +483,66 @@ def _good_degrees(weights):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_row_route_matches_the_point_oracle_on_random_quadruples(data):
-    # random pairwise coprime weights in any order, and a good degree up to
-    # 600 of genus at most 2000
+    # random pairwise coprime weights and a good degree up to 600 of genus
+    # at most 2000, in every order of the weights, so that each axis is
+    # the chart's outer one in turn
     w0 = data.draw(st.integers(1, 40), label="w0")
     w1 = data.draw(st.integers(1, 40).filter(lambda w: gcd(w, w0) == 1), label="w1")
     w2 = data.draw(st.integers(1, 40).filter(lambda w: gcd(w, w0 * w1) == 1), label="w2")
-    degrees = _good_degrees((w0, w1, w2))
+    degrees = _good_degrees(tuple(sorted((w0, w1, w2))))
     assume(degrees)
-    q = Quadruple(w0, w1, w2, data.draw(st.sampled_from(degrees), label="d"))
-    p = build(q)
-    assume(p.n >= 3)
-    triple = find_unimodular_triple(p)
-    assert project(p, triple) == _point_oracle_polygon(p, triple)
+    d = data.draw(st.sampled_from(degrees), label="d")
+    for weights in permutations((w0, w1, w2)):
+        p = build(Quadruple(*weights, d))
+        assume(p.n >= 3)
+        triple = find_unimodular_triple(p)
+        assert project(p, triple) == _point_oracle_polygon(p, triple), weights
 
 
 def _plus(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (lambda p, t: {"rows": ((_plus(p.rows[0][0], (1, 0, 0)), p.rows[0][1]),) + p.rows[1:]},
-     r"non-integral decomposition of \(1, 14, 0\)"),
-    (lambda p, t: {"step": _plus(p.step, (1, 0, 0))},
-     r"non-integral decomposition of \(4, -2, 0\)"),
-    (lambda p, t: {"rows": ((_plus(p.rows[0][0], t[0]), p.rows[0][1]),) + p.rows[1:]},
-     r"affine coefficients of \(0, 14, 6\) sum to 2$"),
-    (lambda p, t: {"step": _plus(p.step, t[0])},
-     r"affine coefficients of the step \(3, -2, 6\) sum to 1$"),
-], ids=["inexact-start", "inexact-step", "start-sum", "step-sum"])
+# a row start moved off the chart's lattice (and so off the plane), and
+# one moved onto the chart's lattice at degree 2d (the start plus the
+# first triple row)
+ROW_START_FAULTS = pytest.mark.parametrize("corrupt, message", [
+    (lambda p, t: _plus(p.rows[0][0], (1, 0, 0)), r"\(1, 14, 0\)"),
+    (lambda p, t: _plus(p.rows[0][0], t[0]), r"\(0, 14, 6\)"),
+], ids=["inexact-start", "start-degree"])
+
+START_MESSAGE = r"^\(2,3,7;42\): {} is no lattice point of the plane of degree 42$"
+
+
+def _start_moved(p, corrupt, triple):
+    return dataclasses.replace(p, rows=((corrupt(p, triple), p.rows[0][1]),) + p.rows[1:])
+
+
+@ROW_START_FAULTS
 def test_row_solve_faults_are_caught(corrupt, message):
     p = build(Quadruple(2, 3, 7, 42))
     triple = find_unimodular_triple(p)
-    with pytest.raises(InvariantViolation, match=message):
-        project(dataclasses.replace(p, **corrupt(p, triple)), triple)
+    with pytest.raises(InvariantViolation, match=START_MESSAGE.format(message)):
+        project(_start_moved(p, corrupt, triple), triple)
+
+
+@ROW_START_FAULTS
+def test_row_start_faults_are_caught_on_the_atlas_path(monkeypatch, corrupt, message):
+    # group_by_class charts the rows with no triple; the same faults in the
+    # polytope of (2,3,7;42), a member of the genus-16 atlas, are caught
+    q = Quadruple(2, 3, 7, 42)
+    assert q in enumerate_g_good(16, 42)
+    triple = find_unimodular_triple(build(q))
+    build_checked = classify._build
+
+    def corrupted(member, g):
+        p = build_checked(member, g)
+        return _start_moved(p, corrupt, triple) if member == q else p
+
+    monkeypatch.setattr(classify, "_build", corrupted)
+    with pytest.raises(InvariantViolation, match=START_MESSAGE.format(message)) as excinfo:
+        group_by_class(16, 42)
+    assert excinfo.traceback[-1].name == "_chart"
 
 
 def _shared_line(sigma, rows, monkeypatch):
@@ -515,7 +574,7 @@ def _count_short(sigma, rows, monkeypatch):
 def test_row_hull_faults_are_caught(monkeypatch, corrupt, message):
     q = Quadruple(2, 3, 7, 42)
     p = build(q)
-    sigma, rows = _row_images(p, find_unimodular_triple(p))
+    sigma, rows = (1, 0), _chart_rows(p)
     rows = corrupt(sigma, rows, monkeypatch)
     with pytest.raises(InvariantViolation, match=rf"^\(2,3,7;42\): projection gained or lost lattice points: {message}"):
         _rows_hull(p, sigma, rows)
