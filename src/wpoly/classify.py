@@ -29,8 +29,7 @@ from .polygon2d import (
 from .quadruples import Quadruple, enumerate_g_good
 from .render import json_text
 from .wpolytope import (
-    Point3, _build, _chart_rows, _rows_hull, _triple_solver, build, find_unimodular_triple,
-    project,
+    Point3, _build, _rows_hull, _triple_solver, build, find_unimodular_triple, project,
 )
 
 
@@ -93,16 +92,16 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
 
     Classes are sorted by (point count, canonical vertices); members stay
     in enumeration order.  Each quadruple's polytope comes from
-    _build(q, g), as enumerate_g_good has validated it, and its rows are
-    written in the lattice chart of its plane (`_chart_rows`): the class
-    needs some lattice chart, not a det-d triple.  The charted rows key a
+    _build(q, g), as enumerate_g_good has validated it, and comes as its
+    rows in the lattice chart of its plane: the class needs some lattice
+    chart, not a det-d triple.  The charted rows key a
     memo of class keys: equal keys hold equal point sets (the 589 members
     of g = 1..3 at d_max 120 give 73 keys for 73 point sets).  On a miss,
     `_rows_hull` checks the hull against that member's n and genus.  A
-    hit needs no recheck: the member's own chart checked every row start
-    and produced the key's rows; its n is the total of those rows,
-    because `_build` builds both from one loop; and its genus is g, which
-    `_build` checked.  The first hull of each class key is canonicalised
+    hit needs no recheck: the member's own `_build` checked every row
+    start on the plane and produced the key's rows; its n is the total of
+    those rows, which `_build` summed; and its genus is g, which `_build`
+    checked.  The first hull of each class key is canonicalised
     by `_class_polygons`, as in the enumerators, and each class's members
     are found by its key.
     """
@@ -110,12 +109,11 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
     classes: dict[tuple, tuple[tuple[Point2, ...], set[int], list[Quadruple]]] = {}
     for q in enumerate_g_good(g, d_max):
         p = _build(q, g)
-        rows = _chart_rows(p)
-        if rows not in seen:
-            hull = _rows_hull(p, (1, 0), rows)
-            seen[rows] = key = _class_key(hull.vertices)
+        if p.rows not in seen:
+            hull = _rows_hull(p, (1, 0), p.rows)
+            seen[p.rows] = key = _class_key(hull.vertices)
             classes.setdefault(key, (hull.vertices, set(), []))[1].add(hull.n)
-        classes[seen[rows]][2].append(q)
+        classes[seen[p.rows]][2].append(q)
     del seen  # the charted rows are not kept while the canonical polygons are built
     entries = []
     for poly, key in _class_polygons({k: rep for k, (rep, _, _) in classes.items()}, g):
@@ -572,15 +570,16 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     if bad:
         raise InvariantViolation(f"basis change entry {bad[0]} has denominator not dividing {d}")
     target = {tuple(det * x for x in row): j for j, row in enumerate(p_to.points)}
+    rows = p_from.points
     row_map = []
-    for row in p_from.points:
+    for row in rows:
         j = target.get(tuple(sum(x * s[c] for x, s in zip(row, scaled)) for c in range(3)))
         if j is None:
             raise InvariantViolation(f"basis change does not carry row {row} to a row of {q_to}")
         row_map.append(j)
     if sorted(row_map) != list(range(p_to.n)):
         raise InvariantViolation(f"basis change does not pair the rows of {q_from} and {q_to}")
-    return BasisChange(q_from, q_to, matrix, tuple(row_map), p_from.points)
+    return BasisChange(q_from, q_to, matrix, tuple(row_map), rows)
 
 
 @dataclass(frozen=True)

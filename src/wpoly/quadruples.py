@@ -40,8 +40,7 @@ class Quadruple:
     d: int
 
     def __post_init__(self) -> None:
-        for name in ("w0", "w1", "w2", "d"):
-            value = getattr(self, name)
+        for name, value in (("w0", self.w0), ("w1", self.w1), ("w2", self.w2), ("d", self.d)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
             if value < 1:
@@ -146,6 +145,20 @@ def raw_genus(q: Quadruple) -> Fraction:
     return Fraction(*_genus_parts(q.w0, q.w1, q.w2, q.d))
 
 
+def _integral_genus(w0: int, w1: int, w2: int, d: int) -> int:
+    """The genus of a good quadruple, the integer quotient of
+    _genus_parts; a remainder raises InvariantViolation, since a good
+    quadruple's genus is integral."""
+    numerator, denominator = _genus_parts(w0, w1, w2, d)
+    g, rest = divmod(numerator, denominator)
+    if rest:
+        raise InvariantViolation(
+            f"genus of good quadruple ({w0},{w1},{w2};{d}) is not an integer: "
+            f"{Fraction(numerator, denominator)}"
+        )
+    return g
+
+
 def validate(q: Quadruple) -> ValidityReport:
     """Run every goodness test and collect witnesses.
 
@@ -153,8 +166,7 @@ def validate(q: Quadruple) -> ValidityReport:
     (degree_dominates); each axis i has a condition (i) witness x_i^k*x_j
     and a condition (ii) witness avoiding x_i; and, for the report, which
     weights divide d.  A quadruple that passes the first three is good,
-    and its genus is the integer quotient of _genus_parts; a remainder
-    raises InvariantViolation, since a good quadruple's genus is integral.
+    and its genus is `_integral_genus`.
     """
     w0, w1, w2, d = q.w0, q.w1, q.w2, q.d
     w = (w0, w1, w2)
@@ -171,15 +183,6 @@ def validate(q: Quadruple) -> ValidityReport:
         _condition_ii_witness(w, d, 2),
     )
     good = coprime and dominates and None not in cond_i and None not in cond_ii
-    g: int | None = None
-    if good:
-        numerator, denominator = _genus_parts(w0, w1, w2, d)
-        g, rest = divmod(numerator, denominator)
-        if rest:
-            raise InvariantViolation(
-                f"genus of good quadruple {q} is not an integer: "
-                f"{Fraction(numerator, denominator)}"
-            )
     return ValidityReport(
         quadruple=q,
         pairwise_coprime=coprime,
@@ -188,8 +191,21 @@ def validate(q: Quadruple) -> ValidityReport:
         condition_ii=cond_ii,
         divides=(d % w0 == 0, d % w1 == 0, d % w2 == 0),
         is_good=good,
-        genus=g,
+        genus=_integral_genus(w0, w1, w2, d) if good else None,
     )
+
+
+def _good_genus(w0: int, w1: int, w2: int, d: int) -> int | None:
+    """validate(Quadruple(w0, w1, w2, d)).genus for pairwise coprime
+    weights, with no report: the same tests on the same kernels, stopping
+    at the first that fails."""
+    w = (w0, w1, w2)
+    if d <= w0 or d <= w1 or d <= w2:
+        return None
+    for axis in (0, 1, 2):
+        if _condition_i_witness(w, d, axis) is None or _condition_ii_witness(w, d, axis) is None:
+            return None
+    return _integral_genus(w0, w1, w2, d)
 
 
 def family_quadruple(g: int, m: int) -> Quadruple:
@@ -327,19 +343,19 @@ def enumerate_g_good(g: int, d_max: int) -> list[Quadruple]:
     d <= d_max, so each such quadruple is among the candidates, in some
     order of its weights.  Each candidate is sorted to ascending weights, deduplicated,
     dropped at once unless its weights are pairwise coprime (most rejected
-    candidates fail there), and kept only if `validate` finds it good
-    (coprimality, conditions (i)/(ii) on all three axes, integral genus)
-    with genus g.  Callers may rely on that: group_by_class builds each
+    candidates fail there), and kept only if `_good_genus`, validate's
+    tests without its report, finds it good (conditions (i)/(ii) on all
+    three axes, integral genus) with genus g.  Callers may rely on that: group_by_class builds each
     listed polytope without validating it again.
 
     For fixed g there are O(d_max log^2 d_max) candidates, most of them
     from cases a.i, a.ii, b.i, b.ii and c, and the walk is one serial
-    pass: g = 1, 2, 3 together take about 0.007 s at d_max = 120 and
-    0.017 s at d_max = 240, and g = 1 alone about 0.025 s at d_max = 800.
+    pass: g = 1, 2, 3 together take about 0.005 s at d_max = 120 and
+    0.011 s at d_max = 240, and g = 1 alone about 0.016 s at d_max = 800.
     Every loop is bounded by d_max and each free parameter walks only its
     residue class (_congruent), so a large g costs little more: g = 2000
-    takes about 0.33 s at d_max = 100000, and g = GENUS_CAP, above which g
-    is refused, 0.1 ms at d_max = 10 and 1.4 s at 200000 (best of 2-20
+    takes about 0.27 s at d_max = 100000, and g = GENUS_CAP, above which g
+    is refused, 0.1 ms at d_max = 10 and 1.2 s at 200000 (best of 2-20
     in-process runs; Python 3.11, 2-core Xeon).
     """
     if g < 1:
@@ -355,7 +371,6 @@ def enumerate_g_good(g: int, d_max: int) -> list[Quadruple]:
     for d, w0, w1, w2 in sorted(keys):
         if gcd(w0, w1) != 1 or gcd(w0, w2) != 1 or gcd(w1, w2) != 1:
             continue
-        q = Quadruple(w0, w1, w2, d)
-        if validate(q).genus == g:
-            found.append(q)
+        if _good_genus(w0, w1, w2, d) == g:
+            found.append(Quadruple(w0, w1, w2, d))
     return found

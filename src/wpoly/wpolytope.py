@@ -1,24 +1,27 @@
 """The lattice polytope attached to a good quadruple.
 
 For a good quadruple (w0, w1, w2, d) the polytope P collects every
-exponent vector (a, b, c) >= 0 with a*w0 + b*w1 + c*w2 = d.  Its point
-matrix M(P) has the points as rows in ascending lexicographic order.
-Key facts exercised here: the number of interior points equals the
-genus, which build() checks for every polytope; every 3x3 minor of M(P)
-is divisible by d; some triple of rows has |det| exactly d; and the
-distinguished rows (axis i's is the pure power x_i^(d/w_i) when w_i
-divides d, else the condition-(i) witness x_i^k * x_j that validate
-reports) fall into one of seven cases with a predictable determinant.
-The case is read off where each axis's row points (CASE_MAPS): to the
-one other axis the row uses, or to itself for a pure power.  The
-enumeration walks the polytope as rows, one per exponent of the heaviest
-axis, which a closed-form lattice chart of the plane (`_chart`) sends to
-runs of Z^2; over a triple of |det| = d they project onto the lattice
-points of a plane polygon with as many interior points (project).
+exponent vector (a, b, c) >= 0 with a*w0 + b*w1 + c*w2 = d.  It is held
+as rows, one per exponent of the heaviest axis, written in a closed-form
+lattice chart of the plane (`_build`): each row is a run of (1, 0) steps
+in Z^2, and no point is listed.  Its point matrix M(P) has the points as
+rows in ascending lexicographic order; `_lex_points` draws them from the
+rows, lazily.  Key facts exercised here: the number of interior points
+equals the genus, which build() checks for every polytope; every 3x3
+minor of M(P) is divisible by d; some triple of rows has |det| exactly
+d; and the distinguished rows (axis i's is the pure power x_i^(d/w_i)
+when w_i divides d, else the condition-(i) witness x_i^k * x_j that
+validate reports) fall into one of seven cases with a predictable
+determinant.  The case is read off where each axis's row points
+(CASE_MAPS): to the one other axis the row uses, or to itself for a pure
+power.  Over a triple of |det| = d the charted rows project onto the
+lattice points of a plane polygon with as many interior points
+(project).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from itertools import combinations, permutations
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
@@ -26,7 +29,8 @@ from .polygon2d import LatticePolygon, Point2, _build_polygon, _hull_cycle
 from .quadruples import GENUS_CAP, Quadruple, _condition_i_witness, validate
 
 Point3 = tuple[int, int, int]
-Row = tuple[Point3, int]  # (start, count): the row's least point and its point count
+Row = tuple[Point2, int]  # ((s, x), count): the charted points (s + t, x), 0 <= t < count
+Frame = tuple[int, int, int, int, int]  # the chart's (outer, second, third, beta, y0)
 
 # Hard bound on the point count: n <= 3g + 7, where only one shape per
 # genus class may reach 3g + 7 (the soft bound is 3g + 6).  The bound
@@ -40,17 +44,24 @@ def _soft_bound(g: int) -> int:
 
 @dataclass(frozen=True)
 class WeightedPolytope:
-    """The polytope's points in ascending lex order, their count n, the
-    genus, which `_build` checked to be the count of interior points,
-    and the walk that listed them: rows (start, count), each the points
-    with one exponent of the heaviest axis, charted (`_chart_rows`)."""
+    """The polytope as the rows of `_build`'s walk, one per exponent of
+    the heaviest axis, in the lattice chart of its plane: a row ((s, x),
+    count) holds the points charted (s + t, x), 0 <= t < count.  frame is
+    the chart (see `_chart`), n the rows' point total and genus the
+    interior count, both of which `_build` checked.  No point is stored;
+    `points` lists them from the rows."""
 
     quadruple: Quadruple
-    points: tuple[Point3, ...]
     n: int
     genus: int
     exceptional_bound: bool
     rows: tuple[Row, ...]
+    frame: Frame
+
+    @property
+    def points(self) -> tuple[Point3, ...]:
+        """Every point, in ascending lex order: the rows of M(P)."""
+        return tuple(_lex_points(self))
 
 
 @dataclass(frozen=True)
@@ -111,45 +122,76 @@ def build(q: Quadruple) -> WeightedPolytope:
     return _build(q, report.genus)
 
 
+_OTHER_AXES = ((1, 2), (0, 2), (0, 1))
+
+
+def _frame(q: Quadruple) -> Frame:
+    """The chart of q's plane (see `_chart`): the outer axis is the first
+    heaviest, second and third the others in index order, and with
+    inv = w_second^-1 mod w_third, beta = -w_outer*inv and y0 = d*inv,
+    both mod w_third."""
+    w = q.weights
+    outer = w.index(max(w))
+    second, third = _OTHER_AXES[outer]
+    wz = w[third]
+    inv = pow(w[second], -1, wz)
+    return outer, second, third, -w[outer] * inv % wz, q.d * inv % wz
+
+
+def _inner_span(y: int, rest: int, wy: int, wz: int) -> tuple[int, int]:
+    """Bounds of the interior subrange of a row starting at y (see
+    `_build`): its least member >= 1 and the largest y with z >= 1."""
+    return y or wz, (rest - wz) // wy
+
+
 def _build(q: Quadruple, g: int) -> WeightedPolytope:
     """The polytope of q, which the caller has already validated as good
-    with genus g.
+    with genus g, as its charted rows.
 
-    The outer loop runs over the exponent x of the heaviest axis, at most
-    d / max(w) + 1 values.  Within it the exponents y of a second axis
-    that leave a remainder divisible by the third weight form one residue
-    class mod that weight, stepped from its least member (the weights are
-    pairwise coprime, so the second weight is invertible), so each inner
-    step yields a point.  Each value of x with a point is one row: its
-    least point and its point count; `_chart` sends it to a run of
-    (1, 0) steps.  The walk is the one source of the rows and the points,
-    which are then sorted into ascending lex order.  The interior points,
-    those with every coordinate >= 1, are counted, not kept, and must
-    number exactly g.  For g >= 1 the point count is checked against the
-    hard bound n <= 3g + 7; 3g + 7 itself is legal but flagged exceptional.
+    With the axes and constants of `_frame` and weights wx, wy, wz, the
+    outer loop runs over the exponent x of the outer axis, at most
+    d / max(w) + 1 values.  For rest = d - x*wx, the exponents y of the
+    second axis that leave rest - y*wy divisible by wz are the class of
+    rest*inv = y0 + beta*x mod wz (the weights are pairwise coprime, so wy
+    is invertible), and those with y*wy <= rest are the row's points.
+    Writing y0 + beta*x = k*wz + y_start, 0 <= y_start < wz, the row's
+    least point is y = y_start, charted (s, x) = (-k, x), and it holds
+    (rest // wy - y_start) // wz + 1 points, stepping y by wz; a row
+    start is checked to lie on the plane, rest - y_start*wy = 0 (mod wz).
+    A value of x with no point gives no row.  n is the rows' total.
+
+    The interior points, every exponent >= 1, are counted per row: x >= 1,
+    and y >= 1 with z = (rest - y*wy)/wz >= 1 bound y to one subrange of
+    its class, from its least member >= 1 (y_start, or wz when y_start = 0)
+    up to (rest - wz) // wy (`_inner_span`).  The least end is in the
+    class, so the subrange holds (high - low) // wz + 1 points when
+    high >= low and none else, and it lies in the row, as
+    (rest - wz) // wy <= rest // wy.  The count must be exactly g.  For
+    g >= 1 n is checked against the hard bound n <= 3g + 7; 3g + 7 itself
+    is legal but flagged exceptional.
     """
-    w = q.weights
-    d = q.d
-    outer = w.index(max(w))
-    second, third = (axis for axis in range(3) if axis != outer)
+    w, d = q.weights, q.d
+    frame = outer, second, third, beta, y0 = _frame(q)
     wx, wy, wz = w[outer], w[second], w[third]
-    slot = tuple((outer, second, third).index(axis) for axis in range(3))
-    inverse = pow(wy, -1, wz)
-    points: list[Point3] = []
     rows: list[Row] = []
+    n = interior = 0
     for x in range(d // wx + 1):
         rest = d - x * wx
-        ys = range(rest * inverse % wz, rest // wy + 1, wz)
-        if not ys:
+        k, y = divmod(y0 + beta * x, wz)
+        top = rest // wy
+        if y > top:
             continue
-        start = len(points)
-        for y in ys:
-            xyz = (x, y, (rest - y * wy) // wz)
-            points.append((xyz[slot[0]], xyz[slot[1]], xyz[slot[2]]))
-        rows.append((points[start], len(ys)))
-    points.sort()
-    interior = sum(1 for a, b, c in points if a >= 1 and b >= 1 and c >= 1)
-    n = len(points)
+        if (rest - y * wy) % wz:
+            raise InvariantViolation(
+                f"{q}: the row of exponent {x} on axis {outer} starts off the plane of degree {d}"
+            )
+        count = (top - y) // wz + 1
+        rows.append(((-k, x), count))
+        n += count
+        if x:
+            low, high = _inner_span(y, rest, wy, wz)
+            if high >= low:
+                interior += (high - low) // wz + 1
     if interior != g:
         raise InvariantViolation(f"{q}: {interior} interior points but genus {g}")
     if g >= 1 and n > _soft_bound(g) + 1:
@@ -158,27 +200,67 @@ def _build(q: Quadruple, g: int) -> WeightedPolytope:
         )
     return WeightedPolytope(
         quadruple=q,
-        points=tuple(points),
         n=n,
         genus=g,
         exceptional_bound=g >= 1 and n > _soft_bound(g),
         rows=tuple(rows),
+        frame=frame,
     )
+
+
+def _lex_points(p: WeightedPolytope):
+    """p's points in ascending lex order, drawn lazily from a heap of its
+    rows.
+
+    Along a row the point moves by the fixed step: 0 on the outer axis,
+    +w_third on the second and -w_second on the third.  The second axis
+    comes before the third in index order, so the step's first nonzero
+    entry is positive and each row runs up in lex order from its start.
+    Each row enters the heap at its start; the least point is drawn and
+    replaced by its successor in its row, so the draws merge the rows."""
+    q = p.quadruple
+    w, d = q.weights, q.d
+    outer, second, third, beta, y0 = p.frame
+    wx, wy, wz = w[outer], w[second], w[third]
+    heap = []
+    for (s, x), count in p.rows:
+        point = [0, 0, 0]
+        point[outer], point[second] = x, y0 + beta * x + wz * s
+        point[third] = (d - wx * x - wy * point[second]) // wz
+        heap.append((tuple(point), count))
+    heapify(heap)
+    step = [0, 0, 0]
+    step[second], step[third] = wz, -wy
+    da, db, dc = step
+    while heap:
+        point, count = heap[0]
+        yield point
+        if count > 1:
+            a, b, c = point
+            heapreplace(heap, ((a + da, b + db, c + dc), count - 1))
+        else:
+            heappop(heap)
 
 
 def find_unimodular_triple(p: WeightedPolytope) -> tuple[Point3, Point3, Point3]:
     """First row triple (by sorted row-index order) with |det| == d.
 
-    A polytope of fewer than three points, which some genus-0 quadruples
-    have, holds no triple: that is degenerate input, not a violation.
+    The triples run in `combinations(range(n), 3)` order over the points
+    in ascending lex order, which `_lex_points` draws only as far as the
+    search reaches.  A polytope of fewer than three points, which some
+    genus-0 quadruples have, holds no triple: that is degenerate input,
+    not a violation.
     """
     d = p.quadruple.d
     if p.n < 3:
         raise DegenerateInputError(
             f"{p.quadruple}: only {p.n} polytope points, no row triple to project through"
         )
-    pts = p.points
+    draw = _lex_points(p)
+    pts = [next(draw), next(draw)]
     for i, j, k in combinations(range(p.n), 3):
+        if k == len(pts):
+            pts.append(next(draw))
         if abs(minor_det(pts[i], pts[j], pts[k])) == d:
             return (pts[i], pts[j], pts[k])
     raise InvariantViolation(f"{p.quadruple}: no row triple with |det| == {d}")
@@ -323,26 +405,23 @@ def _triple_solver(q: Quadruple, triple: tuple[Point3, Point3, Point3]):
     return adj, det
 
 
-def _chart(q: Quadruple, points) -> list[Point2]:
-    """Chart coordinates u = (s, x) of points P of q's plane w.P = d.
+def _chart(p: WeightedPolytope, points) -> list[Point2]:
+    """Chart coordinates u = (s, x) of points P of p's plane w.P = d.
 
-    With `_build`'s axes outer, second, third, of weights wx, wy, wz, and
-    inv = wy^-1, beta = -wx*inv, y0 = d*inv mod wz: x = P[outer] and
-    s = (P[second] - beta*x - y0)/wz, exact as wy*P[second] = d - wx*x
-    (mod wz); a P off that lattice or of degree other than d is an
-    InvariantViolation.  Conversely u charts P[outer] = x, P[second] =
-    y0 + beta*x + wz*s, P[third] = (d - wy*y0)/wz - ((wx + wy*beta)/wz)*x
-    - wy*s, integral by the choice of y0 and beta.  As P[i] = <a_i, u> +
-    b_i, the minors det(a_second, a_third), det(a_third, a_outer) and
-    det(a_outer, a_second) are -wx, -wy, -wz, coprime and of one sign, so
-    the a_i span the degree-0 lattice and the chart is unimodular.  It
-    sends `_build`'s step to (1, 0)."""
+    With p's frame (`_frame`): axes outer, second, third of weights wx,
+    wy, wz, and beta, y0: x = P[outer] and s = (P[second] - beta*x - y0)/wz,
+    exact as wy*P[second] = d - wx*x (mod wz); a P off that lattice or of
+    degree other than d is an InvariantViolation.  Conversely u charts
+    P[outer] = x, P[second] = y0 + beta*x + wz*s, P[third] = (d - wy*y0)/wz
+    - ((wx + wy*beta)/wz)*x - wy*s, integral by the choice of y0 and beta.
+    As P[i] = <a_i, u> + b_i, the minors det(a_second, a_third),
+    det(a_third, a_outer) and det(a_outer, a_second) are -wx, -wy, -wz,
+    coprime and of one sign, so the a_i span the degree-0 lattice and the
+    chart is unimodular.  It sends `_build`'s step to (1, 0)."""
+    q = p.quadruple
     w, d = q.weights, q.d
-    outer = w.index(max(w))
-    second, third = (axis for axis in range(3) if axis != outer)
+    outer, second, third, beta, y0 = p.frame
     wx, wy, wz = w[outer], w[second], w[third]
-    inv = pow(wy, -1, wz)
-    beta, y0 = -wx * inv % wz, d * inv % wz
     charted = []
     for point in points:
         x, y = point[outer], point[second]
@@ -351,13 +430,6 @@ def _chart(q: Quadruple, points) -> list[Point2]:
             raise InvariantViolation(f"{q}: {point} is no lattice point of the plane of degree {d}")
         charted.append((s, x))
     return charted
-
-
-def _chart_rows(p: WeightedPolytope) -> tuple[tuple[Point2, int], ...]:
-    """p's rows in `_chart` coordinates: ((s, x), count) holds the points
-    charted (s + t, x), 0 <= t < count."""
-    starts = _chart(p.quadruple, [start for start, _ in p.rows])
-    return tuple((u, c) for u, (_, c) in zip(starts, p.rows))
 
 
 def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> LatticePolygon:
@@ -369,21 +441,21 @@ def project(p: WeightedPolytope, triple: tuple[Point3, Point3, Point3]) -> Latti
     the image (alpha1, alpha2) and the chart u3 + B*(alpha1, alpha2), B =
     [u1 - u3 | u2 - u3] for the triple's charts u1, u2, u3.  By the
     chart's minors det T = +-d*det B, so |det T| = d gives det B = +-1,
-    which is checked.  The charted rows (`_chart_rows`) are carried by
+    which is checked.  p's rows, already charted, are carried by
     B^-1*(u - u3), and only their ends are hulled and checked
     (`_rows_hull`)."""
     q = p.quadruple
     det = minor_det(*triple)
     if abs(det) != q.d:
         raise PreconditionError(f"triple determinant {det} does not have |det| == d = {q.d}")
-    (s1, x1), (s2, x2), (s3, x3) = _chart(q, triple)
+    (s1, x1), (s2, x2), (s3, x3) = _chart(p, triple)
     a, b, c, e = s1 - s3, s2 - s3, x1 - x3, x2 - x3  # B = [[a, b], [c, e]]
     unit = a * e - b * c
     if unit not in (1, -1):
         raise InvariantViolation(f"{q}: the triple's chart has determinant {unit}, not +-1")
     rows = tuple(
         ((unit * (e * (s - s3) - b * (x - x3)), unit * (a * (x - x3) - c * (s - s3))), n)
-        for (s, x), n in _chart_rows(p)
+        for (s, x), n in p.rows
     )
     return _rows_hull(p, (unit * e, -unit * c), rows)
 
@@ -406,10 +478,12 @@ def _rows_hull(
     on pairwise distinct lines of direction sigma (distinct
     det(sigma, e0)).  `_hull_cycle` refuses collinear ends, so there are
     two rows at least, distinct lines also give sigma != (0, 0), and the
-    images are pairwise distinct lattice points.  The row counts must sum
-    to the hull's Pick count poly.n, so the images are exactly the hull's
-    lattice points.  Last, poly.n must be p.n and poly.i the genus g that
-    `_build` counted, so the projection keeps both counts."""
+    images are pairwise distinct lattice points.  The rows are p's, carried
+    count for count, so they hold p.n images, the total `_build` summed
+    from the same rows; that total must be the hull's Pick count poly.n,
+    so the images are exactly the hull's lattice points.  Last, poly.i
+    must be the genus g that `_build` counted, so the projection keeps
+    both counts."""
     q = p.quadruple
     sx, sy = sigma
     ends = [end for (x, y), c in rows for end in ((x, y), (x + (c - 1) * sx, y + (c - 1) * sy))]
@@ -421,9 +495,6 @@ def _rows_hull(
             raise InvariantViolation(f"{q}: {_LOST}: a row leaves the hull")
     if len({sx * y - sy * x for (x, y), _ in rows}) != len(rows):
         raise InvariantViolation(f"{q}: {_LOST}: two rows share a line")
-    held = sum(c for _, c in rows)
-    if held != poly.n:
-        raise InvariantViolation(f"{q}: {_LOST}: the rows hold {held}, the hull {poly.n}")
     if poly.n != p.n:
         raise InvariantViolation(f"{q}: projected point count {poly.n} != {p.n}")
     if poly.i != p.genus:

@@ -3,24 +3,29 @@
 None of these is on a program path: the triangulation, the random
 unimodular maps, the shifted interior recount, Cramer's rule, the
 per-point projection, the looping condition (ii) witness, the
-goodness test as first written (a _congruent range per condition (ii)
-witness and a Fraction genus), the double-loop point list, the
-memo-free atlas, the re-hulled growth step, the canonical cycles of an enumerator's classes, and the class key,
+enumeration through validate's full report, the goodness test as first
+written (a _congruent range per condition (ii)
+witness and a Fraction genus), the double-loop point list, the listing
+build of a polytope, the memo-free atlas, the re-hulled growth step, the
+canonical cycles of an enumerator's classes, and the class key,
 canonical cycle and splice kernels as first written (every rotation,
 every shortest-edge listing in full, every edge a growth point lies
 beyond) only check what the package computes, and the vertex-dropping
-row chart only breaks it.
+polytope only breaks it.
 """
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 from wpoly import (
     ClassAtlas,
     ClassEntry,
+    Quadruple,
     UnimodularAffineMap,
     build,
+    validate,
     canonical_form,
     convex_hull,
     enumerate_g_good,
@@ -34,8 +39,7 @@ from wpoly.polygon2d import (
     _MIRROR, Point2, _canonical_cycle, _check_turns, _edge_steps, _egcd, _hull_cycle,
     _pick_counts,
 )
-from wpoly.quadruples import ValidityReport, _condition_i_witness, _congruent
-from wpoly.wpolytope import _chart_rows
+from wpoly.quadruples import ValidityReport, _case_candidates, _condition_i_witness, _congruent
 
 
 def _cross(o, a, b):
@@ -282,6 +286,20 @@ def validate_oracle(q):
     )
 
 
+def enumerate_oracle(g, d_max):
+    """enumerate_g_good with the full report: every coprime candidate of
+    the case walk built as a Quadruple and kept when validate's genus is
+    g, in (d, w0, w1, w2) order."""
+    keys = {(d, *sorted(u)) for _, *u, d in _case_candidates(g, d_max)}
+    found = []
+    for d, w0, w1, w2 in sorted(keys):
+        if gcd(w0, w1) == gcd(w0, w2) == gcd(w1, w2) == 1:
+            q = Quadruple(w0, w1, w2, d)
+            if validate(q).genus == g:
+                found.append(q)
+    return found
+
+
 def polytope_points_loop(q):
     """Every (a, b, c) >= 0 of degree d, by trying each (a, b) in lex order."""
     w0, w1, w2 = q.weights
@@ -347,7 +365,8 @@ def projection_coordinates(p, triple):
     and the triple rows must project to (1, 0), (0, 1) and (0, 0).
     """
     images = []
-    for row in p.points:
+    points = p.points
+    for row in points:
         alphas = cramer_decompose(triple, row)
         if any(a.denominator != 1 for a in alphas):
             raise InvariantViolation(f"{p.quadruple}: non-integral decomposition of {row}")
@@ -355,7 +374,7 @@ def projection_coordinates(p, triple):
             raise InvariantViolation(f"{p.quadruple}: affine coefficients of {row} sum to {sum(alphas)}")
         images.append(alphas[:2])
     for pt, expected in zip(triple, ((1, 0), (0, 1), (0, 0))):
-        if images[p.points.index(pt)] != expected:
+        if images[points.index(pt)] != expected:
             raise InvariantViolation(f"triple row {pt} did not project to {expected}")
     return images
 
@@ -387,11 +406,41 @@ def chart_point(forms, u):
     return tuple(a0 * u[0] + a1 * u[1] + b for (a0, a1), b in forms)
 
 
+def listing_build(q):
+    """`_build` as it was before the polytope became its charted rows:
+    the same residue-stepped walk over the outer axis, but every point
+    listed, sorted into ascending lex order and scanned for the interior
+    count, and each row start charted by `chart_forms`' constants.
+    Returns (points, charted rows, n, interior count)."""
+    w, d = q.weights, q.d
+    outer = w.index(max(w))
+    second, third = [axis for axis in range(3) if axis != outer]
+    wx, wy, wz = w[outer], w[second], w[third]
+    inv = next(k for k in range(wz) if (k * wy - 1) % wz == 0)
+    beta, y0 = -wx * inv % wz, d * inv % wz
+    points, rows = [], []
+    for x in range(d // wx + 1):
+        rest = d - x * wx
+        ys = range(rest * inv % wz, rest // wy + 1, wz)
+        if not ys:
+            continue
+        for y in ys:
+            point = [0, 0, 0]
+            point[outer], point[second], point[third] = x, y, (rest - y * wy) // wz
+            points.append(tuple(point))
+        s, off = divmod(ys[0] - beta * x - y0, wz)
+        assert not off, q
+        rows.append(((s, x), len(ys)))
+    points.sort()
+    interior = sum(1 for point in points if min(point) >= 1)
+    return tuple(points), tuple(rows), len(points), interior
+
+
 def row_points(p):
     """Every point of p's charted rows, (s + t, x) for 0 <= t < count,
     carried back by `chart_forms`, in walk order."""
     forms = chart_forms(p.quadruple)
-    return [chart_point(forms, u) for u in row_image_list((1, 0), _chart_rows(p))]
+    return [chart_point(forms, u) for u in row_image_list((1, 0), p.rows)]
 
 
 def row_image_list(sigma, rows):
@@ -399,33 +448,29 @@ def row_image_list(sigma, rows):
     return [(x + t * sigma[0], y + t * sigma[1]) for (x, y), c in rows for t in range(c)]
 
 
-def vertex_dropped(chart_rows):
-    """`_chart_rows`, but with one hull vertex taken off the end of its
-    row (the row dropped if it held only that point).  The vertex is one
-    whose removal keeps the interior count, and the hull of the remaining
-    points holds exactly them, so only the projected point count goes
-    wrong; a polytope without such a vertex is left as it is."""
-
-    def dropped(p):
-        rows = chart_rows(p)
-        images = row_image_list((1, 0), rows)
-        hull = convex_hull(images)
-        for v in hull.vertices:
-            if convex_hull([pt for pt in images if pt != v]).i != hull.i:
-                continue
-            kept = []
-            for (s, x), c in rows:
-                last = (s + c - 1, x)
-                if v == (s, x) and c > 1:
-                    kept.append(((s + 1, x), c - 1))
-                elif v == last and c > 1:
-                    kept.append(((s, x), c - 1))
-                elif v != (s, x):
-                    kept.append(((s, x), c))
-            return tuple(kept)
-        return rows
-
-    return dropped
+def vertex_dropped(p):
+    """p with one hull vertex taken off the end of its charted row (the
+    row dropped if it held only that point) and n left as it was.  The
+    vertex is one whose removal keeps the interior count, and the hull of
+    the remaining points holds exactly them, so only the projected point
+    count goes wrong; a polytope without such a vertex is left as it is."""
+    rows = p.rows
+    images = row_image_list((1, 0), rows)
+    hull = convex_hull(images)
+    for v in hull.vertices:
+        if convex_hull([pt for pt in images if pt != v]).i != hull.i:
+            continue
+        kept = []
+        for (s, x), c in rows:
+            last = (s + c - 1, x)
+            if v == (s, x) and c > 1:
+                kept.append(((s + 1, x), c - 1))
+            elif v == last and c > 1:
+                kept.append(((s, x), c - 1))
+            elif v != (s, x):
+                kept.append(((s, x), c))
+        return replace(p, rows=tuple(kept))
+    return p
 
 
 def class_key_oracle(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int, int], ...]:

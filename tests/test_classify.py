@@ -165,8 +165,7 @@ def test_first_member_of_a_row_key_checks_the_projected_interior(monkeypatch):
     # handed on one short
     seen = set()
     for q in enumerate_g_good(1, 30):
-        p = build(q)
-        key = wpolytope._chart_rows(p)
+        key = build(q).rows
         if key not in seen:
             seen.add(key)
             first = q
@@ -186,7 +185,8 @@ def test_first_member_of_a_row_key_checks_the_projected_interior(monkeypatch):
 def test_projection_that_loses_a_point_is_caught(monkeypatch):
     # the hull of the projected rows holds exactly their images and keeps
     # the interior count, but has one point fewer than the polytope
-    monkeypatch.setattr(classify, "_chart_rows", vertex_dropped(wpolytope._chart_rows))
+    build_checked = classify._build
+    monkeypatch.setattr(classify, "_build", lambda q, g: vertex_dropped(build_checked(q, g)))
     with pytest.raises(InvariantViolation, match=r"^\(1,1,1;3\): projected point count 9 != 10$"):
         group_by_class(1, 30)
 
@@ -985,8 +985,8 @@ def test_make_curve_validates_terms():
 
 def test_basis_change_decomposes_each_row_once(monkeypatch):
     # one triple inverse, for the source triple's matrix; each projection
-    # charts its triple and the start of each of its rows once, and the
-    # matrix checks every row without a solve
+    # charts its triple alone, as the rows come charted from the build,
+    # and the matrix checks every row without a solve
     inverses = charted = 0
     triple_solver = wpolytope._triple_solver
     chart = wpolytope._chart
@@ -996,19 +996,17 @@ def test_basis_change_decomposes_each_row_once(monkeypatch):
         inverses += 1
         return triple_solver(*args)
 
-    def counted_chart(q, points):
+    def counted_chart(p, points):
         nonlocal charted
         charted += len(points)
-        return chart(q, points)
+        return chart(p, points)
 
     monkeypatch.setattr(classify, "_triple_solver", counted_inverse)
     monkeypatch.setattr(wpolytope, "_chart", counted_chart)
     bc = basis_change(Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))
     assert len(bc.row_map) == 8
     assert inverses == 1
-    walks = [len(build(q).rows) for q in (Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7))]
-    assert walks == [3, 3]
-    assert charted == sum(3 + rows for rows in walks)
+    assert charted == 2 * 3
 
 
 def test_map_curve_permutation_pair():

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -340,7 +341,8 @@ def test_genus_above_the_cap_exits_1_at_once(capsys, tmp_path, monkeypatch, argv
 
 
 def test_poly_analyze_projection_that_loses_a_point_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(wpolytope, "_chart_rows", vertex_dropped(wpolytope._chart_rows))
+    build_checked = wpolytope._build
+    monkeypatch.setattr(wpolytope, "_build", lambda q, g: vertex_dropped(build_checked(q, g)))
     code, out, err = run(capsys, "poly", "analyze", "1", "1", "1", "3")
     assert (code, out) == (2, "")
     assert err == "invariant violation: (1,1,1;3): projected point count 9 != 10\n"
@@ -349,19 +351,20 @@ def test_poly_analyze_projection_that_loses_a_point_exits_2(capsys, monkeypatch)
 def test_poly_analyze_projection_that_repeats_an_image_exits_2(capsys, monkeypatch):
     # the row through an interior point is moved onto its neighbour's start:
     # its images repeat some of the neighbour's, so the two rows share a line
-    real = wpolytope._chart_rows
+    real = wpolytope._build
     distinct = []
 
-    def repeated(p):
-        rows = real(p)
+    def repeated(q, g):
+        p = real(q, g)
+        rows = p.rows
         inner = next(point for point in p.points if min(point) >= 1)
-        (_, x), = wpolytope._chart(p.quadruple, [inner])
+        (_, x), = wpolytope._chart(p, [inner])
         j = next(k for k, ((_, row_x), _) in enumerate(rows) if row_x == x)
         rows = rows[:j] + ((rows[j - 1][0], rows[j][1]),) + rows[j + 1:]
         distinct.append((len(set(row_image_list((1, 0), rows))), p.n))
-        return rows
+        return replace(p, rows=rows)
 
-    monkeypatch.setattr(wpolytope, "_chart_rows", repeated)
+    monkeypatch.setattr(wpolytope, "_build", repeated)
     code, out, err = run(capsys, "poly", "analyze", "2", "3", "7", "42", "--json")
     assert distinct == [(25, 28)]
     assert (code, out) == (2, "")

@@ -33,6 +33,8 @@ from lattice_oracles import (
     IDENTITY,
     apply_map,
     canonical_cycle_oracle,
+    chart_forms,
+    chart_point,
     class_key_oracle,
     on_boundary,
     projection_coordinates,
@@ -453,10 +455,12 @@ def test_projection_coordinates_frozen():
     # beta = y0 = 1, and the point (a, b, c) has the chart ((a - b - 1)/2, b)
     p = build(Quadruple(1, 3, 2, 7))
     triple = find_unimodular_triple(p)
-    rows = wpolytope._chart_rows(p)
-    assert p.rows == (((1, 0, 3), 4), ((0, 1, 2), 3), ((1, 2, 0), 1))
+    rows = p.rows
     assert rows == (((0, 0), 4), ((-1, 1), 3), ((-1, 2), 1))
-    assert wpolytope._chart(p.quadruple, triple) == [(-1, 1), (0, 0), (-1, 2)]
+    assert [chart_point(chart_forms(p.quadruple), u) for u, _ in rows] == [
+        (1, 0, 3), (0, 1, 2), (1, 2, 0)
+    ]
+    assert wpolytope._chart(p, triple) == [(-1, 1), (0, 0), (-1, 2)]
     # the triple's map B^-1 (u - u3), B^-1 = [[-2, -1], [1, 0]], sends the
     # step (1, 0) to (-2, 1) and the row starts to (0, 1), (1, 0), (0, 0);
     # point by point that is the per-point oracle's image, and the triple
@@ -471,15 +475,14 @@ def test_projection_coordinates_frozen():
 def test_projection_coordinates_checks_rows_and_triple(monkeypatch):
     p = build(Quadruple(1, 3, 2, 7))
     triple = find_unimodular_triple(p)
-    # a row starting at a point of degree 2d is off the plane
-    doubled = dataclasses.replace(p, rows=p.rows + (((14, 0, 0), 1),))
+    # a point of degree 2d is off the plane, and the chart refuses it
     with pytest.raises(InvariantViolation, match=r"\(14, 0, 0\) is no lattice point of the"):
-        project(doubled, triple)
+        wpolytope._chart(p, [(14, 0, 0)])
     # a chart of determinant 2, the true one with s doubled, gives the
     # triple a chart that is no lattice basis, which the projection refuses
     chart = wpolytope._chart
     monkeypatch.setattr(
-        wpolytope, "_chart", lambda q, points: [(2 * s, x) for s, x in chart(q, points)]
+        wpolytope, "_chart", lambda p, points: [(2 * s, x) for s, x in chart(p, points)]
     )
     with pytest.raises(InvariantViolation, match=r"the triple's chart has determinant 2, not \+-1$"):
         project(p, triple)

@@ -29,7 +29,7 @@ from wpoly.quadruples import (
 )
 from wpoly.wpolytope import _case_report, build
 
-from lattice_oracles import condition_ii_witness_loop, validate_oracle
+from lattice_oracles import condition_ii_witness_loop, enumerate_oracle, validate_oracle
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,6 +227,10 @@ def test_validate_refuses_a_non_integral_genus(monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         validate(Quadruple(1, 3, 2, 7))
     assert str(info.value) == "genus of good quadruple (1,3,2;7) is not an integer: 3/2"
+    # the lean goodness test of the enumeration shares that check
+    with pytest.raises(InvariantViolation) as info:
+        quadruples._good_genus(1, 3, 2, 7)
+    assert str(info.value) == "genus of good quadruple (1,3,2;7) is not an integer: 3/2"
 
 
 def test_raw_genus_fractional_for_non_good():
@@ -340,16 +344,37 @@ def test_enumerate_large_degree_counts(g, d_max, count):
         m += 1
 
 
+@pytest.mark.parametrize("g", range(1, 6))
+def test_enumerate_matches_the_validate_filter(g):
+    # the lean goodness test keeps exactly the quadruples that validate's
+    # full report finds good of genus g, in the same order
+    assert enumerate_g_good(g, 500) == enumerate_oracle(g, 500)
+
+
+def test_good_genus_is_the_validate_genus(small_good_quadruples):
+    # on every coprime quadruple with weights <= 12 and d <= 40, good or not
+    checked = 0
+    for w0, w1, w2 in itertools.product(range(1, 13), repeat=3):
+        if math.gcd(w0, w1) == math.gcd(w0, w2) == math.gcd(w1, w2) == 1:
+            for d in range(1, 41):
+                genus = validate(Quadruple(w0, w1, w2, d)).genus
+                assert quadruples._good_genus(w0, w1, w2, d) == genus, (w0, w1, w2, d)
+                checked += genus is not None
+    assert checked == len(small_good_quadruples) == 2685
+
+
 def test_enumerate_validates_every_coprime_candidate_and_only_those(monkeypatch):
     # the gcd pre-test drops candidates validate would reject as not
-    # coprime; every other candidate, each kept one among them, is validated
+    # coprime; every other candidate, each kept one among them, goes
+    # through the goodness test
     validated = []
+    good_genus = quadruples._good_genus
 
-    def recording(q):
-        validated.append(q)
-        return validate(q)
+    def recording(w0, w1, w2, d):
+        validated.append(Quadruple(w0, w1, w2, d))
+        return good_genus(w0, w1, w2, d)
 
-    monkeypatch.setattr(quadruples, "validate", recording)
+    monkeypatch.setattr(quadruples, "_good_genus", recording)
     found = enumerate_g_good(1, 400)
     candidates = {(d, *sorted(u)) for _, *u, d in _case_candidates(1, 400)}
     coprime = [
@@ -383,13 +408,13 @@ def test_enumerate_is_empty_above_the_triangle_genus(small_good_quadruples, monk
     assert enumerate_g_good(37, 10) == []
     assert enumerate_g_good(10000, 10) == []
     validated = []
-    checked_validate = quadruples.validate
+    good_genus = quadruples._good_genus
 
-    def counted(q):
-        validated.append(q)
-        return checked_validate(q)
+    def counted(*quadruple):
+        validated.append(quadruple)
+        return good_genus(*quadruple)
 
-    monkeypatch.setattr(quadruples, "validate", counted)
+    monkeypatch.setattr(quadruples, "_good_genus", counted)
     start = time.perf_counter()
     assert enumerate_g_good(GENUS_CAP, 10) == []
     assert time.perf_counter() - start < 1

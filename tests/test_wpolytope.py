@@ -26,13 +26,14 @@ from wpoly import classify, convex_hull, wpolytope
 from wpoly.cli import main
 from wpoly.errors import InvariantViolation, PreconditionError
 from wpoly.classify import _class_key
-from wpoly.wpolytope import _build, _chart, _chart_rows, _rows_hull
+from wpoly.wpolytope import _build, _chart, _frame, _rows_hull
 
 from lattice_oracles import (
     chart_forms,
     chart_point,
     cramer_decompose,
     interior_count,
+    listing_build,
     polytope_points_loop,
     projection_coordinates,
     row_image_list,
@@ -422,7 +423,8 @@ def test_chart_is_the_lattice_triangle_of_every_member():
         for q in enumerate_g_good(g, 300):
             p = _build(q, g)
             forms = chart_forms(q)
-            for point, u in zip(p.points, _chart(q, p.points)):
+            points = p.points
+            for point, u in zip(points, _chart(p, points)):
                 assert chart_point(forms, u) == point, (q, point)
             a = [a_i for a_i, _ in forms]
             minors = [a[j][0] * a[k][1] - a[j][1] * a[k][0] for j, k in ((1, 2), (2, 0), (0, 1))]
@@ -441,7 +443,7 @@ def test_every_atlas_member_has_a_det_d_triple_of_its_chart_class():
             p = _build(q, g)
             triple = find_unimodular_triple(p)
             assert abs(minor_det(*triple)) == q.d
-            chart_hull = _rows_hull(p, (1, 0), _chart_rows(p))
+            chart_hull = _rows_hull(p, (1, 0), p.rows)
             assert _class_key(project(p, triple).vertices) == _class_key(chart_hull.vertices), q
             members += 1
     assert members == 1415
@@ -503,46 +505,63 @@ def _plus(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-# a row start moved off the chart's lattice (and so off the plane), and
-# one moved onto the chart's lattice at degree 2d (the start plus the
-# first triple row)
+def _row_start(p):
+    """The start of p's first row, carried back from its chart."""
+    return chart_point(chart_forms(p.quadruple), p.rows[0][0])
+
+
+# a point moved off the chart's lattice (and so off the plane), and one
+# moved onto the chart's lattice at degree 2d (the first row's start plus
+# the first triple row)
 ROW_START_FAULTS = pytest.mark.parametrize("corrupt, message", [
-    (lambda p, t: _plus(p.rows[0][0], (1, 0, 0)), r"\(1, 14, 0\)"),
-    (lambda p, t: _plus(p.rows[0][0], t[0]), r"\(0, 14, 6\)"),
+    (lambda p, t: _plus(_row_start(p), (1, 0, 0)), r"\(1, 14, 0\)"),
+    (lambda p, t: _plus(_row_start(p), t[0]), r"\(0, 14, 6\)"),
 ], ids=["inexact-start", "start-degree"])
 
 START_MESSAGE = r"^\(2,3,7;42\): {} is no lattice point of the plane of degree 42$"
 
 
-def _start_moved(p, corrupt, triple):
-    return dataclasses.replace(p, rows=((corrupt(p, triple), p.rows[0][1]),) + p.rows[1:])
-
-
 @ROW_START_FAULTS
-def test_row_solve_faults_are_caught(corrupt, message):
+def test_row_solve_faults_are_caught(monkeypatch, corrupt, message):
+    # p's rows come charted, so project charts only its triple; a triple
+    # point off the chart's lattice, or on it at degree 2d, is refused by
+    # the chart even when it gets past the determinant check
     p = build(Quadruple(2, 3, 7, 42))
     triple = find_unimodular_triple(p)
-    with pytest.raises(InvariantViolation, match=START_MESSAGE.format(message)):
-        project(_start_moved(p, corrupt, triple), triple)
-
-
-@ROW_START_FAULTS
-def test_row_start_faults_are_caught_on_the_atlas_path(monkeypatch, corrupt, message):
-    # group_by_class charts the rows with no triple; the same faults in the
-    # polytope of (2,3,7;42), a member of the genus-16 atlas, are caught
-    q = Quadruple(2, 3, 7, 42)
-    assert q in enumerate_g_good(16, 42)
-    triple = find_unimodular_triple(build(q))
-    build_checked = classify._build
-
-    def corrupted(member, g):
-        p = build_checked(member, g)
-        return _start_moved(p, corrupt, triple) if member == q else p
-
-    monkeypatch.setattr(classify, "_build", corrupted)
+    assert _row_start(p) == (0, 14, 0)
+    corrupted = (corrupt(p, triple),) + triple[1:]
+    monkeypatch.setattr(wpolytope, "minor_det", lambda *rows: 42)
     with pytest.raises(InvariantViolation, match=START_MESSAGE.format(message)) as excinfo:
-        group_by_class(16, 42)
+        project(p, corrupted)
     assert excinfo.traceback[-1].name == "_chart"
+
+
+# the chart's y0 moved by one, which moves the start of every row off the
+# plane, and y0 taken from the plane of degree 2d, whose starts are off
+# the plane of degree d where w_third does not divide d
+FRAME_FAULTS = pytest.mark.parametrize("q, g, corrupt", [
+    (Quadruple(2, 3, 7, 42), 16, lambda q, frame: frame[:4] + (frame[4] + 1,)),
+    (Quadruple(1, 2, 3, 7), 1,
+     lambda q, frame: frame[:4] + (_frame(dataclasses.replace(q, d=2 * q.d))[4],)),
+], ids=["inexact-start", "start-degree"])
+
+
+@FRAME_FAULTS
+def test_row_start_faults_are_caught_on_the_atlas_path(monkeypatch, q, g, corrupt):
+    # group_by_class reads the rows as _build charted them; _build checks
+    # that each row start lies on the plane, so a chart that puts them
+    # off it is caught before any hull
+    assert q in enumerate_g_good(g, q.d)
+    frame = _frame(q)
+    assert corrupt(q, frame) != frame
+    monkeypatch.setattr(wpolytope, "_frame", lambda member: (
+        corrupt(member, frame) if member == q else _frame(member)
+    ))
+    outer = frame[0]
+    message = rf"^{re.escape(str(q))}: the row of exponent 0 on axis {outer} starts off the plane of degree {q.d}$"
+    with pytest.raises(InvariantViolation, match=message) as excinfo:
+        group_by_class(g, q.d)
+    assert excinfo.traceback[-1].name == "_build"
 
 
 def _shared_line(sigma, rows, monkeypatch):
@@ -567,17 +586,19 @@ def _count_short(sigma, rows, monkeypatch):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (_shared_line, "two rows share a line$"),
-    (_hull_moved, "a row leaves the hull$"),
-    (_count_short, "the rows hold 27, the hull 28$"),
+    (_shared_line, "projection gained or lost lattice points: two rows share a line$"),
+    (_hull_moved, "projection gained or lost lattice points: a row leaves the hull$"),
+    (_count_short, "projected point count 28 != 27$"),
 ], ids=["shared-line", "end-outside", "count-off-by-one"])
 def test_row_hull_faults_are_caught(monkeypatch, corrupt, message):
-    q = Quadruple(2, 3, 7, 42)
-    p = build(q)
-    sigma, rows = (1, 0), _chart_rows(p)
-    rows = corrupt(sigma, rows, monkeypatch)
-    with pytest.raises(InvariantViolation, match=rf"^\(2,3,7;42\): projection gained or lost lattice points: {message}"):
-        _rows_hull(p, sigma, rows)
+    # each fault is made in the polytope's charted rows, whose total is
+    # its n as in _build
+    p = build(Quadruple(2, 3, 7, 42))
+    sigma = (1, 0)
+    rows = corrupt(sigma, p.rows, monkeypatch)
+    p = dataclasses.replace(p, rows=rows, n=sum(c for _, c in rows))
+    with pytest.raises(InvariantViolation, match=rf"^\(2,3,7;42\): {message}"):
+        _rows_hull(p, sigma, p.rows)
 
 
 def test_projection_checks_the_interior_count_against_the_genus():
@@ -610,3 +631,112 @@ def test_triple_search_work_is_pinned(monkeypatch):
             find_unimodular_triple(p)
             most, members = max(most, calls), members + 1
     assert (members, most) == (2235, 4)
+
+
+@functools.cache
+def _atlas_members():
+    """Every member of the g <= 8 atlases: d_max 600 for g <= 4, 300 above."""
+    return tuple(
+        (q, g) for g in range(1, 9) for q in enumerate_g_good(g, 600 if g <= 4 else 300)
+    )
+
+
+def _listing_triple(points, d):
+    """The first det-d triple in combinations order over the listing, and
+    the length of the lex prefix that order reaches before it."""
+    n = len(points)
+    for i, j, k in combinations(range(n), 3):
+        if abs(minor_det(points[i], points[j], points[k])) == d:
+            return (points[i], points[j], points[k]), (k + 1 if (i, j) == (0, 1) else n)
+    raise AssertionError("no det-d triple")
+
+
+def test_charted_rows_match_the_listing_build():
+    # the charted rows, n, the interior count and the lex listing drawn
+    # from the rows equal the build that listed, sorted and scanned every
+    # point, on every member of the g <= 8 atlases
+    for q, g in _atlas_members():
+        p = _build(q, g)
+        points, rows, n, interior = listing_build(q)
+        assert (p.rows, p.n, p.genus) == (rows, n, interior), q
+        assert p.points == points, q
+    assert len(_atlas_members()) == 6566
+
+
+def _drawn_prefixes(monkeypatch):
+    """Record how many points each triple search draws from the rows."""
+    drawn = []
+    lex_points = wpolytope._lex_points
+
+    def counted(p):
+        drawn.append(0)
+        for point in lex_points(p):
+            drawn[-1] += 1
+            yield point
+
+    monkeypatch.setattr(wpolytope, "_lex_points", counted)
+    return drawn
+
+
+def test_lazy_triple_matches_the_listing_search(monkeypatch):
+    # the triple drawn lazily from the rows is the first det-d triple of
+    # combinations(range(n), 3) over the sorted listing, on every member
+    # of the g <= 8 atlases and on the analyze population (1 <= g <= 40,
+    # d <= 150), and each search draws exactly the prefix that order
+    # reaches.  The longest prefix is pinned as a regression value, not
+    # as a bound
+    population = [(q, g) for g in range(1, 41) for q in enumerate_g_good(g, 150)]
+    assert len(population) == 3149
+    drawn = _drawn_prefixes(monkeypatch)
+    longest = {}
+    for name, members in (("atlases", _atlas_members()), ("analyze", population)):
+        longest[name] = 0
+        for q, g in members:
+            p = _build(q, g)
+            triple, prefix = _listing_triple(listing_build(q)[0], q.d)
+            assert find_unimodular_triple(p) == triple, q
+            assert drawn[-1] == prefix, q
+            longest[name] = max(longest[name], prefix)
+    assert longest == {"atlases": 7, "analyze": 12}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_charted_rows_and_lazy_triple_on_random_quadruples(data):
+    # random pairwise coprime weights and a good degree up to 600 of genus
+    # at most 2000, in every order of the weights, so that each axis is
+    # the heaviest in turn
+    w0 = data.draw(st.integers(1, 40), label="w0")
+    w1 = data.draw(st.integers(1, 40).filter(lambda w: gcd(w, w0) == 1), label="w1")
+    w2 = data.draw(st.integers(1, 40).filter(lambda w: gcd(w, w0 * w1) == 1), label="w2")
+    degrees = _good_degrees(tuple(sorted((w0, w1, w2))))
+    assume(degrees)
+    d = data.draw(st.sampled_from(degrees), label="d")
+    g = validate(Quadruple(w0, w1, w2, d)).genus
+    for weights in permutations((w0, w1, w2)):
+        q = Quadruple(*weights, d)
+        p = _build(q, g)
+        points, rows, n, interior = listing_build(q)
+        assert (p.rows, p.n, p.genus, p.points) == (rows, n, interior, points), q
+        if n >= 3:
+            assert find_unimodular_triple(p) == _listing_triple(points, d)[0], q
+
+
+@pytest.mark.parametrize("fault", [
+    lambda low, high, wz: (low + wz, high),
+    lambda low, high, wz: (low - wz, high),
+    lambda low, high, wz: (low, high + wz),
+], ids=["least-dropped", "zero-kept", "top-kept"])
+def test_a_shifted_interior_subrange_is_caught(monkeypatch, fault):
+    # each row's interior subrange moved by one member of its class at one
+    # end; the interior count goes wrong on some atlas member, and _build's
+    # check against the genus catches it
+    span = wpolytope._inner_span
+    monkeypatch.setattr(
+        wpolytope, "_inner_span", lambda y, rest, wy, wz: fault(*span(y, rest, wy, wz), wz)
+    )
+    message = r"^\(\d+,\d+,\d+;\d+\): \d+ interior points but genus \d+$"
+    with pytest.raises(InvariantViolation, match=message) as excinfo:
+        for g in (1, 2, 3):
+            group_by_class(g, 120)
+    assert excinfo.traceback[-1].name == "_build"
