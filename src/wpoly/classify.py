@@ -18,11 +18,10 @@ from .polygon2d import (
     LatticePolygon,
     Point2,
     _canonical_polygon,
-    _check_turns,
     _class_key,
+    _cycle_steps,
     _edge_steps,
     _egcd,
-    _pick_counts,
     _row_ends,
     equivalent,
 )
@@ -111,7 +110,7 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
         p = _build(q, g)
         if p.rows not in seen:
             hull = _rows_hull(p, (1, 0), p.rows)
-            seen[p.rows] = key = _class_key(hull.vertices)
+            seen[p.rows] = key = _class_key(*_edge_steps(hull.vertices))
             classes.setdefault(key, (hull.vertices, set(), []))[1].add(hull.n)
         classes[seen[p.rows]][2].append(q)
     del seen  # the charted rows are not kept while the canonical polygons are built
@@ -190,21 +189,26 @@ def _inductive_cycles(g: int, n_max: int) -> dict[tuple, tuple[Point2, ...]]:
       phi(v*) carries the largest key of phi(C), and the filter keeps
       phi(C).
 
-    Each class rep is kept with its counts (twice the area, interior,
-    boundary), which are handed to `_splices` with it: the start
-    triangle's from `_pick_counts`, every child's those that `_splices`
-    has just checked against `_pick_counts(child)`.
+    Each class rep is kept as (cycle, counts, lengths, dirs), its counts
+    (twice the area, interior, boundary) and `_cycle_steps` edge steps,
+    and is handed to `_splices` with them: the start triangle's from
+    `_cycle_steps`, every child's from the `_cycle_steps` pass that
+    `_splices` has just made over the child's own vertices.  The class key
+    comes from those same steps.
     """
     start = ((0, 0), (1, 0), (0, 1))
-    current = {_class_key(start): (start, _pick_counts(start))}  # key: (cycle, counts)
+    counts, lengths, dirs = _cycle_steps(start)
+    current = {_class_key(lengths, dirs): (start, counts, lengths, dirs)}
     found = {key: start for key in current} if g == 0 else {}
     for _ in range(3, min(n_max, 3 * g + 7) if g else n_max):
-        grown: dict[tuple, tuple[tuple[Point2, ...], tuple[int, int, int]]] = {}
-        for parent, counts in current.values():
-            for _, child_counts, child in _splices(parent, counts, g):
-                grown.setdefault(_class_key(child), (child, child_counts))
+        grown: dict[tuple, tuple] = {}
+        for parent in current.values():
+            for _, rep in _splices(*parent, g):
+                grown.setdefault(_class_key(*rep[2:]), rep)
         current = grown
-        found.update((key, c) for key, (c, (_, interior, _)) in current.items() if interior == g)
+        found.update(
+            (key, c) for key, (c, (_, interior, _), _, _) in current.items() if interior == g
+        )
     return found
 
 
@@ -262,13 +266,15 @@ def _growth_points(cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Poi
             yield j, (ux + t + m * px, uy - s + m * py)
 
 
-def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int], g: int):
-    """(q, child counts, child) for each growth point q of a strictly
-    convex CCW cycle with the given counts (twice the area, interior i,
-    boundary b), so with n = i + b lattice points, whose hull(cycle + q)
-    gains exactly q (interior + boundary = n + 1), has at most g interior
-    points and carries its largest vertex key at q: the child counts are
-    those of that hull and the child is its cycle, starting at q.
+def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int],
+             lengths: list[int], dirs: list[Point2], g: int):
+    """(q, child rep) for each growth point q of a strictly convex CCW
+    cycle with the given counts (twice the area, interior i, boundary b),
+    so with n = i + b lattice points, and edge steps, whose
+    hull(cycle + q) gains exactly q (interior + boundary = n + 1), has at
+    most g interior points and carries its largest vertex key at q.  The
+    child rep is (child, counts, lengths, dirs): the child is that hull's
+    cycle, starting at q, with its counts and edge steps.
 
     Let f_j = cross(p_j, q - v_j), p_j the primitive direction of the edge
     e_j = v_j -> v_{j+1} of lattice length l_j.  Of a strictly convex
@@ -287,8 +293,11 @@ def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int], g: int):
     Each (j, q) of `_growth_points` has f_j(q) = -1, so edge j is in q's
     run, and the run is found by walking back from j and forward from
     j + 1 while f <= 0: only the run's edges and the two that bound it are
-    evaluated.  The one-run argument needs strict convexity, which
-    `_check_turns` checks once per cycle, winding included.  A back walk
+    evaluated.  The one-run argument needs strict convexity, winding
+    included.  `_cycle_steps` checked it on the cycle's own vertices when
+    the cycle was built: every parent is the start triangle or a child
+    kept at the level before, and each comes from such a pass.  A check
+    here would re-test a value already checked.  A back walk
     that comes round to j again would mean q sees every edge, and raises;
     the forward walk stops at latest at the edge with f > 0 that ended the
     back walk.
@@ -304,15 +313,14 @@ def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int], g: int):
     lattice points become interior points, next to the cycle's i, and no
     such q is kept.
 
-    The edge steps and keys are taken once per cycle, and a child is
-    built only when kept; each built child is recounted by
-    `_pick_counts` and must agree.  The cycle's own counts come with it
-    and are not recounted: `_inductive_cycles` hands on only counts that
-    such a recount has checked, or the start triangle's.
+    The keys are taken once per cycle, from the steps that come with it,
+    and a child is built only when kept.  Each built child is recounted
+    by `_cycle_steps` from its own vertices, which checks its turns and
+    winding and gives its steps, and its counts must equal the splice's.
+    The cycle's own counts and steps come with it and are not recounted:
+    `_inductive_cycles` hands on only the results of such a pass.
     """
-    _check_turns(cycle)
     k = len(cycle)
-    lengths, dirs = _edge_steps(cycle)
     keys = _vertex_keys(lengths, dirs)
     area2, inner, b = counts
     for j, q in _growth_points(cycle, lengths, dirs, g - inner + 1):
@@ -358,10 +366,10 @@ def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int], g: int):
         ):
             continue
         child = (q,) + (cycle[z:] + cycle[:z])[:retained]
-        child_counts = (child_area2, interior, child_b)
-        if _pick_counts(child) != child_counts:
+        child_counts, child_lengths, child_dirs = _cycle_steps(child)
+        if child_counts != (child_area2, interior, child_b):
             raise InvariantViolation(f"splicing {q} into {cycle} miscounts {child}")
-        yield q, child_counts, child
+        yield q, (child, child_counts, child_lengths, child_dirs)
 
 
 def _angular_directions(bound: int) -> list[Point2]:
@@ -442,7 +450,7 @@ def _box_cycles(g: int, bound: int, n_max: int) -> dict[tuple, tuple[Point2, ...
                     raise InvariantViolation(f"parity failure closing chain {chain}")
                 if area2 - (blen + glen) + 2 == 2 * g:
                     cycle = tuple(chain)
-                    found.setdefault(_class_key(cycle), cycle)
+                    found.setdefault(_class_key(*_edge_steps(cycle)), cycle)
             if area2 - blen + glen > 2 * g:
                 return
         for ni in range(last_idx + 1, len(dirs)):

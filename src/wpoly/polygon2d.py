@@ -2,7 +2,9 @@
 
 Everything here runs on integers.  Hulls come from a monotone chain.  A
 polygon is its vertex cycle and its counts, taken from the edge gcds and
-the area/boundary identity 2*area = 2i + b - 2 (Pick's formula).  Its
+the area/boundary identity 2*area = 2i + b - 2 (Pick's formula).
+`_cycle_steps` checks a cycle's strict convexity and takes those counts
+and each edge's lattice length and primitive direction in one pass.  Its
 lattice points are listed only on request, by `lattice_inventory`: one
 walk over its edges gives each row its two ends from the exact edge
 crossings and marks the boundary points, and the walk's counts are
@@ -34,29 +36,6 @@ from math import gcd
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 
 Point2 = tuple[int, int]
-
-
-def _cross(o: Point2, a: Point2, b: Point2) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _pick_counts(cycle: tuple[Point2, ...]) -> tuple[int, int, int]:
-    """(twice the area, interior count, boundary count) of a vertex cycle.
-
-    Twice the area comes from the shoelace sum, the boundary count from
-    the edge gcds, and the interior count from Pick's formula
-    2*area = 2i + b - 2, which needs 2*area and b to have equal parity.
-    """
-    k = len(cycle)
-    area2 = 0
-    b = 0
-    for j in range(k):
-        (px, py), (qx, qy) = cycle[j], cycle[(j + 1) % k]
-        area2 += px * qy - qx * py
-        b += gcd(abs(qx - px), abs(qy - py))
-    if (area2 - b) % 2 != 0:
-        raise InvariantViolation(f"area/boundary parity fails for {cycle}")
-    return area2, (area2 - b + 2) // 2, b
 
 
 @dataclass(frozen=True)
@@ -149,34 +128,59 @@ def _hull_cycle(points: Iterable[Point2]) -> tuple[Point2, ...]:
     return cycle
 
 
-def _check_turns(cycle: tuple[Point2, ...]) -> None:
-    """Raise InvariantViolation on a cycle that is not strictly convex
-    counterclockwise.
+def _cycle_steps(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int], list[int], list[Point2]]:
+    """((twice the area, interior count, boundary count), lattice lengths,
+    primitive directions) of a strictly convex counterclockwise vertex
+    cycle, with the steps of edge cycle[j] -> cycle[j+1] at j; any other
+    cycle raises InvariantViolation.
 
-    Every turn must be strictly left, and the edge directions must pass
-    the positive x-axis once: left turns alone allow a cycle that winds
-    twice, as a pentagram does.  Every cycle tested here is one the
-    program built (a hull, a splice or a canonical map's image), so a
-    failure is a bug; `_hull_cycle` refuses degenerate input before.
+    One pass over the edges e_j = cycle[j+1] - cycle[j] takes the
+    shoelace sum, each edge's gcd and direction, and the turns.  Every
+    turn det(e_{j-1}, e_j) must be positive, at vertex 1, ..., k-1 and
+    then 0, and is checked before e_j is divided by its gcd, so an edge of
+    length 0 fails as a turn.  The edge directions must also pass the
+    positive x-axis once: left turns alone allow a cycle that winds twice,
+    as a pentagram does.  The boundary count is the sum of the gcds, and
+    the interior count comes from Pick's formula 2*area = 2i + b - 2,
+    which needs 2*area and b to have equal parity.  Every cycle tested
+    here is one the program built (a hull, a splice or a canonical map's
+    image), so a failure is a bug; `_hull_cycle` refuses degenerate input
+    before.
     """
     if len(cycle) < 3:
         raise InvariantViolation("polygon needs at least 3 vertices")
-    k = len(cycle)
-    for idx in range(k):
-        if _cross(cycle[idx], cycle[(idx + 1) % k], cycle[(idx + 2) % k]) <= 0:
+    (ux, uy), (vx, vy) = cycle[0], cycle[1]
+    ex, ey = vx - ux, vy - uy
+    up = ey > 0 or (ey == 0 and ex > 0)
+    area2 = b = rises = 0
+    lengths: list[int] = []
+    dirs: list[Point2] = []
+    for wx, wy in cycle[2:] + cycle[:2]:
+        dx, dy = wx - vx, wy - vy
+        if ex * dy <= ey * dx:
             raise InvariantViolation(
-                f"vertex cycle is not strictly convex counterclockwise at {cycle[(idx + 1) % k]}"
+                f"vertex cycle is not strictly convex counterclockwise at {(vx, vy)}"
             )
-    up = [qy > py or (qy == py and qx > px)
-          for (px, py), (qx, qy) in zip(cycle, cycle[1:] + cycle[:1])]
-    if sum(u and not up[j - 1] for j, u in enumerate(up)) != 1:
+        length = gcd(dx, dy)
+        lengths.append(length)
+        dirs.append((dx // length, dy // length))
+        area2 += vx * wy - vy * wx
+        b += length
+        rise = dy > 0 or (dy == 0 and dx > 0)
+        rises += rise and not up
+        vx, vy, ex, ey, up = wx, wy, dx, dy, rise
+    if rises != 1:
         raise InvariantViolation(f"vertex cycle {cycle} winds more than once")
+    if (area2 - b) % 2 != 0:
+        raise InvariantViolation(f"area/boundary parity fails for {cycle}")
+    lengths.insert(0, lengths.pop())  # the pass ends with edge 0
+    dirs.insert(0, dirs.pop())
+    return (area2, (area2 - b + 2) // 2, b), lengths, dirs
 
 
 def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
     """Validate a CCW strictly convex cycle and count its lattice points by Pick."""
-    _check_turns(cycle)
-    _, i, b = _pick_counts(cycle)
+    (_, i, b), _, _ = _cycle_steps(cycle)
     return LatticePolygon(vertices=cycle, i=i, b=b, n=i + b)
 
 
@@ -280,10 +284,11 @@ def _edge_steps(cycle: tuple[Point2, ...]) -> tuple[list[int], list[Point2]]:
     return lengths, dirs
 
 
-def _class_key(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int, int], ...]:
+def _class_key(lengths: list[int], dirs: list[Point2]) -> tuple[tuple[int, int, int, int], ...]:
     """Complete invariant of a strictly convex CCW cycle under affine
-    unimodular maps, reflections included: the least rotation of its
-    cyclic word and of its mirror image's.
+    unimodular maps, reflections included, from its edge steps (those of
+    `_cycle_steps`, or `_class_key(*_edge_steps(cycle))`): the least
+    rotation of its cyclic word and of its mirror image's.
 
     Let r_i and l_i be the primitive direction and the lattice length of
     the edge leaving vertex i, d_i = det(r_{i-1}, r_i) > 0 and u any
@@ -313,8 +318,7 @@ def _class_key(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int, int], ..
     fix r_{i+1}, and so on round the cycle; the lengths then fix the
     vertices from vertex i.  So cycles with equal keys are equivalent.
     """
-    k = len(cycle)
-    lengths, dirs = _edge_steps(cycle)
+    k = len(lengths)
     word: list[tuple[int, int, int, int]] = []
     mirror: list[tuple[int, int, int, int]] = []
     for i in range(k):

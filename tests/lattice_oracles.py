@@ -5,7 +5,8 @@ unimodular maps, the shifted interior recount, Cramer's rule, the
 per-point projection, the looping condition (ii) witness, the
 enumeration through validate's full report, the goodness test as first
 written (a _congruent range per condition (ii)
-witness and a Fraction genus), the double-loop point list, the listing
+witness and a Fraction genus), the Pick count and the turn check as
+first written (one pass each over the cycle), the double-loop point list, the listing
 build of a polytope, the memo-free atlas, the re-hulled growth step, the
 canonical cycles of an enumerator's classes, and the class key,
 canonical cycle and splice kernels as first written (every rotation,
@@ -35,10 +36,7 @@ from wpoly import (
 )
 from wpoly.classify import _key, _vertex_keys
 from wpoly.errors import InvariantViolation, PreconditionError
-from wpoly.polygon2d import (
-    _MIRROR, Point2, _canonical_cycle, _check_turns, _edge_steps, _egcd, _hull_cycle,
-    _pick_counts,
-)
+from wpoly.polygon2d import _MIRROR, Point2, _canonical_cycle, _edge_steps, _egcd, _hull_cycle
 from wpoly.quadruples import ValidityReport, _case_candidates, _condition_i_witness, _congruent
 
 
@@ -48,6 +46,43 @@ def _cross(o, a, b):
 
 def _edges(cycle):
     return [(cycle[k], cycle[(k + 1) % len(cycle)]) for k in range(len(cycle))]
+
+
+def _pick_counts(cycle):
+    """(twice the area, interior count, boundary count) of a vertex cycle,
+    as first written: twice the area from the shoelace sum, the boundary
+    count from the edge gcds, and the interior count from Pick's formula
+    2*area = 2i + b - 2, which needs 2*area and b to have equal parity."""
+    k = len(cycle)
+    area2 = 0
+    b = 0
+    for j in range(k):
+        (px, py), (qx, qy) = cycle[j], cycle[(j + 1) % k]
+        area2 += px * qy - qx * py
+        b += gcd(abs(qx - px), abs(qy - py))
+    if (area2 - b) % 2 != 0:
+        raise InvariantViolation(f"area/boundary parity fails for {cycle}")
+    return area2, (area2 - b + 2) // 2, b
+
+
+def _check_turns(cycle):
+    """Raise InvariantViolation on a cycle that is not strictly convex
+    counterclockwise, as first written: every turn must be strictly left,
+    checked vertex by vertex from vertex 1, and the edge directions must
+    pass the positive x-axis once, which a pentagram's left turns do
+    twice."""
+    if len(cycle) < 3:
+        raise InvariantViolation("polygon needs at least 3 vertices")
+    k = len(cycle)
+    for idx in range(k):
+        if _cross(cycle[idx], cycle[(idx + 1) % k], cycle[(idx + 2) % k]) <= 0:
+            raise InvariantViolation(
+                f"vertex cycle is not strictly convex counterclockwise at {cycle[(idx + 1) % k]}"
+            )
+    up = [qy > py or (qy == py and qx > px)
+          for (px, py), (qx, qy) in zip(cycle, cycle[1:] + cycle[:1])]
+    if sum(u and not up[j - 1] for j, u in enumerate(up)) != 1:
+        raise InvariantViolation(f"vertex cycle {cycle} winds more than once")
 
 
 def on_boundary(p, cycle):

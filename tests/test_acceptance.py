@@ -29,9 +29,9 @@ from wpoly import (
 from wpoly import classify
 from wpoly.cli import main
 from wpoly.errors import DegenerateInputError, PreconditionError
-from wpoly.polygon2d import _pick_counts
 
 from lattice_oracles import (
+    _pick_counts,
     apply_map,
     canonical_cycles,
     cramer_decompose,

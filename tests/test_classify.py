@@ -45,15 +45,15 @@ from wpoly.polygon2d import (
     _MIRROR,
     _canonical_cycle,
     _class_key,
+    _cycle_steps,
     _hull_cycle,
-    _pick_counts,
     convex_hull,
     lattice_inventory,
 )
 
 from lattice_oracles import (
-    atlas_oracle, canonical_cycles, grow_cycle, keeps, random_unimodular_map, row_image_list,
-    splices_under_old_bound, vertex_dropped,
+    _check_turns, _pick_counts, atlas_oracle, canonical_cycles, grow_cycle, keeps,
+    random_unimodular_map, row_image_list, splices_under_old_bound, vertex_dropped,
 )
 
 G1_CLASS_COUNT = 16
@@ -262,7 +262,8 @@ def test_enum_checks_the_interior_count_of_every_class(monkeypatch):
     box_cycles = classify._box_cycles
     wrong = ((0, 0), (1, 0), (5, 10))
     monkeypatch.setattr(
-        classify, "_box_cycles", lambda *args: {**box_cycles(*args), _class_key(wrong): wrong}
+        classify, "_box_cycles",
+        lambda *args: {**box_cycles(*args), _class_key(*_edge_steps(wrong)): wrong},
     )
     message = rf"^class {re.escape(str(wrong))} has 2 interior points, not 1$"
     with pytest.raises(InvariantViolation, match=message):
@@ -307,7 +308,7 @@ def test_class_keys_tell_every_enumerated_class_apart(g):
     # distinct keys here show the key is complete on every class the
     # enumerators meet; g = 0 lists its classes with at most 7 points
     classes = enumerate_classes(g)
-    assert len({_class_key(p.vertices) for p in classes}) == len(classes)
+    assert len({_class_key(*_edge_steps(p.vertices)) for p in classes}) == len(classes)
 
 
 def _margin_growth_points(cycle, margin):
@@ -350,23 +351,31 @@ def _growth_set(cycle):
     return {q for _, q in _every_growth_point(cycle)}
 
 
+def _rep(cycle):
+    """A cycle with its counts and edge steps, as `_splices` takes it, all
+    from the oracles."""
+    return (cycle, _pick_counts(cycle), *_edge_steps(cycle))
+
+
 def _assert_splices_match_oracles(cycle, g):
     """The splices are exactly the growth points q whose re-hulled cycle + q
-    the oracle grows and keeps, each once, with the re-hulled counts and a
-    child equal to the re-hulled cycle up to rotation, starting at q."""
+    the oracle grows and keeps, each once, with the re-hulled counts, a
+    child equal to the re-hulled cycle up to rotation, starting at q, and
+    that child's own edge steps."""
     n = sum(_pick_counts(cycle)[1:])
-    spliced = list(_splices(cycle, _pick_counts(cycle), g))
+    spliced = list(_splices(*_rep(cycle), g))
     kept = set()
     for q in _growth_set(cycle):
         grown = grow_cycle(cycle, q, n, g)
         if grown is not None and keeps(grown, q):
             kept.add(q)
-    assert sorted(q for q, _, _ in spliced) == sorted(kept)
-    for q, counts, child in spliced:
+    assert sorted(q for q, _ in spliced) == sorted(kept)
+    for q, (child, counts, lengths, dirs) in spliced:
         grown = _hull_cycle(list(cycle) + [q])
         assert counts == _pick_counts(grown)
         assert child[0] == q
         assert child in _rotations(grown)
+        assert (lengths, dirs) == _edge_steps(child)
 
 
 @settings(max_examples=150, deadline=None)
@@ -393,7 +402,7 @@ def test_splices_match_rehull_and_key_oracles(pts):
     ],
 )
 def test_splice_pinned_cases(cycle, q, g, child):
-    spliced = {p: c for p, _, c in _splices(cycle, _pick_counts(cycle), g)}
+    spliced = {p: rep[0] for p, rep in _splices(*_rep(cycle), g)}
     assert spliced[q] in _rotations(child)
     _assert_splices_match_oracles(cycle, g)
 
@@ -406,7 +415,7 @@ def test_an_edge_too_long_for_g_is_skipped_whole():
     assert _pick_counts(cycle) == (5, 1, 5)
     below = {q for j, q in _every_growth_point(cycle) if j == 0}
     assert below and all(qy == -1 for _, qy in below)
-    assert [q for q, _, _ in _splices(cycle, (5, 1, 5), 1)] == [(-1, 0)]
+    assert [q for q, _ in _splices(cycle, (5, 1, 5), *_edge_steps(cycle), 1)] == [(-1, 0)]
     assert all(grow_cycle(cycle, q, 6, 1) is None for q in below)
     _assert_splices_match_oracles(cycle, 1)
 
@@ -418,7 +427,9 @@ def test_a_point_beyond_two_edges_is_spliced_once():
     cycle = ((0, 0), (1, 0), (0, 1))
     assert [j for j, q in _every_growth_point(cycle) if q == (-1, -1)] == [2]
     spliced = [
-        (q, counts, child) for q, counts, child in _splices(cycle, (1, 0, 3), 1) if q == (-1, -1)
+        (q, counts, child)
+        for q, (child, counts, _, _) in _splices(cycle, (1, 0, 3), *_edge_steps(cycle), 1)
+        if q == (-1, -1)
     ]
     assert spliced == [((-1, -1), (3, 1, 3), ((-1, -1), (1, 0), (0, 1)))]
     _assert_splices_match_oracles(cycle, 1)
@@ -449,14 +460,14 @@ def test_no_growth_point_lies_beyond_the_edge_before_its_own(pts):
 
 
 def _parents_met(genera):
-    """(cycle, counts, g) of every `_splices` call of the inductive
-    enumeration at each of the genera."""
+    """(cycle, counts, lengths, dirs, g) of every `_splices` call of the
+    inductive enumeration at each of the genera."""
     met = []
     real = classify._splices
 
-    def recording(cycle, counts, g):
-        met.append((cycle, counts, g))
-        return real(cycle, counts, g)
+    def recording(*args):
+        met.append(args)
+        return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify, "_splices", recording)
@@ -471,9 +482,10 @@ def test_splices_match_the_old_bound_on_every_parent_up_to_genus_6():
     # the enumerations of g <= 6 meet gives the same splices in order
     parents = _parents_met(range(7))
     assert len(parents) > 3000
-    for cycle, counts, g in parents:
+    for cycle, counts, lengths, dirs, g in parents:
         _assert_growth_points_start_their_runs(cycle)
-        assert list(_splices(cycle, counts, g)) == list(splices_under_old_bound(cycle, counts, g))
+        spliced = [(q, rep[1], rep[0]) for q, rep in _splices(cycle, counts, lengths, dirs, g)]
+        assert spliced == list(splices_under_old_bound(cycle, counts, g))
 
 
 def test_growth_points_reach_the_far_apex():
@@ -484,7 +496,7 @@ def test_growth_points_reach_the_far_apex():
     assert cycle == ((0, 0), (1, 0), (3, 9))
     assert (4, 13) in _growth_set(cycle)
     assert (4, 13) not in _margin_growth_points(cycle, 2)
-    spliced = {q: (counts, child) for q, counts, child in _splices(cycle, _pick_counts(cycle), 6)}
+    spliced = {q: (rep[1], rep[0]) for q, rep in _splices(*_rep(cycle), 6)}
     assert spliced[(4, 13)] == ((13, 6, 3), ((4, 13), (0, 0), (1, 0)))
 
 
@@ -497,21 +509,26 @@ def test_growth_points_reach_the_far_apex():
         (((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)), "winds more than once"),
     ],
 )
-def test_splices_refuse_a_parent_that_is_not_strictly_convex(cycle, message):
+def test_splices_refuse_a_parent_that_is_not_strictly_convex(monkeypatch, cycle, message):
     # a point sees one run of edges of a strictly convex cycle, so that is
-    # checked once per parent rather than per growth point
+    # checked on each child as it is built, before it is keyed or handed
+    # on as a parent: here every child the splices build is this cycle
+    monkeypatch.setattr(classify, "_cycle_steps", lambda child: _cycle_steps(cycle))
+    start = ((0, 0), (1, 0), (0, 1))
     with pytest.raises(InvariantViolation, match=message):
-        list(_splices(cycle, _pick_counts(cycle), 3))
+        list(_splices(*_rep(start), 3))
 
 
 def test_a_level_representative_that_is_not_strictly_convex_is_a_bug(monkeypatch, capsys):
-    # every representative of the 5-point level is handed on with its
-    # first vertex doubled
-    real = classify._splices
-    def doubled(cycle, counts, g):
-        return real(cycle[:1] + cycle if sum(counts[1:]) == 5 else cycle, counts, g)
+    # every child of the 5-point level is built with its first vertex
+    # doubled, an edge of length 0
+    real = classify._cycle_steps
 
-    monkeypatch.setattr(classify, "_splices", doubled)
+    def doubled(cycle):
+        counts, _, _ = real(cycle)
+        return real(cycle[:1] + cycle if sum(counts[1:]) == 5 else cycle)
+
+    monkeypatch.setattr(classify, "_cycle_steps", doubled)
     with pytest.raises(InvariantViolation, match="not strictly convex"):
         enumerate_classes(1)
     assert main(["polygons", "enum", "--genus", "1"]) == 2
@@ -584,10 +601,10 @@ def test_inductive_filter_canonicalises_fewer_than_accepted_growths(monkeypatch)
         calls["canonical"] += 1
         return _canonical_cycle(cycle)
 
-    def splices(cycle, counts, g):
+    def splices(cycle, counts, lengths, dirs, g):
         n = sum(counts[1:])
         calls["accepted"] += sum(grow_cycle(cycle, q, n, g) is not None for q in _growth_set(cycle))
-        yield from _splices(cycle, counts, g)
+        yield from _splices(cycle, counts, lengths, dirs, g)
 
     monkeypatch.setattr(polygon2d, "_canonical_cycle", canonical)
     monkeypatch.setattr(classify, "_splices", splices)
@@ -605,9 +622,9 @@ def test_box_walk_canonicalises_once_per_class(monkeypatch):
         calls["canonical"] += 1
         return _canonical_cycle(cycle)
 
-    def class_key(cycle):
+    def class_key(lengths, dirs):
         calls["keyed"] += 1
-        return _class_key(cycle)
+        return _class_key(lengths, dirs)
 
     monkeypatch.setattr(polygon2d, "_canonical_cycle", canonical)
     monkeypatch.setattr(classify, "_class_key", class_key)
@@ -650,10 +667,14 @@ def test_every_listed_class_passes_the_canonical_map_check(monkeypatch, capsys, 
 
 @pytest.mark.parametrize("method", ["inductive", "box"])
 def test_a_key_that_splits_a_class_is_a_bug(monkeypatch, capsys, tmp_path, method):
-    # a key that also holds the listing gives one class as many keys as it
-    # has listings; their canonical forms then coincide, which the
-    # enumerators and the atlas must report, not list as several classes
-    monkeypatch.setattr(classify, "_class_key", lambda cycle: (_class_key(cycle), cycle))
+    # a key that also holds the edge steps gives one class as many keys as
+    # it has listings up to translation; their canonical forms then
+    # coincide, which the enumerators and the atlas must report, not list
+    # as several classes
+    monkeypatch.setattr(
+        classify, "_class_key",
+        lambda lengths, dirs: (_class_key(lengths, dirs), tuple(lengths), tuple(dirs)),
+    )
     with pytest.raises(InvariantViolation, match=r"^class .* has two class keys$"):
         enumerate_classes(1, method)
     assert main(["polygons", "enum", "--genus", "1", "--method", method]) == 2
@@ -669,7 +690,7 @@ def test_a_key_that_splits_a_class_is_a_bug(monkeypatch, capsys, tmp_path, metho
 def test_a_key_that_merges_classes_is_a_bug_in_the_atlas(monkeypatch):
     # one key for every hull puts all members in the class of the first
     # hull; the point sets of other sizes must be reported
-    monkeypatch.setattr(classify, "_class_key", lambda cycle: ())
+    monkeypatch.setattr(classify, "_class_key", lambda lengths, dirs: ())
     message = r"^class .* has 10 points, its point sets \[4, 5, 6, 7, 8, 9, 10\]$"
     with pytest.raises(InvariantViolation, match=message):
         group_by_class(1, 30)
@@ -678,31 +699,34 @@ def test_a_key_that_merges_classes_is_a_bug_in_the_atlas(monkeypatch):
 def test_splice_recount_catches_a_miscounted_child(monkeypatch):
     # every built child is recounted in full: this count is wrong only when
     # `_splices` recounts the child it has just built, and right for the
-    # parents' counts, so the recount alone can catch it
-    real = polygon2d._pick_counts
+    # start triangle's counts, so the recount alone can catch it
+    real = polygon2d._cycle_steps
 
     def miscount(cycle):
-        area2, interior, b = real(cycle)
+        (area2, interior, b), lengths, dirs = real(cycle)
         if sys._getframe(1).f_locals.get("child") is cycle:
-            return (area2 + 2, interior + 1, b)
-        return (area2, interior, b)
+            return (area2 + 2, interior + 1, b), lengths, dirs
+        return (area2, interior, b), lengths, dirs
 
-    monkeypatch.setattr(classify, "_pick_counts", miscount)
+    monkeypatch.setattr(classify, "_cycle_steps", miscount)
     with pytest.raises(InvariantViolation, match="miscounts"):
         _inductive_cycles(1, 10)
 
 
 @pytest.mark.parametrize("g", range(5))
 def test_every_parent_comes_with_its_own_counts(monkeypatch, g):
-    # `_splices` does not recount its parent, so the counts each level
-    # hands on with a representative must be that representative's
+    # `_splices` neither recounts nor re-checks its parent, so the counts
+    # and edge steps each level hands on with a representative must be
+    # that representative's, and it must be strictly convex
     parents = []
     real = classify._splices
 
-    def checked(cycle, counts, g):
+    def checked(cycle, counts, lengths, dirs, g):
         parents.append(cycle)
+        _check_turns(cycle)
         assert counts == _pick_counts(cycle)
-        return real(cycle, counts, g)
+        assert (lengths, dirs) == _edge_steps(cycle)
+        return real(cycle, counts, lengths, dirs, g)
 
     monkeypatch.setattr(classify, "_splices", checked)
     enumerate_classes(g)

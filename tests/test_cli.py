@@ -303,9 +303,9 @@ def test_polygons_enum_class_with_wrong_interior_count_exits_2(capsys, monkeypat
 
     box_cycles = wpoly.classify._box_cycles
     wrong = ((0, 0), (1, 0), (5, 10))  # the canonical listing of conv{(0,0),(5,0),(0,2)}
+    key = wpoly.classify._class_key(*wpoly.classify._edge_steps(wrong))
     monkeypatch.setattr(
-        wpoly.classify, "_box_cycles",
-        lambda *args: {**box_cycles(*args), wpoly.classify._class_key(wrong): wrong},
+        wpoly.classify, "_box_cycles", lambda *args: {**box_cycles(*args), key: wrong},
     )
     code, out, err = run(capsys, "polygons", "enum", "--genus", "1", "--method", "box")
     assert (code, out) == (2, "")

@@ -27,10 +27,14 @@ from wpoly import polygon2d, wpolytope
 from wpoly.classify import _inductive_cycles
 from wpoly.cli import main
 from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
-from wpoly.polygon2d import _MIRROR, _canonical_cycle, _class_key, _egcd, _hull_cycle, _pick_counts
+from wpoly.polygon2d import (
+    _MIRROR, _canonical_cycle, _class_key, _cycle_steps, _edge_steps, _egcd, _hull_cycle,
+)
 
 from lattice_oracles import (
     IDENTITY,
+    _check_turns,
+    _pick_counts,
     apply_map,
     canonical_cycle_oracle,
     chart_forms,
@@ -343,10 +347,13 @@ def test_canonical_cycle_refuses_a_clockwise_cycle(pts):
 
 
 def _assert_kernels_match_oracles(cycle):
-    # the calipers kernel and the lean class key against the kernels as
-    # first written: listing and map, and key
+    # the calipers kernel, the lean class key and the one-pass cycle steps
+    # against the kernels as first written: listing and map, key, and the
+    # counts, turn check and edge steps
     assert _canonical_cycle(cycle) == canonical_cycle_oracle(cycle)
-    assert _class_key(cycle) == class_key_oracle(cycle)
+    assert _class_key(*_edge_steps(cycle)) == class_key_oracle(cycle)
+    _check_turns(cycle)
+    assert _cycle_steps(cycle) == (_pick_counts(cycle), *_edge_steps(cycle))
 
 
 # a symmetry of Z^2 applied to every point, so that a share of the hulls
@@ -415,6 +422,100 @@ def test_kernels_match_oracles_on_every_projected_polygon(g):
 
 POINTS = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10)
 
+# turns left at every vertex but winds twice
+PENTAGRAM = ((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3))
+
+
+def _steps_or_message(kernel, cycle):
+    """A kernel's result on a cycle, or the message of the
+    InvariantViolation it raises; any other exception fails the test."""
+    try:
+        return kernel(cycle)
+    except InvariantViolation as e:
+        return str(e)
+
+
+def _oracle_steps(cycle):
+    _check_turns(cycle)
+    return (_pick_counts(cycle), *_edge_steps(cycle))
+
+
+def _faulty_cycle(hull, fault, start, where):
+    """The hull's cycle from vertex `start`, with one fault: run clockwise,
+    vertex `where` repeated (the first vertex again at the end when
+    `where` is past the last), a collinear vertex on the first edge of the
+    doubled cycle or a reflex one just inside it, or the star through
+    every second vertex of an odd number of them, a pentagram when the
+    hull has too few."""
+    k = len(hull)
+    cycle = hull[start % k:] + hull[:start % k]
+    if fault == "clockwise":
+        return cycle[::-1]
+    if fault == "repeated":
+        j = where % (k + 1)
+        return cycle + cycle[:1] if j == k else cycle[:j + 1] + cycle[j:]
+    if fault in ("collinear", "reflex"):
+        (ux, uy), (vx, vy) = cycle[0], cycle[1]
+        # one step along the left normal of the first edge, into the hull
+        nx, ny = (uy - vy, vx - ux) if fault == "reflex" else (0, 0)
+        doubled = tuple((2 * x, 2 * y) for x, y in cycle)
+        return doubled[:1] + ((ux + vx + nx, uy + vy + ny),) + doubled[1:]
+    if fault == "star":
+        odd = k - (k % 2 == 0)
+        if odd < 5:
+            return tuple((x + cycle[0][0], y + cycle[0][1]) for x, y in PENTAGRAM)
+        return tuple(cycle[2 * j % odd] for j in range(odd))
+    return cycle
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=7))
+def test_cycle_steps_match_the_oracles_on_any_vertex_list(pts):
+    # most lists are not strictly convex counterclockwise cycles; each such
+    # must raise InvariantViolation with the oracles' message, and none may
+    # divide by the gcd of an edge of length 0
+    cycle = tuple(pts)
+    assert _steps_or_message(_cycle_steps, cycle) == _steps_or_message(_oracle_steps, cycle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    POINTS,
+    st.sampled_from(["none", "clockwise", "repeated", "collinear", "reflex", "star"]),
+    st.integers(0, 20),
+    st.integers(0, 20),
+)
+def test_cycle_steps_refuse_each_faulty_cycle_as_the_oracles_do(pts, fault, start, where):
+    try:
+        hull = _hull_cycle(pts)
+    except DegenerateInputError:
+        return
+    cycle = _faulty_cycle(hull, fault, start, where)
+    got = _steps_or_message(_cycle_steps, cycle)
+    assert got == _steps_or_message(_oracle_steps, cycle)
+    assert isinstance(got, str) == (fault != "none")
+
+
+@pytest.mark.parametrize(
+    "cycle, message",
+    [
+        (((0, 0), (1, 0)), "^polygon needs at least 3 vertices$"),
+        # an edge of length 0 first, in the middle, last and wrapping round
+        (((0, 0), (0, 0), (1, 0), (0, 1)), r"counterclockwise at \(0, 0\)$"),
+        (((0, 0), (1, 0), (1, 0), (0, 1)), r"counterclockwise at \(1, 0\)$"),
+        (((0, 0), (1, 0), (0, 1), (0, 1)), r"counterclockwise at \(0, 1\)$"),
+        (((0, 0), (1, 0), (0, 1), (0, 0)), r"counterclockwise at \(0, 0\)$"),
+        (((0, 0), (1, 0), (2, 0), (0, 1)), r"counterclockwise at \(1, 0\)$"),
+        (((0, 0), (0, 1), (1, 0)), r"counterclockwise at \(0, 1\)$"),
+        (PENTAGRAM, "winds more than once$"),
+    ],
+)
+def test_cycle_steps_refuse_a_cycle_that_is_not_strictly_convex(cycle, message):
+    # each turn is checked before its edge is divided by its gcd
+    with pytest.raises(InvariantViolation, match=message):
+        _cycle_steps(cycle)
+    assert re.search(message, _steps_or_message(_oracle_steps, cycle))
+
 
 @settings(max_examples=150, deadline=None)
 @given(POINTS, st.integers(0, 10**6), st.integers(1, 5))
@@ -423,9 +524,9 @@ def test_class_key_survives_unimodular_maps_and_mirror(pts, seed, size):
         cycle = _hull_cycle(pts)
     except DegenerateInputError:
         return
-    key = _class_key(cycle)
+    key = _class_key(*_edge_steps(cycle))
     for m in (random_unimodular_map(seed, size), _MIRROR):
-        assert _class_key(_hull_cycle([m.apply(v) for v in cycle])) == key
+        assert _class_key(*_edge_steps(_hull_cycle([m.apply(v) for v in cycle]))) == key
 
 
 @settings(max_examples=300, deadline=None)
@@ -441,7 +542,7 @@ def test_class_key_equal_exactly_when_canonical_forms_are(pts, other, related, s
     except DegenerateInputError:
         return
     same = _canonical_cycle(p)[0] == _canonical_cycle(q)[0]
-    assert (_class_key(p) == _class_key(q)) == same
+    assert (_class_key(*_edge_steps(p)) == _class_key(*_edge_steps(q))) == same
     assert same or not related
 
 
