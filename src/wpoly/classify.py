@@ -20,7 +20,6 @@ from .polygon2d import (
     _canonical_polygon,
     _class_key,
     _cycle_steps,
-    _edge_steps,
     _egcd,
     _row_ends,
     equivalent,
@@ -110,7 +109,7 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
         p = _build(q, g)
         if p.rows not in seen:
             hull = _rows_hull(p, (1, 0), p.rows)
-            seen[p.rows] = key = _class_key(*_edge_steps(hull.vertices))
+            seen[p.rows] = key = _class_key(*_cycle_steps(hull.vertices)[1:])
             classes.setdefault(key, (hull.vertices, set(), []))[1].add(hull.n)
         classes[seen[p.rows]][2].append(q)
     del seen  # the charted rows are not kept while the canonical polygons are built
@@ -214,7 +213,7 @@ def _inductive_cycles(g: int, n_max: int) -> dict[tuple, tuple[Point2, ...]]:
 
 def _vertex_keys(lengths: list[int], dirs: list[Point2]) -> list[tuple[int, int, int]]:
     """Key (min(l_in, l_out), max(l_in, l_out), det(p_in, p_out)) of each
-    vertex of a cycle, from the `_edge_steps` lattice lengths l and
+    vertex of a cycle, from the `_cycle_steps` lattice lengths l and
     primitive directions p of its incoming and outgoing edges.
 
     Affine unimodular maps keep lattice lengths and the determinant of two
@@ -237,7 +236,7 @@ def _key(l_in: int, p_in: Point2, l_out: int, p_out: Point2) -> tuple[int, int, 
 def _growth_points(cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Point2], longest: int):
     """(j, q) for every point q whose hull with the cycle can gain exactly
     q, with j the first edge of the run of edges that q lies one lattice
-    step beyond, given the cycle's `_edge_steps`; edges longer than
+    step beyond, given the cycle's edge steps; edges longer than
     `longest` are left out, and with them the points whose run starts
     there.
 
@@ -429,28 +428,32 @@ def _box_cycles(g: int, bound: int, n_max: int) -> dict[tuple, tuple[Point2, ...
        keeps every step off (0,0).  It also makes the chord direction
        -ck/glen a grid direction after l and left of it, so a chain
        closes once the chord turns left into the first edge.
+
+    A closed cycle is keyed from the edge steps the walk carries beside
+    the chain, a grid length times a primitive direction each, and from
+    the chord of the closing test, glen times -ck/glen.
     """
     dirs = _angular_directions(bound)
     area_bound = g + n_max - 2
     found: dict[tuple, tuple[Point2, ...]] = {}
 
     def extend(
-        chain: list[Point2], first_dir: Point2, last_idx: int,
+        chain: list[Point2], lengths: list[int], steps: list[Point2], last_idx: int,
         area2: int, blen: int, glen: int, ylo: int, yhi: int,
     ) -> None:
-        """area2 and blen + glen are twice the area and the boundary count
-        of the chain closed by its chord, of lattice length glen; ylo..yhi
-        is the chain's y-range."""
+        """lengths and steps are the chain's edge steps; area2 and
+        blen + glen are twice the area and the boundary count of the chain
+        closed by its chord, of lattice length glen; ylo..yhi is its y-range."""
         px, py = chain[-1]
         if len(chain) >= 3:
             cx, cy = -px // glen, -py // glen
-            fx, fy = first_dir
+            fx, fy = steps[0]
             if cx * fy - cy * fx > 0:
                 if (area2 - (blen + glen)) % 2 != 0:
                     raise InvariantViolation(f"parity failure closing chain {chain}")
                 if area2 - (blen + glen) + 2 == 2 * g:
-                    cycle = tuple(chain)
-                    found.setdefault(_class_key(*_edge_steps(cycle)), cycle)
+                    key = _class_key(lengths + [glen], steps + [(cx, cy)])
+                    found.setdefault(key, tuple(chain))
             if area2 - blen + glen > 2 * g:
                 return
         for ni in range(last_idx + 1, len(dirs)):
@@ -471,8 +474,12 @@ def _box_cycles(g: int, bound: int, n_max: int) -> dict[tuple, tuple[Point2, ...
                 if new_area2 - (blen + length + new_glen) + 2 > 2 * g:
                     break
                 chain.append((nx, ny))
-                extend(chain, first_dir, ni, new_area2, blen + length, new_glen, lo, hi)
+                lengths.append(length)
+                steps.append((dx, dy))
+                extend(chain, lengths, steps, ni, new_area2, blen + length, new_glen, lo, hi)
                 chain.pop()
+                lengths.pop()
+                steps.pop()
 
     for fi, fd in enumerate(dirs):
         if fd[0] < 1:
@@ -481,7 +488,8 @@ def _box_cycles(g: int, bound: int, n_max: int) -> dict[tuple, tuple[Point2, ...
             start = (length * fd[0], length * fd[1])
             if start[0] > bound or abs(start[1]) > bound:
                 break
-            extend([(0, 0), start], fd, fi, 0, length, length, min(0, start[1]), max(0, start[1]))
+            extend([(0, 0), start], [length], [fd], fi, 0, length, length,
+                   min(0, start[1]), max(0, start[1]))
     return found
 
 
@@ -533,7 +541,8 @@ class BasisChange:
 
     matrix T satisfies row_i(M(P)) * T = row_{row_map[i]}(M(P')) for every
     row; all denominators in T divide the common degree d.  rows are the
-    rows of M(P), in the order row_map indexes them.
+    rows of M(P), in the order row_map indexes them; images[i] is the
+    target row row_map[i], the checked image of rows[i].
     """
 
     q_from: Quadruple
@@ -541,6 +550,7 @@ class BasisChange:
     matrix: tuple[tuple[Fraction, Fraction, Fraction], ...]
     row_map: tuple[int, ...]
     rows: tuple[Point3, ...]
+    images: tuple[Point3, ...]
 
 
 def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
@@ -555,7 +565,7 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     With T inverted once, as adj/det, the matrix is adj * R_to / det, and
     its denominators divide d because |det| = d.  The row map is read
     off the check of every row in integers: row * (adj * R_to) must be det
-    times a target row, each target row hit once.
+    times a target row, its image, and each target row is hit once.
     """
     p_from, p_to = build(q_from), build(q_to)
     t_from, t_to = find_unimodular_triple(p_from), find_unimodular_triple(p_to)
@@ -577,7 +587,8 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
     bad = [entry for row in matrix for entry in row if d % entry.denominator]
     if bad:
         raise InvariantViolation(f"basis change entry {bad[0]} has denominator not dividing {d}")
-    target = {tuple(det * x for x in row): j for j, row in enumerate(p_to.points)}
+    points_to = p_to.points
+    target = {tuple(det * x for x in row): j for j, row in enumerate(points_to)}
     rows = p_from.points
     row_map = []
     for row in rows:
@@ -587,7 +598,8 @@ def basis_change(q_from: Quadruple, q_to: Quadruple) -> BasisChange:
         row_map.append(j)
     if sorted(row_map) != list(range(p_to.n)):
         raise InvariantViolation(f"basis change does not pair the rows of {q_from} and {q_to}")
-    return BasisChange(q_from, q_to, matrix, tuple(row_map), rows)
+    images = tuple(points_to[j] for j in row_map)
+    return BasisChange(q_from, q_to, matrix, tuple(row_map), rows, images)
 
 
 @dataclass(frozen=True)
@@ -643,35 +655,25 @@ def map_curve(
 ) -> tuple[WeightedCurve, tuple[str, ...]]:
     """Transport a curve on bc.q_from to one on bc.q_to, term by term.
 
-    Every monomial must land on an exponent vector of the target degree
-    with integer entries.  Terms are transported in integers, through
-    d*T with d = bc.q_from.d, which is integral because every denominator
-    of T divides d.  Monomial-condition coverage of the support is
+    Each term moves to the checked image of its monomial.  `basis_change`
+    has shown in integers that d*T carries each source row to d times a
+    target row, each target row hit once, so a support inside bc.rows
+    maps to distinct points of the target polytope, of degree bc.q_to.d:
+    the terms pass `make_curve`'s checks as the curve's did, and are only
+    sorted by exponent.  Monomial-condition coverage of the support is
     compared before and after; regressions come back as warnings.
     """
     if curve.quadruple != bc.q_from:
         raise PreconditionError(
             f"curve on {curve.quadruple} does not start the basis change from {bc.q_from}"
         )
-    q_to = bc.q_to
-    d = bc.q_from.d
-    if not curve.support <= set(bc.rows):
+    image = dict(zip(bc.rows, bc.images))
+    if not curve.support <= image.keys():
         raise PreconditionError("curve support contains non-polytope monomials")
-    scaled = [[x * d for x in row] for row in bc.matrix]
-    if any(x.denominator != 1 for row in scaled for x in row):
-        raise InvariantViolation(f"basis change matrix has a denominator not dividing {d}")
-    scaled = [[x.numerator for x in row] for row in scaled]
-    new_terms = []
-    for coef, v in curve.terms:
-        image = [sum(v[k] * scaled[k][c] for k in range(3)) for c in range(3)]
-        if any(x % d or x < 0 for x in image):
-            image = [Fraction(x, d) for x in image]
-            raise InvariantViolation(f"monomial {v} maps to non-lattice {image}")
-        iv = tuple(x // d for x in image)
-        if sum(x * w for x, w in zip(iv, q_to.weights)) != q_to.d:
-            raise InvariantViolation(f"monomial {v} maps off degree {q_to.d}")
-        new_terms.append((coef, iv))
-    mapped = make_curve(q_to, new_terms)
+    mapped = WeightedCurve(
+        quadruple=bc.q_to,
+        terms=tuple(sorted(((coef, image[v]) for coef, v in curve.terms), key=lambda t: t[1])),
+    )
     warnings = []
     before = _support_conditions(curve.support)
     after = _support_conditions(mapped.support)

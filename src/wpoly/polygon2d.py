@@ -274,21 +274,11 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _edge_steps(cycle: tuple[Point2, ...]) -> tuple[list[int], list[Point2]]:
-    """Lattice length and primitive direction of each edge cycle[j] -> cycle[j+1]."""
-    lengths, dirs = [], []
-    for (ux, uy), (vx, vy) in zip(cycle, cycle[1:] + cycle[:1]):
-        length = gcd(vx - ux, vy - uy)
-        lengths.append(length)
-        dirs.append(((vx - ux) // length, (vy - uy) // length))
-    return lengths, dirs
-
-
 def _class_key(lengths: list[int], dirs: list[Point2]) -> tuple[tuple[int, int, int, int], ...]:
     """Complete invariant of a strictly convex CCW cycle under affine
-    unimodular maps, reflections included, from its edge steps (those of
-    `_cycle_steps`, or `_class_key(*_edge_steps(cycle))`): the least
-    rotation of its cyclic word and of its mirror image's.
+    unimodular maps, reflections included, from its edge steps as
+    `_cycle_steps` gives them: the least rotation of its cyclic word and
+    of its mirror image's.
 
     Let r_i and l_i be the primitive direction and the lattice length of
     the edge leaving vertex i, d_i = det(r_{i-1}, r_i) > 0 and u any
@@ -369,11 +359,12 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
     than from j, so by less than a half turn: it still rises, and the
     pointer goes on from there (from j'+2 if it lies before).  It moves at
     most twice round the cycle per pass instead of listing every vertex
-    for every anchoring.  The pointer stops before coming back to u, and
-    a cycle that is not counterclockwise gets h < 1 and raises, as does a
-    built listing that does not have min y = 0.
+    for every anchoring.  The pointer stops before coming back to u.
+    `_cycle_steps` refuses a cycle that is not strictly convex
+    counterclockwise, so an h < 1 or a listing below y = 0 is a fault of
+    the calipers, and raises.
     """
-    lengths, dirs = _edge_steps(vertices)
+    _, lengths, dirs = _cycle_steps(vertices)
     shortest = min(lengths)
     k = len(vertices)
     mirrored = tuple((x, -y) for x, y in reversed(vertices))

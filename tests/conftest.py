@@ -1,8 +1,21 @@
+import warnings
 from itertools import product
 
 import pytest
 
 from wpoly import Quadruple, validate
+
+# When a Hypothesis test fails, its pytest plugin imports libcst to suggest
+# a patch, and libcst's import of mypy_extensions warns that TypedDict is
+# deprecated.  Under `-W error` that warning stops the run with an
+# INTERNALERROR that reports none of the failures, so libcst is imported
+# once here with that one warning ignored; without libcst nothing happens.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", r"mypy_extensions\.", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 _ACCEPTANCE_LINES: list[str] = []
 

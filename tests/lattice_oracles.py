@@ -11,8 +11,9 @@ build of a polytope, the memo-free atlas, the re-hulled growth step, the
 canonical cycles of an enumerator's classes, and the class key,
 canonical cycle and splice kernels as first written (every rotation,
 every shortest-edge listing in full, every edge a growth point lies
-beyond) only check what the package computes, and the vertex-dropping
-polytope only breaks it.
+beyond), the unchecked edge steps, and the curve transport as first
+written (every term through the basis-change matrix) only check what the
+package computes, and the vertex-dropping polytope only breaks it.
 """
 import random
 from collections import Counter
@@ -34,9 +35,9 @@ from wpoly import (
     lattice_inventory,
     project,
 )
-from wpoly.classify import _key, _vertex_keys
+from wpoly.classify import WeightedCurve, _key, _support_conditions, _vertex_keys, make_curve
 from wpoly.errors import InvariantViolation, PreconditionError
-from wpoly.polygon2d import _MIRROR, Point2, _canonical_cycle, _edge_steps, _egcd, _hull_cycle
+from wpoly.polygon2d import _MIRROR, Point2, _canonical_cycle, _egcd, _hull_cycle
 from wpoly.quadruples import ValidityReport, _case_candidates, _condition_i_witness, _congruent
 
 
@@ -46,6 +47,18 @@ def _cross(o, a, b):
 
 def _edges(cycle):
     return [(cycle[k], cycle[(k + 1) % len(cycle)]) for k in range(len(cycle))]
+
+
+def _edge_steps(cycle: tuple[Point2, ...]) -> tuple[list[int], list[Point2]]:
+    """Lattice length and primitive direction of each edge cycle[j] ->
+    cycle[j+1], with no check of the cycle: the steps `_cycle_steps` takes
+    in its one checked pass, and `_box_cycles` carries along its walk."""
+    lengths, dirs = [], []
+    for (ux, uy), (vx, vy) in zip(cycle, cycle[1:] + cycle[:1]):
+        length = gcd(vx - ux, vy - uy)
+        lengths.append(length)
+        dirs.append(((vx - ux) // length, (vy - uy) // length))
+    return lengths, dirs
 
 
 def _pick_counts(cycle):
@@ -634,3 +647,42 @@ def splices_under_old_bound(cycle, counts, g):
         if _pick_counts(child) != child_counts:
             raise InvariantViolation(f"splicing {q} into {cycle} miscounts {child}")
         yield q, child_counts, child
+
+
+def map_curve_oracle(curve: WeightedCurve, bc) -> tuple[WeightedCurve, tuple[str, ...]]:
+    """`map_curve` as first written: every term carried through d*T on its
+    own, each image checked to be a nonnegative lattice point of the
+    target degree, and the mapped terms validated again by `make_curve`."""
+    if curve.quadruple != bc.q_from:
+        raise PreconditionError(
+            f"curve on {curve.quadruple} does not start the basis change from {bc.q_from}"
+        )
+    q_to = bc.q_to
+    d = bc.q_from.d
+    if not curve.support <= set(bc.rows):
+        raise PreconditionError("curve support contains non-polytope monomials")
+    scaled = [[x * d for x in row] for row in bc.matrix]
+    if any(x.denominator != 1 for row in scaled for x in row):
+        raise InvariantViolation(f"basis change matrix has a denominator not dividing {d}")
+    scaled = [[x.numerator for x in row] for row in scaled]
+    new_terms = []
+    for coef, v in curve.terms:
+        image = [sum(v[k] * scaled[k][c] for k in range(3)) for c in range(3)]
+        if any(x % d or x < 0 for x in image):
+            image = [Fraction(x, d) for x in image]
+            raise InvariantViolation(f"monomial {v} maps to non-lattice {image}")
+        iv = tuple(x // d for x in image)
+        if sum(x * w for x, w in zip(iv, q_to.weights)) != q_to.d:
+            raise InvariantViolation(f"monomial {v} maps off degree {q_to.d}")
+        new_terms.append((coef, iv))
+    mapped = make_curve(q_to, new_terms)
+    warnings = []
+    before = _support_conditions(curve.support)
+    after = _support_conditions(mapped.support)
+    for label, idx in (("(i)", 0), ("(ii)", 1)):
+        for axis in range(3):
+            if before[idx][axis] and not after[idx][axis]:
+                warnings.append(
+                    f"support condition {label} for axis {axis} lost under mapping"
+                )
+    return (mapped, tuple(warnings))

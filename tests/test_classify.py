@@ -1,4 +1,5 @@
 """Class atlases, dual-method enumeration, basis change, curve transport."""
+import functools
 import hashlib
 import itertools
 import math
@@ -31,7 +32,6 @@ from wpoly import classify, polygon2d, wpolytope
 from wpoly.classify import (
     _angular_directions,
     _box_cycles,
-    _edge_steps,
     _growth_points,
     _inductive_cycles,
     _splices,
@@ -52,8 +52,9 @@ from wpoly.polygon2d import (
 )
 
 from lattice_oracles import (
-    _check_turns, _pick_counts, atlas_oracle, canonical_cycles, grow_cycle, keeps,
-    random_unimodular_map, row_image_list, splices_under_old_bound, vertex_dropped,
+    _check_turns, _edge_steps, _pick_counts, atlas_oracle, canonical_cycles, grow_cycle, keeps,
+    map_curve_oracle, random_unimodular_map, row_image_list, splices_under_old_bound,
+    vertex_dropped,
 )
 
 G1_CLASS_COUNT = 16
@@ -635,6 +636,26 @@ def test_box_walk_canonicalises_once_per_class(monkeypatch):
     assert calls["keyed"] == 3010
 
 
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_box_walk_keys_each_closed_cycle_by_its_own_steps(monkeypatch, g):
+    # the steps the walk carries, with the chord's, are the unchecked edge
+    # steps of the chain it closes, on every keyed cycle
+    keyed = 0
+
+    def class_key(lengths, dirs):
+        nonlocal keyed
+        keyed += 1
+        chain = tuple(sys._getframe(1).f_locals["chain"])
+        assert (lengths, dirs) == _edge_steps(chain), chain
+        return _class_key(lengths, dirs)
+
+    monkeypatch.setattr(classify, "_class_key", class_key)
+    n_max = 3 * g + 7
+    found = _box_cycles(g, max(3, 2 * g + 2 if g else n_max - 2), n_max)
+    assert keyed >= len(found) > 0
+    assert all(key == _class_key(*_edge_steps(cycle)) for key, cycle in found.items())
+
+
 def _shifted_triangle_listing(vertices):
     # the true map, but the listing of the class of (1,1,1;3) one step right
     cycle, m = _canonical_cycle(vertices)
@@ -907,19 +928,51 @@ def test_basis_change_identity_pair():
 TRANSPORT_SHA256 = "0ba7a3abc4b5b184d1a6d9a46f032bb49b5b40884ffbe12f5a5bd67fe2d34b9e"
 
 
+@functools.cache
+def _same_class_pairs():
+    """The 540 ordered same-class pairs of the g = 1, 2 atlases at dmax 40."""
+    return tuple(
+        pair
+        for g in (1, 2)
+        for entry in group_by_class(g, 40).classes
+        for x, y in itertools.combinations(entry.members, 2)
+        for pair in ((x, y), (y, x))
+    )
+
+
 def test_transport_outputs_are_pinned():
+    # the lookup transport equals the per-term matrix transport on every
+    # pair, and each row's image is the target row its row map names
     digest = hashlib.sha256()
-    pairs = 0
-    for g in (1, 2):
-        for entry in group_by_class(g, 40).classes:
-            for x, y in itertools.combinations(entry.members, 2):
-                for a, b in ((x, y), (y, x)):
-                    bc = basis_change(a, b)
-                    mapped, warnings = map_curve(make_curve(a, [(1, r) for r in bc.rows]), bc)
-                    digest.update(repr((a, b, bc.matrix, bc.row_map, mapped.terms, warnings)).encode())
-                    pairs += 1
-    assert pairs == 540
+    pairs = _same_class_pairs()
+    for a, b in pairs:
+        bc = basis_change(a, b)
+        curve = make_curve(a, [(1, r) for r in bc.rows])
+        mapped, warnings = map_curve(curve, bc)
+        assert (mapped, warnings) == map_curve_oracle(curve, bc)
+        points_to = build(b).points
+        assert bc.images == tuple(points_to[j] for j in bc.row_map)
+        digest.update(repr((a, b, bc.matrix, bc.row_map, mapped.terms, warnings)).encode())
+    assert len(pairs) == 540
     assert digest.hexdigest() == TRANSPORT_SHA256
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_map_curve_matches_the_matrix_transport_on_sub_supports(data):
+    # any nonempty sub-support with nonzero rational coefficients moves as
+    # the per-term matrix transport, with all its checks, moves it
+    a, b = data.draw(st.sampled_from(_same_class_pairs()))
+    bc = basis_change(a, b)
+    support = data.draw(st.lists(st.sampled_from(bc.rows), min_size=1, unique=True))
+    coefs = data.draw(st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool),
+        min_size=len(support), max_size=len(support),
+    ))
+    curve = make_curve(a, list(zip(coefs, support)))
+    mapped, warnings = map_curve(curve, bc)
+    assert (mapped, warnings) == map_curve_oracle(curve, bc)
+    assert len(mapped.terms) == len(support)
 
 
 def test_basis_change_denominators_divide_d():
@@ -973,10 +1026,15 @@ def test_basis_change_refuses_rows_that_are_not_hit_once(monkeypatch):
     (lambda adj, det: (((adj[0][0] + 1,) + adj[0][1:],) + adj[1:], det),
      "does not carry row"),
     (lambda adj, det: (adj, 2 * det), "denominator not dividing 7"),
-], ids=["adjugate-entry", "doubled-determinant"])
+    (lambda adj, det: (adj, -det), "does not carry row"),
+    (lambda adj, det: (tuple(tuple(2 * x for x in row) for row in adj), det),
+     "does not carry row"),
+], ids=["adjugate-entry", "doubled-determinant", "negated-determinant", "doubled-adjugate"])
 def test_basis_change_checks_a_corrupted_inverse(monkeypatch, corrupt, message):
     # the matrix is checked on its own: a wrong adjugate or determinant,
-    # with both projections still correct, must be caught
+    # with both projections still correct, must be caught.  map_curve
+    # moves terms by the images this check pairs, so a matrix that sends
+    # rows to negated, doubled or fractional points is refused here
     triple_solver = wpolytope._triple_solver
 
     def corrupted(*args):
@@ -1077,18 +1135,27 @@ def test_map_curve_refuses_support_off_the_polytope():
 
 def test_map_curve_command_builds_two_polytopes(monkeypatch, capsys):
     # basis_change builds both polytopes; the default curve and the
-    # support check read the source's rows from the basis change
-    calls = []
+    # support check read the source's rows from the basis change.  Only
+    # the source curve goes through make_curve: the mapped terms are the
+    # checked images of its monomials and are not validated again
+    built, validated = [], []
 
-    def counted(q):
-        calls.append(q)
+    def counted_build(q):
+        built.append(q)
         return build(q)
 
-    monkeypatch.setattr(classify, "build", counted)
-    monkeypatch.setattr("wpoly.cli.build", counted)
+    def counted_curve(q, terms):
+        validated.append(q)
+        return make_curve(q, terms)
+
+    monkeypatch.setattr(classify, "build", counted_build)
+    monkeypatch.setattr("wpoly.cli.build", counted_build)
+    monkeypatch.setattr(classify, "make_curve", counted_curve)
+    monkeypatch.setattr("wpoly.cli.make_curve", counted_curve)
     assert main(["map", "curve", "1", "3", "2", "7", "1", "2", "3", "7"]) == 0
     capsys.readouterr()
-    assert calls == [Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)]
+    assert built == [Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)]
+    assert validated == [Quadruple(1, 3, 2, 7)]
 
 
 def test_basis_change_rows_are_the_source_rows():
@@ -1118,27 +1185,6 @@ def _literal_support_conditions(support):
 @given(st.frozensets(st.tuples(*[st.integers(0, 3)] * 3), max_size=6))
 def test_support_conditions_match_the_literal_definition(support):
     assert classify._support_conditions(support) == _literal_support_conditions(support)
-
-
-def test_map_curve_rejects_images_off_the_target_polytope():
-    # each check on a transported monomial, on basis changes whose matrix
-    # was replaced: d*T must be integral, and every image a nonnegative
-    # lattice point of degree d
-    qa, qb = Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)
-    bc = basis_change(qa, qb)
-    curve = make_curve(qa, [(1, (7, 0, 0)), (1, (0, 1, 2))])
-
-    def scaled_identity(x):
-        return tuple(tuple(x if r == c else Fraction(0) for c in range(3)) for r in range(3))
-
-    for factor, message in [
-        (Fraction(1, 2), "denominator not dividing 7"),
-        (Fraction(-1), "maps to non-lattice [Fraction(0, 1), Fraction(-1, 1), Fraction(-2, 1)]"),
-        (Fraction(1, 7), "maps to non-lattice [Fraction(0, 1), Fraction(1, 7), Fraction(2, 7)]"),
-        (Fraction(2), "maps off degree 7"),
-    ]:
-        with pytest.raises(InvariantViolation, match=re.escape(message)):
-            map_curve(curve, replace(bc, matrix=scaled_identity(factor)))
 
 
 def _stabilization(g, steps):

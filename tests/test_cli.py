@@ -17,7 +17,7 @@ from wpoly.cli import main
 from wpoly.polygon2d import _build_polygon
 from wpoly.render import json_text
 
-from lattice_oracles import row_image_list, vertex_dropped
+from lattice_oracles import _edge_steps, row_image_list, vertex_dropped
 
 
 def run(capsys, *argv):
@@ -303,7 +303,7 @@ def test_polygons_enum_class_with_wrong_interior_count_exits_2(capsys, monkeypat
 
     box_cycles = wpoly.classify._box_cycles
     wrong = ((0, 0), (1, 0), (5, 10))  # the canonical listing of conv{(0,0),(5,0),(0,2)}
-    key = wpoly.classify._class_key(*wpoly.classify._edge_steps(wrong))
+    key = wpoly.classify._class_key(*_edge_steps(wrong))
     monkeypatch.setattr(
         wpoly.classify, "_box_cycles", lambda *args: {**box_cycles(*args), key: wrong},
     )

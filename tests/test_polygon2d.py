@@ -28,12 +28,13 @@ from wpoly.classify import _inductive_cycles
 from wpoly.cli import main
 from wpoly.errors import DegenerateInputError, InvariantViolation, PreconditionError
 from wpoly.polygon2d import (
-    _MIRROR, _canonical_cycle, _class_key, _cycle_steps, _edge_steps, _egcd, _hull_cycle,
+    _MIRROR, _canonical_cycle, _class_key, _cycle_steps, _egcd, _hull_cycle,
 )
 
 from lattice_oracles import (
     IDENTITY,
     _check_turns,
+    _edge_steps,
     _pick_counts,
     apply_map,
     canonical_cycle_oracle,
@@ -338,11 +339,11 @@ def test_canonical_prune_on_mixed_edge_lengths(vertices, det):
     ],
 )
 def test_canonical_cycle_refuses_a_clockwise_cycle(pts):
-    # every anchoring of a clockwise cycle puts it in y <= 0, so its
-    # height is 0; the kernel is handed only counterclockwise hulls, so
+    # the kernel takes its edge steps from `_cycle_steps`, which refuses
+    # the first right turn; it is handed only counterclockwise hulls, so
     # this is a bug and must not yield a listing
     clockwise = tuple(reversed(convex_hull(pts).vertices))
-    with pytest.raises(InvariantViolation, match=r"edge anchoring left the polygon outside y >= 0"):
+    with pytest.raises(InvariantViolation, match=r"not strictly convex counterclockwise"):
         _canonical_cycle(clockwise)
 
 

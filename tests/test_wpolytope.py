@@ -25,10 +25,11 @@ from wpoly import (
 from wpoly import classify, convex_hull, wpolytope
 from wpoly.cli import main
 from wpoly.errors import InvariantViolation, PreconditionError
-from wpoly.classify import _class_key, _edge_steps
+from wpoly.classify import _class_key
 from wpoly.wpolytope import _build, _chart, _frame, _rows_hull
 
 from lattice_oracles import (
+    _edge_steps,
     chart_forms,
     chart_point,
     cramer_decompose,
