@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, parsed with the standard library's argparse.
 
 Subcommands
 -----------
@@ -8,9 +8,9 @@ classify                   group g-good quadruples into an atlas file
 polygons enum              enumerate polygon classes for a genus
 map curve <8 ints>         transport a curve between equivalent quadruples
 
-Exit codes: 0 success; 1 bad input, precondition failure or an
-unwritable output path; 2 is reserved for violations of derived
-invariants (never for user error).
+Exit codes: 0 success, and after --help; 1 bad input (a usage error
+included), precondition failure or an unwritable output path; 2 is
+reserved for violations of derived invariants (never for user error).
 
 Curve files are JSON: {"terms": [{"coef": "5" or "3/2", "exponents":
 [a, b, c]}, ...]} with each monomial of full weighted degree; a coef in
@@ -18,12 +18,13 @@ exponent notation, such as "1e3", is refused.
 """
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import click
+from typing import Callable, NoReturn
 
 from .classify import (
     atlas_stabilization,
@@ -41,52 +42,23 @@ from .render import json_text, render_polygon_svg
 from .wpolytope import build, find_unimodular_triple, project, verify_case_identities
 
 
-@click.group()
-def cli() -> None:
-    """Exact lattice-polytope toolkit for weighted plane curves."""
-
-
-@cli.group()
-def quad() -> None:
-    """Quadruple-level checks."""
-
-
-@quad.command("check")
-@click.argument("w0", type=int)
-@click.argument("w1", type=int)
-@click.argument("w2", type=int)
-@click.argument("d", type=int)
-@click.option("--json", "as_json", is_flag=True, help="emit the report as JSON")
 def quad_check(w0: int, w1: int, w2: int, d: int, as_json: bool) -> None:
     """Report pairwise coprimality, degree conditions, and genus."""
     q = Quadruple(w0, w1, w2, d)
     report = validate(q)
     if as_json:
-        click.echo(json_text(report.to_dict()))
+        print(json_text(report.to_dict()))
         return
-    click.echo(f"quadruple        {q}")
-    click.echo(f"pairwise coprime {report.pairwise_coprime}")
-    click.echo(f"degree dominates {report.degree_dominates}")
-    click.echo(f"condition (i)    {[w is not None for w in report.condition_i]}")
-    click.echo(f"condition (ii)   {[w is not None for w in report.condition_ii]}")
-    click.echo(f"good             {report.is_good}")
+    print(f"quadruple        {q}")
+    print(f"pairwise coprime {report.pairwise_coprime}")
+    print(f"degree dominates {report.degree_dominates}")
+    print(f"condition (i)    {[w is not None for w in report.condition_i]}")
+    print(f"condition (ii)   {[w is not None for w in report.condition_ii]}")
+    print(f"good             {report.is_good}")
     if report.genus is not None:
-        click.echo(f"genus            {report.genus}")
+        print(f"genus            {report.genus}")
 
 
-@cli.group()
-def poly() -> None:
-    """Polytope-level analysis."""
-
-
-@poly.command("analyze")
-@click.argument("w0", type=int)
-@click.argument("w1", type=int)
-@click.argument("w2", type=int)
-@click.argument("d", type=int)
-@click.option("--json", "as_json", is_flag=True, help="emit the report as JSON")
-@click.option("--svg", "svg_path", type=click.Path(dir_okay=False), default=None,
-              help="write an SVG of the projected polygon")
 def poly_analyze(w0: int, w1: int, w2: int, d: int, as_json: bool, svg_path: str | None) -> None:
     """Build the polytope of a good quadruple and verify its case identities."""
     q = Quadruple(w0, w1, w2, d)
@@ -109,33 +81,26 @@ def poly_analyze(w0: int, w1: int, w2: int, d: int, as_json: bool, svg_path: str
     if svg_path is not None:
         Path(svg_path).write_text(render_polygon_svg(polygon), encoding="utf-8")
     if as_json:
-        click.echo(json_text(payload))
+        print(json_text(payload))
         return
-    click.echo(f"quadruple   {q}")
-    click.echo(f"genus       {p.genus}")
-    click.echo(f"points      {p.n}" + ("  (exceeds soft bound 3g+6)" if p.exceptional_bound else ""))
-    click.echo(f"interior    {p.genus}")
-    click.echo(f"case        {case.case_tag}")
-    click.echo(f"determinant {case.actual_det} (predicted {case.predicted_det})")
-    click.echo(f"triple      {[list(row) for row in triple]}")
-    click.echo(f"canonical   {[list(v) for v in canon.vertices]}")
+    print(f"quadruple   {q}")
+    print(f"genus       {p.genus}")
+    print(f"points      {p.n}" + ("  (exceeds soft bound 3g+6)" if p.exceptional_bound else ""))
+    print(f"interior    {p.genus}")
+    print(f"case        {case.case_tag}")
+    print(f"determinant {case.actual_det} (predicted {case.predicted_det})")
+    print(f"triple      {[list(row) for row in triple]}")
+    print(f"canonical   {[list(v) for v in canon.vertices]}")
     if svg_path is not None:
-        click.echo(f"figure      {svg_path}")
+        print(f"figure      {svg_path}")
 
 
-@cli.command("classify")
-@click.option("--genus", "g", type=int, required=True)
-@click.option("--dmax", type=int, required=True)
-@click.option("--jobs", type=int, default=1,
-              help="accepted for compatibility (>= 1); changes nothing")
-@click.option("--atlas-dir", "atlas_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--csv", "write_csv", is_flag=True, help="also write the member table as CSV")
-@click.option("--figures", is_flag=True, help="also write one SVG per class")
-@click.option("--stabilize", default=None,
-              help="comma-separated increasing degree bounds to report class counts for")
 def classify_cmd(g: int, dmax: int, jobs: int, atlas_dir: str | None,
                  write_csv: bool, figures: bool, stabilize: str | None) -> None:
     """Group all g-good quadruples with d <= dmax into an atlas file."""
+    if atlas_dir and Path(atlas_dir).is_file():
+        # refused before the work; mkdir would refuse it only after
+        raise PreconditionError(f"--atlas-dir {atlas_dir} is a file, not a directory")
     if jobs < 1:
         raise PreconditionError(f"--jobs must be >= 1, got {jobs}")
     if dmax < 1:
@@ -161,34 +126,22 @@ def classify_cmd(g: int, dmax: int, jobs: int, atlas_dir: str | None,
     atlas_path = out_dir / f"atlas_g{g}_d{dmax}.json"
     atlas_path.write_bytes(atlas.to_json_bytes())
     members = sum(len(entry.members) for entry in atlas.classes)
-    click.echo(f"{len(atlas.classes)} classes ({members} quadruples) -> {atlas_path}")
+    print(f"{len(atlas.classes)} classes ({members} quadruples) -> {atlas_path}")
     if write_csv:
         csv_path = out_dir / f"atlas_g{g}_d{dmax}.csv"
         csv_path.write_text(atlas.to_csv_text(), encoding="utf-8")
-        click.echo(f"csv -> {csv_path}")
+        print(f"csv -> {csv_path}")
     if figures:
         for index, entry in enumerate(atlas.classes):
             fig_path = out_dir / f"class_g{g}_d{dmax}_{index:03d}.svg"
             fig_path.write_text(render_polygon_svg(entry.canonical), encoding="utf-8")
-        click.echo(f"{len(atlas.classes)} figures -> {out_dir}")
+        print(f"{len(atlas.classes)} figures -> {out_dir}")
     if report is not None:
         for d_step, count in report.steps:
-            click.echo(f"d<={d_step}: {count} classes")
-        click.echo(f"still growing at last step: {report.growing}")
+            print(f"d<={d_step}: {count} classes")
+        print(f"still growing at last step: {report.growing}")
 
 
-@cli.group()
-def polygons() -> None:
-    """Polygon-class enumeration."""
-
-
-@polygons.command("enum")
-@click.option("--genus", "g", type=int, required=True)
-@click.option("--method", type=click.Choice(["inductive", "box"]), default="inductive")
-@click.option("--nmax", type=int, default=None,
-              help="largest lattice point count to reach (default 3g+7)")
-@click.option("--cross-check", is_flag=True,
-              help="run both methods and fail (exit 2) on disagreement")
 def polygons_enum(g: int, method: str, nmax: int | None, cross_check: bool) -> None:
     """List canonical forms of all polygon classes with g interior points."""
     if cross_check:
@@ -201,20 +154,15 @@ def polygons_enum(g: int, method: str, nmax: int | None, cross_check: bool) -> N
                 f"methods disagree: {len(a - b)} inductive-only, {len(b - a)} box-only"
             )
         classes = inductive
-        click.echo(f"cross-check ok: both methods give {len(classes)} classes")
+        print(f"cross-check ok: both methods give {len(classes)} classes")
     else:
         classes = enumerate_classes(g, method, n_max=nmax)
     by_n: dict[int, int] = {}
     for p in classes:
         by_n[p.n] = by_n.get(p.n, 0) + 1
-        click.echo(json.dumps({"n": p.n, "vertices": [[x, y] for x, y in p.vertices]}))
+        print(json.dumps({"n": p.n, "vertices": [[x, y] for x, y in p.vertices]}))
     summary = ", ".join(f"n={n}: {by_n[n]}" for n in sorted(by_n))
-    click.echo(f"total: {len(classes)} classes ({summary})")
-
-
-@cli.group("map")
-def map_group() -> None:
-    """Coordinate transport between equivalent quadruples."""
+    print(f"total: {len(classes)} classes ({summary})")
 
 
 def _read_curve_terms(path: str) -> list[tuple[Fraction, tuple[int, ...]]]:
@@ -260,28 +208,15 @@ def _read_curve_terms(path: str) -> list[tuple[Fraction, tuple[int, ...]]]:
     return terms
 
 
-@map_group.command("curve")
-@click.argument("w0", type=int)
-@click.argument("w1", type=int)
-@click.argument("w2", type=int)
-@click.argument("d", type=int)
-@click.argument("v0", type=int)
-@click.argument("v1", type=int)
-@click.argument("v2", type=int)
-@click.argument("e", type=int)
-@click.option("--curve", "curve_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON file with curve terms (default: all monomials)")
 def map_curve_cmd(w0: int, w1: int, w2: int, d: int, v0: int, v1: int, v2: int, e: int,
                   curve_path: str | None) -> None:
     """Map a curve on (W0,W1,W2;D) to one on (V0,V1,V2;E)."""
+    # a missing, unreadable or malformed file is refused before the work
+    terms = None if curve_path is None else _read_curve_terms(curve_path)
     q_from = Quadruple(w0, w1, w2, d)
     q_to = Quadruple(v0, v1, v2, e)
     bc = basis_change(q_from, q_to)
-    if curve_path is not None:
-        terms = _read_curve_terms(curve_path)
-    else:
-        terms = [(Fraction(1), pt) for pt in bc.rows]
-    curve = make_curve(q_from, terms)
+    curve = make_curve(q_from, [(Fraction(1), pt) for pt in bc.rows] if terms is None else terms)
     mapped, warnings = map_curve(curve, bc)
     payload = {
         "source": [*q_from.weights, q_from.d],
@@ -293,26 +228,90 @@ def map_curve_cmd(w0: int, w1: int, w2: int, d: int, v0: int, v1: int, v2: int, 
         ],
         "warnings": list(warnings),
     }
-    click.echo(json_text(payload))
+    print(json_text(payload))
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with exit 1 on a usage error, as exit 2 means a bug; with no
+    abbreviated option (--gen is not --genus); and with a word that starts
+    with one dash, such as -3,5 or -out, read as a value unless it starts -h."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[^-]")
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def commands(self) -> argparse._SubParsersAction:
+        # the metavar names a missing command in the error; without it
+        # Python 3.10 fails to format that error (bpo-29298)
+        return self.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _command(commands: argparse._SubParsersAction, name: str, run: Callable[..., None],
+             *ints: str) -> _Parser:
+    """The parser of a command that calls run; ints name its int positionals."""
+    parser = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+    parser.set_defaults(run=run)
+    for dest in ints:
+        parser.add_argument(dest, type=int, metavar=dest.upper())
+    return parser
+
+
+_PARSER = _Parser(prog="wpoly", description="Exact lattice-polytope toolkit for weighted plane curves.")
+_commands = _PARSER.commands()
+_check = _command(_commands.add_parser("quad", help="Quadruple-level checks.").commands(),
+                  "check", quad_check, "w0", "w1", "w2", "d")
+_analyze = _command(_commands.add_parser("poly", help="Polytope-level analysis.").commands(),
+                    "analyze", poly_analyze, "w0", "w1", "w2", "d")
+for _parser in _check, _analyze:
+    _parser.add_argument("--json", dest="as_json", action="store_true", help="emit the report as JSON")
+_analyze.add_argument("--svg", dest="svg_path", metavar="FILE", help="write an SVG of the projected polygon")
+_atlas = _command(_commands, "classify", classify_cmd)
+_atlas.add_argument("--genus", dest="g", type=int, required=True)
+_atlas.add_argument("--dmax", type=int, required=True)
+_atlas.add_argument("--jobs", type=int, default=1, help="accepted for compatibility (>= 1); changes nothing")
+_atlas.add_argument("--atlas-dir", metavar="DIR")
+_atlas.add_argument("--csv", dest="write_csv", action="store_true", help="also write the member table as CSV")
+_atlas.add_argument("--figures", action="store_true", help="also write one SVG per class")
+_atlas.add_argument("--stabilize", metavar="STEPS",
+                    help="comma-separated increasing degree bounds to report class counts for")
+_enum = _command(_commands.add_parser("polygons", help="Polygon-class enumeration.").commands(),
+                 "enum", polygons_enum)
+_enum.add_argument("--genus", dest="g", type=int, required=True)
+_enum.add_argument("--method", choices=["inductive", "box"], default="inductive")
+_enum.add_argument("--nmax", type=int, help="largest lattice point count to reach (default 3g+7)")
+_enum.add_argument("--cross-check", action="store_true",
+                   help="run both methods and fail (exit 2) on disagreement")
+_curve = _command(
+    _commands.add_parser("map", help="Coordinate transport between equivalent quadruples.").commands(),
+    "curve", map_curve_cmd, "w0", "w1", "w2", "d", "v0", "v1", "v2", "e")
+_curve.add_argument("--curve", dest="curve_path", metavar="FILE",
+                    help="JSON file with curve terms (default: all monomials)")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point mapping failures to the documented exit codes."""
     try:
-        # click itself returns the code of an Exit (only --help's 0 here)
-        cli.main(args=argv, prog_name="wpoly", standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
+        args = vars(_PARSER.parse_args(argv))
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 1 after a usage error
+        return exc.code
+    try:
+        args.pop("run")(**args)
+    except KeyboardInterrupt:
+        sys.stderr.write("\naborted\n")
         return 1
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
+    except BrokenPipeError:  # stdout's reader left early, as under | head: exit quietly
         return 1
     except (PreconditionError, DegenerateInputError, ValueError, OSError) as exc:
         # an OSError from pathlib names the path it failed on
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
-        click.echo(f"invariant violation: {exc}", err=True)
+        print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     return 0
 

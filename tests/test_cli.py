@@ -1,6 +1,9 @@
 """Exit codes, output formats, output paths, golden files."""
+import ast
 import hashlib
 import json
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wpoly
 from wpoly import classify, enumerate_classes, group_by_class, wpolytope
 from wpoly.classify import atlas_stabilization
 from wpoly.cli import main
@@ -281,7 +285,7 @@ def test_polygons_enum_box3_count(capsys):
     code, out, err = run(capsys, "polygons", "enum", "--genus", "1",
                          "--method", "box", "--box", "3")
     assert (code, out) == (1, "")
-    assert "No such option '--box'" in err, err
+    assert "unrecognized arguments: --box 3" in err, err
 
 
 def test_polygons_enum_cross_check_disagreement_exits_2(capsys, monkeypatch):
@@ -649,6 +653,86 @@ def test_usage_error_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    ([], None),
+    (["bogus"], "bogus"),
+    (["polygons", "enum", "--genus", "1", "--box", "3"], "--box"),
+    (["classify", "--gen", "1", "--dmax", "5"], None),
+    (["quad", "check", "1", "3", "2"], "D"),
+    (["quad", "check", "1", "3", "2", "7", "8"], "8"),
+    (["poly", "analyze", "1", "x", "2", "7"], "x"),
+    (["classify", "--genus", "one", "--dmax", "5"], "one"),
+    (["polygons", "enum", "--genus", "1", "--method", "grid"], "grid"),
+    (["classify", "--genus", "1", "--dmax"], "--dmax"),
+    (["map", "curve", "1", "3", "2", "7", "1", "2", "3", "7", "--curve", "missing.json"],
+     "missing.json"),
+    (["map", "curve", "1", "3", "2", "7", "1", "2", "3", "7", "--curve", "adir"], "adir"),
+    (["classify", "--genus", "1", "--dmax", "5", "--atlas-dir", "afile"], "afile"),
+    (["poly", "analyze", "1", "3", "2", "7", "--svg", "adir"], "adir"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_usage_errors_exit_1_with_a_message(capsys, tmp_path, monkeypatch, argv, named):
+    # a path is refused before the basis change or the grouping runs
+    import wpoly.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("called on a usage error")
+
+    monkeypatch.setattr(wpoly.cli, "basis_change", never)
+    monkeypatch.setattr(wpoly.cli, "group_by_class", never)
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+    Path("adir").mkdir()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.strip(), argv
+    if named is not None:
+        assert named in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+
+
+def test_cli_imports_only_the_standard_library():
+    # a fresh interpreter without site-packages, which sitecustomize and
+    # .pth files could fill with modules of their own
+    src = str(Path(wpoly.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import wpoly.cli; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules}))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    # a third-party import fails here, as site-packages is not on the path
+    assert done.returncode == 0, done.stderr
+    names = set(ast.literal_eval(done.stdout))
+    assert "wpoly" in names
+    assert names - set(sys.stdlib_module_names) <= {"wpoly", "__main__"}
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], ["quad", "poly", "classify", "polygons", "map"]),
+    (["quad"], ["check"]),
+    (["poly"], ["analyze"]),
+    (["polygons"], ["enum"]),
+    (["map"], ["curve"]),
+    (["quad", "check"], ["W0", "W1", "W2", "D", "--json"]),
+    (["poly", "analyze"], ["W0", "W1", "W2", "D", "--json", "--svg"]),
+    (["classify"], ["--genus", "--dmax", "--jobs", "--atlas-dir", "--csv", "--figures",
+                    "--stabilize"]),
+    (["polygons", "enum"], ["--genus", "--method", "--nmax", "--cross-check"]),
+    (["map", "curve"], ["W0", "W1", "W2", "D", "V0", "V1", "V2", "E", "--curve"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_help_of_each_command_names_its_arguments(capsys, argv, named):
+    code, out, err = run(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    words = set(out.replace("[", " ").replace("]", " ").split())
+    assert set(named) <= words, out
+
+
+def test_an_option_value_may_start_with_one_dash(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "classify", "--genus", "1", "--dmax", "5", "--atlas-dir", "-out")
+    assert (code, err) == (0, "")
+    assert out.endswith(" -> -out/atlas_g1_d5.json\n"), out
+    assert Path("-out/atlas_g1_d5.json").is_file()
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -663,6 +747,18 @@ def test_interrupt_inside_a_command_exits_1(capsys, monkeypatch):
 
     monkeypatch.setattr(wpoly.cli, "validate", interrupted)
     code, out, err = run(capsys, "quad", "check", "1", "3", "2", "7")
-    # click ends the line and raises Abort, which main reports
+    # main ends the interrupted line on stderr and reports the abort
     assert (code, out) == (1, "")
     assert err == "\naborted\n"
+
+
+def test_a_closed_stdout_exits_1_quietly(capsys, monkeypatch):
+    # as when the reader of a pipe, such as head, exits before the writer
+    import wpoly.cli
+
+    def closed(q):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(wpoly.cli, "validate", closed)
+    code, out, err = run(capsys, "quad", "check", "1", "3", "2", "7")
+    assert (code, out, err) == (1, "", "")
