@@ -9,6 +9,7 @@ quadruples in the same class through an exact rational basis change.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -19,7 +20,6 @@ from .polygon2d import (
     Point2,
     _canonical_polygon,
     _class_key,
-    _cycle_steps,
     _egcd,
     _row_ends,
     equivalent,
@@ -99,18 +99,18 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
     hit needs no recheck: the member's own `_build` checked every row
     start on the plane and produced the key's rows; its n is the total of
     those rows, which `_build` summed; and its genus is g, which `_build`
-    checked.  The first hull of each class key is canonicalised
-    by `_class_polygons`, as in the enumerators, and each class's members
-    are found by its key.
+    checked.  The class key comes from the edge steps the hull holds.  The
+    first hull of each class key is canonicalised by `_class_polygons`, as
+    in the enumerators, and each class's members are found by its key.
     """
     seen: dict[tuple, tuple] = {}
-    classes: dict[tuple, tuple[tuple[Point2, ...], set[int], list[Quadruple]]] = {}
+    classes: dict[tuple, tuple[LatticePolygon, set[int], list[Quadruple]]] = {}
     for q in enumerate_g_good(g, d_max):
         p = _build(q, g)
         if p.rows not in seen:
             hull = _rows_hull(p, (1, 0), p.rows)
-            seen[p.rows] = key = _class_key(*_cycle_steps(hull.vertices)[1:])
-            classes.setdefault(key, (hull.vertices, set(), []))[1].add(hull.n)
+            seen[p.rows] = key = _class_key(hull.lengths, hull.dirs)
+            classes.setdefault(key, (hull, set(), []))[1].add(hull.n)
         classes[seen[p.rows]][2].append(q)
     del seen  # the charted rows are not kept while the canonical polygons are built
     entries = []
@@ -128,13 +128,13 @@ def group_by_class(g: int, d_max: int) -> ClassAtlas:
 # enumeration of polygon classes with a fixed interior count
 
 
-def _class_polygons(reps: dict[tuple, tuple[Point2, ...]], g: int) -> list[tuple[LatticePolygon, tuple]]:
+def _class_polygons(reps: dict[tuple, LatticePolygon], g: int) -> list[tuple[LatticePolygon, tuple]]:
     """(polygon, key) of each class of a {`_class_key`: representative}
     dict, sorted by (n, vertices); each representative is canonicalised
-    once, by `_canonical_polygon`, and must have g interior points.  The
-    key is complete, so two keys with one polygon are a bug.  Each class's
-    row ends are checked against Pick's counts, which the splices also
-    use; no point is listed."""
+    once, by `_canonical_polygon` from the edge steps it holds, and must
+    have g interior points.  The key is complete, so two keys with one
+    polygon are a bug.  Each class's row ends are checked against Pick's
+    counts, which the splices also use; no point is listed."""
     classes: dict[tuple[Point2, ...], tuple[LatticePolygon, tuple]] = {}
     for key, rep in reps.items():
         poly = _canonical_polygon(rep)[0]
@@ -148,7 +148,7 @@ def _class_polygons(reps: dict[tuple, tuple[Point2, ...]], g: int) -> list[tuple
     return pairs
 
 
-def _inductive_cycles(g: int, n_max: int) -> dict[tuple, tuple[Point2, ...]]:
+def _inductive_cycles(g: int, n_max: int) -> dict[tuple, LatticePolygon]:
     """Grow classes point by point from the unit triangle up to n_max points.
 
     A class with n+1 lattice points is reachable from one with n points
@@ -169,7 +169,7 @@ def _inductive_cycles(g: int, n_max: int) -> dict[tuple, tuple[Point2, ...]]:
     `_vertex_keys` key of C (canonical augmentation, McKay 1998), so most
     classes are grown from one parent, not from each.  Keys can tie, so a
     class may still come from several parents; each level keeps the first
-    child of each `_class_key`, and the {key: cycle} of those with g
+    child of each `_class_key`, and the {key: polygon} of those with g
     interior points is returned.  This loses no class C with n+1 points
     and at most g interior points:
 
@@ -188,30 +188,24 @@ def _inductive_cycles(g: int, n_max: int) -> dict[tuple, tuple[Point2, ...]]:
       phi(v*) carries the largest key of phi(C), and the filter keeps
       phi(C).
 
-    Each class rep is kept as (cycle, counts, lengths, dirs), its counts
-    (twice the area, interior, boundary) and `_cycle_steps` edge steps,
-    and is handed to `_splices` with them: the start triangle's from
-    `_cycle_steps`, every child's from the `_cycle_steps` pass that
-    `_splices` has just made over the child's own vertices.  The class key
-    comes from those same steps.
+    Each class rep is a `LatticePolygon`, which holds its counts and edge
+    steps from its one `_cycle_steps` pass; its class key comes from those
+    steps, and `_splices` grows it from them.
     """
-    start = ((0, 0), (1, 0), (0, 1))
-    counts, lengths, dirs = _cycle_steps(start)
-    current = {_class_key(lengths, dirs): (start, counts, lengths, dirs)}
-    found = {key: start for key in current} if g == 0 else {}
+    start = LatticePolygon(((0, 0), (1, 0), (0, 1)))
+    current = {_class_key(start.lengths, start.dirs): start}
+    found = dict(current) if g == 0 else {}
     for _ in range(3, min(n_max, 3 * g + 7) if g else n_max):
-        grown: dict[tuple, tuple] = {}
+        grown: dict[tuple, LatticePolygon] = {}
         for parent in current.values():
-            for _, rep in _splices(*parent, g):
-                grown.setdefault(_class_key(*rep[2:]), rep)
+            for _, child in _splices(parent, g):
+                grown.setdefault(_class_key(child.lengths, child.dirs), child)
         current = grown
-        found.update(
-            (key, c) for key, (c, (_, interior, _), _, _) in current.items() if interior == g
-        )
+        found.update((key, c) for key, c in current.items() if c.i == g)
     return found
 
 
-def _vertex_keys(lengths: list[int], dirs: list[Point2]) -> list[tuple[int, int, int]]:
+def _vertex_keys(lengths: Sequence[int], dirs: Sequence[Point2]) -> list[tuple[int, int, int]]:
     """Key (min(l_in, l_out), max(l_in, l_out), det(p_in, p_out)) of each
     vertex of a cycle, from the `_cycle_steps` lattice lengths l and
     primitive directions p of its incoming and outgoing edges.
@@ -233,7 +227,8 @@ def _key(l_in: int, p_in: Point2, l_out: int, p_out: Point2) -> tuple[int, int, 
     return (min(l_in, l_out), max(l_in, l_out), p_in[0] * p_out[1] - p_in[1] * p_out[0])
 
 
-def _growth_points(cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Point2], longest: int):
+def _growth_points(cycle: tuple[Point2, ...], lengths: Sequence[int], dirs: Sequence[Point2],
+                   longest: int):
     """(j, q) for every point q whose hull with the cycle can gain exactly
     q, with j the first edge of the run of edges that q lies one lattice
     step beyond, given the cycle's edge steps; edges longer than
@@ -265,15 +260,12 @@ def _growth_points(cycle: tuple[Point2, ...], lengths: list[int], dirs: list[Poi
             yield j, (ux + t + m * px, uy - s + m * py)
 
 
-def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int],
-             lengths: list[int], dirs: list[Point2], g: int):
-    """(q, child rep) for each growth point q of a strictly convex CCW
-    cycle with the given counts (twice the area, interior i, boundary b),
-    so with n = i + b lattice points, and edge steps, whose
-    hull(cycle + q) gains exactly q (interior + boundary = n + 1), has at
-    most g interior points and carries its largest vertex key at q.  The
-    child rep is (child, counts, lengths, dirs): the child is that hull's
-    cycle, starting at q, with its counts and edge steps.
+def _splices(parent: LatticePolygon, g: int):
+    """(q, child) for each growth point q of the parent polygon, of cycle
+    its vertices and n = i + b lattice points, whose hull(cycle + q) gains
+    exactly q (interior + boundary = n + 1), has at most g interior points
+    and carries its largest vertex key at q; the child is the
+    `LatticePolygon` of that hull's cycle, starting at q.
 
     Let f_j = cross(p_j, q - v_j), p_j the primitive direction of the edge
     e_j = v_j -> v_{j+1} of lattice length l_j.  Of a strictly convex
@@ -293,13 +285,10 @@ def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int],
     run, and the run is found by walking back from j and forward from
     j + 1 while f <= 0: only the run's edges and the two that bound it are
     evaluated.  The one-run argument needs strict convexity, winding
-    included.  `_cycle_steps` checked it on the cycle's own vertices when
-    the cycle was built: every parent is the start triangle or a child
-    kept at the level before, and each comes from such a pass.  A check
-    here would re-test a value already checked.  A back walk
-    that comes round to j again would mean q sees every edge, and raises;
-    the forward walk stops at latest at the edge with f > 0 that ended the
-    back walk.
+    included, which `_cycle_steps` checked when the parent was built.  A
+    back walk that comes round to j again would mean q sees every edge,
+    and raises; the forward walk stops at latest at the edge with f > 0
+    that ended the back walk.
 
     `_growth_points` gives each q once, with the first edge j of its run
     of edges with f = -1, so q is spliced once without a set of seen
@@ -312,16 +301,17 @@ def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int],
     lattice points become interior points, next to the cycle's i, and no
     such q is kept.
 
-    The keys are taken once per cycle, from the steps that come with it,
-    and a child is built only when kept.  Each built child is recounted
-    by `_cycle_steps` from its own vertices, which checks its turns and
-    winding and gives its steps, and its counts must equal the splice's.
-    The cycle's own counts and steps come with it and are not recounted:
-    `_inductive_cycles` hands on only the results of such a pass.
+    The keys are taken once per parent, from the steps it holds, and
+    twice its area is 2i + b - 2.  A child is built only when kept, by its
+    one `_cycle_steps` pass, which checks its turns and winding; its
+    (i, b) must equal the splice's, which by Pick's formula ties its
+    twice-area too.  The parent is not recounted.
     """
+    cycle, lengths, dirs = parent.vertices, parent.lengths, parent.dirs
     k = len(cycle)
     keys = _vertex_keys(lengths, dirs)
-    area2, inner, b = counts
+    inner, b = parent.i, parent.b
+    area2 = 2 * inner + b - 2
     for j, q in _growth_points(cycle, lengths, dirs, g - inner + 1):
         qx, qy = q
         child_area2, child_b = area2 + lengths[j], b - lengths[j]
@@ -364,11 +354,10 @@ def _splices(cycle: tuple[Point2, ...], counts: tuple[int, int, int],
             or any(key_q < keys[(z + t) % k] for t in range(1, retained - 1))
         ):
             continue
-        child = (q,) + (cycle[z:] + cycle[:z])[:retained]
-        child_counts, child_lengths, child_dirs = _cycle_steps(child)
-        if child_counts != (child_area2, interior, child_b):
-            raise InvariantViolation(f"splicing {q} into {cycle} miscounts {child}")
-        yield q, (child, child_counts, child_lengths, child_dirs)
+        child = LatticePolygon((q,) + (cycle[z:] + cycle[:z])[:retained])
+        if (child.i, child.b) != (interior, child_b):
+            raise InvariantViolation(f"splicing {q} into {cycle} miscounts {child.vertices}")
+        yield q, child
 
 
 def _angular_directions(bound: int) -> list[Point2]:
@@ -389,9 +378,10 @@ def _angular_directions(bound: int) -> list[Point2]:
     )
 
 
-def _box_cycles(g: int, bound: int, n_max: int) -> dict[tuple, tuple[Point2, ...]]:
-    """{`_class_key`: first cycle} of all classes with g interior points
-    realizable in a bound x bound grid, by enumeration of vertex cycles.
+def _box_cycles(g: int, bound: int, n_max: int) -> dict[tuple, LatticePolygon]:
+    """{`_class_key`: `LatticePolygon` of the first cycle} of all classes
+    with g interior points realizable in a bound x bound grid, by
+    enumeration of vertex cycles.
 
     Cycles are walked counterclockwise from the lex-least vertex with
     angularly increasing primitive edge directions; a cycle is kept when
@@ -431,11 +421,12 @@ def _box_cycles(g: int, bound: int, n_max: int) -> dict[tuple, tuple[Point2, ...
 
     A closed cycle is keyed from the edge steps the walk carries beside
     the chain, a grid length times a primitive direction each, and from
-    the chord of the closing test, glen times -ck/glen.
+    the chord of the closing test, glen times -ck/glen.  The polygon is
+    built only at the first closure of each key.
     """
     dirs = _angular_directions(bound)
     area_bound = g + n_max - 2
-    found: dict[tuple, tuple[Point2, ...]] = {}
+    found: dict[tuple, LatticePolygon] = {}
 
     def extend(
         chain: list[Point2], lengths: list[int], steps: list[Point2], last_idx: int,
@@ -453,7 +444,8 @@ def _box_cycles(g: int, bound: int, n_max: int) -> dict[tuple, tuple[Point2, ...
                     raise InvariantViolation(f"parity failure closing chain {chain}")
                 if area2 - (blen + glen) + 2 == 2 * g:
                     key = _class_key(lengths + [glen], steps + [(cx, cy)])
-                    found.setdefault(key, tuple(chain))
+                    if key not in found:
+                        found[key] = LatticePolygon(tuple(chain))
             if area2 - blen + glen > 2 * g:
                 return
         for ni in range(last_idx + 1, len(dirs)):

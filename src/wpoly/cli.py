@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Callable, NoReturn
 
 from .classify import (
+    WeightedCurve,
     atlas_stabilization,
     basis_change,
     enumerate_classes,
@@ -216,7 +217,9 @@ def map_curve_cmd(w0: int, w1: int, w2: int, d: int, v0: int, v1: int, v2: int, 
     q_from = Quadruple(w0, w1, w2, d)
     q_to = Quadruple(v0, v1, v2, e)
     bc = basis_change(q_from, q_to)
-    curve = make_curve(q_from, [(Fraction(1), pt) for pt in bc.rows] if terms is None else terms)
+    # the default curve, the polytope's own distinct points in lex order, needs no validation
+    curve = (WeightedCurve(q_from, tuple((Fraction(1), row) for row in bc.rows)) if terms is None
+             else make_curve(q_from, terms))
     mapped, warnings = map_curve(curve, bc)
     payload = {
         "source": [*q_from.weights, q_from.d],

@@ -1,14 +1,13 @@
 """Exact lattice polygon geometry in the plane.
 
 Everything here runs on integers.  Hulls come from a monotone chain.  A
-polygon is its vertex cycle and its counts, taken from the edge gcds and
-the area/boundary identity 2*area = 2i + b - 2 (Pick's formula).
-`_cycle_steps` checks a cycle's strict convexity and takes those counts
-and each edge's lattice length and primitive direction in one pass.  Its
-lattice points are listed only on request, by `lattice_inventory`: one
-walk over its edges gives each row its two ends from the exact edge
-crossings and marks the boundary points, and the walk's counts are
-checked against those.
+polygon is built from its vertex cycle alone: one `_cycle_steps` pass
+checks its strict convexity and gives its counts, from the edge gcds and
+2*area = 2i + b - 2 (Pick's formula), and each edge's lattice length and
+primitive direction, which the polygon keeps.  Its lattice points are
+listed only on request, by `lattice_inventory`: one walk over its edges
+gives each row its two ends from the exact edge crossings and marks the
+boundary points, and the walk's counts are checked against those.
 
 The canonical form under affine unimodular equivalence, reflections
 included: anchor each directed edge u->v of the cycle and of its mirror
@@ -28,8 +27,8 @@ without listing a canonical form.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from itertools import repeat
 from math import gcd
 
@@ -38,19 +37,27 @@ from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 Point2 = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticePolygon:
-    """Convex lattice polygon: its vertex cycle and its lattice counts.
-
-    vertices is a strictly convex counterclockwise cycle; i and b are the
-    interior and boundary counts from Pick's formula and the edge gcds,
-    n = i + b.  The points themselves are listed by `lattice_inventory`.
-    """
+    """Convex lattice polygon, built from its vertices alone: a strictly
+    convex counterclockwise cycle, checked by one `_cycle_steps` pass,
+    which gives the interior and boundary counts i and b, n = i + b, and
+    the lattice length and primitive direction of each edge vertices[j] ->
+    vertices[j+1] as lengths[j] and dirs[j].  The points themselves are
+    listed by `lattice_inventory`."""
 
     vertices: tuple[Point2, ...]
-    i: int
-    b: int
-    n: int
+    i: int = field(init=False)
+    b: int = field(init=False)
+    n: int = field(init=False)
+    lengths: tuple[int, ...] = field(init=False)
+    dirs: tuple[Point2, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        (_, i, b), lengths, dirs = _cycle_steps(self.vertices)
+        for name, value in (("i", i), ("b", b), ("n", i + b),
+                            ("lengths", tuple(lengths)), ("dirs", tuple(dirs))):
+            object.__setattr__(self, name, value)
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         xs = [p[0] for p in self.vertices]
@@ -142,10 +149,11 @@ def _cycle_steps(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int], list[
     positive x-axis once: left turns alone allow a cycle that winds twice,
     as a pentagram does.  The boundary count is the sum of the gcds, and
     the interior count comes from Pick's formula 2*area = 2i + b - 2,
-    which needs 2*area and b to have equal parity.  Every cycle tested
-    here is one the program built (a hull, a splice or a canonical map's
-    image), so a failure is a bug; `_hull_cycle` refuses degenerate input
-    before.
+    which needs 2*area and b to have equal parity.  It runs once per
+    `LatticePolygon`, which keeps what it gives.  Every cycle tested here
+    is one the program built (a hull, a splice, a box-walk closure or a
+    canonical map's image), so a failure is a bug; `_hull_cycle` refuses
+    degenerate input before.
     """
     if len(cycle) < 3:
         raise InvariantViolation("polygon needs at least 3 vertices")
@@ -176,12 +184,6 @@ def _cycle_steps(cycle: tuple[Point2, ...]) -> tuple[tuple[int, int, int], list[
     lengths.insert(0, lengths.pop())  # the pass ends with edge 0
     dirs.insert(0, dirs.pop())
     return (area2, (area2 - b + 2) // 2, b), lengths, dirs
-
-
-def _build_polygon(cycle: tuple[Point2, ...]) -> LatticePolygon:
-    """Validate a CCW strictly convex cycle and count its lattice points by Pick."""
-    (_, i, b), _, _ = _cycle_steps(cycle)
-    return LatticePolygon(vertices=cycle, i=i, b=b, n=i + b)
 
 
 def _row_ends(poly: LatticePolygon) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
@@ -253,7 +255,7 @@ def convex_hull(points: list[Point2] | tuple[Point2, ...]) -> LatticePolygon:
     for p in points:
         if len(p) != 2 or not all(isinstance(c, int) and not isinstance(c, bool) for c in p):
             raise DegenerateInputError(f"not a lattice point: {p!r}")
-    return _build_polygon(_hull_cycle([tuple(p) for p in points]))
+    return LatticePolygon(_hull_cycle([tuple(p) for p in points]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,7 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _class_key(lengths: list[int], dirs: list[Point2]) -> tuple[tuple[int, int, int, int], ...]:
+def _class_key(lengths: Sequence[int], dirs: Sequence[Point2]) -> tuple[tuple[int, int, int, int], ...]:
     """Complete invariant of a strictly convex CCW cycle under affine
     unimodular maps, reflections included, from its edge steps as
     `_cycle_steps` gives them: the least rotation of its cyclic word and
@@ -328,9 +330,9 @@ def _class_key(lengths: list[int], dirs: list[Point2]) -> tuple[tuple[int, int, 
     return min(w[j:] + w[:j] for w in words for j in range(k) if w[j] == least)
 
 
-def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], UnimodularAffineMap]:
-    """Least vertex listing over all edge anchorings of the cycle and of its
-    mirror image, and the map sending the vertices onto it.
+def _canonical_cycle(poly: LatticePolygon) -> tuple[tuple[Point2, ...], UnimodularAffineMap]:
+    """Least vertex listing over all edge anchorings of the polygon's cycle
+    and of its mirror image, and the map sending the vertices onto it.
 
     Anchoring u->v by (s(x-ux) + t(y-uy), px(y-uy) - py(x-ux)) puts u at
     the origin, the edge along +x and the polygon in 0 <= y <= h.  Every
@@ -360,11 +362,13 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
     pointer goes on from there (from j'+2 if it lies before).  It moves at
     most twice round the cycle per pass instead of listing every vertex
     for every anchoring.  The pointer stops before coming back to u.
-    `_cycle_steps` refuses a cycle that is not strictly convex
-    counterclockwise, so an h < 1 or a listing below y = 0 is a fault of
-    the calipers, and raises.
+
+    The edge lengths and directions are the polygon's own, from the
+    `_cycle_steps` pass that built it, which refuses a cycle that is not
+    strictly convex counterclockwise; so an h < 1 or a listing below
+    y = 0 is a fault of the calipers, and raises.
     """
-    _, lengths, dirs = _cycle_steps(vertices)
+    vertices, lengths, dirs = poly.vertices, poly.lengths, poly.dirs
     shortest = min(lengths)
     k = len(vertices)
     mirrored = tuple((x, -y) for x, y in reversed(vertices))
@@ -408,21 +412,22 @@ def _canonical_cycle(vertices: tuple[Point2, ...]) -> tuple[tuple[Point2, ...], 
     return best, m.compose(_MIRROR) if mirror else m
 
 
-def _canonical_polygon(vertices: tuple[Point2, ...]) -> tuple[LatticePolygon, UnimodularAffineMap]:
-    """The polygon of the `_canonical_cycle` of a vertex cycle, and the
-    map, checked to send the vertices exactly onto it; every class, form
-    and equivalence witness is made from these."""
-    cycle, m = _canonical_cycle(vertices)
-    if set(map(m.apply, vertices)) != set(cycle):
-        raise InvariantViolation(f"canonical map does not send {vertices} onto {cycle}")
-    return _build_polygon(cycle), m
+def _canonical_polygon(poly: LatticePolygon) -> tuple[LatticePolygon, UnimodularAffineMap]:
+    """The `LatticePolygon` of a polygon's `_canonical_cycle`, and the map,
+    checked to send the polygon's vertices exactly onto it; every class,
+    form and equivalence witness is made from these.  Building it is the
+    canonical listing's one `_cycle_steps` pass."""
+    cycle, m = _canonical_cycle(poly)
+    if set(map(m.apply, poly.vertices)) != set(cycle):
+        raise InvariantViolation(f"canonical map does not send {poly.vertices} onto {cycle}")
+    return LatticePolygon(cycle), m
 
 
 def canonical_form(poly: LatticePolygon) -> LatticePolygon:
     """Canonical representative of the polygon's equivalence class: the
-    `_canonical_polygon` of its vertices, whose Pick counts must equal
-    poly's, which ties the form's counts to its source."""
-    form = _canonical_polygon(poly.vertices)[0]
+    `_canonical_polygon` of poly, whose Pick counts must equal poly's,
+    which ties the form's counts to its source."""
+    form = _canonical_polygon(poly)[0]
     if (form.i, form.b) != (poly.i, poly.b):
         raise InvariantViolation(
             f"canonical cycle {form.vertices} has (i={form.i}, b={form.b}), "
@@ -441,8 +446,8 @@ def equivalent(p1: LatticePolygon, p2: LatticePolygon) -> tuple[bool, Unimodular
     conv(V) onto conv(m(V)), so the witness sends p1's lattice points onto
     p2's.
     """
-    form1, m1 = _canonical_polygon(p1.vertices)
-    form2, m2 = _canonical_polygon(p2.vertices)
+    form1, m1 = _canonical_polygon(p1)
+    form2, m2 = _canonical_polygon(p2)
     if form1.vertices != form2.vertices:
         return (False, None)
     return (True, m2.inverse().compose(m1))

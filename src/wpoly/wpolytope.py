@@ -25,7 +25,7 @@ from heapq import heapify, heappop, heapreplace
 from itertools import combinations, permutations
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
-from .polygon2d import LatticePolygon, Point2, _build_polygon, _hull_cycle
+from .polygon2d import LatticePolygon, Point2, _hull_cycle
 from .quadruples import GENUS_CAP, Quadruple, _condition_i_witness, validate
 
 Point3 = tuple[int, int, int]
@@ -487,7 +487,7 @@ def _rows_hull(
     q = p.quadruple
     sx, sy = sigma
     ends = [end for (x, y), c in rows for end in ((x, y), (x + (c - 1) * sx, y + (c - 1) * sy))]
-    poly = _build_polygon(_hull_cycle(ends))
+    poly = LatticePolygon(_hull_cycle(ends))
     cycle = poly.vertices
     for (ux, uy), (vx, vy) in zip(cycle, cycle[1:] + cycle[:1]):
         dx, dy = vx - ux, vy - uy

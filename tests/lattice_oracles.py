@@ -389,7 +389,7 @@ def grow_cycle(cycle, q, n, g):
 
 
 def canonical_cycles(reps):
-    """The set of canonical cycles of an enumerator's {class key: cycle}
+    """The set of canonical cycles of an enumerator's {class key: polygon}
     dict; the key is complete, so no two keys share a canonical cycle."""
     cycles = {_canonical_cycle(rep)[0] for rep in reps.values()}
     assert len(cycles) == len(reps), "two class keys share a canonical cycle"

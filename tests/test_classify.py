@@ -2,6 +2,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import re
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpoly import (
+    LatticePolygon,
     Quadruple,
     UnimodularAffineMap,
     WeightedCurve,
@@ -160,6 +162,47 @@ def test_atlas_canonicalises_once_per_class(monkeypatch, genera, d_max, calls):
     assert len(count) == classes == calls
 
 
+def test_one_stepping_pass_per_vertex_cycle(monkeypatch, capsys):
+    # a polygon keeps the counts and edge steps of the one `_cycle_steps`
+    # pass that built it, so no cycle is stepped twice: `poly analyze` steps
+    # the projected hull and the canonical listing, the atlas each distinct
+    # row set's hull (73 for g = 1..3 at d_max 120) and each class's form,
+    # and the inductive walk the start triangle, each kept child and each
+    # class's form
+    stepped = []
+    real = polygon2d._cycle_steps
+
+    def counted(cycle):
+        stepped.append(cycle)
+        return real(cycle)
+
+    monkeypatch.setattr(polygon2d, "_cycle_steps", counted)
+    for quadruple in (["1", "3", "2", "7"], ["2", "3", "7", "42"], ["1", "4", "5", "2005"]):
+        stepped.clear()
+        assert main(["poly", "analyze", *quadruple, "--json"]) == 0
+        assert len(stepped) == 2
+    capsys.readouterr()
+    stepped.clear()
+    classes = sum(len(group_by_class(g, 120).classes) for g in (1, 2, 3))
+    assert len(stepped) == 73 + classes == 121
+    kept = 0
+    splices = classify._splices
+
+    def counted_children(parent, g):
+        nonlocal kept
+        for q, child in splices(parent, g):
+            kept += 1
+            yield q, child
+
+    monkeypatch.setattr(classify, "_splices", counted_children)
+    for g in range(5):
+        stepped.clear()
+        kept = 0
+        classes = len(enumerate_classes(g))
+        assert len(stepped) == 1 + kept + classes
+    assert (len(stepped), kept, classes) == (1035, 823, 211)
+
+
 def test_first_member_of_a_row_key_checks_the_projected_interior(monkeypatch):
     # the hull of each projected-rows key is checked against the polytope
     # of the key's first member, here the last key's, whose genus is
@@ -261,12 +304,12 @@ def test_enum_checks_the_interior_count_of_every_class(monkeypatch):
     # must not come back as a genus-1 class; it is given as the canonical
     # listing of conv{(0,0),(5,0),(0,2)}, which the message names
     box_cycles = classify._box_cycles
-    wrong = ((0, 0), (1, 0), (5, 10))
+    wrong = LatticePolygon(((0, 0), (1, 0), (5, 10)))
     monkeypatch.setattr(
         classify, "_box_cycles",
-        lambda *args: {**box_cycles(*args), _class_key(*_edge_steps(wrong)): wrong},
+        lambda *args: {**box_cycles(*args), _class_key(wrong.lengths, wrong.dirs): wrong},
     )
-    message = rf"^class {re.escape(str(wrong))} has 2 interior points, not 1$"
+    message = rf"^class {re.escape(str(wrong.vertices))} has 2 interior points, not 1$"
     with pytest.raises(InvariantViolation, match=message):
         enumerate_classes(1, "box")
 
@@ -352,10 +395,10 @@ def _growth_set(cycle):
     return {q for _, q in _every_growth_point(cycle)}
 
 
-def _rep(cycle):
-    """A cycle with its counts and edge steps, as `_splices` takes it, all
-    from the oracles."""
-    return (cycle, _pick_counts(cycle), *_edge_steps(cycle))
+def _counts(poly):
+    """(twice the area, interior, boundary) of a polygon, from its counts
+    by Pick's formula."""
+    return (2 * poly.i + poly.b - 2, poly.i, poly.b)
 
 
 def _assert_splices_match_oracles(cycle, g):
@@ -364,19 +407,19 @@ def _assert_splices_match_oracles(cycle, g):
     child equal to the re-hulled cycle up to rotation, starting at q, and
     that child's own edge steps."""
     n = sum(_pick_counts(cycle)[1:])
-    spliced = list(_splices(*_rep(cycle), g))
+    spliced = list(_splices(LatticePolygon(cycle), g))
     kept = set()
     for q in _growth_set(cycle):
         grown = grow_cycle(cycle, q, n, g)
         if grown is not None and keeps(grown, q):
             kept.add(q)
     assert sorted(q for q, _ in spliced) == sorted(kept)
-    for q, (child, counts, lengths, dirs) in spliced:
+    for q, child in spliced:
         grown = _hull_cycle(list(cycle) + [q])
-        assert counts == _pick_counts(grown)
-        assert child[0] == q
-        assert child in _rotations(grown)
-        assert (lengths, dirs) == _edge_steps(child)
+        assert _counts(child) == _pick_counts(grown)
+        assert child.vertices[0] == q
+        assert child.vertices in _rotations(grown)
+        assert (list(child.lengths), list(child.dirs)) == _edge_steps(child.vertices)
 
 
 @settings(max_examples=150, deadline=None)
@@ -403,7 +446,7 @@ def test_splices_match_rehull_and_key_oracles(pts):
     ],
 )
 def test_splice_pinned_cases(cycle, q, g, child):
-    spliced = {p: rep[0] for p, rep in _splices(*_rep(cycle), g)}
+    spliced = {p: child.vertices for p, child in _splices(LatticePolygon(cycle), g)}
     assert spliced[q] in _rotations(child)
     _assert_splices_match_oracles(cycle, g)
 
@@ -416,7 +459,7 @@ def test_an_edge_too_long_for_g_is_skipped_whole():
     assert _pick_counts(cycle) == (5, 1, 5)
     below = {q for j, q in _every_growth_point(cycle) if j == 0}
     assert below and all(qy == -1 for _, qy in below)
-    assert [q for q, _ in _splices(cycle, (5, 1, 5), *_edge_steps(cycle), 1)] == [(-1, 0)]
+    assert [q for q, _ in _splices(LatticePolygon(cycle), 1)] == [(-1, 0)]
     assert all(grow_cycle(cycle, q, 6, 1) is None for q in below)
     _assert_splices_match_oracles(cycle, 1)
 
@@ -428,8 +471,8 @@ def test_a_point_beyond_two_edges_is_spliced_once():
     cycle = ((0, 0), (1, 0), (0, 1))
     assert [j for j, q in _every_growth_point(cycle) if q == (-1, -1)] == [2]
     spliced = [
-        (q, counts, child)
-        for q, (child, counts, _, _) in _splices(cycle, (1, 0, 3), *_edge_steps(cycle), 1)
+        (q, _counts(child), child.vertices)
+        for q, child in _splices(LatticePolygon(cycle), 1)
         if q == (-1, -1)
     ]
     assert spliced == [((-1, -1), (3, 1, 3), ((-1, -1), (1, 0), (0, 1)))]
@@ -461,8 +504,8 @@ def test_no_growth_point_lies_beyond_the_edge_before_its_own(pts):
 
 
 def _parents_met(genera):
-    """(cycle, counts, lengths, dirs, g) of every `_splices` call of the
-    inductive enumeration at each of the genera."""
+    """(parent, g) of every `_splices` call of the inductive enumeration at
+    each of the genera."""
     met = []
     real = classify._splices
 
@@ -483,10 +526,10 @@ def test_splices_match_the_old_bound_on_every_parent_up_to_genus_6():
     # the enumerations of g <= 6 meet gives the same splices in order
     parents = _parents_met(range(7))
     assert len(parents) > 3000
-    for cycle, counts, lengths, dirs, g in parents:
-        _assert_growth_points_start_their_runs(cycle)
-        spliced = [(q, rep[1], rep[0]) for q, rep in _splices(cycle, counts, lengths, dirs, g)]
-        assert spliced == list(splices_under_old_bound(cycle, counts, g))
+    for parent, g in parents:
+        _assert_growth_points_start_their_runs(parent.vertices)
+        spliced = [(q, _counts(child), child.vertices) for q, child in _splices(parent, g)]
+        assert spliced == list(splices_under_old_bound(parent.vertices, _counts(parent), g))
 
 
 def test_growth_points_reach_the_far_apex():
@@ -497,7 +540,7 @@ def test_growth_points_reach_the_far_apex():
     assert cycle == ((0, 0), (1, 0), (3, 9))
     assert (4, 13) in _growth_set(cycle)
     assert (4, 13) not in _margin_growth_points(cycle, 2)
-    spliced = {q: (rep[1], rep[0]) for q, rep in _splices(*_rep(cycle), 6)}
+    spliced = {q: (_counts(c), c.vertices) for q, c in _splices(LatticePolygon(cycle), 6)}
     assert spliced[(4, 13)] == ((13, 6, 3), ((4, 13), (0, 0), (1, 0)))
 
 
@@ -514,22 +557,22 @@ def test_splices_refuse_a_parent_that_is_not_strictly_convex(monkeypatch, cycle,
     # a point sees one run of edges of a strictly convex cycle, so that is
     # checked on each child as it is built, before it is keyed or handed
     # on as a parent: here every child the splices build is this cycle
-    monkeypatch.setattr(classify, "_cycle_steps", lambda child: _cycle_steps(cycle))
-    start = ((0, 0), (1, 0), (0, 1))
+    start = LatticePolygon(((0, 0), (1, 0), (0, 1)))
+    monkeypatch.setattr(polygon2d, "_cycle_steps", lambda child: _cycle_steps(cycle))
     with pytest.raises(InvariantViolation, match=message):
-        list(_splices(*_rep(start), 3))
+        list(_splices(start, 3))
 
 
 def test_a_level_representative_that_is_not_strictly_convex_is_a_bug(monkeypatch, capsys):
     # every child of the 5-point level is built with its first vertex
     # doubled, an edge of length 0
-    real = classify._cycle_steps
+    real = polygon2d._cycle_steps
 
     def doubled(cycle):
         counts, _, _ = real(cycle)
         return real(cycle[:1] + cycle if sum(counts[1:]) == 5 else cycle)
 
-    monkeypatch.setattr(classify, "_cycle_steps", doubled)
+    monkeypatch.setattr(polygon2d, "_cycle_steps", doubled)
     with pytest.raises(InvariantViolation, match="not strictly convex"):
         enumerate_classes(1)
     assert main(["polygons", "enum", "--genus", "1"]) == 2
@@ -541,7 +584,7 @@ def test_a_level_representative_that_is_not_strictly_convex_is_a_bug(monkeypatch
 def _unfiltered_inductive_cycles(g, n_max):
     """Oracle: the inductive growth with no vertex-key filter, which
     canonicalises every accepted growth."""
-    current = {_canonical_cycle(((0, 0), (1, 0), (0, 1)))[0]}
+    current = {_canonical_cycle(LatticePolygon(((0, 0), (1, 0), (0, 1))))[0]}
     found = set(current) if g == 0 else set()
     for level_n in range(3, n_max):
         grown = (
@@ -549,7 +592,7 @@ def _unfiltered_inductive_cycles(g, n_max):
             for c in current
             for q in _growth_set(c)
         )
-        current = {_canonical_cycle(c)[0] for c in grown if c is not None}
+        current = {_canonical_cycle(LatticePolygon(c))[0] for c in grown if c is not None}
         found |= {c for c in current if _pick_counts(c)[1] == g}
     return found
 
@@ -602,10 +645,12 @@ def test_inductive_filter_canonicalises_fewer_than_accepted_growths(monkeypatch)
         calls["canonical"] += 1
         return _canonical_cycle(cycle)
 
-    def splices(cycle, counts, lengths, dirs, g):
-        n = sum(counts[1:])
-        calls["accepted"] += sum(grow_cycle(cycle, q, n, g) is not None for q in _growth_set(cycle))
-        yield from _splices(cycle, counts, lengths, dirs, g)
+    def splices(parent, g):
+        cycle = parent.vertices
+        calls["accepted"] += sum(
+            grow_cycle(cycle, q, parent.n, g) is not None for q in _growth_set(cycle)
+        )
+        yield from _splices(parent, g)
 
     monkeypatch.setattr(polygon2d, "_canonical_cycle", canonical)
     monkeypatch.setattr(classify, "_splices", splices)
@@ -653,12 +698,12 @@ def test_box_walk_keys_each_closed_cycle_by_its_own_steps(monkeypatch, g):
     n_max = 3 * g + 7
     found = _box_cycles(g, max(3, 2 * g + 2 if g else n_max - 2), n_max)
     assert keyed >= len(found) > 0
-    assert all(key == _class_key(*_edge_steps(cycle)) for key, cycle in found.items())
+    assert all(key == _class_key(*_edge_steps(poly.vertices)) for key, poly in found.items())
 
 
-def _shifted_triangle_listing(vertices):
+def _shifted_triangle_listing(poly):
     # the true map, but the listing of the class of (1,1,1;3) one step right
-    cycle, m = _canonical_cycle(vertices)
+    cycle, m = _canonical_cycle(poly)
     if cycle == ((0, 0), (3, 0), (0, 3)):
         cycle = tuple((x + 1, y) for x, y in cycle)
     return cycle, m
@@ -718,18 +763,21 @@ def test_a_key_that_merges_classes_is_a_bug_in_the_atlas(monkeypatch):
 
 
 def test_splice_recount_catches_a_miscounted_child(monkeypatch):
-    # every built child is recounted in full: this count is wrong only when
-    # `_splices` recounts the child it has just built, and right for the
-    # start triangle's counts, so the recount alone can catch it
+    # every built child is recounted in full: this count is wrong only in
+    # the pass that builds a child `_splices` has spliced, and right for
+    # the start triangle's counts, so the recount alone can catch it
     real = polygon2d._cycle_steps
 
     def miscount(cycle):
         (area2, interior, b), lengths, dirs = real(cycle)
-        if sys._getframe(1).f_locals.get("child") is cycle:
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not _splices.__code__:
+            frame = frame.f_back
+        if frame is not None:
             return (area2 + 2, interior + 1, b), lengths, dirs
         return (area2, interior, b), lengths, dirs
 
-    monkeypatch.setattr(classify, "_cycle_steps", miscount)
+    monkeypatch.setattr(polygon2d, "_cycle_steps", miscount)
     with pytest.raises(InvariantViolation, match="miscounts"):
         _inductive_cycles(1, 10)
 
@@ -742,12 +790,13 @@ def test_every_parent_comes_with_its_own_counts(monkeypatch, g):
     parents = []
     real = classify._splices
 
-    def checked(cycle, counts, lengths, dirs, g):
+    def checked(parent, g):
+        cycle = parent.vertices
         parents.append(cycle)
         _check_turns(cycle)
-        assert counts == _pick_counts(cycle)
-        assert (lengths, dirs) == _edge_steps(cycle)
-        return real(cycle, counts, lengths, dirs, g)
+        assert _counts(parent) == _pick_counts(cycle) and parent.n == parent.i + parent.b
+        assert (list(parent.lengths), list(parent.dirs)) == _edge_steps(cycle)
+        return real(parent, g)
 
     monkeypatch.setattr(classify, "_splices", checked)
     enumerate_classes(g)
@@ -803,7 +852,7 @@ def _unpruned_box_cycles(g, bound, n_max):
             raise InvariantViolation(f"parity failure closing chain {chain}")
         if interior != g:
             return
-        can, _ = _canonical_cycle(tuple(chain))
+        can, _ = _canonical_cycle(LatticePolygon(tuple(chain)))
         found.add(can)
 
     def extend(chain, first_dir, last_idx, area2, blen):
@@ -1133,11 +1182,14 @@ def test_map_curve_refuses_support_off_the_polytope():
             map_curve(curve, bc)
 
 
-def test_map_curve_command_builds_two_polytopes(monkeypatch, capsys):
+def test_map_curve_command_builds_two_polytopes(monkeypatch, capsys, tmp_path):
     # basis_change builds both polytopes; the default curve and the
-    # support check read the source's rows from the basis change.  Only
-    # the source curve goes through make_curve: the mapped terms are the
-    # checked images of its monomials and are not validated again
+    # support check read the source's rows from the basis change.  The
+    # default curve is those rows, the polytope's own distinct points, so
+    # it is built without make_curve, and maps to the bytes of a --curve
+    # file listing every row with coefficient 1; only such a file goes
+    # through make_curve.  The mapped terms are the checked images of its
+    # monomials and are not validated again
     built, validated = [], []
 
     def counted_build(q):
@@ -1152,9 +1204,17 @@ def test_map_curve_command_builds_two_polytopes(monkeypatch, capsys):
     monkeypatch.setattr("wpoly.cli.build", counted_build)
     monkeypatch.setattr(classify, "make_curve", counted_curve)
     monkeypatch.setattr("wpoly.cli.make_curve", counted_curve)
-    assert main(["map", "curve", "1", "3", "2", "7", "1", "2", "3", "7"]) == 0
-    capsys.readouterr()
+    argv = ["map", "curve", "1", "3", "2", "7", "1", "2", "3", "7"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
     assert built == [Quadruple(1, 3, 2, 7), Quadruple(1, 2, 3, 7)]
+    assert validated == []
+    path = tmp_path / "rows.json"
+    rows = reversed(build(Quadruple(1, 3, 2, 7)).points)
+    terms = [{"coef": "1", "exponents": list(row)} for row in rows]
+    path.write_text(json.dumps({"terms": terms}), encoding="utf-8")
+    assert main([*argv, "--curve", str(path)]) == 0
+    assert capsys.readouterr().out == default
     assert validated == [Quadruple(1, 3, 2, 7)]
 
 

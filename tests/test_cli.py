@@ -15,13 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wpoly
-from wpoly import classify, enumerate_classes, group_by_class, wpolytope
+from wpoly import LatticePolygon, classify, enumerate_classes, group_by_class, wpolytope
 from wpoly.classify import atlas_stabilization
 from wpoly.cli import main
-from wpoly.polygon2d import _build_polygon
 from wpoly.render import json_text
 
-from lattice_oracles import _edge_steps, row_image_list, vertex_dropped
+from lattice_oracles import row_image_list, vertex_dropped
 
 
 def run(capsys, *argv):
@@ -306,8 +305,9 @@ def test_polygons_enum_class_with_wrong_interior_count_exits_2(capsys, monkeypat
     import wpoly.classify
 
     box_cycles = wpoly.classify._box_cycles
-    wrong = ((0, 0), (1, 0), (5, 10))  # the canonical listing of conv{(0,0),(5,0),(0,2)}
-    key = wpoly.classify._class_key(*_edge_steps(wrong))
+    # the canonical listing of conv{(0,0),(5,0),(0,2)}
+    wrong = LatticePolygon(((0, 0), (1, 0), (5, 10)))
+    key = wpoly.classify._class_key(wrong.lengths, wrong.dirs)
     monkeypatch.setattr(
         wpoly.classify, "_box_cycles", lambda *args: {**box_cycles(*args), key: wrong},
     )
@@ -386,7 +386,7 @@ def test_poly_analyze_hull_off_its_points_exits_2(capsys, monkeypatch):
 
     def shifted(points):
         cycle = tuple((x + 1, y) for x, y in real(points))
-        counts.append((_build_polygon(cycle).n, len(set(points))))
+        counts.append((LatticePolygon(cycle).n, len(set(points))))
         return cycle
 
     monkeypatch.setattr(wpolytope, "_hull_cycle", shifted)

@@ -1,7 +1,6 @@
 """Hulls, lattice counts, canonical forms, projections, and the
 triangulation oracle."""
 import ast
-import dataclasses
 import re
 from math import gcd
 from pathlib import Path
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpoly import (
+    LatticePolygon,
     Quadruple,
     UnimodularAffineMap,
     build,
@@ -286,7 +286,7 @@ def _reference_canonical_cycle(vertices):
 
 
 def _assert_kernel_matches_reference(vertices):
-    listing, m = _canonical_cycle(vertices)
+    listing, m = _canonical_cycle(LatticePolygon(vertices))
     ref_listing, ref_map = _reference_canonical_cycle(vertices)
     assert listing == ref_listing
     assert m == ref_map
@@ -323,7 +323,7 @@ def test_canonical_prune_on_mixed_edge_lengths(vertices, det):
     # only anchorings on shortest edges are tried; the listing and the map
     # must still equal the reference over every anchoring
     _assert_kernel_matches_reference(vertices)
-    listing, m = _canonical_cycle(vertices)
+    listing, m = _canonical_cycle(LatticePolygon(vertices))
     assert listing[:2] == ((0, 0), (1, 0))
     assert m.det == det
 
@@ -339,22 +339,29 @@ def test_canonical_prune_on_mixed_edge_lengths(vertices, det):
     ],
 )
 def test_canonical_cycle_refuses_a_clockwise_cycle(pts):
-    # the kernel takes its edge steps from `_cycle_steps`, which refuses
-    # the first right turn; it is handed only counterclockwise hulls, so
-    # this is a bug and must not yield a listing
+    # the kernel reads its edge steps from the polygon it is handed, whose
+    # `_cycle_steps` pass refuses the first right turn; it is handed only
+    # counterclockwise hulls, so this is a bug and must not yield a listing
     clockwise = tuple(reversed(convex_hull(pts).vertices))
     with pytest.raises(InvariantViolation, match=r"not strictly convex counterclockwise"):
-        _canonical_cycle(clockwise)
+        _canonical_cycle(LatticePolygon(clockwise))
 
 
-def _assert_kernels_match_oracles(cycle):
-    # the calipers kernel, the lean class key and the one-pass cycle steps
-    # against the kernels as first written: listing and map, key, and the
-    # counts, turn check and edge steps
-    assert _canonical_cycle(cycle) == canonical_cycle_oracle(cycle)
-    assert _class_key(*_edge_steps(cycle)) == class_key_oracle(cycle)
+def _assert_kernels_match_oracles(poly):
+    # the calipers kernel, the lean class key, the one-pass cycle steps and
+    # the polygon's fields against the kernels as first written: listing
+    # and map, key, and the counts, turn check and edge steps
+    cycle = poly.vertices
+    counts = _pick_counts(cycle)
+    lengths, dirs = _edge_steps(cycle)
+    _, i, b = counts
+    assert (poly.i, poly.b, poly.n, poly.lengths, poly.dirs) == (
+        i, b, i + b, tuple(lengths), tuple(dirs)
+    )
+    assert _canonical_cycle(poly) == canonical_cycle_oracle(cycle)
+    assert _class_key(lengths, dirs) == class_key_oracle(cycle)
     _check_turns(cycle)
-    assert _cycle_steps(cycle) == (_pick_counts(cycle), *_edge_steps(cycle))
+    assert _cycle_steps(cycle) == (counts, lengths, dirs)
 
 
 # a symmetry of Z^2 applied to every point, so that a share of the hulls
@@ -379,7 +386,7 @@ def test_canonical_kernel_matches_reference(pts, symmetry):
     except DegenerateInputError:
         return
     _assert_kernel_matches_reference(p.vertices)
-    _assert_kernels_match_oracles(p.vertices)
+    _assert_kernels_match_oracles(p)
 
 
 @pytest.mark.parametrize(
@@ -395,20 +402,21 @@ def test_canonical_kernel_matches_reference(pts, symmetry):
     ],
 )
 def test_calipers_restart_after_a_far_anchored_edge(vertices):
-    _assert_kernels_match_oracles(vertices)
+    _assert_kernels_match_oracles(LatticePolygon(vertices))
     _assert_kernel_matches_reference(vertices)
 
 
 def test_kernels_match_oracles_on_every_class_up_to_genus_6():
     # each class as the inductive walk first meets it and as its
-    # canonical form; g = 0 lists its classes with at most 7 points
+    # canonical form, each polygon with the fields it was built with;
+    # g = 0 lists its classes with at most 7 points
     cycles = 0
     for g in range(7):
         reps = list(_inductive_cycles(g, 3 * g + 7).values())
-        forms = [p.vertices for p in enumerate_classes(g)]
+        forms = list(enumerate_classes(g))
         assert len(reps) == len(forms)
-        for cycle in reps + forms:
-            _assert_kernels_match_oracles(cycle)
+        for poly in reps + forms:
+            _assert_kernels_match_oracles(poly)
         cycles += len(reps) + len(forms)
     assert cycles == 2 * (12 + 16 + 45 + 120 + 211 + 403 + 714)
 
@@ -418,7 +426,7 @@ def test_kernels_match_oracles_on_every_projected_polygon(g):
     # the polygons `classify` meets in the atlases of g = 1..3 at dmax 120
     for q in enumerate_g_good(g, 120):
         p = build(q)
-        _assert_kernels_match_oracles(project(p, find_unimodular_triple(p)).vertices)
+        _assert_kernels_match_oracles(project(p, find_unimodular_triple(p)))
 
 
 POINTS = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10)
@@ -542,7 +550,7 @@ def test_class_key_equal_exactly_when_canonical_forms_are(pts, other, related, s
         p, q = _hull_cycle(pts), _hull_cycle(other)
     except DegenerateInputError:
         return
-    same = _canonical_cycle(p)[0] == _canonical_cycle(q)[0]
+    same = _canonical_cycle(LatticePolygon(p))[0] == _canonical_cycle(LatticePolygon(q))[0]
     assert (_class_key(*_edge_steps(p)) == _class_key(*_edge_steps(q))) == same
     assert same or not related
 
@@ -729,7 +737,7 @@ def _row_major(points):
 def _assert_form_lists_the_mapped_inventory(p):
     # the canonical polygon's points are its source's, carried by the
     # canonical map and listed in the row scan's order
-    to_canonical = _canonical_cycle(p.vertices)[1]
+    to_canonical = _canonical_cycle(p)[1]
     points, interior = lattice_inventory(p)
     assert lattice_inventory(canonical_form(p)) == (
         _row_major(map(to_canonical.apply, points)),
@@ -767,13 +775,13 @@ def test_canonical_form_carries_the_rescanned_inventory_of_random_hulls(pts, see
     _assert_form_lists_the_mapped_inventory(p)
 
 
-def _off_by_a_translation(vertices):
-    cycle, m = _canonical_cycle(vertices)
+def _off_by_a_translation(poly):
+    cycle, m = _canonical_cycle(poly)
     return cycle, UnimodularAffineMap(m.linear, (m.translation[0] + 1, m.translation[1]))
 
 
-def _off_by_one_vertex(vertices):
-    cycle, m = _canonical_cycle(vertices)
+def _off_by_one_vertex(poly):
+    cycle, m = _canonical_cycle(poly)
     (x, y), rest = cycle[-1], cycle[:-1]
     return rest + ((x + 1, y),), m
 
@@ -789,10 +797,27 @@ def test_canonical_form_refuses_a_wrong_canonical_map(monkeypatch, capsys, fault
     assert "canonical map does not send" in capsys.readouterr().err
 
 
-def test_canonical_form_refuses_a_source_whose_counts_disagree():
-    p = convex_hull([(0, 0), (3, 0), (1, 4)])
+def _miscounted(monkeypatch, pts, di, db):
+    """The hull of pts built by a `_cycle_steps` pass that miscounts it by
+    di interior and db boundary points, twice the area kept consistent."""
+    real = polygon2d._cycle_steps
+
+    def miscount(cycle):
+        (area2, i, b), lengths, dirs = real(cycle)
+        return (area2 + 2 * di + db, i + di, b + db), lengths, dirs
+
+    with monkeypatch.context() as m:
+        m.setattr(polygon2d, "_cycle_steps", miscount)
+        return convex_hull(pts)
+
+
+def test_canonical_form_refuses_a_source_whose_counts_disagree(monkeypatch):
+    # the form is built by its own pass, which counts right
+    p = _miscounted(monkeypatch, [(0, 0), (3, 0), (1, 4)], 1, 0)
+    true = convex_hull(p.vertices)
+    assert (p.i, p.b, p.n) == (true.i + 1, true.b, true.n + 1)
     with pytest.raises(InvariantViolation, match="its source"):
-        canonical_form(dataclasses.replace(p, i=p.i + 1, n=p.n + 1))
+        canonical_form(p)
 
 
 def test_equivalent_refuses_a_witness_that_misses_the_vertices(monkeypatch, capsys):
@@ -804,8 +829,8 @@ def test_equivalent_refuses_a_witness_that_misses_the_vertices(monkeypatch, caps
     source = build(Quadruple(1, 3, 2, 7))
     shifted = {p.vertices, project(source, find_unimodular_triple(source)).vertices}
 
-    def fault(vertices):
-        return (_off_by_a_translation if vertices in shifted else _canonical_cycle)(vertices)
+    def fault(poly):
+        return (_off_by_a_translation if poly.vertices in shifted else _canonical_cycle)(poly)
 
     monkeypatch.setattr(polygon2d, "_canonical_cycle", fault)
     with pytest.raises(InvariantViolation, match="canonical map does not send"):
@@ -815,15 +840,22 @@ def test_equivalent_refuses_a_witness_that_misses_the_vertices(monkeypatch, caps
     assert out == "" and "canonical map does not send" in err
 
 
-def test_lattice_inventory_refuses_counts_that_disagree_with_the_scan():
-    p = convex_hull([(0, 0), (3, 0), (1, 4)])
-    for wrong in (dataclasses.replace(p, i=p.i + 1), dataclasses.replace(p, b=p.b - 1)):
+def test_lattice_inventory_refuses_counts_that_disagree_with_the_scan(monkeypatch):
+    for di, db in ((1, 0), (0, -1)):
+        wrong = _miscounted(monkeypatch, [(0, 0), (3, 0), (1, 4)], di, db)
         with pytest.raises(InvariantViolation, match="lattice counts disagree"):
             lattice_inventory(wrong)
 
 
-def test_build_polygon_refuses_a_cycle_that_winds_twice():
-    # a pentagram turns left at every vertex; every cycle built into a
-    # polygon is the program's own, so this is a bug, not bad input
-    with pytest.raises(InvariantViolation, match="winds more than once"):
-        polygon2d._build_polygon(((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)))
+def test_lattice_polygon_refuses_a_cycle_it_cannot_check():
+    # the constructor takes only the vertices and checks them by its one
+    # pass; every cycle built into a polygon is the program's own, so a
+    # clockwise cycle, a doubled vertex or a pentagram, which turns left at
+    # every vertex, is a bug, not bad input
+    for cycle, message in [
+        (((0, 0), (0, 1), (1, 0)), r"not strictly convex counterclockwise at \(0, 1\)$"),
+        (((0, 0), (1, 0), (1, 0), (0, 1)), r"not strictly convex counterclockwise at \(1, 0\)$"),
+        (PENTAGRAM, "winds more than once$"),
+    ]:
+        with pytest.raises(InvariantViolation, match=message):
+            LatticePolygon(cycle)
