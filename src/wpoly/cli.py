@@ -295,10 +295,19 @@ _curve.add_argument("--curve", dest="curve_path", metavar="FILE",
                     help="JSON file with curve terms (default: all monomials)")
 
 
+_LEAVES = {tuple(p.prog.split()[1:]): p for p in (_check, _analyze, _atlas, _enum, _curve)}
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Entry point mapping failures to the documented exit codes."""
+    """Entry point mapping failures to the documented exit codes.
+
+    argv (sys.argv[1:] when None) goes straight to the parser its command
+    words name, as argparse's walk down the root and group levels was two
+    thirds of a parse; _PARSER takes an argv that names no command."""
+    argv = sys.argv[1:] if argv is None else argv
+    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1])) if w in _LEAVES), ())
     try:
-        args = vars(_PARSER.parse_args(argv))
+        args = vars(_LEAVES.get(words, _PARSER).parse_args(argv[len(words):]))
     except SystemExit as exc:
         # argparse exits 0 after --help and 1 after a usage error
         return exc.code

@@ -59,9 +59,9 @@ def json_text(value) -> str:
     """The text `json.dumps(value)` gives at an indent of 2, for the dicts
     with str keys, lists, tuples, ints, bools, None, strs and floats that
     wpoly emits.  CPython's C encoder serves no indent, so the text is
-    built here in one pass: plain ints through `str`, keys as `json.dumps`
-    escapes strs, and other scalars through `json.dumps`.  A non-str key,
-    or a scalar JSON cannot hold such as a Fraction, raises TypeError."""
+    built here in one pass: plain ints through `str`, strs and keys as
+    `json.dumps` escapes them, None and bools as literals, and the rest
+    through `json.dumps`, so a non-str key or a Fraction raises TypeError."""
     parts: list[str] = []
     _json_parts(value, "\n", parts)
     return "".join(parts)
@@ -71,6 +71,10 @@ def _json_parts(value, newline: str, parts: list[str]) -> None:
     """Append the text of value, nested behind newline, to parts."""
     if type(value) is int:
         parts.append(str(value))
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:  # by identity: 1.0 == True
+        parts.append("null" if value is None else "true" if value else "false")
     elif not isinstance(value, (list, tuple, dict)):
         parts.append(json.dumps(value))
     elif not value:

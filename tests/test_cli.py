@@ -653,6 +653,16 @@ def test_usage_error_exits_1(capsys):
     assert code == 1
 
 
+# the start of stderr where the usage line is pinned: an unrecognized
+# argument is reported after the command's own usage line
+_USAGE_LINES = {
+    (): "usage: wpoly [-h] COMMAND",
+    ("bogus",): "usage: wpoly [-h] COMMAND",
+    ("polygons", "enum", "--genus", "1", "--box", "3"): "usage: wpoly polygons enum",
+    ("quad", "check", "1", "3", "2", "7", "8"): "usage: wpoly quad check",
+}
+
+
 @pytest.mark.parametrize("argv, named", [
     ([], None),
     (["bogus"], "bogus"),
@@ -687,7 +697,33 @@ def test_usage_errors_exit_1_with_a_message(capsys, tmp_path, monkeypatch, argv,
     assert err.strip(), argv
     if named is not None:
         assert named in err, err
+    assert err.startswith(_USAGE_LINES.get(tuple(argv), "")), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["quad", "check", "1", "3", "2", "7"],
+    ["poly", "analyze", "1", "3", "2", "7", "--json"],
+    ["classify", "--genus", "1", "--dmax", "20"],
+    ["polygons", "enum", "--genus", "1"],
+    ["map", "curve", "1", "3", "2", "7", "1", "2", "3", "7"],
+], ids=" ".join)
+def test_a_command_is_parsed_by_its_own_parser_alone(capsys, tmp_path, monkeypatch, argv):
+    # the root parser only names the command, so main hands argv, its own
+    # or sys.argv[1:], straight to the command's parser
+    import wpoly.cli
+
+    monkeypatch.chdir(tmp_path)
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and expected[1], expected
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the root parser parsed a command")
+
+    monkeypatch.setattr(wpoly.cli._PARSER, "parse_args", unused)
+    assert run(capsys, *argv) == expected
+    monkeypatch.setattr(sys, "argv", ["wpoly", *argv])
+    assert (main(), *capsys.readouterr()) == expected
 
 
 def test_cli_imports_only_the_standard_library():
