@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .errors import DegenerateInputError, InvariantViolation, PreconditionError
 from .polygon2d import LatticePolygon, Point2, _hull_cycle
@@ -243,13 +243,37 @@ def _lex_points(p: WeightedPolytope):
 
 
 def find_unimodular_triple(p: WeightedPolytope) -> tuple[Point3, Point3, Point3]:
-    """First row triple (by sorted row-index order) with |det| == d.
+    """First row triple (by sorted row-index order) with |det| == d: the
+    two lex-least points P0, P1 and the first point P after them, in the
+    lex draw of `_lex_points`, with |minor_det(P0, P1, P)| == d.
 
-    The triples run in `combinations(range(n), 3)` order over the points
-    in ascending lex order, which `_lex_points` draws only as far as the
-    search reaches.  A polytope of fewer than three points, which some
-    genus-0 quadruples have, holds no triple: that is degenerate input,
-    not a violation.
+    This is the first such triple of `combinations(range(n), 3)` order,
+    found after the same draws and the same minors, because that order
+    always stops at rows 0 and 1:
+    1. P1 - P0 is primitive.  A lattice point strictly between P0 and P1
+       is a point of the polytope, and it lies strictly between them in
+       lex order, as lex order is additive; none does.
+    2. If some point Q lies off the line P0P1, take a unimodular
+       triangulation of conv(P0, P1, Q) that uses all its lattice points.
+       The primitive edge P0P1 lies in one of its triangles, whose apex,
+       a point of the polytope, is at lattice distance 1 from the line.
+    3. det T = +-d*det B by the chart's minors (see `project`), and
+       |det B| is the lattice length of P0P1, which is 1 by step 1, times
+       the lattice distance of the third row from that line.  So distance
+       1 is |det| = d.
+    If every point lies on one line, no triple has |det| = d in either
+    order, which is an InvariantViolation.  So the search reads at most
+    n - 2 minors, not C(n, 3).
+
+    The draw along the first lex line: P0 has a = 0, as condition (ii) on
+    axis 0 gives a point there.  If P1 has a = 0 too, the line P0P1 is
+    {a = 0}, and a point's a is its lattice distance from that line:
+    gcd(w1, w2) = 1, so some degree-0 lattice vector has a = 1.  Then the
+    third row is the lex-least point with a = 1, and the search draws
+    |{a = 0}| + 1 points.
+
+    A polytope of fewer than three points, which some genus-0 quadruples
+    have, holds no triple: that is degenerate input, not a violation.
     """
     d = p.quadruple.d
     if p.n < 3:
@@ -257,12 +281,10 @@ def find_unimodular_triple(p: WeightedPolytope) -> tuple[Point3, Point3, Point3]
             f"{p.quadruple}: only {p.n} polytope points, no row triple to project through"
         )
     draw = _lex_points(p)
-    pts = [next(draw), next(draw)]
-    for i, j, k in combinations(range(p.n), 3):
-        if k == len(pts):
-            pts.append(next(draw))
-        if abs(minor_det(pts[i], pts[j], pts[k])) == d:
-            return (pts[i], pts[j], pts[k])
+    p0, p1 = next(draw), next(draw)
+    for point in draw:
+        if abs(minor_det(p0, p1, point)) == d:
+            return (p0, p1, point)
     raise InvariantViolation(f"{p.quadruple}: no row triple with |det| == {d}")
 
 

@@ -4,21 +4,23 @@ None of these is on a program path: the triangulation, the random
 unimodular maps, the shifted interior recount, Cramer's rule, the
 per-point projection, the looping condition (ii) witness, the
 enumeration through validate's full report, the goodness test as first
-written (a _congruent range per condition (ii)
-witness and a Fraction genus), the Pick count and the turn check as
-first written (one pass each over the cycle), the double-loop point list, the listing
-build of a polytope, the memo-free atlas, the re-hulled growth step, the
-canonical cycles of an enumerator's classes, and the class key,
-canonical cycle and splice kernels as first written (every rotation,
-every shortest-edge listing in full, every edge a growth point lies
-beyond), the unchecked edge steps, and the curve transport as first
-written (every term through the basis-change matrix) only check what the
-package computes, and the vertex-dropping polytope only breaks it.
+written (a _congruent range per condition (ii) witness and a Fraction
+genus), the Pick count and the turn check as first written (one pass
+each over the cycle), the double-loop point list, the listing build of a
+polytope, the det-d triple search over every row triple, the memo-free
+atlas, the re-hulled growth step, the canonical cycles of an
+enumerator's classes, and the class key, canonical cycle and splice
+kernels as first written (every rotation, every shortest-edge listing in
+full, every edge a growth point lies beyond), the unchecked edge steps,
+and the curve transport as first written (every term through the
+basis-change matrix) only check what the package computes, and the
+vertex-dropping polytope only breaks it.
 """
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from wpoly import (
@@ -482,6 +484,17 @@ def listing_build(q):
     points.sort()
     interior = sum(1 for point in points if min(point) >= 1)
     return tuple(points), tuple(rows), len(points), interior
+
+
+def _listing_triple(points, d):
+    """The triple search as first written: the first det-d triple in
+    combinations(range(n), 3) order over the lex listing, and the length
+    of the lex prefix that order reaches before it."""
+    n = len(points)
+    for i, j, k in combinations(range(n), 3):
+        if abs(_det3(points[i], points[j], points[k])) == d:
+            return (points[i], points[j], points[k]), (k + 1 if (i, j) == (0, 1) else n)
+    raise AssertionError("no det-d triple")
 
 
 def row_points(p):

@@ -48,7 +48,8 @@ def test_readme_library_example_states_its_values():
 def test_public_surface_is_pinned():
     # README's Library section: every exported name has a caller in the
     # CLI or the library, except convex_hull, the checked hull of a
-    # caller's points, and family_quadruple, the paper's witness
+    # caller's points, family_quadruple, the paper's witness, and
+    # raw_genus, the exact genus formula for any quadruple, good or not
     assert sorted(wpoly.__all__) == [
         "BasisChange", "CaseReport", "ClassAtlas", "ClassEntry", "D_MAX_CAP",
         "DegenerateInputError", "InvariantViolation", "LatticePolygon",

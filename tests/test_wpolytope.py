@@ -30,6 +30,7 @@ from wpoly.wpolytope import _build, _chart, _frame, _rows_hull
 
 from lattice_oracles import (
     _edge_steps,
+    _listing_triple,
     chart_forms,
     chart_point,
     cramer_decompose,
@@ -643,16 +644,6 @@ def _atlas_members():
     )
 
 
-def _listing_triple(points, d):
-    """The first det-d triple in combinations order over the listing, and
-    the length of the lex prefix that order reaches before it."""
-    n = len(points)
-    for i, j, k in combinations(range(n), 3):
-        if abs(minor_det(points[i], points[j], points[k])) == d:
-            return (points[i], points[j], points[k]), (k + 1 if (i, j) == (0, 1) else n)
-    raise AssertionError("no det-d triple")
-
-
 def test_charted_rows_match_the_listing_build():
     # the charted rows, n, the interior count and the lex listing drawn
     # from the rows equal the build that listed, sorted and scanned every
@@ -702,6 +693,60 @@ def test_lazy_triple_matches_the_listing_search(monkeypatch):
     assert longest == {"atlases": 7, "analyze": 12}
 
 
+def _first_line_draw(p):
+    """Check p's triple search against its argued prefix along the first
+    lex line, and return its draw when that line holds P0 alone, else
+    None.  The triple starts with the two lex-least points and P0 has
+    a = 0; when P1 has a = 0 too, the third point is the lex-least with
+    a = 1 and the search draws |{a = 0}| + 1 points."""
+    with pytest.MonkeyPatch.context() as patch:
+        drawn = _drawn_prefixes(patch)
+        triple = find_unimodular_triple(p)
+    points = p.points
+    assert triple[:2] == points[:2] and points[0][0] == 0, p.quadruple
+    if points[1][0]:
+        return drawn[0]
+    line = sum(1 for point in points if point[0] == 0)
+    assert triple[2] == points[line] and points[line][0] == 1, p.quadruple
+    assert drawn[0] == line + 1, p.quadruple
+    return None
+
+
+def test_the_first_lex_line_sets_the_triple_search_draw():
+    # find_unimodular_triple's argued prefix on every member of the g <= 8
+    # atlases and of the analyze population.  Where the first lex line
+    # holds P0 alone, the draw of 3 points is a regression value, not an
+    # argument
+    population = [(q, g) for g in range(1, 41) for q in enumerate_g_good(g, 150)]
+    alone = {}
+    for name, members in (("atlases", _atlas_members()), ("analyze", population)):
+        draws = [_first_line_draw(_build(q, g)) for q, g in members]
+        draws = [draw for draw in draws if draw is not None]
+        alone[name] = (len(draws), max(draws))
+    assert alone == {"atlases": (6405, 3), "analyze": (2030, 3)}
+
+
+def test_a_collinear_draw_reaches_the_final_raise(monkeypatch):
+    # points on one line hold no triple with |det| = d; the search reads
+    # the n - 2 minors through the two lex-least points, then raises
+    p = build(Quadruple(2, 3, 7, 42))
+    monkeypatch.setattr(
+        wpolytope, "_lex_points", lambda p: ((0, 14 - 7 * t, 3 * t) for t in range(p.n))
+    )
+    calls = 0
+    minor = wpolytope.minor_det
+
+    def counted(*rows):
+        nonlocal calls
+        calls += 1
+        return minor(*rows)
+
+    monkeypatch.setattr(wpolytope, "minor_det", counted)
+    with pytest.raises(InvariantViolation, match=r"^\(2,3,7;42\): no row triple with \|det\| == 42$"):
+        find_unimodular_triple(p)
+    assert calls == p.n - 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_charted_rows_and_lazy_triple_on_random_quadruples(data):
@@ -722,6 +767,7 @@ def test_charted_rows_and_lazy_triple_on_random_quadruples(data):
         assert (p.rows, p.n, p.genus, p.points) == (rows, n, interior, points), q
         if n >= 3:
             assert find_unimodular_triple(p) == _listing_triple(points, d)[0], q
+            _first_line_draw(p)
 
 
 @pytest.mark.parametrize("fault", [
